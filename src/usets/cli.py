@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
     parser.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP,
-                        help=f"element enumeration cap (default {DEFAULT_VERIFY_CAP}; "
+                        help=f"largest group order to compute classes for (default {DEFAULT_VERIFY_CAP}; "
                              f"raise to {DEFAULT_ELEMENT_CAP} to include A10)")
     parser.add_argument("--data", default=None, metavar="DIR",
                         help="directory with catalog generator files")

@@ -112,19 +112,30 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def integer_cube_root(n: int) -> int:
+    """The largest integer c with c^3 <= n, for n >= 0 (exact at any size)."""
+    if n < 0:
+        raise ValueError(f"cube root of a negative number {n}")
+    if n < 2:
+        return n
+    c = 1 << -(-n.bit_length() // 3)  # 2^ceil(bits/3) > cube root of n
+    while True:  # Newton steps decrease to the floor of the root
+        d = (2 * c + n // (c * c)) // 3
+        if d >= c:
+            return c
+        c = d
+
+
 def solve_psl2_order(order: int) -> int | None:
     """The unique l >= 2 with l(l^2 - 1)/2 == order, if any.
 
-    The left side is strictly increasing in l, so probing around the
-    cube root of 2*order is exhaustive.
+    For l >= 2, (l - 1)^3 <= l^3 - l < l^3, so the only candidate is one
+    more than the integer cube root of 2*order.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    guess = round((2 * order) ** (1 / 3))
-    for l in range(max(2, guess - 2), guess + 3):
-        if l * (l * l - 1) // 2 == order:
-            return l
-    return None
+    l = integer_cube_root(2 * order) + 1
+    return l if l * (l * l - 1) // 2 == order else None
 
 
 # ---------------------------------------------------------------------------

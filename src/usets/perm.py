@@ -15,9 +15,11 @@ Conventions used throughout the package:
   output.
 
 The groups handled here are small (the largest the test-suite touches
-has order 1 814 400), so the algorithms favour clarity and
+has order 1 814 400), so Schreier-Sims favours clarity and
 reproducibility over asymptotics: no randomized sifting, no Monte Carlo
-variants.
+variants.  Element enumeration is the fallback and oracle of class
+finding; :mod:`usets.invariants` normally samples elements from the BSGS
+transversals with a fixed seed and never lists the group.
 """
 
 from __future__ import annotations

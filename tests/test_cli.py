@@ -103,6 +103,10 @@ def test_solve_psl2(capsys):
     assert run(capsys, "solve-psl2", "661")[1] == "none"
 
 
+def test_solve_psl2_huge_order(capsys):
+    assert run(capsys, "solve-psl2", str(10 ** 400)) == (0, "none", "")
+
+
 def test_verify_selected_checks(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "paper",

@@ -1,7 +1,10 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 
+from usets import invariants
 from usets.construct import alternating_group, psl_group, symmetric_group
 from usets.invariants import (
     centralizer_count,
@@ -10,6 +13,7 @@ from usets.invariants import (
     profile,
 )
 from usets.perm import GroupTooLargeError, PermGroup, Permutation
+from usets.verify import DEFAULT_VERIFY_CAP
 
 
 def brute_force_class_sizes(group):
@@ -164,3 +168,152 @@ class TestCentralizerCount:
     def test_cap(self):
         with pytest.raises(GroupTooLargeError):
             centralizer_count(alternating_group(5), cap=10)
+
+
+# -- the sampled path against independent routes ------------------------------
+
+def enumerated_profile(group):
+    """The profile built from the enumeration path's conjugation orbits."""
+    sizes = [c.size for c in conjugacy_classes(group)]
+    return invariants._profile_from_sizes(group.order(), sizes)
+
+
+def alternating_class_sizes(n):
+    """Class sizes of A_n from cycle types: n!/z for each even cycle type,
+    split into two halves when the parts are distinct and odd."""
+    sizes = []
+
+    def partitions(rest, largest):
+        if rest == 0:
+            yield []
+            return
+        for part in range(min(rest, largest), 0, -1):
+            for tail in partitions(rest - part, part):
+                yield [part] + tail
+
+    for parts in partitions(n, n):
+        if (n - len(parts)) % 2:
+            continue
+        z = 1
+        for length, mult in Counter(parts).items():
+            z *= length ** mult * math.factorial(mult)
+        size = math.factorial(n) // z
+        if len(set(parts)) == len(parts) and all(p % 2 for p in parts):
+            sizes += [size // 2, size // 2]
+        else:
+            sizes.append(size)
+    return sorted(sizes)
+
+
+def relabelled(group, rng):
+    """The same group on shuffled point labels, generators in shuffled order."""
+    labels = list(range(group.degree))
+    rng.shuffle(labels)
+    gens = []
+    for g in group.generators:
+        images = [0] * group.degree
+        for i, j in enumerate(g.images):
+            images[labels[i]] = labels[j]
+        gens.append(Permutation(images))
+    rng.shuffle(gens)
+    return PermGroup(gens)
+
+
+def test_sampled_profile_matches_enumeration_on_catalog(catalog):
+    entries = [e for e in catalog.entries() if e.expected_order <= DEFAULT_VERIFY_CAP]
+    assert len(entries) == 16
+    for entry in entries:
+        group = entry.group()
+        assert profile(group).as_dict() == enumerated_profile(group).as_dict(), entry.name
+
+
+def test_a10_matches_cycle_type_formula():
+    prof = profile(alternating_group(10), cap=2_000_000)
+    assert list(prof.class_sizes) == alternating_class_sizes(10)
+    assert prof.group_order == math.factorial(10) // 2
+
+
+def test_alternating_formula_oracle_on_a5():
+    assert alternating_class_sizes(5) == [1, 12, 12, 15, 20]
+
+
+@pytest.mark.parametrize("name", ["M11", "PSL(3,4)", "U4(2)"])
+def test_profile_independent_of_labels_and_generator_order(catalog, name):
+    group = catalog.entry(name).group()
+    expected = profile(group).as_dict()
+    rng = random.Random(name)
+    for _ in range(2):
+        assert profile(relabelled(group, rng)).as_dict() == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_profile_independent_of_sampler_seed(catalog, monkeypatch, seed):
+    monkeypatch.setattr(invariants, "_SAMPLER_SEED", seed)
+    for name in ("PSL(2,13)", "M11", "U3(3)"):
+        group = catalog.entry(name).group()
+        assert profile(group).as_dict() == enumerated_profile(group).as_dict(), name
+
+
+def test_small_groups_on_sampled_path():
+    assert profile(PermGroup([Permutation.identity(4)])).class_sizes == (1,)
+    assert profile(symmetric_group(3)).class_sizes == (1, 2, 3)
+    assert profile(symmetric_group(4)).class_sizes == (1, 3, 6, 6, 8)
+
+
+def test_profile_cap_checked_before_any_work(monkeypatch):
+    def unexpected(*_args, **_kwargs):
+        raise AssertionError("no class work above the cap")
+    monkeypatch.setattr(invariants, "_Chain", unexpected)
+    monkeypatch.setattr(invariants, "conjugacy_classes", unexpected)
+    with pytest.raises(GroupTooLargeError):
+        profile(alternating_group(10), cap=DEFAULT_VERIFY_CAP)
+
+
+def test_elementary_abelian_group_falls_back_to_enumeration(monkeypatch):
+    # 2^10: every element is its own class, so counting centralizers by
+    # backtrack would list the whole group once per class
+    group = PermGroup([Permutation.from_cycles(20, (2 * i, 2 * i + 1)) for i in range(10)])
+    calls = []
+    enumerate_classes = invariants.conjugacy_classes
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_classes(*args)
+    monkeypatch.setattr(invariants, "conjugacy_classes", counted)
+    prof = profile(group)
+    assert len(calls) == 1
+    assert prof.class_sizes == (1,) * 1024
+    assert prof.U == frozenset({1024})
+
+
+def test_catalog_groups_need_no_fallback(catalog, monkeypatch):
+    def unexpected(*_args, **_kwargs):
+        raise AssertionError("fell back to enumeration")
+    monkeypatch.setattr(invariants, "conjugacy_classes", unexpected)
+    for name in ("A5", "PSL(2,11)", "U3(3)", "A9"):
+        group = catalog.entry(name).group()
+        assert sum(profile(group).class_sizes) == group.order()
+
+
+def test_conjugators_form_a_coset_of_the_centralizer():
+    group = psl_group(2, 7)
+    chain = invariants._Chain(group)
+    x = group.generators[0].images
+    g = group.generators[1].images
+    y = tuple(g[x[b]] for b in invariants._inverse(g))  # conjugate of x by g
+    centralizer = invariants._conjugators(chain, x, x, False)
+    conjugators = invariants._conjugators(chain, x, y, False)
+    assert len(conjugators) == len(centralizer) == len(set(conjugators))
+    assert all(c[x[p]] == y[c[p]] for c in conjugators for p in range(group.degree))
+    assert len(invariants._conjugators(chain, x, y, True)) == 1
+
+
+def test_class_sizes_match_sympy(catalog):
+    sympy = pytest.importorskip("sympy.combinatorics")
+    groups = [(e.name, e.group()) for e in catalog.entries() if e.expected_order <= 10 ** 4]
+    groups.append(("S5", symmetric_group(5)))
+    for name, group in groups:
+        other = sympy.PermutationGroup(
+            [sympy.Permutation(list(g.images)) for g in group.generators])
+        sizes = sorted(len(c) for c in other.conjugacy_classes())
+        assert list(profile(group).class_sizes) == sizes, name

@@ -14,6 +14,7 @@ from usets.patterns import (
     factorize,
     feasibility_check,
     instantiate_pattern,
+    integer_cube_root,
     is_prime,
     is_prime_power,
     is_symbolic_prime_power,
@@ -283,3 +284,18 @@ class TestSolvePSL2Order:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             solve_psl2_order(0)
+
+    def test_huge_order_without_solution(self):
+        assert solve_psl2_order(10 ** 400) is None
+
+    def test_huge_round_trip(self):
+        l = 10 ** 130
+        assert solve_psl2_order(l * (l * l - 1) // 2) == l
+
+
+def test_integer_cube_root():
+    rng = random.Random(5)
+    for n in list(range(200)) + [rng.getrandbits(rng.randrange(1, 1500)) for _ in range(300)]:
+        c = integer_cube_root(n)
+        assert c ** 3 <= n < (c + 1) ** 3
+    assert integer_cube_root(10 ** 399) == 10 ** 133

@@ -15,8 +15,6 @@ from .perm import (
     GroupTooLargeError,
     PermGroup,
     Permutation,
-    compose,
-    inverse,
 )
 from .gf import FieldElement, FieldSpec, field_create, primitive_element
 from .construct import (
@@ -33,7 +31,6 @@ from .invariants import (
     InvariantProfile,
     centralizer_count,
     conjugacy_classes,
-    conjugate_type_rank,
     profile,
 )
 from .patterns import (
@@ -69,15 +66,12 @@ __all__ = [
     "centralizer_count",
     "classical_order",
     "classify_k",
-    "compose",
     "conjugacy_classes",
-    "conjugate_type_rank",
     "default_catalog",
     "enumerate_collision_assignments",
     "feasibility_check",
     "field_create",
     "instantiate_pattern",
-    "inverse",
     "is_prime_power",
     "load_generator_file",
     "match_pattern",

@@ -32,7 +32,7 @@ from typing import Callable, Iterable
 from .construct import alternating_group, classical_order, psl_group
 from .invariants import InvariantProfile, profile
 from .patterns import classify_k
-from .perm import DEFAULT_ELEMENT_CAP, PermGroup, Permutation
+from .perm import DEFAULT_ELEMENT_CAP, GroupTooLargeError, PermGroup, Permutation
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -150,7 +150,13 @@ class CatalogEntry:
         return self._group
 
     def profile(self, cap: int = DEFAULT_ELEMENT_CAP) -> InvariantProfile:
-        """Invariant profile, cached after the first computation."""
+        """Invariant profile, cached after the first computation; raises
+        :class:`GroupTooLargeError` when the order exceeds ``cap``, cached
+        or not."""
+        if self.expected_order > cap:
+            raise GroupTooLargeError(
+                f"group order {self.expected_order} exceeds cap {cap}; "
+                f"rerun with a higher cap to include {self.name}")
         if self._profile is None:
             self._profile = profile(self.group(), cap)
         return self._profile

@@ -13,9 +13,8 @@ Subcommands::
     usets verify paper [--only id,...] [--report PATH]
 
 Global flags: ``--format text|json``, ``--cap N``, ``--data DIR``,
-``--threads N`` (accepted for interface compatibility; results are
-deterministic and independent of its value).  Group names are accepted
-in both notations (PSL(2,11) or L2(11), U3(3) or PSU(3,3)).
+``-v``.  Group names are accepted in both notations (PSL(2,11) or
+L2(11), U3(3) or PSU(3,3)).
 
 Exit status: 0 on success (and when all verification checks pass),
 1 when any verification check fails, 2 on usage or infrastructure
@@ -49,7 +48,6 @@ class CliConfig:
     fmt: str = "text"
     cap: int = DEFAULT_VERIFY_CAP
     data_dir: str | None = None
-    threads: int = 1
     verbose: bool = False
 
     def catalog(self) -> Catalog:
@@ -228,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                              f"raise to {DEFAULT_ELEMENT_CAP} to include A10)")
     parser.add_argument("--data", default=None, metavar="DIR",
                         help="directory with catalog generator files")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count (results are identical for any value)")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -282,7 +278,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = CliConfig(fmt=args.format, cap=args.cap, data_dir=args.data,
-                       threads=args.threads, verbose=args.verbose)
+                       verbose=args.verbose)
     handlers = {
         "group": _cmd_group,
         "catalog": _cmd_catalog_list,

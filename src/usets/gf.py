@@ -23,16 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+from .patterns import is_prime
 
 
 def _poly_eval(coeffs: Sequence[int], x: int, p: int) -> int:
@@ -132,7 +123,7 @@ class FieldSpec:
 
 def field_create(p: int, k: int) -> FieldSpec:
     """GF(p^k) with the canonical (smallest) irreducible modulus."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not 1 <= k <= 4:
         raise ValueError(f"extension degree must be between 1 and 4, got {k}")

@@ -350,11 +350,6 @@ def _profile_from_sizes(order: int, sizes: Sequence[int]) -> InvariantProfile:
     )
 
 
-def conjugate_type_rank(prof: InvariantProfile) -> int:
-    """Number of distinct class sizes minus one."""
-    return prof.rank
-
-
 def centralizer_count(group: PermGroup, cap: int = 10_000) -> int:
     """Number of distinct centralizer subgroups {C(x) : x in G}.
 

@@ -54,6 +54,17 @@ def _inverse(a: RawPerm) -> RawPerm:
     return tuple(inv)
 
 
+def _sift(g: RawPerm, base: Sequence[int], transversals: Sequence[dict]) -> RawPerm:
+    """Strip one transversal factor per base point; the residue is the
+    identity iff ``g`` lies in the group these levels describe."""
+    for pt, trans in zip(base, transversals):
+        u = trans.get(g[pt])
+        if u is None:
+            break
+        g = _compose(g, _inverse(u))
+    return g
+
+
 class Permutation:
     """An element of a finite symmetric group, stored as its image tuple."""
 
@@ -176,15 +187,6 @@ class Permutation:
         return self.cycle_string()
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """Apply ``a`` first, then ``b``."""
-    return a * b
-
-
-def inverse(a: Permutation) -> Permutation:
-    return a.inverse()
-
-
 class BSGS:
     """Base and strong generating set with per-level orbit transversals.
 
@@ -229,14 +231,7 @@ class BSGS:
     def sift(self, images: RawPerm) -> RawPerm:
         """Strip transversal factors; the residue is the identity iff the
         permutation belongs to the group."""
-        g = images
-        for pt, trans in zip(self.base, self._transversals):
-            gamma = g[pt]
-            u = trans.get(gamma)
-            if u is None:
-                return g
-            g = _compose(g, _inverse(u))
-        return g
+        return _sift(images, self.base, self._transversals)
 
     def contains_images(self, images: RawPerm) -> bool:
         residue = self.sift(images)
@@ -284,15 +279,6 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
             frontier = sorted(new_pts)
         transversals[i] = trans
 
-    def sift_from(g: RawPerm, i: int) -> tuple[RawPerm, int]:
-        for j in range(i, len(base)):
-            gamma = g[base[j]]
-            u = transversals[j].get(gamma)
-            if u is None:
-                return g, j
-            g = _compose(g, _inverse(u))
-        return g, len(base)
-
     def add_nonmember(i: int, g: RawPerm) -> None:
         # pre: g != identity, g fixes base[:i], g is not in the level-i
         # group, and every level deeper than i is closed
@@ -312,7 +298,7 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
                 schreier = _compose(_compose(u, s), _inverse(trans[delta]))
                 if schreier == ident:
                     continue
-                residue, _ = sift_from(schreier, i + 1)
+                residue = _sift(schreier, base[i + 1:], transversals[i + 1:])
                 if residue != ident:
                     add_nonmember(i + 1, residue)
 
@@ -323,7 +309,7 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
         level_gens.append([])
         transversals.append({first: ident})
     for g in raw_gens:
-        residue, _ = sift_from(g, 0)
+        residue = _sift(g, base, transversals)
         if residue != ident:
             add_nonmember(0, residue)
     return BSGS(degree, base, level_gens, transversals)

@@ -10,6 +10,13 @@ expected value whose origin is tagged:
 * ``internal``   - a self-consistency cross-check between two
   independent computation routes inside this package.
 
+The checks form one table, built by ``_rows``: each :class:`CheckRow`
+holds the check id, the claim, the expected value's source, the catalog
+groups it needs and a ``run`` that maps their profiles to ``(computed,
+expected[, note])``.  One runner, ``_outcome``, profiles the row's groups
+at the configured cap, runs it and compares the two values;
+``run_verification`` turns each outcome into a :class:`CheckResult`.
+
 Checks whose group exceeds the configured cap are reported as
 ``not_checked`` (never silently skipped), as are the k4 groups for which
 no construction is shipped.  Reports are deterministic: running twice
@@ -20,13 +27,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Callable, Iterable
 
 from . import __version__
-from .catalog import Catalog, default_catalog
+from .catalog import Catalog, _natural_key, default_catalog
 from .invariants import InvariantProfile, centralizer_count
 from .patterns import (
     USetPattern,
@@ -46,7 +52,6 @@ from .perm import GroupTooLargeError, PermGroup
 #: A9 (order 181 440), which the k4 screening needs, while leaving A10
 #: (order 1 814 400) gated off; raise the cap to pull A10 in.
 DEFAULT_VERIFY_CAP = 250_000
-DEFAULT_CENTRALIZER_CAP = 10_000
 
 PASS, FAIL, NOT_CHECKED = "pass", "fail", "not_checked"
 
@@ -208,380 +213,268 @@ class VerificationReport:
             f"({len(self.results)} checks, toolkit {self.version})")
         return "\n".join(lines)
 
+@dataclass(frozen=True)
+class CheckRow:
+    """One line of the check table.
 
-class _Context:
-    """Shared state for one harness run: catalog plus profile cache."""
+    ``run`` receives the profiles of ``groups``, in order, and returns
+    ``(computed, expected)`` or ``(computed, expected, note)``; the check
+    passes when the two are equal.  ``run=None`` marks a check with no
+    construction shipped.
+    """
 
-    def __init__(self, catalog: Catalog, cap: int, centralizer_cap: int):
-        self.catalog = catalog
-        self.cap = cap
-        self.centralizer_cap = centralizer_cap
-
-    def profile(self, name: str) -> InvariantProfile:
-        entry = self.catalog.entry(name)
-        if entry.expected_order > self.cap:
-            raise GroupTooLargeError(
-                f"group order {entry.expected_order} exceeds cap {self.cap}; "
-                f"rerun with a higher cap to include {name}")
-        return entry.profile(self.cap)
-
-    def group(self, name: str) -> PermGroup:
-        return self.catalog.get(name)
+    check_id: str
+    claim: str
+    source: str
+    run: Callable[..., tuple] | None
+    groups: tuple[str, ...] = ()
 
 
-Check = tuple[str, str, Callable[[_Context], CheckResult]]
+NO_DATA_NOTE = ("no generator data shipped for this group; outside the "
+                "constructible subset, published screening not recomputed")
+
+#: Checks run on every catalog group: id family, claim (``{g}`` stands for
+#: the group), expected-value source, and ``run`` on the group's profile.
+PER_GROUP_ROWS = (
+    ("order-identity", "the counts u(n) of {g} sum to the group order", "internal",
+     lambda p: (sum(p.u_multiset()), p.group_order)),
+    ("divisibility", "every class size n of {g} divides its count u(n)", "derived",
+     lambda p: (sorted(n for n in p.V if p.u_map[n] % n), [])),
+    ("burnside", "{g} is simple, so no class size above 1 is a prime power", "derived",
+     lambda p: (sorted(n for n in p.V if n > 1 and len(classify_k(n)[1]) == 1), [])),
+    ("prime-set", "{g} has trivial center, so the primes dividing the order are "
+     "exactly those dividing some class size", "derived",
+     lambda p: (sorted({q for n in p.V if n > 1 for q in classify_k(n)[1]}), sorted(p.pi))),
+    ("center", "{g} has exactly one element in classes of size 1", "derived",
+     lambda p: (p.u_map.get(1), 1)),
+    ("feasibility", "the count multiset of {g} passes every necessary condition "
+     "(a realized set can never be rejected)", "derived",
+     lambda p: (feasibility_check(p.u_multiset()).verdict, "POSSIBLE")),
+)
 
 
-def _exact(check_id: str, claim: str, computed: Any, expected: Any,
-           source: str, note: str = "") -> CheckResult:
-    status = PASS if computed == expected else FAIL
-    return CheckResult(check_id, claim, status, computed, expected, source, note)
+def _semiprimes(prof: InvariantProfile) -> list[int]:
+    return sorted(u for u in prof.U
+                  if u > 1 and sorted(classify_k(u)[1].values()) == [1, 1])
 
 
-def _capped(ctx: _Context, check_id: str, claim: str, name: str,
-            fn: Callable[[InvariantProfile], CheckResult]) -> CheckResult:
-    try:
-        prof = ctx.profile(name)
-    except GroupTooLargeError as exc:
-        return CheckResult(check_id, claim, NOT_CHECKED, note=str(exc))
-    return fn(prof)
+def _collision_options() -> tuple:
+    pat = USetPattern.parse(COLLISION_PATTERN)
+    got = {str(t): tuple(sorted(str(o) for o in admissible_size_options(t)))
+           for t in pat.terms}
+    expected = {str(parse_term(t)): tuple(sorted(str(parse_term(o)) for o in opts))
+                for t, opts in PUBLISHED_COLLISION_OPTIONS.items()}
+    return got, expected
 
 
-def _build_checks(ctx: _Context) -> list[Check]:
-    checks: list[Check] = []
-    catalog_names = ctx.catalog.names()
+def _collision_screen() -> tuple:
+    cases = enumerate_collision_assignments(COLLISION_PATTERN)
+    unrefuted = [str(c.assignment) for c in cases if c.contradiction is None]
+    note = (f"systematic enumeration yields {len(cases)} collision cases; "
+            f"the published case list shows {PUBLISHED_COLLISION_CASE_COUNT} "
+            f"(one case, sizes {{1,rq,2q,2r,rq}}, is omitted there but is "
+            f"refuted the same way)")
+    return ({"cases": len(cases), "unrefuted": unrefuted},
+            {"cases": 32, "unrefuted": []}, note)
+
+
+def _eliminate(shape: str, code: str) -> tuple:
+    pat = USetPattern.parse(shape)
+    symbols = pat.symbols
+    odd_primes = [p for p in primes_up_to(ELIMINATION_PRIME_BOUND) if p > 2]
+    outcomes = set()
+    for combo in itertools.product(odd_primes, repeat=len(symbols)):
+        verdict = feasibility_check(
+            instantiate_pattern(pat, dict(zip(symbols, combo))))
+        outcomes.add((verdict.verdict, verdict.codes))
+    return sorted(outcomes), [("INFEASIBLE", (code,))]
+
+
+def _order_shape(l: int) -> tuple:
+    primes = sorted(classify_k(l * (l * l - 1))[1])
+    big = [p for p in primes if p > 3]
+    computed = {"primes": primes, "large_distinct": sorted(set(big))}
+    expected = {"primes": [2, 3] + big, "large_distinct": big}
+    ok = len(big) == 2 and big[0] != big[1]
+    return computed, expected if ok else {"primes": None}
+
+
+def _uset_uniqueness(catalog: Catalog, cap: int) -> tuple:
+    matches = [e.name for e in catalog.entries(max_order=cap)
+               if e.profile(cap).U == CHARACTERIZATION_TARGET]
+    skipped = [e.name for e in catalog.entries() if e.expected_order > cap]
+    note = f"groups above the cap, not scanned: {skipped}" if skipped else ""
+    return matches, ["PSL(2,11)"], note
+
+
+def _centralizer_counts(group: PermGroup) -> tuple:
+    first = centralizer_count(group)
+    second = centralizer_count(PermGroup(tuple(reversed(group.generators))))
+    return first, second, f"|Cent(PSL(2,11))| = {first}"
+
+
+def _rows(catalog: Catalog, cap: int) -> list[CheckRow]:
+    """The check table, in report order."""
+    rows: list[CheckRow] = []
 
     # -- golden table of same-size class sets ------------------------------
     for name, expected in GOLDEN_USETS.items():
-        def fn(ctx, name=name, expected=expected):
-            cid = f"uset:{name}"
-            claim = f"computed-from-scratch U({name}) equals the published set"
-            return _capped(ctx, cid, claim, name, lambda prof: _exact(
-                cid, claim, sorted(prof.U), sorted(expected), "published"))
-        checks.append((f"uset:{name}", "", fn))
+        rows.append(CheckRow(
+            f"uset:{name}", f"computed-from-scratch U({name}) equals the published set",
+            "published", lambda p, e=expected: (sorted(p.U), sorted(e)), (name,)))
 
     # -- published symbolic shapes of those sets ---------------------------
     for name, (shape, assignment) in PUBLISHED_USET_SHAPES.items():
-        def fn(ctx, name=name, shape=shape, assignment=assignment):
-            cid = f"uset-shape:{name}"
-            claim = (f"U({name}) matches the published symbolic shape "
-                     f"{{{shape}}} for a unique prime assignment below 100")
-            def run(prof):
-                matches = match_pattern(shape, prof.U, bound=100)
-                return _exact(cid, claim, matches, [assignment], "published")
-            return _capped(ctx, cid, claim, name, run)
-        checks.append((f"uset-shape:{name}", "", fn))
+        rows.append(CheckRow(
+            f"uset-shape:{name}", f"U({name}) matches the published symbolic shape "
+            f"{{{shape}}} for a unique prime assignment below 100", "published",
+            lambda p, s=shape, a=assignment: (match_pattern(s, p.U, bound=100), [a]),
+            (name,)))
 
     # -- per-group arithmetic invariants -----------------------------------
-    for name in catalog_names:
-        def order_fn(ctx, name=name):
-            cid = f"order:{name}"
-            entry = ctx.catalog.entry(name)
-            claim = f"computed order of {name} equals {entry.provenance}"
-            try:
-                got = ctx.group(name).order()
-            except GroupTooLargeError as exc:  # order never exceeds caps
-                return CheckResult(cid, claim, NOT_CHECKED, note=str(exc))
-            return _exact(cid, claim, got, entry.expected_order, "formula")
-        checks.append((f"order:{name}", "", order_fn))
-
-        def identity_fn(ctx, name=name):
-            cid = f"order-identity:{name}"
-            claim = f"the counts u(n) of {name} sum to the group order"
-            return _capped(ctx, cid, claim, name, lambda prof: _exact(
-                cid, claim, sum(prof.u_multiset()), prof.group_order, "internal"))
-        checks.append((f"order-identity:{name}", "", identity_fn))
-
-        def divisibility_fn(ctx, name=name):
-            cid = f"divisibility:{name}"
-            claim = f"every class size n of {name} divides its count u(n)"
-            return _capped(ctx, cid, claim, name, lambda prof: _exact(
-                cid, claim,
-                sorted(n for n in prof.V if prof.u_map[n] % n), [], "derived"))
-        checks.append((f"divisibility:{name}", "", divisibility_fn))
-
-        def burnside_fn(ctx, name=name):
-            cid = f"burnside:{name}"
-            claim = (f"{name} is simple, so no class size above 1 "
-                     f"is a prime power")
-            return _capped(ctx, cid, claim, name, lambda prof: _exact(
-                cid, claim,
-                sorted(n for n in prof.V
-                       if n > 1 and len(classify_k(n)[1]) == 1), [], "derived"))
-        checks.append((f"burnside:{name}", "", burnside_fn))
-
-        def prime_set_fn(ctx, name=name):
-            cid = f"prime-set:{name}"
-            claim = (f"{name} has trivial center, so the primes dividing the "
-                     f"order are exactly those dividing some class size")
-            def run(prof):
-                from_sizes = set()
-                for n in prof.V:
-                    if n > 1:
-                        from_sizes.update(classify_k(n)[1])
-                return _exact(cid, claim, sorted(from_sizes), sorted(prof.pi),
-                              "derived")
-            return _capped(ctx, cid, claim, name, run)
-        checks.append((f"prime-set:{name}", "", prime_set_fn))
-
-        def center_fn(ctx, name=name):
-            cid = f"center:{name}"
-            claim = f"{name} has exactly one element in classes of size 1"
-            return _capped(ctx, cid, claim, name, lambda prof: _exact(
-                cid, claim, prof.u_map.get(1), 1, "derived"))
-        checks.append((f"center:{name}", "", center_fn))
-
-        def feasibility_fn(ctx, name=name):
-            cid = f"feasibility:{name}"
-            claim = (f"the count multiset of {name} passes every necessary "
-                     f"condition (a realized set can never be rejected)")
-            return _capped(ctx, cid, claim, name, lambda prof: _exact(
-                cid, claim, feasibility_check(prof.u_multiset()).verdict,
-                "POSSIBLE", "derived"))
-        checks.append((f"feasibility:{name}", "", feasibility_fn))
+    for name in catalog.names():
+        entry = catalog.entry(name)
+        rows.append(CheckRow(
+            f"order:{name}", f"computed order of {name} equals {entry.provenance}",
+            "formula", lambda e=entry: (e.group().order(), e.expected_order)))
+        rows += [CheckRow(f"{family}:{name}", claim.format(g=name), source, run, (name,))
+                 for family, claim, source, run in PER_GROUP_ROWS]
 
     # -- conjugate type rank ------------------------------------------------
-    for name, expected_rank in CONJUGATE_RANK_EXPECTATIONS.items():
-        def fn(ctx, name=name, expected_rank=expected_rank):
-            cid = f"rank:{name}"
-            claim = f"conjugate type rank of {name} equals {expected_rank}"
-            return _capped(ctx, cid, claim, name, lambda prof: _exact(
-                cid, claim, prof.rank, expected_rank, "derived"))
-        checks.append((f"rank:{name}", "", fn))
+    for name, rank in CONJUGATE_RANK_EXPECTATIONS.items():
+        rows.append(CheckRow(
+            f"rank:{name}", f"conjugate type rank of {name} equals {rank}",
+            "derived", lambda p, r=rank: (p.rank, r), (name,)))
 
     # -- prime-divisor screenings ------------------------------------------
-    def k3_fn(ctx):
-        cid = "k3-screen"
-        claim = ("catalog members whose order has exactly three prime "
-                 "divisors are the published eight (with PSL(2,4), PSL(2,5), "
-                 "PSL(2,9) as isomorphic copies)")
-        got = [e.name for e in ctx.catalog.entries(k=3)]
-        return _exact(cid, claim, got, sorted(K3_CATALOG_NAMES, key=_nat), "published")
-    checks.append(("k3-screen", "", k3_fn))
-
-    def k4_fn(ctx):
-        cid = "k4-screen"
-        claim = "catalog members whose order has exactly four prime divisors"
-        got = [e.name for e in ctx.catalog.entries(k=4)]
-        return _exact(cid, claim, got, sorted(K4_CATALOG_NAMES, key=_nat), "derived")
-    checks.append(("k4-screen", "", k4_fn))
+    rows.append(CheckRow(
+        "k3-screen", "catalog members whose order has exactly three prime "
+        "divisors are the published eight (with PSL(2,4), PSL(2,5), "
+        "PSL(2,9) as isomorphic copies)", "published",
+        lambda: ([e.name for e in catalog.entries(k=3)],
+                 sorted(K3_CATALOG_NAMES, key=_natural_key))))
+    rows.append(CheckRow(
+        "k4-screen", "catalog members whose order has exactly four prime divisors",
+        "derived", lambda: ([e.name for e in catalog.entries(k=4)],
+                            sorted(K4_CATALOG_NAMES, key=_natural_key))))
 
     # -- collision analysis of the five-value candidate set -----------------
-    def collision_options_fn(ctx):
-        cid = "collision-options"
-        claim = ("admissible class sizes derived for each count of "
-                 f"{{{COLLISION_PATTERN}}} equal the published lists")
-        pat = USetPattern.parse(COLLISION_PATTERN)
-        got = {str(t): tuple(sorted(str(o) for o in admissible_size_options(t)))
-               for t in pat.terms}
-        expected = {str(parse_term(t)): tuple(sorted(str(parse_term(o)) for o in opts))
-                    for t, opts in PUBLISHED_COLLISION_OPTIONS.items()}
-        return _exact(cid, claim, got, expected, "published")
-    checks.append(("collision-options", "", collision_options_fn))
-
-    def collision_fn(ctx):
-        cid = "collision-screen"
-        claim = ("every size assignment with a repeated class size is "
-                 "symbolically contradictory, so all class sizes differ")
-        cases = enumerate_collision_assignments(COLLISION_PATTERN)
-        unrefuted = [str(c.assignment) for c in cases if c.contradiction is None]
-        computed = {"cases": len(cases), "unrefuted": unrefuted}
-        expected = {"cases": 32, "unrefuted": []}
-        note = (f"systematic enumeration yields {len(cases)} collision cases; "
-                f"the published case list shows {PUBLISHED_COLLISION_CASE_COUNT} "
-                f"(one case, sizes {{1,rq,2q,2r,rq}}, is omitted there but is "
-                f"refuted the same way)")
-        result = _exact(cid, claim, computed, expected, "derived", note)
-        return result
-    checks.append(("collision-screen", "", collision_fn))
+    rows.append(CheckRow(
+        "collision-options", "admissible class sizes derived for each count of "
+        f"{{{COLLISION_PATTERN}}} equal the published lists", "published",
+        _collision_options))
+    rows.append(CheckRow(
+        "collision-screen", "every size assignment with a repeated class size is "
+        "symbolically contradictory, so all class sizes differ", "derived",
+        _collision_screen))
 
     # -- eliminations of symbolic candidate sets ----------------------------
     for shape in ELIMINATION_BURNSIDE + ELIMINATION_PARITY:
         code = "burnside" if shape in ELIMINATION_BURNSIDE else "parity"
-        def fn(ctx, shape=shape, code=code):
-            cid = f"eliminate:{shape}"
-            claim = (f"{{{shape}}} is infeasible for a simple group, by the "
-                     f"{code} condition, for all odd-prime values below "
-                     f"{ELIMINATION_PRIME_BOUND}")
-            pat = USetPattern.parse(shape)
-            symbols = pat.symbols
-            odd_primes = [p for p in primes_up_to(ELIMINATION_PRIME_BOUND) if p > 2]
-            outcomes = set()
-            for combo in itertools.product(odd_primes, repeat=len(symbols)):
-                verdict = feasibility_check(
-                    instantiate_pattern(pat, dict(zip(symbols, combo))))
-                outcomes.add((verdict.verdict, verdict.codes))
-            return _exact(cid, claim, sorted(outcomes),
-                          [("INFEASIBLE", (code,))], "published")
-        checks.append((f"eliminate:{shape}", "", fn))
+        rows.append(CheckRow(
+            f"eliminate:{shape}", f"{{{shape}}} is infeasible for a simple group, by "
+            f"the {code} condition, for all odd-prime values below "
+            f"{ELIMINATION_PRIME_BOUND}", "published",
+            lambda s=shape, c=code: _eliminate(s, c)))
 
     # -- no count in these sets is a product of two distinct primes ---------
     for name in ("A6", "PSL(2,17)"):
-        def fn(ctx, name=name):
-            cid = f"no-semiprime:{name}"
-            claim = (f"no member of U({name}) is a product of two distinct "
-                     f"primes, so the five-count shape with second count rq "
-                     f"cannot match")
-            def run(prof):
-                semiprimes = sorted(
-                    u for u in prof.U if u > 1
-                    and sorted(classify_k(u)[1].values()) == [1, 1])
-                return _exact(cid, claim, semiprimes, [], "published")
-            return _capped(ctx, cid, claim, name, run)
-        checks.append((f"no-semiprime:{name}", "", fn))
+        rows.append(CheckRow(
+            f"no-semiprime:{name}", f"no member of U({name}) is a product of two "
+            f"distinct primes, so the five-count shape with second count rq "
+            f"cannot match", "published", lambda p: (_semiprimes(p), []), (name,)))
 
-    def psl27_no_match_fn(ctx):
-        cid = "pattern-no-match:PSL(2,7)"
-        claim = (f"{{{CHARACTERIZATION_PATTERN}}} does not match U(PSL(2,7)) "
-                 f"for any primes below 100")
-        def run(prof):
-            return _exact(cid, claim,
-                          match_pattern(CHARACTERIZATION_PATTERN, prof.U, 100),
-                          [], "derived")
-        return _capped(ctx, cid, claim, "PSL(2,7)", run)
-    checks.append(("pattern-no-match:PSL(2,7)", "", psl27_no_match_fn))
-
-    def k3_elimination_fn(ctx):
-        cid = "k3-uset-elimination"
-        claim = (f"{{{K3_ELIMINATION_PATTERN}}} matches the class set of "
-                 f"none of the eight three-prime simple groups (primes "
-                 f"below 100)")
-        matched = []
-        for name in K3_GROUPS:
-            prof = ctx.profile(name)
-            if match_pattern(K3_ELIMINATION_PATTERN, prof.U, 100):
-                matched.append(name)
-        return _exact(cid, claim, matched, [], "published")
-    checks.append(("k3-uset-elimination", "", k3_elimination_fn))
+    rows.append(CheckRow(
+        "pattern-no-match:PSL(2,7)", f"{{{CHARACTERIZATION_PATTERN}}} does not "
+        f"match U(PSL(2,7)) for any primes below 100", "derived",
+        lambda p: (match_pattern(CHARACTERIZATION_PATTERN, p.U, 100), []),
+        ("PSL(2,7)",)))
+    rows.append(CheckRow(
+        "k3-uset-elimination", f"{{{K3_ELIMINATION_PATTERN}}} matches the class "
+        f"set of none of the eight three-prime simple groups (primes below 100)",
+        "published",
+        lambda *profs: ([name for name, p in zip(K3_GROUPS, profs)
+                         if match_pattern(K3_ELIMINATION_PATTERN, p.U, 100)], []),
+        K3_GROUPS))
 
     # -- |U(G)| = 5 screening over four-prime groups ------------------------
     for name in K4_CATALOG_NAMES:
-        expect_five = name in ("PSL(2,11)", "PSL(2,13)")
-        def fn(ctx, name=name, expect_five=expect_five):
-            cid = f"size5:{name}"
-            side = "exactly" if expect_five else "not"
-            claim = f"{name} has {side} five distinct same-size class counts"
-            def run(prof):
-                return _exact(cid, claim, len(prof.U) == 5, expect_five,
-                              "published", note=f"|U({name})| = {len(prof.U)}")
-            return _capped(ctx, cid, claim, name, run)
-        checks.append((f"size5:{name}", "", fn))
-
+        five = name in ("PSL(2,11)", "PSL(2,13)")
+        rows.append(CheckRow(
+            f"size5:{name}", f"{name} has {'exactly' if five else 'not'} five "
+            f"distinct same-size class counts", "published",
+            lambda p, n=name, f=five: (len(p.U) == 5, f, f"|U({n})| = {len(p.U)}"),
+            (name,)))
     for name in K4_UNAVAILABLE:
-        def fn(ctx, name=name):
-            cid = f"size5:{name}"
-            claim = f"published screening reports |U({name})| != 5"
-            return CheckResult(
-                cid, claim, NOT_CHECKED,
-                note=("no generator data shipped for this group; outside the "
-                      "constructible subset, published screening not recomputed"))
-        checks.append((f"size5:{name}", "", fn))
+        rows.append(CheckRow(
+            f"size5:{name}", f"published screening reports |U({name})| != 5",
+            "published", None))
 
     for l in (11, 13):
-        def fn(ctx, l=l):
-            cid = f"order-shape:PSL(2,{l})"
-            claim = (f"q(q^2-1) for q={l} factors as gcd(2,q-1) times a "
-                     f"{{2,3,s,t}}-number with s,t > 3 distinct primes")
-            n = l * (l * l - 1)
-            primes = sorted(classify_k(n)[1])
-            big = [p for p in primes if p > 3]
-            computed = {"primes": primes, "large_distinct": sorted(set(big))}
-            expected = {"primes": [2, 3] + big, "large_distinct": big}
-            ok = len(big) == 2 and big[0] != big[1]
-            return _exact(cid, claim, computed,
-                          expected if ok else {"primes": None}, "derived")
-        checks.append((f"order-shape:PSL(2,{l})", "", fn))
+        rows.append(CheckRow(
+            f"order-shape:PSL(2,{l})", f"q(q^2-1) for q={l} factors as gcd(2,q-1) "
+            f"times a {{2,3,s,t}}-number with s,t > 3 distinct primes", "derived",
+            lambda l=l: _order_shape(l)))
 
     # -- order formula plus the distinguished class size --------------------
-    for p in ORDER_AND_CLASS_PRIMES:
-        def fn(ctx, p=p):
-            cid = f"order-and-class:PSL(2,{p})"
-            special = (p * p - 1) // (2 if p % 2 else 1)
-            claim = (f"PSL(2,{p}) has order p(p^2-1)/gcd(2,p-1) and a class "
-                     f"of size {special}")
-            name = f"PSL(2,{p})"
-            def run(prof):
-                computed = {"order": prof.group_order,
-                            "has_special_class": special in prof.V}
-                expected = {"order": p * (p * p - 1) // 2,
-                            "has_special_class": True}
-                return _exact(cid, claim, computed, expected, "formula")
-            return _capped(ctx, cid, claim, name, run)
-        checks.append((f"order-and-class:PSL(2,{p})", "", fn))
+    for q in ORDER_AND_CLASS_PRIMES:
+        special = (q * q - 1) // (2 if q % 2 else 1)
+        rows.append(CheckRow(
+            f"order-and-class:PSL(2,{q})", f"PSL(2,{q}) has order "
+            f"p(p^2-1)/gcd(2,p-1) and a class of size {special}", "formula",
+            lambda p, q=q, s=special: (
+                {"order": p.group_order, "has_special_class": s in p.V},
+                {"order": q * (q * q - 1) // 2, "has_special_class": True}),
+            (f"PSL(2,{q})",)))
 
     # -- the characterization endgame ---------------------------------------
-    def solve_fn(ctx):
-        cid = "psl2-order-solve"
-        claim = "l(l^2-1)/2 = 660 has the unique solution l = 11"
-        return _exact(cid, claim, solve_psl2_order(660), 11, "derived")
-    checks.append(("psl2-order-solve", "", solve_fn))
-
-    def uniqueness_fn(ctx):
-        cid = "uset-uniqueness"
-        claim = (f"within the catalog (at the configured cap), exactly "
-                 f"PSL(2,11) has U(G) = {sorted(CHARACTERIZATION_TARGET)}")
-        matches = []
-        skipped = []
-        for name in catalog_names:
-            try:
-                prof = ctx.profile(name)
-            except GroupTooLargeError:
-                skipped.append(name)
-                continue
-            if prof.U == CHARACTERIZATION_TARGET:
-                matches.append(name)
-        note = f"groups above the cap, not scanned: {skipped}" if skipped else ""
-        return _exact(cid, claim, matches, ["PSL(2,11)"], "published", note)
-    checks.append(("uset-uniqueness", "", uniqueness_fn))
-
-    def prime_match_fn(ctx):
-        cid = "prime-match-uniqueness"
-        claim = (f"{{{CHARACTERIZATION_PATTERN}}} matches "
-                 f"{sorted(CHARACTERIZATION_TARGET)} only at "
-                 f"p=3, q=5, r=11 (primes below 100)")
-        got = match_pattern(CHARACTERIZATION_PATTERN, CHARACTERIZATION_TARGET, 100)
-        return _exact(cid, claim, got, [CHARACTERIZATION_ASSIGNMENT], "derived")
-    checks.append(("prime-match-uniqueness", "", prime_match_fn))
+    rows.append(CheckRow(
+        "psl2-order-solve", "l(l^2-1)/2 = 660 has the unique solution l = 11",
+        "derived", lambda: (solve_psl2_order(660), 11)))
+    rows.append(CheckRow(
+        "uset-uniqueness", f"within the catalog (at the configured cap), exactly "
+        f"PSL(2,11) has U(G) = {sorted(CHARACTERIZATION_TARGET)}", "published",
+        lambda: _uset_uniqueness(catalog, cap)))
+    rows.append(CheckRow(
+        "prime-match-uniqueness", f"{{{CHARACTERIZATION_PATTERN}}} matches "
+        f"{sorted(CHARACTERIZATION_TARGET)} only at p=3, q=5, r=11 (primes below "
+        f"100)", "derived",
+        lambda: (match_pattern(CHARACTERIZATION_PATTERN, CHARACTERIZATION_TARGET, 100),
+                 [CHARACTERIZATION_ASSIGNMENT])))
 
     # -- cross-validation via exceptional isomorphisms ----------------------
     for a, b in (("A5", "PSL(2,4)"), ("A5", "PSL(2,5)"), ("A6", "PSL(2,9)")):
-        def fn(ctx, a=a, b=b):
-            cid = f"profile-match:{a}={b}"
-            claim = (f"{a} and {b} are isomorphic, so their independently "
-                     f"computed invariant profiles coincide")
-            try:
-                pa, pb = ctx.profile(a), ctx.profile(b)
-            except GroupTooLargeError as exc:
-                return CheckResult(cid, claim, NOT_CHECKED, note=str(exc))
-            return _exact(cid, claim, pa.as_dict(), pb.as_dict(), "derived")
-        checks.append((f"profile-match:{a}={b}", "", fn))
+        rows.append(CheckRow(
+            f"profile-match:{a}={b}", f"{a} and {b} are isomorphic, so their "
+            f"independently computed invariant profiles coincide", "derived",
+            lambda pa, pb: (pa.as_dict(), pb.as_dict()), (a, b)))
 
     # -- centralizer count (recorded value, determinism cross-check) --------
-    def centralizer_fn(ctx):
-        cid = "centralizer-count:PSL(2,11)"
-        claim = ("the number of distinct centralizers of PSL(2,11) is well "
-                 "defined: two element orderings agree (no published value)")
-        group = ctx.group("PSL(2,11)")
-        if group.order() > ctx.centralizer_cap:
-            return CheckResult(cid, claim, NOT_CHECKED,
-                               note="exceeds the centralizer cap")
-        first = centralizer_count(group, ctx.centralizer_cap)
-        reversed_group = PermGroup(tuple(reversed(group.generators)))
-        second = centralizer_count(reversed_group, ctx.centralizer_cap)
-        return _exact(cid, claim, first, second, "internal",
-                      note=f"|Cent(PSL(2,11))| = {first}")
-    checks.append(("centralizer-count:PSL(2,11)", "", centralizer_fn))
-
-    return checks
+    rows.append(CheckRow(
+        "centralizer-count:PSL(2,11)", "the number of distinct centralizers of "
+        "PSL(2,11) is well defined: two element orderings agree (no published "
+        "value)", "internal",
+        lambda: _centralizer_counts(catalog.get("PSL(2,11)"))))
+    return rows
 
 
-def _nat(name: str) -> tuple:
-    return tuple(int(t) if t.isdigit() else t for t in re.split(r"(\d+)", name))
+def _outcome(row: CheckRow, catalog: Catalog, cap: int) -> tuple:
+    """``(status, computed, expected, source, note)`` of one row: profile
+    its groups at ``cap``, run it and compare.  A group above a cap makes
+    the row not_checked, with the cap's message as the note."""
+    if row.run is None:
+        return NOT_CHECKED, None, None, "", NO_DATA_NOTE
+    try:
+        computed, expected, *note = row.run(
+            *[catalog.entry(name).profile(cap) for name in row.groups])
+    except GroupTooLargeError as exc:
+        return NOT_CHECKED, None, None, "", str(exc)
+    status = PASS if computed == expected else FAIL
+    return status, computed, expected, row.source, note[0] if note else ""
 
 
 def run_verification(selection: Iterable[str] | None = None, *,
                      cap: int = DEFAULT_VERIFY_CAP,
-                     centralizer_cap: int = DEFAULT_CENTRALIZER_CAP,
                      catalog: Catalog | None = None) -> VerificationReport:
     """Run the published-value checks and return a structured report.
 
@@ -593,24 +486,21 @@ def run_verification(selection: Iterable[str] | None = None, *,
         # parse and order-validate the shipped files up front, so a broken
         # catalog is an error before any check runs
         catalog.entry(name).group()
-    ctx = _Context(catalog, cap, centralizer_cap)
-    checks = _build_checks(ctx)
+    rows = _rows(catalog, cap)
+    ids = [row.check_id for row in rows]
+    if len(set(ids)) != len(ids):
+        raise RuntimeError("duplicate check ids in the check table")
     if selection is not None:
         wanted = set(selection)
-        known = {cid for cid, _, _ in checks}
-        unknown = wanted - known
+        unknown = wanted - set(ids)
         if unknown:
             raise ValueError(f"unknown check ids: {sorted(unknown)}")
-        checks = [c for c in checks if c[0] in wanted]
+        rows = [row for row in rows if row.check_id in wanted]
     report = VerificationReport(
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"))
-    for cid, _, fn in checks:
-        result = fn(ctx)
-        if result.check_id != cid:
-            raise RuntimeError(f"check {cid} reported id {result.check_id}")
-        report.results.append(result)
-    ids = [r.check_id for r in report.results]
-    if len(set(ids)) != len(ids):
-        raise RuntimeError("duplicate check ids in report")
+    for row in rows:
+        # one CheckResult per check, created once the check's work is done
+        report.results.append(
+            CheckResult(row.check_id, row.claim, *_outcome(row, catalog, cap)))
     return report

@@ -135,6 +135,19 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_at_a_low_cap_reports_not_checked(capsys):
+    code, out, _ = run(capsys, "--cap", "1000", "verify", "paper")
+    assert code == 0
+    assert "SKIP  k3-uset-elimination" in out
+
+
+def test_cached_profile_still_honours_the_cap(capsys):
+    assert run(capsys, "group", "uset", "A5")[0] == 0
+    code, out, err = run(capsys, "--cap", "10", "group", "uset", "A5")
+    assert code == 2 and out == ""
+    assert "exceeds cap 10" in err
+
+
 def test_unknown_group_is_a_usage_error(capsys):
     code, _, err = run(capsys, "group", "uset", "M24")
     assert code == 2
@@ -164,11 +177,6 @@ def test_bad_target_is_a_usage_error(capsys):
     code, _, err = run(capsys, "search", "--uset", "1,foo")
     assert code == 2
     assert "comma-separated integers" in err
-
-
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run(capsys, "--threads", "4", "solve-psl2", "660")
-    assert code == 0 and out == "11"
 
 
 @pytest.mark.parametrize("argv", [

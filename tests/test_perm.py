@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from usets.perm import GroupTooLargeError, PermGroup, Permutation, compose, inverse
+from usets.perm import GroupTooLargeError, PermGroup, Permutation
 from usets.construct import alternating_group, symmetric_group
 
 
@@ -24,7 +24,6 @@ class TestCompose:
         # the opposite convention would give 0->1, 1->2, 2->0
         a, b = cyc(3, (0, 1)), cyc(3, (1, 2))
         assert (a * b).images == (2, 0, 1)
-        assert compose(a, b) == a * b
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -33,7 +32,7 @@ class TestCompose:
 
 class TestInverse:
     def test_identity(self):
-        assert inverse(Permutation.identity(4)).is_identity()
+        assert Permutation.identity(4).inverse().is_identity()
 
     def test_involution(self):
         a = cyc(3, (0, 1))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +100,22 @@ def test_low_cap_gates_more_groups(catalog):
     report = run_verification(["uset:U4(2)", "uset:A5"], cap=1000, catalog=catalog)
     assert report.result("uset:U4(2)").status == "not_checked"
     assert report.result("uset:A5").status == "pass"
+
+
+def test_low_cap_gates_the_k3_elimination(catalog):
+    r = run_verification(["k3-uset-elimination"], cap=1000, catalog=catalog).result(
+        "k3-uset-elimination")
+    assert r.status == "not_checked"
+    assert "cap" in r.note
+
+
+def test_report_matches_the_seed_report(report):
+    """The whole report, apart from the timestamp, equals the report the
+    seed commit produced at the default cap."""
+    seed = Path(__file__).resolve().parents[1] / "bench" / "data" / "verify_paper_seed.json"
+    got = json.loads(report.to_json())
+    got.pop("timestamp")
+    assert got == json.loads(seed.read_text())
 
 
 def test_default_cap_includes_a9_excludes_a10():

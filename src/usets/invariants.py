@@ -30,6 +30,7 @@ independent of the order in which generators were supplied.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -354,13 +355,25 @@ def centralizer_count(group: PermGroup, cap: int = 10_000) -> int:
     """Number of distinct centralizer subgroups {C(x) : x in G}.
 
     Each centralizer is fingerprinted as the set of its elements, found
-    by the backtrack search for the elements commuting with x.  The group
-    is enumerated, hence the low default cap.
+    by the backtrack search for the elements commuting with x.  C(x) =
+    C(x^k) whenever gcd(k, |x|) = 1, so one search serves every generator
+    of the cyclic subgroup <x>.  The group is enumerated, hence the low
+    default cap.
     """
     order = group.order()
     if order > cap:
         raise GroupTooLargeError(
             f"group of order {order} exceeds the centralizer-count cap {cap}")
     chain = _Chain(group)
-    return len({frozenset(_conjugators(chain, x, x, False))
-                for x in group._element_images(cap)})
+    identity = tuple(range(group.degree))
+    done: set[RawPerm] = set()
+    centralizers = set()
+    for x in group._element_images(cap):
+        if x in done:
+            continue
+        centralizers.add(frozenset(_conjugators(chain, x, x, False)))
+        powers = [x]  # x^1, ..., x^|x| = identity
+        while powers[-1] != identity:
+            powers.append(_compose(powers[-1], x))
+        done.update(g for k, g in enumerate(powers, 1) if math.gcd(k, len(powers)) == 1)
+    return len(centralizers)

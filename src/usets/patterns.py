@@ -272,6 +272,14 @@ def match_pattern(pattern: USetPattern | str, target: Iterable[int],
     same value set; only the lexicographically smallest representative
     of each such orbit is reported.  Results are in ascending order over
     the pattern's symbols; prime values are not forced to be distinct.
+
+    The search assigns the symbols one at a time, in ``SYMBOLS`` order,
+    and prunes by two consequences of the exact-set test: every term's
+    value lies in the target, so a symbol only takes primes that divide
+    some target value, and a term is tested as soon as its last symbol
+    is assigned.  The cost is a sieve up to ``bound`` plus a search over
+    the primes dividing the target; the order of the results is that of
+    trying every tuple of primes.
     """
     if bound < 2:
         raise ValueError("prime bound must be at least 2")
@@ -282,16 +290,29 @@ def match_pattern(pattern: USetPattern | str, target: Iterable[int],
         values = instantiate_pattern(pat, {})
         return [{}] if not duplicate_values(values) and set(values) == goal else []
     autos = _pattern_automorphisms(pat)
+    primes = [p for p in primes_up_to(bound) if any(v % p == 0 for v in goal)]
+    due = [[t for t in pat.terms if t.symbols and t.symbols[-1] == s] for s in symbols]
+    assignment: dict[str, int] = {}
     out = []
-    for combo in itertools.product(primes_up_to(bound), repeat=len(symbols)):
-        assignment = dict(zip(symbols, combo))
-        if len(autos) > 1:
-            orbit_min = min(tuple(assignment[m[s]] for s in symbols) for m in autos)
-            if combo != orbit_min:
-                continue
-        values = instantiate_pattern(pat, assignment)
-        if not duplicate_values(values) and set(values) == goal:
-            out.append(assignment)
+
+    def extend(k: int) -> None:
+        if k == len(symbols):
+            combo = tuple(assignment.values())
+            if len(autos) > 1:
+                orbit_min = min(tuple(assignment[m[s]] for s in symbols) for m in autos)
+                if combo != orbit_min:
+                    return
+            values = instantiate_pattern(pat, assignment)
+            if not duplicate_values(values) and set(values) == goal:
+                out.append(dict(assignment))
+            return
+        for p in primes:
+            assignment[symbols[k]] = p
+            if all(t.evaluate(assignment) in goal for t in due[k]):
+                extend(k + 1)
+        assignment.pop(symbols[k], None)
+
+    extend(0)
     return out
 
 

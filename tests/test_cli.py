@@ -90,6 +90,14 @@ def test_pattern_match(capsys):
     assert out == "p=3 q=5 r=11"
 
 
+def test_pattern_match_large_bound(capsys):
+    code, out, _ = run(capsys, "pattern", "match",
+                       "--pattern", "1,rq,8pq,4qr,8pr",
+                       "--target", "1,55,120,220,264", "--bound", "100000")
+    assert code == 0
+    assert out == "p=3 q=5 r=11"
+
+
 def test_pattern_match_no_result(capsys):
     code, out, _ = run(capsys, "pattern", "match",
                        "--pattern", "1,rq,8pq,4qr,8pr",

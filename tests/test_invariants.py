@@ -15,9 +15,9 @@ from usets.perm import GroupTooLargeError, PermGroup, Permutation
 from usets.verify import DEFAULT_VERIFY_CAP
 
 
-def brute_force_class_sizes(group):
-    """Independent oracle: enumerate by naive closure over Permutation
-    products, then partition by conjugation with every group element."""
+def brute_force_elements(group):
+    """Independent oracle: the group by naive closure over Permutation
+    products."""
     gens = list(group.generators)
     elems = set(gens) | {Permutation.identity(group.degree)}
     frontier = list(elems)
@@ -30,6 +30,13 @@ def brute_force_class_sizes(group):
                     elems.add(y)
                     new.append(y)
         frontier = new
+    return elems
+
+
+def brute_force_class_sizes(group):
+    """Enumerate by naive closure, then partition by conjugation with every
+    group element."""
+    elems = brute_force_elements(group)
     sizes = []
     remaining = set(elems)
     while remaining:
@@ -165,8 +172,27 @@ class TestCentralizerCount:
         assert centralizer_count(g) == centralizer_count(reordered)
 
     def test_cap(self):
-        with pytest.raises(GroupTooLargeError):
+        with pytest.raises(GroupTooLargeError, match="centralizer-count cap 10"):
             centralizer_count(alternating_group(5), cap=10)
+
+    @pytest.mark.parametrize("group_builder, expected", [
+        (lambda: alternating_group(5), 22),
+        (lambda: psl_group(2, 7), 79),
+        (lambda: psl_group(2, 11), 189),
+    ])
+    def test_known_counts(self, group_builder, expected):
+        assert centralizer_count(group_builder()) == expected
+
+    @pytest.mark.parametrize("group_builder", [
+        lambda: symmetric_group(4),
+        lambda: alternating_group(5),
+        lambda: psl_group(2, 7),
+    ])
+    def test_matches_brute_force_definition(self, group_builder):
+        group = group_builder()
+        elems = brute_force_elements(group)
+        centralizers = {frozenset(g for g in elems if g * x == x * g) for x in elems}
+        assert centralizer_count(group) == len(centralizers)
 
 
 # -- the sampled path against independent routes ------------------------------

@@ -1,7 +1,11 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from usets import patterns
 from usets.patterns import (
     Term,
     USetPattern,
@@ -23,6 +27,14 @@ from usets.patterns import (
     primes_up_to,
     resolve_equation,
     solve_psl2_order,
+)
+from usets.verify import (
+    CHARACTERIZATION_PATTERN,
+    COLLISION_PATTERN,
+    ELIMINATION_BURNSIDE,
+    ELIMINATION_PARITY,
+    K3_ELIMINATION_PATTERN,
+    PUBLISHED_USET_SHAPES,
 )
 
 
@@ -109,6 +121,77 @@ class TestMatch:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             match_pattern("1", {1}, 1)
+
+    def test_several_matches_in_lexicographic_order(self):
+        # {p, pq, r} has no symmetry; {3, 5, 15} arises from two assignments
+        got = match_pattern("p,pq,r", {3, 5, 15}, 10)
+        assert got == [{"p": 3, "q": 5, "r": 5}, {"p": 5, "q": 3, "r": 3}]
+
+    def test_large_bound_evaluates_few_assignments(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return instantiate_pattern(*args)
+        monkeypatch.setattr(patterns, "instantiate_pattern", counted)
+        got = match_pattern(CHARACTERIZATION_PATTERN, {1, 55, 120, 220, 264}, 100_000)
+        assert got == [{"p": 3, "q": 5, "r": 11}]
+        assert len(calls) <= 10
+
+
+def reference_match(pattern, target, bound):
+    """The definition: try every tuple of primes <= bound, in lexicographic
+    order, keeping the smallest of each orbit under pattern automorphisms."""
+    pat = USetPattern.parse(pattern)
+    symbols, goal = pat.symbols, set(target)
+    autos = patterns._pattern_automorphisms(pat)
+    out = []
+    for combo in itertools.product(primes_up_to(bound), repeat=len(symbols)):
+        assignment = dict(zip(symbols, combo))
+        if combo != min(tuple(assignment[m[s]] for s in symbols) for m in autos):
+            continue
+        values = instantiate_pattern(pat, assignment)
+        if not duplicate_values(values) and set(values) == goal:
+            out.append(assignment)
+    return out
+
+
+PAPER_PATTERNS = (
+    [shape for shape, _ in PUBLISHED_USET_SHAPES.values()]
+    + list(ELIMINATION_BURNSIDE + ELIMINATION_PARITY)
+    + [COLLISION_PATTERN, K3_ELIMINATION_PATTERN, CHARACTERIZATION_PATTERN])
+
+
+@st.composite
+def match_queries(draw):
+    """A pattern, a target planted from primes <= 7 or <= 60 (2 included,
+    equal primes allowed) and then perhaps perturbed, truncated or given
+    a non-positive value, and a bound in 2..60."""
+    pattern = draw(st.sampled_from(
+        PAPER_PATTERNS + ["pq,qr", "p,q,r", "pqr,2", "1,rq", "1,2", "p,pq,r", "qr,2p"]))
+    pat = USetPattern.parse(pattern)
+    primes = primes_up_to(draw(st.sampled_from([7, 60])))  # few primes: repeats
+    assignment = {s: draw(st.sampled_from(primes)) for s in pat.symbols}
+    target = sorted(set(instantiate_pattern(pat, assignment)))
+    change = draw(st.sampled_from(["none", "perturb", "drop", "non-positive"]))
+    i = draw(st.integers(0, len(target) - 1))
+    if change == "perturb":
+        target[i] += draw(st.sampled_from([-2, -1, 1, 2]))
+    elif change == "drop":
+        del target[i]
+    elif change == "non-positive":
+        target.append(draw(st.integers(-60, 0)))
+    return pattern, target, draw(st.integers(2, 60))
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(match_queries())
+def test_match_agrees_with_exhaustive_search(query):
+    pattern, target, bound = query
+    got = match_pattern(pattern, target, bound)
+    expected = reference_match(pattern, target, bound)
+    assert got == expected
+    assert [list(a) for a in got] == [list(a) for a in expected]
 
 
 class TestFeasibility:

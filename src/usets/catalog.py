@@ -1,15 +1,12 @@
 """Named registry of the groups the verification suite works with.
 
-Alternating and projective special linear groups are built by the
-constructors in :mod:`usets.construct`; M11, U3(3) and U4(2) load from
-generator files shipped under ``usets/data`` (building unitary or
-symplectic matrix groups from scratch buys nothing here, while the order
-check plus the published class-set comparison give two independent
-correctness gates).  Every entry records its expected order together
+Every catalog group is built on first use by a constructor in
+:mod:`usets.construct`.  Each entry records its expected order together
 with a provenance note saying how that number was obtained, and a group
 is only handed out after its computed order matches.
 
-Generator file format (text, UTF-8)::
+Groups from elsewhere load through :func:`load_generator_file`, which
+takes the generator file format (text, UTF-8)::
 
     # comment lines and blank lines are ignored
     degree N
@@ -29,12 +26,11 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .construct import alternating_group, classical_order, psl_group
+from .construct import (alternating_group, classical_order, m11_group, psl_group,
+                        u3_3_group, u4_2_group)
 from .invariants import InvariantProfile, profile
 from .patterns import classify_k
 from .perm import DEFAULT_ELEMENT_CAP, GroupTooLargeError, PermGroup, Permutation
-
-DATA_DIR = Path(__file__).parent / "data"
 
 
 class CatalogError(Exception):
@@ -167,31 +163,16 @@ class CatalogEntry:
         return classify_k(self.expected_order)[0]
 
 
-def _file_builder(path: Path, name: str, expected: int) -> Callable[[], PermGroup]:
-    def build() -> PermGroup:
-        degree, declared, gens = parse_generator_file(path)
-        group = PermGroup(gens)
-        got = group.order()
-        if got != declared:
-            raise OrderMismatchError(
-                f"{path.name}: generators give order {got}, file declares {declared}")
-        if declared != expected:
-            raise OrderMismatchError(
-                f"{name}: file declares order {declared}, catalog expects {expected}")
-        return group
-    return build
-
-
 def load_generator_file(path: Path | str) -> CatalogEntry:
     """Standalone entry from a generator file, validated immediately."""
     path = Path(path)
-    _, declared, _ = parse_generator_file(path)
+    _, declared, gens = parse_generator_file(path)
     entry = CatalogEntry(
         name=path.stem,
         source="generator_file",
         expected_order=declared,
         provenance=f"declared in {path.name}",
-        builder=_file_builder(path, path.stem, declared),
+        builder=lambda: PermGroup(gens),
     )
     entry.group()
     return entry
@@ -218,40 +199,21 @@ def _canonical(name: str) -> str:
 class Catalog:
     """Registry of named groups; built once, then read-only."""
 
-    def __init__(self, data_dir: Path | str | None = None):
-        data = Path(data_dir) if data_dir is not None else DATA_DIR
-        self._entries: dict[str, CatalogEntry] = {}
-        for n in (5, 6, 9, 10):
-            self._add(CatalogEntry(
-                name=f"A{n}", source="constructor",
-                expected_order=classical_order("Alt", n),
-                provenance=f"{n}!/2",
-                builder=(lambda n=n: alternating_group(n))))
-        psl_params = [(2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (2, 11),
-                      (2, 13), (2, 17), (3, 3), (3, 4)]
-        for n, q in psl_params:
-            self._add(CatalogEntry(
-                name=f"PSL({n},{q})", source="constructor",
-                expected_order=classical_order("PSL", n, q),
-                provenance=f"q^{n * (n - 1) // 2}*prod(q^i-1, i=2..{n})/gcd({n},q-1), q={q}",
-                builder=(lambda n=n, q=q: psl_group(n, q))))
-        file_specs = [
-            ("M11", "m11.txt", 7920,
-             "11*10*9*8 (sharply 4-transitive on 11 points)"),
-            ("U3(3)", "u3_3.txt", 6048,
-             "q^3(q^2-1)(q^3+1)/gcd(3,q+1) = 27*8*28, q=3"),
-            ("U4(2)", "u4_2.txt", 25920,
+    def __init__(self):
+        specs = [(f"A{n}", lambda n=n: alternating_group(n), classical_order("Alt", n),
+                  f"{n}!/2") for n in (5, 6, 9, 10)]
+        specs += [(f"PSL({n},{q})", lambda n=n, q=q: psl_group(n, q), classical_order("PSL", n, q),
+                   f"q^{n * (n - 1) // 2}*prod(q^i-1, i=2..{n})/gcd({n},q-1), q={q}")
+                  for n, q in [(2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (2, 11),
+                               (2, 13), (2, 17), (3, 3), (3, 4)]]
+        specs += [
+            ("M11", m11_group, 7920, "11*10*9*8 (sharply 4-transitive on 11 points)"),
+            ("U3(3)", u3_3_group, 6048, "q^3(q^2-1)(q^3+1)/gcd(3,q+1) = 27*8*28, q=3"),
+            ("U4(2)", u4_2_group, 25920,
              "q^4(q^2-1)(q^4-1)/gcd(2,q-1) = 81*8*80/2, q=3 (as the symplectic group on PG(3,3))"),
         ]
-        for name, fname, expected, provenance in file_specs:
-            path = data / fname
-            self._add(CatalogEntry(
-                name=name, source="generator_file",
-                expected_order=expected, provenance=provenance,
-                builder=_file_builder(path, name, expected)))
-
-    def _add(self, entry: CatalogEntry) -> None:
-        self._entries[entry.name] = entry
+        self._entries = {name: CatalogEntry(name, "constructor", order, provenance, builder)
+                         for name, builder, order, provenance in specs}
 
     def names(self) -> list[str]:
         return sorted(self._entries, key=_natural_key)
@@ -283,11 +245,7 @@ class Catalog:
 
 
 @lru_cache(maxsize=None)
-def _default_catalog_cached(data_dir: str | None) -> Catalog:
-    return Catalog(data_dir)
-
-
-def default_catalog(data_dir: Path | str | None = None) -> Catalog:
-    """Shared catalog instance (per data directory), so invariant profiles
-    are computed at most once per process."""
-    return _default_catalog_cached(str(data_dir) if data_dir is not None else None)
+def default_catalog() -> Catalog:
+    """Shared catalog instance, so invariant profiles are computed at most
+    once per process."""
+    return Catalog()

@@ -12,9 +12,8 @@ Subcommands::
     usets solve-psl2 N
     usets verify paper [--only id,...] [--report PATH]
 
-Global flags: ``--format text|json``, ``--cap N``, ``--data DIR``,
-``-v``.  Group names are accepted in both notations (PSL(2,11) or
-L2(11), U3(3) or PSU(3,3)).
+Global flags: ``--format text|json``, ``--cap N``, ``-v``.  Group names
+are accepted in both notations (PSL(2,11) or L2(11), U3(3) or PSU(3,3)).
 
 Exit status: 0 on success (and when all verification checks pass),
 1 when any verification check fails, 2 on usage or infrastructure
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .catalog import Catalog, CatalogError, default_catalog
+from .catalog import CatalogError, default_catalog
 from .invariants import conjugacy_classes
 from .patterns import (
     USetPattern,
@@ -47,11 +46,7 @@ from .verify import DEFAULT_VERIFY_CAP, run_verification
 class CliConfig:
     fmt: str = "text"
     cap: int = DEFAULT_VERIFY_CAP
-    data_dir: str | None = None
     verbose: bool = False
-
-    def catalog(self) -> Catalog:
-        return default_catalog(self.data_dir)
 
 
 def _emit(config: CliConfig, payload: dict, text: str) -> None:
@@ -86,7 +81,7 @@ def _uset_str(values) -> str:
 
 
 def _cmd_group(config: CliConfig, args: argparse.Namespace) -> int:
-    entry = config.catalog().entry(args.name)
+    entry = default_catalog().entry(args.name)
     if args.group_cmd == "classes":
         classes = conjugacy_classes(entry.group(), config.cap)
         rows = [{"size": c.size, "element_order": c.element_order,
@@ -127,7 +122,7 @@ def _cmd_group(config: CliConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog_list(config: CliConfig, args: argparse.Namespace) -> int:
-    entries = config.catalog().entries(k=args.k, max_order=args.max_order)
+    entries = default_catalog().entries(k=args.k, max_order=args.max_order)
     rows = [{"name": e.name, "order": e.expected_order, "k": e.k,
              "source": e.source} for e in entries]
     text = "\n".join(
@@ -140,7 +135,7 @@ def _cmd_catalog_list(config: CliConfig, args: argparse.Namespace) -> int:
 def _cmd_search(config: CliConfig, args: argparse.Namespace) -> int:
     target = frozenset(_parse_ints(args.uset))
     hits, skipped = [], []
-    for entry in config.catalog().entries():
+    for entry in default_catalog().entries():
         if entry.expected_order > config.cap:
             skipped.append(entry.name)
             continue
@@ -205,7 +200,7 @@ def _cmd_verify(config: CliConfig, args: argparse.Namespace) -> int:
     selection = None
     if args.only:
         selection = _split_check_ids(args.only)
-    report = run_verification(selection, cap=config.cap, catalog=config.catalog())
+    report = run_verification(selection, cap=config.cap, catalog=default_catalog())
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n")
     if config.fmt == "json":
@@ -224,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP,
                         help=f"largest group order to compute classes for (default {DEFAULT_VERIFY_CAP}; "
                              f"raise to {DEFAULT_ELEMENT_CAP} to include A10)")
-    parser.add_argument("--data", default=None, metavar="DIR",
-                        help="directory with catalog generator files")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -277,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = CliConfig(fmt=args.format, cap=args.cap, data_dir=args.data,
-                       verbose=args.verbose)
+    config = CliConfig(fmt=args.format, cap=args.cap, verbose=args.verbose)
     handlers = {
         "group": _cmd_group,
         "catalog": _cmd_catalog_list,

@@ -1,11 +1,13 @@
 """Concrete group families as permutation groups.
 
-Alternating and symmetric groups come from fixed generator patterns;
-PSL(n,q) is realized as the image of SL(n,q), generated by elementary
-transvections, acting on the points of projective (n-1)-space.  Scalar
-matrices act trivially on projective points, so the permutation image of
-SL(n,q) is exactly PSL(n,q); class-size invariants only depend on the
-abstract group, so no explicit coset construction is needed.
+Alternating and symmetric groups and M11 come from fixed generator
+patterns; PSL(n,q) is realized as the image of SL(n,q), generated by
+elementary transvections, acting on the points of projective
+(n-1)-space.  Scalar matrices act trivially on projective points, so the
+permutation image of SL(n,q) is exactly PSL(n,q); class-size invariants
+only depend on the abstract group, so no explicit coset construction is
+needed.  U3(3) and U4(2) are SU(3,3) and PSp(4,3) acting the same way,
+each generated by a few transvections of its form.
 
 Projective points are normalized so the first nonzero coordinate is 1
 and enumerated in ascending coefficient order, which makes every
@@ -69,23 +71,14 @@ class Matrix:
             rows.append(tuple(row))
         return Matrix(tuple(rows))
 
-    def apply(self, vec: Vector) -> Vector:
-        """Matrix times column vector."""
-        out = []
-        for r in self.rows:
-            acc = self.spec.zero
-            for a, x in zip(r, vec):
-                acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
-
     def row_apply(self, vec: Vector) -> Vector:
-        """Row vector times matrix; vec -> vec @ M."""
+        """Row vector times matrix; vec -> vec @ M, skipping zero products."""
         out = []
         for col in zip(*self.rows):
             acc = self.spec.zero
             for x, a in zip(vec, col):
-                acc = acc + x * a
+                if x and a:
+                    acc = acc + x * a
             out.append(acc)
         return tuple(out)
 
@@ -169,12 +162,14 @@ def projective_points(spec: FieldSpec, n: int) -> list[Vector]:
     return points
 
 
-def projectivize(mats: Sequence[Matrix]) -> PermGroup:
+def projectivize(mats: Sequence[Matrix],
+                 points: Sequence[Vector] | None = None) -> PermGroup:
     """Permutation action of invertible matrices on projective points.
 
-    Points transform as row vectors (v -> v @ M), which makes the map a
-    homomorphism for this package's apply-left-factor-first composition:
-    the permutation of M1 @ M2 is perm(M1) * perm(M2).
+    ``points``, all of PG(n-1, q) by default, must be normalized and
+    preserved.  Points transform as row vectors (v -> v @ M), which makes
+    the map a homomorphism for this package's apply-left-factor-first
+    composition: the permutation of M1 @ M2 is perm(M1) * perm(M2).
     """
     if not mats:
         raise ValueError("need at least one matrix")
@@ -182,15 +177,75 @@ def projectivize(mats: Sequence[Matrix]) -> PermGroup:
     n = mats[0].n
     if any(m.spec != spec or m.n != n for m in mats):
         raise ValueError("matrices must share field and dimension")
-    points = projective_points(spec, n)
+    if points is None:
+        points = projective_points(spec, n)
     index = {pt: i for i, pt in enumerate(points)}
     perms = []
     for m in mats:
         if not m.det():
             raise ValueError("singular matrix has no projective action")
-        perms.append(Permutation(tuple(
-            index[normalize_point(m.row_apply(pt))] for pt in points)))
+        images = tuple(index.get(normalize_point(m.row_apply(pt)), -1) for pt in points)
+        if -1 in images:
+            raise ValueError("matrix does not preserve the point set")
+        perms.append(Permutation(images))
     return PermGroup(perms)
+
+
+def hermitian_form(u: Vector, v: Vector) -> FieldElement:
+    """H(u, v) = sum u_i v_i^3 over GF(9)."""
+    return sum((x * y ** 3 for x, y in zip(u, v)), u[0].spec.zero)
+
+
+def symplectic_form(u: Vector, v: Vector) -> FieldElement:
+    """<u, v> = u1 v2 - u2 v1 + u3 v4 - u4 v3."""
+    return u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]
+
+
+def form_transvections(form, centers: Sequence[Vector],
+                       scale: FieldElement) -> list[Matrix]:
+    """The maps x -> x + scale * form(x, v) * v, one per center v.  Row i
+    of each matrix is the image of the i-th basis vector, as
+    :func:`projectivize`'s row action needs."""
+    basis = Matrix.identity(len(centers[0]), scale.spec).rows
+    return [Matrix(tuple(tuple(x + c * y for x, y in zip(e, v))
+                         for e, c in ((e, scale * form(e, v)) for e in basis)))
+            for v in centers]
+
+
+def su3_3() -> tuple[list[Matrix], list[Vector]]:
+    """Three unitary transvections generating SU(3,3), and the 28 isotropic
+    points they permute.  The centers are isotropic points 0, 13 and 21,
+    the twist the first nonzero l with l + l^3 = 0; of the generating
+    triples, these cost profile() the fewest samples and search nodes."""
+    spec = field_create(3, 2)
+    points = [pt for pt in projective_points(spec, 3) if not hermitian_form(pt, pt)]
+    twist = next(l for l in spec.elements() if l and not (l + l ** 3))
+    return form_transvections(hermitian_form, [points[i] for i in (0, 13, 21)], twist), points
+
+
+def sp4_3() -> tuple[list[Matrix], list[Vector]]:
+    """Four symplectic transvections generating Sp(4,3), centered on points
+    0, 1, 4 and 17 of PG(3,3) (e4, e3, e2, e1+e3+e4; picked as in
+    :func:`su3_3`), and the 40 points they permute."""
+    spec = field_create(3, 1)
+    points = projective_points(spec, 4)
+    return form_transvections(symplectic_form, [points[i] for i in (0, 1, 4, 17)], spec.one), points
+
+
+def u3_3_group() -> PermGroup:
+    """U3(3) = SU(3,3) on the isotropic points; its center is trivial."""
+    return projectivize(*su3_3())
+
+
+def u4_2_group() -> PermGroup:
+    """U4(2) = PSp(4,3): Sp(4,3) on PG(3,3), with kernel +-I."""
+    return projectivize(*sp4_3())
+
+
+def m11_group() -> PermGroup:
+    """M11 from the classical pair (1,...,11) and (3,7,11,8)(4,10,5,6)."""
+    return PermGroup([Permutation.from_cycles(11, tuple(range(11))),
+                      Permutation.from_cycles(11, (2, 6, 10, 7), (3, 9, 4, 5))])
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int]:

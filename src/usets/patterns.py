@@ -262,6 +262,23 @@ def _pattern_automorphisms(pat: USetPattern) -> list[dict[str, str]]:
     return out
 
 
+def _prime_divisors(values: Iterable[int], bound: int) -> list[int]:
+    """Ascending primes <= bound dividing some positive value, found by
+    trial division up to min(bound, sqrt(v)); a cofactor <= bound is prime."""
+    found = set()
+    for v in values:
+        f = 2
+        while f <= bound and f * f <= v:
+            if v % f == 0:
+                found.add(f)
+                while v % f == 0:
+                    v //= f
+            f += 1 if f == 2 else 2
+        if 1 < v <= bound:
+            found.add(v)
+    return sorted(found)
+
+
 def match_pattern(pattern: USetPattern | str, target: Iterable[int],
                   bound: int) -> list[dict[str, int]]:
     """All prime assignments (primes <= bound) whose instantiation equals
@@ -277,9 +294,9 @@ def match_pattern(pattern: USetPattern | str, target: Iterable[int],
     and prunes by two consequences of the exact-set test: every term's
     value lies in the target, so a symbol only takes primes that divide
     some target value, and a term is tested as soon as its last symbol
-    is assigned.  The cost is a sieve up to ``bound`` plus a search over
-    the primes dividing the target; the order of the results is that of
-    trying every tuple of primes.
+    is assigned.  Trial division of the target values finds the candidate
+    primes, so ``bound`` does not set the cost; the order of the results
+    is that of trying every tuple of primes.
     """
     if bound < 2:
         raise ValueError("prime bound must be at least 2")
@@ -290,7 +307,7 @@ def match_pattern(pattern: USetPattern | str, target: Iterable[int],
         values = instantiate_pattern(pat, {})
         return [{}] if not duplicate_values(values) and set(values) == goal else []
     autos = _pattern_automorphisms(pat)
-    primes = [p for p in primes_up_to(bound) if any(v % p == 0 for v in goal)]
+    primes = _prime_divisors(goal, bound)
     due = [[t for t in pat.terms if t.symbols and t.symbols[-1] == s] for s in symbols]
     assignment: dict[str, int] = {}
     out = []

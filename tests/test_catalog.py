@@ -3,7 +3,7 @@ import math
 import pytest
 
 from usets.catalog import (
-    Catalog,
+    CatalogEntry,
     DuplicatePointError,
     GeneratorFileError,
     MalformedCycleError,
@@ -47,6 +47,9 @@ class TestRegistry:
     def test_memoized(self, catalog):
         assert catalog.get("A6") is catalog.get("A6")
 
+    def test_every_entry_is_constructed(self, catalog):
+        assert {e.source for e in catalog.entries()} == {"constructor"}
+
     def test_all_entries_order_validated(self, catalog):
         for entry in catalog.entries():
             if entry.expected_order <= 30000:
@@ -71,7 +74,7 @@ class TestFilters:
 
 class TestExpectedOrderOracles:
     """Evaluate the classical order formulas independently of the stored
-    numbers and of the shipped data files."""
+    numbers."""
 
     def test_u3_3(self, catalog):
         q = 3
@@ -154,18 +157,21 @@ class TestGeneratorFiles:
         path.write_text("\n# a comment\n\ndegree 2\n# another\norder 2\n\n(1,2)\n")
         assert load_generator_file(path).group().order() == 2
 
-    def test_missing_file_is_a_catalog_error(self, tmp_path):
-        catalog = Catalog(data_dir=tmp_path)  # no data files in here
-        with pytest.raises(GeneratorFileError, match="cannot read"):
-            catalog.get("M11")
+    def test_catalog_rejects_entry_with_wrong_expected_order(self):
+        entry = CatalogEntry(name="A5", source="constructor", expected_order=59,
+                             provenance="deliberately wrong",
+                             builder=lambda: alternating_group(5))
+        with pytest.raises(OrderMismatchError, match=r"60.*59"):
+            entry.group()
 
-    def test_catalog_rejects_entry_with_wrong_expected_order(self, tmp_path):
-        data = tmp_path
-        for name in ("m11.txt", "u3_3.txt", "u4_2.txt"):
-            (data / name).write_text("degree 3\norder 3\n(1,2,3)\n")
-        catalog = Catalog(data_dir=data)
-        with pytest.raises(OrderMismatchError):
-            catalog.get("M11")
+
+def test_orders_match_sympy(catalog):
+    # a second, independent order route for every catalog group
+    sympy = pytest.importorskip("sympy.combinatorics")
+    for entry in catalog.entries():
+        other = sympy.PermutationGroup(
+            [sympy.Permutation(list(g.images)) for g in entry.group().generators])
+        assert other.order() == entry.expected_order, entry.name
 
 
 def test_spec_scale_enumeration(catalog):

@@ -7,13 +7,18 @@ from usets.construct import (
     Matrix,
     alternating_group,
     classical_order,
+    m11_group,
     prime_power_decomposition,
     projective_points,
     projectivize,
     psl_group,
     sl_generators,
+    sp4_3,
+    su3_3,
     symmetric_group,
     transvection,
+    u3_3_group,
+    u4_2_group,
 )
 from usets.gf import field_create
 from usets.invariants import profile
@@ -114,6 +119,55 @@ class TestProjectivize:
             b = rng.choice(gens) * rng.choice(gens)
             pa, pb, pab = projectivize([a, b, a * b]).generators
             assert pa * pb == pab
+
+
+    def test_point_subset_must_be_preserved(self):
+        f = field_create(3, 1)
+        swap = Matrix(((f.zero, f.one), (f.one, f.zero)))
+        with pytest.raises(ValueError, match="preserve"):
+            projectivize([swap], [(f.zero, f.one)])
+
+
+def hermitian(u, v):
+    """Sum of u_i * v_i^3 over GF(9), written out independently."""
+    return sum((x * y * y * y for x, y in zip(u, v)), u[0].spec.zero)
+
+
+def symplectic(u, v):
+    return u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]
+
+
+class TestFormGroups:
+    def test_su3_3_generators_are_special_unitary(self):
+        f = field_create(3, 2)
+        basis = Matrix.identity(3, f).rows
+        for m in su3_3()[0]:
+            assert m.det() == f.one
+            for a in basis:
+                for b in basis:
+                    assert hermitian(m.row_apply(a), m.row_apply(b)) == hermitian(a, b)
+
+    def test_sp4_3_generators_are_symplectic(self):
+        f = field_create(3, 1)
+        basis = Matrix.identity(4, f).rows
+        for m in sp4_3()[0]:
+            assert m.det() == f.one
+            for a in basis:
+                for b in basis:
+                    assert symplectic(m.row_apply(a), m.row_apply(b)) == symplectic(a, b)
+
+    def test_point_counts(self):
+        points = su3_3()[1]
+        assert len(points) == 28  # q^3 + 1 isotropic points, q = 3
+        assert all(not hermitian(pt, pt) for pt in points)
+        assert len(sp4_3()[1]) == 40  # (3^4 - 1) / 2 points of PG(3,3)
+        assert (u3_3_group().degree, u4_2_group().degree) == (28, 40)
+
+    def test_m11_is_transitive_of_order_7920(self):
+        group = m11_group()
+        assert group.degree == 11
+        assert len(group.orbit(0)) == 11
+        assert group.order() == 7920
 
 
 class TestPSLGroups:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,17 @@ class TestMatch:
         got = match_pattern(CHARACTERIZATION_PATTERN, {1, 55, 120, 220, 264}, 100_000)
         assert got == [{"p": 3, "q": 5, "r": 11}]
         assert len(calls) <= 10
+
+    def test_large_bound_allocates_nothing_bound_sized(self):
+        # candidate primes come from the target values, not a sieve to the bound
+        tracemalloc.start()
+        try:
+            got = match_pattern(CHARACTERIZATION_PATTERN, {1, 55, 120, 220, 264}, 10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [{"p": 3, "q": 5, "r": 11}]
+        assert peak < 1_000_000
 
 
 def reference_match(pattern, target, bound):

@@ -16,9 +16,8 @@ from .perm import (
     PermGroup,
     Permutation,
 )
-from .gf import FieldElement, FieldSpec, field_create, primitive_element
+from .gf import Field, field_create
 from .construct import (
-    Matrix,
     alternating_group,
     classical_order,
     projectivize,
@@ -53,11 +52,9 @@ __all__ = [
     "CheckResult",
     "ConjClass",
     "DEFAULT_ELEMENT_CAP",
-    "FieldElement",
-    "FieldSpec",
+    "Field",
     "GroupTooLargeError",
     "InvariantProfile",
-    "Matrix",
     "PermGroup",
     "Permutation",
     "USetPattern",
@@ -75,7 +72,6 @@ __all__ = [
     "is_prime_power",
     "load_generator_file",
     "match_pattern",
-    "primitive_element",
     "profile",
     "projectivize",
     "psl_group",

@@ -61,6 +61,10 @@ class DuplicatePointError(GeneratorFileError):
     pass
 
 
+#: Largest degree a generator file may declare; each generator costs a
+#: list of that many points, allocated before any cycle is read.
+MAX_FILE_DEGREE = 100_000
+
 _CYCLE_LINE_RE = re.compile(r"^(\(\s*\)|\(\s*\d+(\s*,\s*\d+)*\s*\))+$")
 
 
@@ -104,6 +108,9 @@ def parse_generator_file(path: Path | str) -> tuple[int, int, list[Permutation]]
     if not m:
         raise GeneratorFileError(f"{path.name}: first line must be 'degree N'")
     degree = int(m.group(1))
+    if degree > MAX_FILE_DEGREE:
+        raise GeneratorFileError(
+            f"{path.name}: degree {degree} exceeds the limit {MAX_FILE_DEGREE}")
     m = re.fullmatch(r"order\s+(\d+)", lines[1])
     if not m:
         raise GeneratorFileError(f"{path.name}: second line must be 'order M'")

@@ -76,6 +76,16 @@ def _parse_assignment(text: str) -> dict[str, int]:
     return out
 
 
+def _cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return cap
+
+
 def _uset_str(values) -> str:
     return "{" + ", ".join(str(v) for v in sorted(values)) + "}"
 
@@ -216,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Same-size conjugacy class sets for small simple groups.")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
-    parser.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP,
+    parser.add_argument("--cap", type=_cap, default=DEFAULT_VERIFY_CAP,
                         help=f"largest group order to compute classes for (default {DEFAULT_VERIFY_CAP}; "
                              f"raise to {DEFAULT_ELEMENT_CAP} to include A10)")
     parser.add_argument("-v", "--verbose", action="store_true")

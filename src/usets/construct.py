@@ -9,110 +9,78 @@ only depend on the abstract group, so no explicit coset construction is
 needed.  U3(3) and U4(2) are SU(3,3) and PSp(4,3) acting the same way,
 each generated by a few transvections of its form.
 
-Projective points are normalized so the first nonzero coordinate is 1
-and enumerated in ascending coefficient order, which makes every
-permutation image stable across runs.
+Vectors are tuples of integer-coded field elements (:mod:`usets.gf`) and
+a matrix is the tuple of its rows; every function that does arithmetic
+takes the :class:`~usets.gf.Field` explicitly.  Projective points are
+normalized so the first nonzero coordinate is 1 and enumerated in
+ascending coefficient order, which makes every permutation image stable
+across runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .gf import FieldElement, FieldSpec, field_create, primitive_element
+from .gf import Field, field_create
 from .perm import PermGroup, Permutation
 
-Vector = tuple
+Vector = tuple[int, ...]
+Matrix = tuple[Vector, ...]  # the rows
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Square matrix over a finite field (rows of FieldElement)."""
-
-    rows: tuple[tuple[FieldElement, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.rows)
-        if n == 0 or any(len(r) != n for r in self.rows):
-            raise ValueError("matrix must be square and nonempty")
-        specs = {e.spec for r in self.rows for e in r}
-        if len(specs) != 1:
-            raise ValueError("matrix entries must share one field")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.rows[0][0].spec
-
-    @classmethod
-    def identity(cls, n: int, spec: FieldSpec) -> "Matrix":
-        one, zero = spec.one, spec.zero
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.n != other.n or self.spec != other.spec:
-            raise ValueError("matrix dimension or field mismatch")
-        n = self.n
-        cols = tuple(zip(*other.rows))
-        rows = []
-        for r in self.rows:
-            row = []
-            for c in cols:
-                acc = self.spec.zero
-                for a, b in zip(r, c):
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return Matrix(tuple(rows))
-
-    def row_apply(self, vec: Vector) -> Vector:
-        """Row vector times matrix; vec -> vec @ M, skipping zero products."""
-        out = []
-        for col in zip(*self.rows):
-            acc = self.spec.zero
-            for x, a in zip(vec, col):
-                if x and a:
-                    acc = acc + x * a
-            out.append(acc)
-        return tuple(out)
-
-    def det(self) -> FieldElement:
-        n = self.n
-        m = [list(r) for r in self.rows]
-        det = self.spec.one
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col]), None)
-            if pivot is None:
-                return self.spec.zero
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det = det * m[col][col]
-            inv = m[col][col].inverse()
-            m[col] = [x * inv for x in m[col]]
-            for r in range(col + 1, n):
-                f = m[r][col]
-                if f:
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return det
+def identity(n: int) -> Matrix:
+    """The n x n identity; 0 and 1 code zero and one in every field."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def transvection(n: int, spec: FieldSpec, i: int, j: int, value: FieldElement) -> Matrix:
+def row_apply(field: Field, m: Matrix, vec: Vector) -> Vector:
+    """Row vector times matrix; vec -> vec @ m, skipping zero products."""
+    add, mul = field.add, field.mul
+    out = []
+    for col in zip(*m):
+        acc = 0
+        for x, a in zip(vec, col):
+            if x and a:
+                acc = add[acc][mul[x][a]]
+        out.append(acc)
+    return tuple(out)
+
+
+def det(field: Field, m: Matrix) -> int:
+    """Determinant by Gaussian elimination."""
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    rows = [list(r) for r in m]
+    n = len(rows)
+    d = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            d = neg[d]
+        d = mul[d][rows[col][col]]
+        scale = mul[inv[rows[col][col]]]
+        rows[col] = [scale[x] for x in rows[col]]
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                minus_f = mul[neg[rows[r][col]]]
+                rows[r] = [add[x][minus_f[y]] for x, y in zip(rows[r], rows[col])]
+    return d
+
+
+def transvection(n: int, i: int, j: int, value: int) -> Matrix:
     """Elementary matrix: identity plus ``value`` in position (i, j), i != j."""
     if i == j:
         raise ValueError("transvection needs i != j")
-    rows = [list(r) for r in Matrix.identity(n, spec).rows]
+    rows = [list(r) for r in identity(n)]
     rows[i][j] = value
-    return Matrix(tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
-def sl_generators(n: int, spec: FieldSpec) -> list[Matrix]:
+def sl_generators(n: int, field: Field) -> list[Matrix]:
     """All elementary transvections E_ij(theta^m), m < k, theta primitive.
 
     The powers theta^0..theta^(k-1) span GF(p^k) additively, so these
@@ -121,48 +89,27 @@ def sl_generators(n: int, spec: FieldSpec) -> list[Matrix]:
     """
     if n < 2:
         raise ValueError("SL(n,q) needs n >= 2")
-    theta = primitive_element(spec)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                for m in range(spec.k):
-                    out.append(transvection(n, spec, i, j, theta ** m))
-    return out
+    return [transvection(n, i, j, field.pow(field.primitive, m))
+            for i in range(n) for j in range(n) if i != j for m in range(field.k)]
 
 
-def normalize_point(vec: Vector) -> Vector:
+def normalize_point(field: Field, vec: Vector) -> Vector:
     """Canonical representative of a projective point: first nonzero
     coordinate scaled to 1."""
     for x in vec:
         if x:
-            inv = x.inverse()
-            return tuple(y * inv for y in vec)
+            scale = field.mul[field.inv[x]]
+            return tuple(scale[y] for y in vec)
     raise ValueError("the zero vector is not a projective point")
 
 
-def projective_points(spec: FieldSpec, n: int) -> list[Vector]:
+def projective_points(field: Field, n: int) -> list[Vector]:
     """All points of PG(n-1, q) as normalized vectors, ascending order."""
-    points = []
-    def walk(prefix: list[FieldElement], leading_zero: bool) -> None:
-        if len(prefix) == n:
-            if not leading_zero:
-                points.append(tuple(prefix))
-            return
-        if leading_zero:
-            walk(prefix + [spec.zero], True)
-            walk(prefix + [spec.one], False)
-        else:
-            for e in spec.elements():
-                walk(prefix + [e], False)
-    walk([], True)
-    expected = (spec.size ** n - 1) // (spec.size - 1)
-    if len(points) != expected:
-        raise RuntimeError("projective point enumeration is inconsistent")
-    return points
+    return [(0,) * lead + (1,) + rest for lead in range(n - 1, -1, -1)
+            for rest in itertools.product(range(field.size), repeat=n - 1 - lead)]
 
 
-def projectivize(mats: Sequence[Matrix],
+def projectivize(field: Field, mats: Sequence[Matrix],
                  points: Sequence[Vector] | None = None) -> PermGroup:
     """Permutation action of invertible matrices on projective points.
 
@@ -173,63 +120,75 @@ def projectivize(mats: Sequence[Matrix],
     """
     if not mats:
         raise ValueError("need at least one matrix")
-    spec = mats[0].spec
-    n = mats[0].n
-    if any(m.spec != spec or m.n != n for m in mats):
-        raise ValueError("matrices must share field and dimension")
     if points is None:
-        points = projective_points(spec, n)
+        points = projective_points(field, len(mats[0]))
     index = {pt: i for i, pt in enumerate(points)}
     perms = []
     for m in mats:
-        if not m.det():
+        if not det(field, m):
             raise ValueError("singular matrix has no projective action")
-        images = tuple(index.get(normalize_point(m.row_apply(pt)), -1) for pt in points)
+        images = tuple(index.get(normalize_point(field, row_apply(field, m, pt)), -1)
+                       for pt in points)
         if -1 in images:
             raise ValueError("matrix does not preserve the point set")
         perms.append(Permutation(images))
     return PermGroup(perms)
 
 
-def hermitian_form(u: Vector, v: Vector) -> FieldElement:
-    """H(u, v) = sum u_i v_i^3 over GF(9)."""
-    return sum((x * y ** 3 for x, y in zip(u, v)), u[0].spec.zero)
+def hermitian_form(field: Field, u: Vector, v: Vector) -> int:
+    """H(u, v) = sum u_i v_i^q over GF(q^2)."""
+    add, mul = field.add, field.mul
+    q = field.p ** (field.k // 2)
+    acc = 0
+    for x, y in zip(u, v):
+        acc = add[acc][mul[x][field.pow(y, q)]]
+    return acc
 
 
-def symplectic_form(u: Vector, v: Vector) -> FieldElement:
+def symplectic_form(field: Field, u: Vector, v: Vector) -> int:
     """<u, v> = u1 v2 - u2 v1 + u3 v4 - u4 v3."""
-    return u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]
+    add, mul, neg = field.add, field.mul, field.neg
+    return add[add[mul[u[0]][v[1]]][neg[mul[u[1]][v[0]]]]][
+        add[mul[u[2]][v[3]]][neg[mul[u[3]][v[2]]]]]
 
 
-def form_transvections(form, centers: Sequence[Vector],
-                       scale: FieldElement) -> list[Matrix]:
+def form_transvections(field: Field, form: Callable[[Field, Vector, Vector], int],
+                       centers: Sequence[Vector], scale: int) -> list[Matrix]:
     """The maps x -> x + scale * form(x, v) * v, one per center v.  Row i
     of each matrix is the image of the i-th basis vector, as
     :func:`projectivize`'s row action needs."""
-    basis = Matrix.identity(len(centers[0]), scale.spec).rows
-    return [Matrix(tuple(tuple(x + c * y for x, y in zip(e, v))
-                         for e, c in ((e, scale * form(e, v)) for e in basis)))
-            for v in centers]
+    add, mul = field.add, field.mul
+    out = []
+    for v in centers:
+        rows = []
+        for e in identity(len(v)):
+            c = mul[scale][form(field, e, v)]
+            rows.append(tuple(add[x][mul[c][y]] for x, y in zip(e, v)))
+        out.append(tuple(rows))
+    return out
 
 
-def su3_3() -> tuple[list[Matrix], list[Vector]]:
-    """Three unitary transvections generating SU(3,3), and the 28 isotropic
-    points they permute.  The centers are isotropic points 0, 13 and 21,
-    the twist the first nonzero l with l + l^3 = 0; of the generating
-    triples, these cost profile() the fewest samples and search nodes."""
-    spec = field_create(3, 2)
-    points = [pt for pt in projective_points(spec, 3) if not hermitian_form(pt, pt)]
-    twist = next(l for l in spec.elements() if l and not (l + l ** 3))
-    return form_transvections(hermitian_form, [points[i] for i in (0, 13, 21)], twist), points
+def su3_3() -> tuple[Field, list[Matrix], list[Vector]]:
+    """GF(9), three unitary transvections generating SU(3,3), and the 28
+    isotropic points they permute.  The centers are isotropic points 0,
+    13 and 21, the twist the first nonzero l with l + l^3 = 0; of the
+    generating triples, these cost profile() the fewest samples and
+    search nodes."""
+    field = field_create(3, 2)
+    points = [pt for pt in projective_points(field, 3) if not hermitian_form(field, pt, pt)]
+    twist = next(l for l in range(1, field.size) if not field.add[l][field.pow(l, 3)])
+    centers = [points[i] for i in (0, 13, 21)]
+    return field, form_transvections(field, hermitian_form, centers, twist), points
 
 
-def sp4_3() -> tuple[list[Matrix], list[Vector]]:
-    """Four symplectic transvections generating Sp(4,3), centered on points
-    0, 1, 4 and 17 of PG(3,3) (e4, e3, e2, e1+e3+e4; picked as in
-    :func:`su3_3`), and the 40 points they permute."""
-    spec = field_create(3, 1)
-    points = projective_points(spec, 4)
-    return form_transvections(symplectic_form, [points[i] for i in (0, 1, 4, 17)], spec.one), points
+def sp4_3() -> tuple[Field, list[Matrix], list[Vector]]:
+    """GF(3), four symplectic transvections generating Sp(4,3), centered
+    on points 0, 1, 4 and 17 of PG(3,3) (e4, e3, e2, e1+e3+e4; picked as
+    in :func:`su3_3`), and the 40 points they permute."""
+    field = field_create(3, 1)
+    points = projective_points(field, 4)
+    centers = [points[i] for i in (0, 1, 4, 17)]
+    return field, form_transvections(field, symplectic_form, centers, 1), points
 
 
 def u3_3_group() -> PermGroup:
@@ -263,12 +222,13 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
 
 
 def psl_group(n: int, q: int) -> PermGroup:
-    """PSL(n,q) acting on the (q^n - 1)/(q - 1) projective points."""
+    """PSL(n,q) acting on the (q^n - 1)/(q - 1) projective points, for
+    q <= :data:`usets.gf.MAX_FIELD_SIZE`."""
     if (n, q) in ((2, 2), (2, 3)):
         raise ValueError(f"PSL({n},{q}) is not simple; not provided here")
     p, k = prime_power_decomposition(q)
-    spec = field_create(p, k)
-    return projectivize(sl_generators(n, spec))
+    field = field_create(p, k)
+    return projectivize(field, sl_generators(n, field))
 
 
 def alternating_group(n: int) -> PermGroup:

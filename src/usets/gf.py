@@ -1,36 +1,33 @@
-"""Arithmetic in GF(p^k) with a polynomial-basis representation.
+"""Arithmetic in GF(p^k) on integer-coded elements.
 
-Elements are coefficient vectors over GF(p) reduced modulo a fixed monic
-irreducible polynomial.  Two deterministic choices fix every downstream
-enumeration order:
+An element is the integer ``sum(c_i * p**i)`` of its coefficient vector
+(c_0, ..., c_{k-1}) in the polynomial basis modulo a fixed monic
+irreducible polynomial, so the elements of GF(q) are 0 .. q-1, with 0
+and 1 the zero and the one of every field.  Two deterministic choices
+fix every downstream enumeration order:
 
 * The modulus is the smallest monic irreducible of degree k, where
-  polynomials are ordered by their integer encoding
-  ``sum(c_i * p**i)`` (so GF(4) uses x^2+x+1, GF(8) uses x^3+x+1,
-  GF(9) uses x^2+1).
-* Elements are ordered by the same integer encoding of their coefficient
-  vector; ``FieldSpec.elements()`` yields them in that order and
-  ``primitive_element`` returns the first generator of the multiplicative
-  group under it.
+  polynomials are ordered by the same integer encoding (so GF(4) uses
+  x^2+x+1, GF(8) uses x^3+x+1, GF(9) uses x^2+1).
+* Elements are ordered by their integer, and ``Field.primitive`` is the
+  first element in that order that generates the multiplicative group.
 
-Only small fields are supported (k <= 4), which covers every group
-construction in this package.  The choice of modulus does not matter for
-any computed invariant, as all fields of a given size are isomorphic.
+:func:`field_create` builds the addition and multiplication tables once
+per field from the powers of that primitive element, so fields are
+limited by size (:data:`MAX_FIELD_SIZE`), not by degree.  The choice of
+modulus does not matter for any computed invariant, as all fields of a
+given size are isomorphic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .patterns import is_prime
 
-
-def _poly_eval(coeffs: Sequence[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
+#: Largest field built: its add and mul tables have q^2 <= 65 536 entries.
+MAX_FIELD_SIZE = 256
 
 
 def _poly_mod(dividend: Sequence[int], divisor: Sequence[int], p: int) -> tuple[int, ...]:
@@ -46,173 +43,90 @@ def _poly_mod(dividend: Sequence[int], divisor: Sequence[int], p: int) -> tuple[
     return tuple(rem[:dd])
 
 
+def _coeffs(code: int, p: int, degree: int) -> list[int]:
+    """Ascending coefficients of the polynomial with integer encoding ``code``."""
+    out = []
+    for _ in range(degree):
+        code, c = divmod(code, p)
+        out.append(c)
+    return out
+
+
 def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
     """Monic degree-``degree`` polynomials in ascending integer-encoding order."""
     for code in range(p ** degree):
-        coeffs = []
-        c = code
-        for _ in range(degree):
-            coeffs.append(c % p)
-            c //= p
-        yield tuple(coeffs) + (1,)
+        yield tuple(_coeffs(code, p, degree)) + (1,)
 
 
 def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
+    """No monic factor of degree 1 .. k/2 divides the degree-k polynomial."""
     k = len(coeffs) - 1
-    if k == 1:
-        return True
-    if any(_poly_eval(coeffs, x, p) == 0 for x in range(p)):
-        return False
-    if k <= 3:
-        return True
-    if k == 4:
-        for quad in _monic_polys(p, 2):
-            if _is_irreducible(quad, p) and not any(_poly_mod(coeffs, quad, p)):
-                return False
-        return True
-    raise ValueError(f"irreducibility test limited to degree <= 4, got {k}")
+    return all(any(_poly_mod(coeffs, factor, p))
+               for d in range(1, k // 2 + 1) for factor in _monic_polys(p, d))
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """The field GF(p^k), fixed by its characteristic and modulus."""
+class Field:
+    """GF(p^k) on the elements 0 .. size-1 (see the module docstring).
 
-    p: int
-    k: int
-    modulus: tuple[int, ...]  # ascending coefficients, length k+1, monic
+    ``add[a][b]`` and ``mul[a][b]`` are the sum and product, ``neg[a]`` is
+    -a and ``inv[a]`` is 1/a (``inv[0]`` is None); ``primitive`` is the
+    first element whose powers are all nonzero elements.
+    """
 
-    @property
-    def size(self) -> int:
-        return self.p ** self.k
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        self.p, self.k, self.modulus = p, k, modulus
+        self.size = q = p ** k
 
-    def element(self, coeffs: Sequence[int]) -> "FieldElement":
-        c = tuple(x % self.p for x in coeffs)
-        if len(c) > self.k:
-            c = _poly_mod(c, self.modulus, self.p)
-        return FieldElement(self, c + (0,) * (self.k - len(c)))
+        def times(a: int, b: int) -> int:  # the product of polynomials mod the modulus
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(_coeffs(a, p, k)):
+                for j, y in enumerate(_coeffs(b, p, k)):
+                    prod[i + j] += x * y
+            return sum(c % p * p ** i for i, c in enumerate(_poly_mod(prod, modulus, p)))
 
-    def scalar(self, value: int) -> "FieldElement":
-        """The prime-subfield element ``value mod p``."""
-        return self.element((value,))
+        for g in range(1, q):  # stops at the first g whose powers are all q - 1 units
+            powers = [1]
+            while len(powers) < q and (x := times(powers[-1], g)) != 1:
+                powers.append(x)
+            if len(powers) == q - 1:
+                break
+        else:
+            raise ValueError(f"modulus {modulus} is not irreducible over GF({p})")
+        self.primitive = g
+        log = [0] * q
+        for e, x in enumerate(powers):
+            log[x] = e
+        cycle = powers * 2
+        self.mul = ((0,) * q,) + tuple(
+            (0,) + tuple(cycle[log[a] + log[b]] for b in range(1, q)) for a in range(1, q))
+        self.inv = (None,) + tuple(powers[-log[a]] for a in range(1, q))
+        # a + b = a(1 + b/a), and adding 1 only changes the constant coefficient
+        plus_one = [x + 1 if (x + 1) % p else x + 1 - p for x in range(q)]
+        self.add = (tuple(range(q)),) + tuple(
+            tuple(self.mul[a][plus_one[self.mul[self.inv[a]][b]]] for b in range(q))
+            for a in range(1, q))
+        self.neg = self.mul[p - 1]  # -1 is the constant p - 1
 
-    def from_index(self, index: int) -> "FieldElement":
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} out of range for GF({self.size})")
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(index % self.p)
-            index //= self.p
-        return FieldElement(self, tuple(coeffs))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.k)
-
-    @property
-    def one(self) -> "FieldElement":
-        return self.scalar(1)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        """All field elements in canonical (integer-encoding) order."""
-        for i in range(self.size):
-            yield self.from_index(i)
-
-    def __repr__(self) -> str:
-        return f"FieldSpec(GF({self.p}^{self.k}))" if self.k > 1 else f"FieldSpec(GF({self.p}))"
-
-
-def field_create(p: int, k: int) -> FieldSpec:
-    """GF(p^k) with the canonical (smallest) irreducible modulus."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not 1 <= k <= 4:
-        raise ValueError(f"extension degree must be between 1 and 4, got {k}")
-    for candidate in _monic_polys(p, k):
-        if _is_irreducible(candidate, p):
-            return FieldSpec(p, k, candidate)
-    raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.spec != other.spec:
-            raise ValueError("elements belong to different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "FieldElement":
-        p = self.spec.p
-        return FieldElement(self.spec, tuple(-a % p for a in self.coeffs))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.spec.p
-        k = self.spec.k
-        prod = [0] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        return FieldElement(self.spec, _poly_mod(prod, self.spec.modulus, p))
-
-    def __pow__(self, n: int) -> "FieldElement":
+    def pow(self, a: int, n: int) -> int:
         if n < 0:
-            return self.inverse() ** (-n)
-        result = self.spec.one
-        base = self
+            if not a:
+                raise ZeroDivisionError("0 has no multiplicative inverse")
+            a, n = self.inv[a], -n
+        result = 1
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = self.mul[result][a]
+            a = self.mul[a][a]
             n >>= 1
         return result
 
-    def inverse(self) -> "FieldElement":
-        if not self:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self ** (self.spec.size - 2)
 
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def index(self) -> int:
-        """Integer encoding; defines the canonical element order."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * self.spec.p + c
-        return acc
-
-    def multiplicative_order(self) -> int:
-        if not self:
-            raise ValueError("0 has no multiplicative order")
-        n = 1
-        acc = self
-        one = self.spec.one
-        while acc != one:
-            acc = acc * self
-            n += 1
-        return n
-
-    def __repr__(self) -> str:
-        return f"<GF({self.spec.size}) #{self.index()}>"
-
-
-def primitive_element(spec: FieldSpec) -> FieldElement:
-    """First element (canonical order) generating the multiplicative group."""
-    target = spec.size - 1
-    for e in spec.elements():
-        if e and e.multiplicative_order() == target:
-            return e
-    raise RuntimeError(f"no primitive element found in GF({spec.size})")
+@lru_cache(maxsize=None)
+def field_create(p: int, k: int) -> Field:
+    """GF(p^k) with the canonical (smallest) irreducible modulus."""
+    if k < 1 or p ** k > MAX_FIELD_SIZE:
+        raise ValueError(f"GF({p}^{k}) is outside the field sizes 2 .. {MAX_FIELD_SIZE}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    modulus = next(f for f in _monic_polys(p, k) if _is_irreducible(f, p))
+    return Field(p, k, modulus)

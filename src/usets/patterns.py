@@ -141,6 +141,10 @@ def solve_psl2_order(order: int) -> int | None:
 # ---------------------------------------------------------------------------
 # symbolic terms and patterns
 
+#: Largest exponent a parsed term may give a symbol; a larger one would
+#: make evaluating the term, even at p = 3, cost unbounded time.
+MAX_EXPONENT = 64
+
 _TERM_RE = re.compile(r"^(\d+)?((?:[pqr](?:\^\d+)?)*)$")
 _FACTOR_RE = re.compile(r"([pqr])(?:\^(\d+))?")
 
@@ -196,6 +200,8 @@ def parse_term(text: str) -> Term:
         exps[sym] = exps.get(sym, 0) + (int(e) if e else 1)
     if m.group(1) is None and not exps:
         raise ValueError(f"cannot parse term {text!r}")
+    if any(e > MAX_EXPONENT for e in exps.values()):
+        raise ValueError(f"exponent in term {text!r} exceeds the limit {MAX_EXPONENT}")
     return Term.make(coeff, exps)
 
 

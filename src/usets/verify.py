@@ -434,7 +434,7 @@ def _rows(catalog: Catalog, cap: int) -> list[CheckRow]:
     rows.append(CheckRow(
         "uset-uniqueness", f"within the catalog (at the configured cap), exactly "
         f"PSL(2,11) has U(G) = {sorted(CHARACTERIZATION_TARGET)}", "published",
-        lambda: _uset_uniqueness(catalog, cap)))
+        lambda _: _uset_uniqueness(catalog, cap), ("PSL(2,11)",)))
     rows.append(CheckRow(
         "prime-match-uniqueness", f"{{{CHARACTERIZATION_PATTERN}}} matches "
         f"{sorted(CHARACTERIZATION_TARGET)} only at p=3, q=5, r=11 (primes below "

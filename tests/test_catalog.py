@@ -5,6 +5,7 @@ import pytest
 from usets.catalog import (
     CatalogEntry,
     DuplicatePointError,
+    MAX_FILE_DEGREE,
     GeneratorFileError,
     MalformedCycleError,
     OrderMismatchError,
@@ -156,6 +157,14 @@ class TestGeneratorFiles:
         path = tmp_path / "c2.txt"
         path.write_text("\n# a comment\n\ndegree 2\n# another\norder 2\n\n(1,2)\n")
         assert load_generator_file(path).group().order() == 2
+
+    def test_oversized_degree_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("degree 1000000000\norder 2\n(1,2)\n")
+        with pytest.raises(GeneratorFileError, match="degree 1000000000 exceeds"):
+            load_generator_file(path)
+        path.write_text(f"degree {MAX_FILE_DEGREE}\norder 2\n(1,2)\n")
+        assert parse_generator_file(path)[0] == MAX_FILE_DEGREE
 
     def test_catalog_rejects_entry_with_wrong_expected_order(self):
         entry = CatalogEntry(name="A5", source="constructor", expected_order=59,

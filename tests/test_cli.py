@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -147,6 +148,32 @@ def test_verify_at_a_low_cap_reports_not_checked(capsys):
     code, out, _ = run(capsys, "--cap", "1000", "verify", "paper")
     assert code == 0
     assert "SKIP  k3-uset-elimination" in out
+
+
+def test_verify_below_psl_2_11_fails_nothing(capsys):
+    code, out, _ = run(capsys, "--cap", "500", "verify", "paper")
+    assert code == 0
+    assert ", 0 failed," in out
+    assert "SKIP  uset-uniqueness" in out
+
+
+def test_negative_cap_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--cap", "-5", "group", "uset", "PSL(2,11)"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("pattern", "instantiate", "--pattern", "1,p^99999999", "--assign", "p=3"),
+    ("pattern", "match", "--pattern", "p^99999999,1", "--target", "1,3", "--bound", "5"),
+])
+def test_oversized_exponent_is_a_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "exceeds the limit" in err and "\n" not in err
 
 
 def test_cached_profile_still_honours_the_cap(capsys):

@@ -1,17 +1,21 @@
+import hashlib
 import math
 import random
 
 import pytest
 
+from usets.catalog import default_catalog
 from usets.construct import (
-    Matrix,
     alternating_group,
     classical_order,
+    det,
+    identity,
     m11_group,
     prime_power_decomposition,
     projective_points,
     projectivize,
     psl_group,
+    row_apply,
     sl_generators,
     sp4_3,
     su3_3,
@@ -25,7 +29,19 @@ from usets.invariants import profile
 from usets.perm import Permutation
 
 
-def matrix_closure(generators):
+def mat_mul(f, a, b):
+    """Matrix product over the field, written out for the tests."""
+    return tuple(tuple(_dot(f, row, col) for col in zip(*b)) for row in a)
+
+
+def _dot(f, u, v):
+    acc = 0
+    for x, y in zip(u, v):
+        acc = f.add[acc][f.mul[x][y]]
+    return acc
+
+
+def matrix_closure(f, generators):
     """Brute-force closure of a matrix set under multiplication; an oracle
     independent of the permutation machinery."""
     seen = set(generators)
@@ -34,7 +50,7 @@ def matrix_closure(generators):
         new = []
         for m in frontier:
             for g in generators:
-                prod = m * g
+                prod = mat_mul(f, m, g)
                 if prod not in seen:
                     seen.add(prod)
                     new.append(prod)
@@ -68,21 +84,34 @@ class TestSLGenerators:
         f = field_create(2, 1)
         gens = sl_generators(2, f)
         assert len(gens) == 2  # E12(1), E21(1)
-        assert len(matrix_closure(gens)) == 6
+        assert len(matrix_closure(f, gens)) == 6
 
     def test_sl25_brute_force_closure(self):
         f = field_create(5, 1)
-        assert len(matrix_closure(sl_generators(2, f))) == 120
+        assert len(matrix_closure(f, sl_generators(2, f))) == 120
 
     def test_sl33_brute_force_closure(self):
         # |SL(3,3)| = q^3 (q^2-1)(q^3-1) = 27*8*26 = 5616
         f = field_create(3, 1)
-        assert len(matrix_closure(sl_generators(3, f))) == 27 * 8 * 26
+        assert len(matrix_closure(f, sl_generators(3, f))) == 27 * 8 * 26
 
     def test_transvections_have_determinant_one(self):
         f = field_create(3, 2)
         for m in sl_generators(2, f):
-            assert m.det() == f.one
+            assert det(f, m) == 1
+
+    def test_determinant_against_cofactor_expansion(self):
+        f = field_create(2, 2)
+        rng = random.Random(7)
+        for _ in range(200):
+            m = tuple(tuple(rng.randrange(4) for _ in range(3)) for _ in range(3))
+            terms = [f.mul[f.mul[m[0][a]][m[1][b]]][m[2][c]]
+                     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1),
+                                     (2, 1, 0), (0, 2, 1), (1, 0, 2))]
+            expected = 0
+            for t in terms:  # characteristic 2: the signs are all +
+                expected = f.add[expected][t]
+            assert det(f, m) == expected
 
 
 class TestProjectivize:
@@ -94,20 +123,24 @@ class TestProjectivize:
 
     def test_scalar_matrix_acts_trivially(self):
         f = field_create(5, 1)
-        two = f.scalar(2)
-        scalar = Matrix(((two, f.zero), (f.zero, two)))
-        group = projectivize([scalar])
+        group = projectivize(f, [((2, 0), (0, 2))])
         assert group.generators[0].is_identity()
 
     def test_singular_matrix_rejected(self):
         f = field_create(3, 1)
-        singular = Matrix(((f.one, f.one), (f.one, f.one)))
         with pytest.raises(ValueError, match="singular"):
-            projectivize([singular])
+            projectivize(f, [((1, 1), (1, 1))])
 
     def test_point_count(self):
         f = field_create(2, 2)
         assert len(projective_points(f, 3)) == (4 ** 3 - 1) // 3
+
+    @pytest.mark.parametrize("p,k,n", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (3, 2, 2), (5, 1, 3)])
+    def test_points_are_normalized_distinct_and_complete(self, p, k, n):
+        f = field_create(p, k)
+        points = projective_points(f, n)
+        assert len(set(points)) == len(points) == (f.size ** n - 1) // (f.size - 1)
+        assert all(next(x for x in pt if x) == 1 for pt in points)
 
     def test_action_is_a_homomorphism(self):
         # perm(A*B) == perm(A) * perm(B) on 100 random products
@@ -115,52 +148,62 @@ class TestProjectivize:
         gens = sl_generators(2, f)
         rng = random.Random(99)
         for _ in range(100):
-            a = rng.choice(gens) * rng.choice(gens) * rng.choice(gens)
-            b = rng.choice(gens) * rng.choice(gens)
-            pa, pb, pab = projectivize([a, b, a * b]).generators
+            a = mat_mul(f, mat_mul(f, rng.choice(gens), rng.choice(gens)), rng.choice(gens))
+            b = mat_mul(f, rng.choice(gens), rng.choice(gens))
+            pa, pb, pab = projectivize(f, [a, b, mat_mul(f, a, b)]).generators
             assert pa * pb == pab
-
 
     def test_point_subset_must_be_preserved(self):
         f = field_create(3, 1)
-        swap = Matrix(((f.zero, f.one), (f.one, f.zero)))
         with pytest.raises(ValueError, match="preserve"):
-            projectivize([swap], [(f.zero, f.one)])
+            projectivize(f, [((0, 1), (1, 0))], [(0, 1)])
 
 
 def hermitian(u, v):
-    """Sum of u_i * v_i^3 over GF(9), written out independently."""
-    return sum((x * y * y * y for x, y in zip(u, v)), u[0].spec.zero)
+    """Sum of u_i * v_i^3 over GF(9), computed in the model a + b*i with
+    i^2 = -1 over GF(3) (element a + 3b), independently of usets.gf."""
+    def mul(x, y):
+        (a, b), (c, d) = x, y
+        return ((a * c - b * d) % 3, (a * d + b * c) % 3)
+
+    acc = (0, 0)
+    for x, y in zip(u, v):
+        x, y = (x % 3, x // 3), (y % 3, y // 3)
+        term = mul(x, mul(y, mul(y, y)))
+        acc = ((acc[0] + term[0]) % 3, (acc[1] + term[1]) % 3)
+    return acc
 
 
 def symplectic(u, v):
-    return u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]
+    return (u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]) % 3
 
 
 class TestFormGroups:
     def test_su3_3_generators_are_special_unitary(self):
-        f = field_create(3, 2)
-        basis = Matrix.identity(3, f).rows
-        for m in su3_3()[0]:
-            assert m.det() == f.one
+        f, mats, _ = su3_3()
+        assert (f.p, f.k) == (3, 2)
+        basis = identity(3)
+        for m in mats:
+            assert det(f, m) == 1
             for a in basis:
                 for b in basis:
-                    assert hermitian(m.row_apply(a), m.row_apply(b)) == hermitian(a, b)
+                    assert hermitian(row_apply(f, m, a), row_apply(f, m, b)) == hermitian(a, b)
 
     def test_sp4_3_generators_are_symplectic(self):
-        f = field_create(3, 1)
-        basis = Matrix.identity(4, f).rows
-        for m in sp4_3()[0]:
-            assert m.det() == f.one
+        f, mats, _ = sp4_3()
+        assert (f.p, f.k) == (3, 1)
+        basis = identity(4)
+        for m in mats:
+            assert det(f, m) == 1
             for a in basis:
                 for b in basis:
-                    assert symplectic(m.row_apply(a), m.row_apply(b)) == symplectic(a, b)
+                    assert symplectic(row_apply(f, m, a), row_apply(f, m, b)) == symplectic(a, b)
 
     def test_point_counts(self):
-        points = su3_3()[1]
+        points = su3_3()[2]
         assert len(points) == 28  # q^3 + 1 isotropic points, q = 3
-        assert all(not hermitian(pt, pt) for pt in points)
-        assert len(sp4_3()[1]) == 40  # (3^4 - 1) / 2 points of PG(3,3)
+        assert all(hermitian(pt, pt) == (0, 0) for pt in points)
+        assert len(sp4_3()[2]) == 40  # (3^4 - 1) / 2 points of PG(3,3)
         assert (u3_3_group().degree, u4_2_group().degree) == (28, 40)
 
     def test_m11_is_transitive_of_order_7920(self):
@@ -213,6 +256,59 @@ def test_prime_power_decomposition():
 
 
 def test_transvection_requires_off_diagonal():
-    f = field_create(3, 1)
     with pytest.raises(ValueError):
-        transvection(2, f, 1, 1, f.one)
+        transvection(2, 1, 1, 1)
+
+
+#: sha256 of repr([g.images for g in generators]), first 16 hex digits, as
+#: built before elements were integer-coded: constructions must not move.
+PINNED_CATALOG_IMAGES = {
+    "A5": "11b8b6c13a3f6951",
+    "A6": "e5157bb2192699de",
+    "A9": "eb16818b44818eb7",
+    "A10": "223ba18e763aba29",
+    "M11": "efdd65147a40a09a",
+    "PSL(2,4)": "9912897ae4988708",
+    "PSL(2,5)": "adbe841533d23315",
+    "PSL(2,7)": "4c31e0ece60511df",
+    "PSL(2,8)": "1314fe14de4ed3f2",
+    "PSL(2,9)": "8e93bfffe07d7ebc",
+    "PSL(2,11)": "ee6cbd63ae41439c",
+    "PSL(2,13)": "9d4c17b7e787b5d1",
+    "PSL(2,17)": "e36b3ffc57fe1328",
+    "PSL(3,3)": "462b73ba58a6be93",
+    "PSL(3,4)": "8c63292f082289be",
+    "U3(3)": "375c4ca3f2b07df9",
+    "U4(2)": "f6da860ca68d0a90",
+}
+PINNED_PSL_IMAGES = {  # the PSL groups of the construct-bsgs benchmark
+    (2, 19): "ae2e925072dceb24",
+    (3, 4): "8c63292f082289be",
+    (2, 25): "3baf7039ac0f73d3",
+    (3, 5): "434eab1cf81eb797",
+    (5, 2): "bc0bedb2f01e358e",
+    (4, 3): "fb1f8445c78773ba",
+    (2, 47): "aa66358bbc4c3d1b",
+    (3, 7): "737248984dc86bb3",
+    (6, 2): "ae133f2ad368c56e",
+    (3, 8): "a1825a213773cd93",
+    (2, 81): "830bf6dacfea72b9",
+    (4, 4): "f8774ade72baba49",
+    (3, 9): "f2738f6af99925ed",
+    (2, 113): "d24203c1e6596797",
+}
+
+
+def _image_digest(group):
+    images = repr([g.images for g in group.generators])
+    return hashlib.sha256(images.encode()).hexdigest()[:16]
+
+
+def test_catalog_generator_images_are_pinned():
+    got = {e.name: _image_digest(e.group()) for e in default_catalog().entries()}
+    assert got == PINNED_CATALOG_IMAGES
+
+
+def test_psl_generator_images_are_pinned():
+    got = {nq: _image_digest(psl_group(*nq)) for nq in PINNED_PSL_IMAGES}
+    assert got == PINNED_PSL_IMAGES

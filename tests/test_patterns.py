@@ -61,6 +61,13 @@ class TestParsing:
         with pytest.raises(ValueError):
             USetPattern.parse("rq,qr")
 
+    def test_exponent_limit(self):
+        limit = patterns.MAX_EXPONENT
+        assert parse_term(f"p^{limit}").exps == (("p", limit),)
+        for bad in (f"p^{limit + 1}", f"q^{limit}q", "p^99999999"):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                parse_term(bad)
+
     def test_symbols(self):
         assert USetPattern.parse("1,rq,8pq").symbols == ("p", "q", "r")
 

@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .perm import (
     BSGS,
-    DEFAULT_ELEMENT_CAP,
+    DEFAULT_CAP,
     GroupTooLargeError,
     PermGroup,
     Permutation,
@@ -51,7 +51,7 @@ __all__ = [
     "CatalogEntry",
     "CheckResult",
     "ConjClass",
-    "DEFAULT_ELEMENT_CAP",
+    "DEFAULT_CAP",
     "Field",
     "GroupTooLargeError",
     "InvariantProfile",

@@ -30,7 +30,7 @@ from .construct import (alternating_group, classical_order, m11_group, psl_group
                         u3_3_group, u4_2_group)
 from .invariants import InvariantProfile, profile
 from .patterns import classify_k
-from .perm import DEFAULT_ELEMENT_CAP, GroupTooLargeError, PermGroup, Permutation
+from .perm import DEFAULT_CAP, PermGroup, Permutation, check_cap
 
 
 class CatalogError(Exception):
@@ -152,14 +152,11 @@ class CatalogEntry:
             self._group = g
         return self._group
 
-    def profile(self, cap: int = DEFAULT_ELEMENT_CAP) -> InvariantProfile:
+    def profile(self, cap: int = DEFAULT_CAP) -> InvariantProfile:
         """Invariant profile, cached after the first computation; raises
         :class:`GroupTooLargeError` when the order exceeds ``cap``, cached
         or not."""
-        if self.expected_order > cap:
-            raise GroupTooLargeError(
-                f"group order {self.expected_order} exceeds cap {cap}; "
-                f"rerun with a higher cap to include {self.name}")
+        check_cap(self.expected_order, cap, self.name)
         if self._profile is None:
             self._profile = profile(self.group(), cap)
         return self._profile
@@ -246,6 +243,16 @@ class Catalog:
         if max_order is not None:
             out = [e for e in out if e.expected_order <= max_order]
         return out
+
+    def search(self, uset: Iterable[int],
+               cap: int = DEFAULT_CAP) -> tuple[list[str], list[str]]:
+        """The groups of order at most ``cap`` whose U-set equals ``uset``,
+        and the groups above ``cap``, which are not scanned; names in
+        natural order."""
+        target = frozenset(uset)
+        matches = [e.name for e in self.entries(max_order=cap)
+                   if e.profile(cap).U == target]
+        return matches, [e.name for e in self.entries() if e.expected_order > cap]
 
     def __contains__(self, name: str) -> bool:
         return _canonical(name) in self._entries

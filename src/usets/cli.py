@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -38,19 +37,12 @@ from .patterns import (
     match_pattern,
     solve_psl2_order,
 )
-from .perm import DEFAULT_ELEMENT_CAP, GroupTooLargeError
-from .verify import DEFAULT_VERIFY_CAP, run_verification
+from .perm import DEFAULT_CAP, GroupTooLargeError
+from .verify import run_verification
 
 
-@dataclass
-class CliConfig:
-    fmt: str = "text"
-    cap: int = DEFAULT_VERIFY_CAP
-    verbose: bool = False
-
-
-def _emit(config: CliConfig, payload: dict, text: str) -> None:
-    if config.fmt == "json":
+def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=False))
     else:
         print(text)
@@ -90,21 +82,21 @@ def _uset_str(values) -> str:
     return "{" + ", ".join(str(v) for v in sorted(values)) + "}"
 
 
-def _cmd_group(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_group(args: argparse.Namespace) -> int:
     entry = default_catalog().entry(args.name)
     if args.group_cmd == "classes":
-        classes = conjugacy_classes(entry.group(), config.cap)
+        classes = conjugacy_classes(entry.group(), args.cap)
         rows = [{"size": c.size, "element_order": c.element_order,
                  "representative": c.representative.cycle_string()}
                 for c in classes]
         text = "\n".join(
             f"size {r['size']:>8}  element order {r['element_order']:>4}  "
             f"rep {r['representative']}" for r in rows)
-        _emit(config, {"name": entry.name, "classes": rows}, text)
+        _emit(args, {"name": entry.name, "classes": rows}, text)
         return 0
-    prof = entry.profile(config.cap)
+    prof = entry.profile(args.cap)
     if args.group_cmd == "uset":
-        _emit(config, {"name": entry.name, "U": sorted(prof.U)},
+        _emit(args, {"name": entry.name, "U": sorted(prof.U)},
               _uset_str(prof.U))
         return 0
     # group info
@@ -127,39 +119,33 @@ def _cmd_group(config: CliConfig, args: argparse.Namespace) -> int:
         f"u map         " + ", ".join(f"u({n})={prof.u_map[n]}" for n in prof.V),
         f"U             {_uset_str(prof.U)}",
     ])
-    _emit(config, payload, text)
+    _emit(args, payload, text)
     return 0
 
 
-def _cmd_catalog_list(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_catalog_list(args: argparse.Namespace) -> int:
     entries = default_catalog().entries(k=args.k, max_order=args.max_order)
     rows = [{"name": e.name, "order": e.expected_order, "k": e.k,
              "source": e.source} for e in entries]
     text = "\n".join(
         f"{r['name']:<10} order {r['order']:>8}  k{r['k']}  {r['source']}"
         for r in rows)
-    _emit(config, {"groups": rows}, text)
+    _emit(args, {"groups": rows}, text)
     return 0
 
 
-def _cmd_search(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> int:
     target = frozenset(_parse_ints(args.uset))
-    hits, skipped = [], []
-    for entry in default_catalog().entries():
-        if entry.expected_order > config.cap:
-            skipped.append(entry.name)
-            continue
-        if entry.profile(config.cap).U == target:
-            hits.append(entry.name)
+    hits, skipped = default_catalog().search(target, args.cap)
     payload = {"target": sorted(target), "matches": hits, "skipped": skipped}
     text = "\n".join(hits) if hits else "no catalog group has this U-set"
     if skipped:
         text += f"\n(not scanned, above cap: {', '.join(skipped)})"
-    _emit(config, payload, text)
+    _emit(args, payload, text)
     return 0
 
 
-def _cmd_pattern(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_pattern(args: argparse.Namespace) -> int:
     pattern = USetPattern.parse(args.pattern)
     if args.pattern_cmd == "instantiate":
         assignment = _parse_assignment(args.assign)
@@ -170,7 +156,7 @@ def _cmd_pattern(config: CliConfig, args: argparse.Namespace) -> int:
         text = _uset_str(values)
         if dups:
             text += f"\nwarning: duplicated values {dups} (not a valid U-set)"
-        _emit(config, payload, text)
+        _emit(args, payload, text)
         return 0
     # match
     target = _parse_ints(args.target)
@@ -179,13 +165,13 @@ def _cmd_pattern(config: CliConfig, args: argparse.Namespace) -> int:
                "bound": args.bound, "matches": matches}
     text = ("\n".join(" ".join(f"{s}={a[s]}" for s in sorted(a)) for a in matches)
             if matches else "no assignment matches")
-    _emit(config, payload, text)
+    _emit(args, payload, text)
     return 0
 
 
-def _cmd_solve_psl2(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_solve_psl2(args: argparse.Namespace) -> int:
     l = solve_psl2_order(args.order)
-    _emit(config, {"order": args.order, "l": l},
+    _emit(args, {"order": args.order, "l": l},
           str(l) if l is not None else "none")
     return 0
 
@@ -206,17 +192,17 @@ def _split_check_ids(text: str) -> list[str]:
     return [tok.strip() for tok in out if tok.strip()]
 
 
-def _cmd_verify(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     selection = None
     if args.only:
         selection = _split_check_ids(args.only)
-    report = run_verification(selection, cap=config.cap, catalog=default_catalog())
+    report = run_verification(selection, cap=args.cap, catalog=default_catalog())
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n")
-    if config.fmt == "json":
+    if args.format == "json":
         print(report.to_json())
     else:
-        print(report.format_table(verbose=config.verbose))
+        print(report.format_table(verbose=args.verbose))
     return 0 if report.all_passed else 1
 
 
@@ -226,9 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Same-size conjugacy class sets for small simple groups.")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
-    parser.add_argument("--cap", type=_cap, default=DEFAULT_VERIFY_CAP,
-                        help=f"largest group order to compute classes for (default {DEFAULT_VERIFY_CAP}; "
-                             f"raise to {DEFAULT_ELEMENT_CAP} to include A10)")
+    parser.add_argument("--cap", type=_cap, default=DEFAULT_CAP,
+                        help=f"largest group order to enumerate, profile or scan, the same "
+                             f"for every command (default {DEFAULT_CAP}; at least 1814400 "
+                             f"includes A10)")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -280,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = CliConfig(fmt=args.format, cap=args.cap, verbose=args.verbose)
     handlers = {
         "group": _cmd_group,
         "catalog": _cmd_catalog_list,
@@ -290,7 +276,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](config, args)
+        return handlers[args.command](args)
     except (CatalogError, GroupTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ import math
 from typing import Callable, Sequence
 
 from .gf import Field, field_create
+from .patterns import factorize
 from .perm import PermGroup, Permutation
 
 Vector = tuple[int, ...]
@@ -209,16 +210,10 @@ def m11_group() -> PermGroup:
 
 def prime_power_decomposition(q: int) -> tuple[int, int]:
     """Write q = p^k with p prime, or raise ValueError."""
-    if q < 2:
+    factors = factorize(q) if q >= 2 else {}
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = next(f for f in range(2, q + 1) if q % f == 0)
-    k, m = 0, q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, k
+    return next(iter(factors.items()))
 
 
 def psl_group(n: int, q: int) -> PermGroup:

@@ -26,6 +26,11 @@ enumerates all elements and grows conjugation orbits under the
 generators; that path also supplies the minimal class representatives.
 Output order is canonical (by size, then by a minimal representative),
 independent of the order in which generators were supplied.
+
+:func:`profile`, :func:`conjugacy_classes` and :func:`centralizer_count`
+take a ``cap`` on the group order, by default :data:`usets.perm.DEFAULT_CAP`,
+and refuse a larger group with :class:`usets.perm.GroupTooLargeError`
+whichever path they would take.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .patterns import prime_factors
-from .perm import DEFAULT_ELEMENT_CAP, GroupTooLargeError, PermGroup, Permutation, RawPerm, _compose, _inverse
+from .perm import DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose, _inverse, check_cap
 
 #: Seed of the element sampler; any fixed value gives the same profiles.
 _SAMPLER_SEED = 0
@@ -79,8 +84,7 @@ class InvariantProfile:
         }
 
 
-def conjugacy_classes(group: PermGroup,
-                      cap: int = DEFAULT_ELEMENT_CAP) -> list[ConjClass]:
+def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_CAP) -> list[ConjClass]:
     """All conjugacy classes, sorted by (size, representative images)."""
     elems = group._element_images(cap)
     index = {t: i for i, t in enumerate(elems)}
@@ -317,15 +321,13 @@ def _sampled_class_sizes(chain: _Chain) -> list[int]:
     return sizes
 
 
-def profile(group: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> InvariantProfile:
+def profile(group: PermGroup, cap: int = DEFAULT_CAP) -> InvariantProfile:
     """The full invariant profile; see the module docstring.
 
     Raises :class:`GroupTooLargeError` when the group order exceeds ``cap``.
     """
     order = group.order()
-    if order > cap:
-        raise GroupTooLargeError(
-            f"group of order {order} exceeds the enumeration limit {cap}")
+    check_cap(order, cap)
     # enumerating the group costs |G| conjugations per generator
     chain = _Chain(group, budget=order * len(group._raw_generators()))
     try:
@@ -351,19 +353,16 @@ def _profile_from_sizes(order: int, sizes: Sequence[int]) -> InvariantProfile:
     )
 
 
-def centralizer_count(group: PermGroup, cap: int = 10_000) -> int:
+def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
     """Number of distinct centralizer subgroups {C(x) : x in G}.
 
     Each centralizer is fingerprinted as the set of its elements, found
     by the backtrack search for the elements commuting with x.  C(x) =
     C(x^k) whenever gcd(k, |x|) = 1, so one search serves every generator
-    of the cyclic subgroup <x>.  The group is enumerated, hence the low
-    default cap.
+    of the cyclic subgroup <x>.  The group is enumerated, so the cap
+    check of that enumeration refuses a group above ``cap`` before any
+    search starts.
     """
-    order = group.order()
-    if order > cap:
-        raise GroupTooLargeError(
-            f"group of order {order} exceeds the centralizer-count cap {cap}")
     chain = _Chain(group)
     identity = tuple(range(group.degree))
     done: set[RawPerm] = set()

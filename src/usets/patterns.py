@@ -31,7 +31,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 SYMBOLS = ("p", "q", "r")
 
@@ -40,14 +40,7 @@ SYMBOLS = ("p", "q", "r")
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    return n > 1 and factorize(n) == {n: 1}
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -270,7 +263,10 @@ def _pattern_automorphisms(pat: USetPattern) -> list[dict[str, str]]:
 
 def _prime_divisors(values: Iterable[int], bound: int) -> list[int]:
     """Ascending primes <= bound dividing some positive value, found by
-    trial division up to min(bound, sqrt(v)); a cofactor <= bound is prime."""
+    trial division up to min(bound, sqrt(v)); a cofactor <= bound is prime.
+
+    This is not :func:`factorize`: stopping at ``bound`` keeps a small
+    ``bound`` cheap on a target value with a large prime factor."""
     found = set()
     for v in values:
         f = 2
@@ -494,25 +490,18 @@ class CollisionCase:
     contradiction: str | None  # None would mean the case is not refuted
 
 
-def enumerate_collision_assignments(
-        pattern: USetPattern | str,
-        options: Sequence[Sequence[Term]] | None = None) -> list[CollisionCase]:
+def enumerate_collision_assignments(pattern: USetPattern | str) -> list[CollisionCase]:
     """Enumerate size assignments with a repeated class size.
 
     Each count term is assigned one size from its admissible option list
-    (derived via :func:`admissible_size_options` unless supplied).  For
+    (derived via :func:`admissible_size_options`).  For
     every assignment in which two count terms share a size, the two
     counts are equated symbolically: both would equal the number of
     elements of that class size, so their equality is forced, and
     reducing it yields the recorded contradiction.
     """
     pat = _as_pattern(pattern)
-    if options is None:
-        option_lists = [admissible_size_options(t) for t in pat.terms]
-    else:
-        if len(options) != len(pat.terms):
-            raise ValueError("one option list per pattern term is required")
-        option_lists = [list(o) for o in options]
+    option_lists = [admissible_size_options(t) for t in pat.terms]
     cases = []
     for combo in itertools.product(*option_lists):
         pair = next(((i, j)

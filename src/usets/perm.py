@@ -20,6 +20,10 @@ reproducibility over asymptotics: no randomized sifting, no Monte Carlo
 variants.  Element enumeration is the fallback and oracle of class
 finding; :mod:`usets.invariants` normally samples elements from the BSGS
 transversals with a fixed seed and never lists the group.
+
+One cap, :data:`DEFAULT_CAP`, bounds the group order of every
+computation that takes a cap, in the library and on the command line
+alike; :func:`check_cap` is the one place that refuses a group above it.
 """
 
 from __future__ import annotations
@@ -27,15 +31,24 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
-#: Default ceiling for full element enumeration.  Large enough for every
-#: group shipped in the catalog (A10 at 1 814 400 is the biggest).
-DEFAULT_ELEMENT_CAP = 2_000_000
+#: Default largest group order to enumerate or profile.  Sized to include
+#: A9 (order 181 440) while leaving A10 (order 1 814 400) out; a cap of
+#: at least 1 814 400 takes in every catalog group.
+DEFAULT_CAP = 250_000
 
 RawPerm = tuple  # image tuple; internal fast representation
 
 
 class GroupTooLargeError(ValueError):
-    """An enumeration would exceed the configured element cap."""
+    """A computation would exceed the configured cap on the group order."""
+
+
+def check_cap(order: int, cap: int, name: str = "") -> None:
+    """Raise :class:`GroupTooLargeError` when ``order`` exceeds ``cap``;
+    a ``name`` says which group a higher cap would include."""
+    if order > cap:
+        hint = f"; rerun with a higher cap to include {name}" if name else ""
+        raise GroupTooLargeError(f"group order {order} exceeds cap {cap}{hint}")
 
 
 def _identity(degree: int) -> RawPerm:
@@ -381,11 +394,9 @@ class PermGroup:
         ident = _identity(self.degree)
         return tuple(sorted({g.images for g in self.generators} - {ident}))
 
-    def _element_images(self, limit: int = DEFAULT_ELEMENT_CAP) -> list[RawPerm]:
+    def _element_images(self, limit: int = DEFAULT_CAP) -> list[RawPerm]:
         n = self.order()
-        if n > limit:
-            raise GroupTooLargeError(
-                f"group of order {n} exceeds the enumeration limit {limit}")
+        check_cap(n, limit)
         gens = self._raw_generators()
         start = _identity(self.degree)
         seen = {start}
@@ -407,7 +418,7 @@ class PermGroup:
                 f"enumeration produced {len(out)} elements, BSGS order is {n}")
         return out
 
-    def elements(self, limit: int = DEFAULT_ELEMENT_CAP) -> list[Permutation]:
+    def elements(self, limit: int = DEFAULT_CAP) -> list[Permutation]:
         """All group elements, breadth-first over the Cayley graph with each
         layer sorted; raises :class:`GroupTooLargeError` above ``limit``."""
         return [Permutation._wrap(t) for t in self._element_images(limit)]

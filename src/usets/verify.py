@@ -17,17 +17,19 @@ expected[, note])``.  One runner, ``_outcome``, profiles the row's groups
 at the configured cap, runs it and compares the two values;
 ``run_verification`` turns each outcome into a :class:`CheckResult`.
 
-Checks whose group exceeds the configured cap are reported as
-``not_checked`` (never silently skipped), as are the k4 groups for which
-no construction is shipped.  Reports are deterministic: running twice
-gives byte-identical output apart from the timestamp.
+The cap is the package's one cap, :data:`usets.perm.DEFAULT_CAP` unless
+given.  Every row that profiles, enumerates or scans a group lists that
+group, so a group above the cap makes the row ``not_checked`` (never
+silently skipped, never a pass on an uncomputed group), as are the k4
+groups for which no construction is shipped.  Reports are deterministic:
+running twice gives byte-identical output apart from the timestamp.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Callable, Iterable
 
@@ -46,12 +48,7 @@ from .patterns import (
     primes_up_to,
     solve_psl2_order,
 )
-from .perm import GroupTooLargeError, PermGroup
-
-#: Default per-group enumeration cap for the harness.  Sized to include
-#: A9 (order 181 440), which the k4 screening needs, while leaving A10
-#: (order 1 814 400) gated off; raise the cap to pull A10 in.
-DEFAULT_VERIFY_CAP = 250_000
+from .perm import DEFAULT_CAP, GroupTooLargeError, PermGroup
 
 PASS, FAIL, NOT_CHECKED = "pass", "fail", "not_checked"
 
@@ -147,17 +144,6 @@ class CheckResult:
     expected_source: str = ""  # "published" | "formula" | "derived" | "internal"
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "claim": self.claim,
-            "status": self.status,
-            "computed": self.computed,
-            "expected": self.expected,
-            "expected_source": self.expected_source,
-            "note": self.note,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -187,11 +173,11 @@ class VerificationReport:
             "version": self.version,
             "timestamp": self.timestamp,
             "summary": self.summary,
-            "results": [r.as_dict() for r in self.results],
+            "results": [asdict(r) for r in self.results],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=False)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2, sort_keys=False)
 
     def format_table(self, verbose: bool = False) -> str:
         lines = []
@@ -300,16 +286,14 @@ def _order_shape(l: int) -> tuple:
 
 
 def _uset_uniqueness(catalog: Catalog, cap: int) -> tuple:
-    matches = [e.name for e in catalog.entries(max_order=cap)
-               if e.profile(cap).U == CHARACTERIZATION_TARGET]
-    skipped = [e.name for e in catalog.entries() if e.expected_order > cap]
+    matches, skipped = catalog.search(CHARACTERIZATION_TARGET, cap)
     note = f"groups above the cap, not scanned: {skipped}" if skipped else ""
     return matches, ["PSL(2,11)"], note
 
 
-def _centralizer_counts(group: PermGroup) -> tuple:
-    first = centralizer_count(group)
-    second = centralizer_count(PermGroup(tuple(reversed(group.generators))))
+def _centralizer_counts(group: PermGroup, cap: int) -> tuple:
+    first = centralizer_count(group, cap)
+    second = centralizer_count(PermGroup(tuple(reversed(group.generators))), cap)
     return first, second, f"|Cent(PSL(2,11))| = {first}"
 
 
@@ -454,7 +438,7 @@ def _rows(catalog: Catalog, cap: int) -> list[CheckRow]:
         "centralizer-count:PSL(2,11)", "the number of distinct centralizers of "
         "PSL(2,11) is well defined: two element orderings agree (no published "
         "value)", "internal",
-        lambda: _centralizer_counts(catalog.get("PSL(2,11)"))))
+        lambda _: _centralizer_counts(catalog.get("PSL(2,11)"), cap), ("PSL(2,11)",)))
     return rows
 
 
@@ -474,7 +458,7 @@ def _outcome(row: CheckRow, catalog: Catalog, cap: int) -> tuple:
 
 
 def run_verification(selection: Iterable[str] | None = None, *,
-                     cap: int = DEFAULT_VERIFY_CAP,
+                     cap: int = DEFAULT_CAP,
                      catalog: Catalog | None = None) -> VerificationReport:
     """Run the published-value checks and return a structured report.
 

@@ -20,8 +20,8 @@ from usets.patterns import (
     primes_up_to,
     solve_psl2_order,
 )
-from usets.perm import GroupTooLargeError, PermGroup
-from usets.verify import DEFAULT_VERIFY_CAP, GOLDEN_USETS
+from usets.perm import DEFAULT_CAP, GroupTooLargeError, PermGroup
+from usets.verify import GOLDEN_USETS
 
 ODD_PRIMES_50 = [p for p in primes_up_to(50) if p > 2]
 
@@ -35,7 +35,7 @@ def record(criterion, ok, detail=""):
 def checkable_profiles(catalog):
     out = {}
     for entry in catalog.entries():
-        if entry.expected_order <= DEFAULT_VERIFY_CAP:
+        if entry.expected_order <= DEFAULT_CAP:
             out[entry.name] = entry.profile()
     return out
 
@@ -85,10 +85,10 @@ def test_criterion_05_conjugate_type_rank(catalog):
 def test_criterion_06_k3_screening(catalog):
     expected = {"A5", "A6", "PSL(2,7)", "PSL(2,8)", "PSL(2,17)", "PSL(3,3)",
                 "U3(3)", "U4(2)"} | {f"PSL(2,{q})" for q in (4, 5, 9)}
-    got = {e.name for e in catalog.entries() if e.expected_order <= DEFAULT_VERIFY_CAP
+    got = {e.name for e in catalog.entries() if e.expected_order <= DEFAULT_CAP
            if len(e.profile().pi) == 3}
     above_cap_k3 = {e.name for e in catalog.entries(k=3)
-                    if e.expected_order > DEFAULT_VERIFY_CAP}
+                    if e.expected_order > DEFAULT_CAP}
     record("criterion-06 k3-screening",
            got == expected and not above_cap_k3, f"got={sorted(got)}")
 
@@ -145,7 +145,7 @@ def test_criterion_11_characterization(catalog):
     target = frozenset({1, 55, 120, 220, 264})
     solved = solve_psl2_order(660)
     with_target = [e.name for e in catalog.entries()
-                   if e.expected_order <= DEFAULT_VERIFY_CAP
+                   if e.expected_order <= DEFAULT_CAP
                    and e.profile().U == target]
     assignment = match_pattern("1,rq,8pq,4qr,8pr", target, bound=100)
     ok = (solved == 11

@@ -174,6 +174,14 @@ class TestGeneratorFiles:
             entry.group()
 
 
+def test_entry_refusal_names_the_group(catalog):
+    entry = catalog.entry("A5")
+    entry.profile()  # a cached profile is refused all the same
+    with pytest.raises(GroupTooLargeError, match=r"^group order 60 exceeds cap 59; "
+                       r"rerun with a higher cap to include A5$"):
+        entry.profile(59)
+
+
 def test_orders_match_sympy(catalog):
     # a second, independent order route for every catalog group
     sympy = pytest.importorskip("sympy.combinatorics")

@@ -4,7 +4,8 @@ import time
 import pytest
 
 from usets import cli
-from usets.verify import CheckResult, VerificationReport
+from usets.catalog import default_catalog
+from usets.verify import CheckResult, VerificationReport, _uset_uniqueness
 
 
 def run(capsys, *argv):
@@ -155,6 +156,28 @@ def test_verify_below_psl_2_11_fails_nothing(capsys):
     assert code == 0
     assert ", 0 failed," in out
     assert "SKIP  uset-uniqueness" in out
+
+
+def test_verify_below_psl_2_11_computes_nothing_on_it(capsys):
+    code, out, _ = run(capsys, "--cap", "500", "--format", "json", "verify", "paper",
+                       "--only", "centralizer-count:PSL(2,11)")
+    assert code == 0
+    [row] = json.loads(out)["results"]
+    assert row["status"] == "not_checked"
+    assert row["note"] == ("group order 660 exceeds cap 500; "
+                           "rerun with a higher cap to include PSL(2,11)")
+
+
+@pytest.mark.parametrize("cap", [500, 660, 250_000])
+def test_search_and_uset_uniqueness_scan_alike(capsys, cap):
+    code, out, _ = run(capsys, "--cap", str(cap), "--format", "json",
+                       "search", "--uset", "1,55,120,220,264")
+    assert code == 0
+    payload = json.loads(out)
+    matches, _, note = _uset_uniqueness(default_catalog(), cap)
+    assert payload["matches"] == matches == (["PSL(2,11)"] if cap >= 660 else [])
+    assert note == f"groups above the cap, not scanned: {payload['skipped']}"
+    assert ("PSL(2,11)" in payload["skipped"]) == (cap < 660)
 
 
 def test_negative_cap_is_a_usage_error(capsys):

@@ -11,8 +11,7 @@ from usets.invariants import (
     conjugacy_classes,
     profile,
 )
-from usets.perm import GroupTooLargeError, PermGroup, Permutation
-from usets.verify import DEFAULT_VERIFY_CAP
+from usets.perm import DEFAULT_CAP, GroupTooLargeError, PermGroup, Permutation
 
 
 def brute_force_elements(group):
@@ -172,7 +171,7 @@ class TestCentralizerCount:
         assert centralizer_count(g) == centralizer_count(reordered)
 
     def test_cap(self):
-        with pytest.raises(GroupTooLargeError, match="centralizer-count cap 10"):
+        with pytest.raises(GroupTooLargeError, match="exceeds cap 10"):
             centralizer_count(alternating_group(5), cap=10)
 
     @pytest.mark.parametrize("group_builder, expected", [
@@ -245,7 +244,7 @@ def relabelled(group, rng):
 
 
 def test_sampled_profile_matches_enumeration_on_catalog(catalog):
-    entries = [e for e in catalog.entries() if e.expected_order <= DEFAULT_VERIFY_CAP]
+    entries = [e for e in catalog.entries() if e.expected_order <= DEFAULT_CAP]
     assert len(entries) == 16
     for entry in entries:
         group = entry.group()
@@ -285,13 +284,22 @@ def test_small_groups_on_sampled_path():
     assert profile(symmetric_group(4)).class_sizes == (1, 3, 6, 6, 8)
 
 
+@pytest.mark.parametrize("compute", [profile, conjugacy_classes, centralizer_count,
+                                     PermGroup.elements])
+def test_one_refusal_above_the_cap(compute):
+    with pytest.raises(GroupTooLargeError, match=r"^group order 60 exceeds cap 59$"):
+        compute(alternating_group(5), 59)
+    with pytest.raises(GroupTooLargeError, match=r"^group order 1814400 exceeds cap 250000$"):
+        compute(alternating_group(10))  # the default cap
+
+
 def test_profile_cap_checked_before_any_work(monkeypatch):
     def unexpected(*_args, **_kwargs):
         raise AssertionError("no class work above the cap")
     monkeypatch.setattr(invariants, "_Chain", unexpected)
     monkeypatch.setattr(invariants, "conjugacy_classes", unexpected)
     with pytest.raises(GroupTooLargeError):
-        profile(alternating_group(10), cap=DEFAULT_VERIFY_CAP)
+        profile(alternating_group(10), cap=DEFAULT_CAP)
 
 
 def test_elementary_abelian_group_falls_back_to_enumeration(monkeypatch):

@@ -300,16 +300,6 @@ class TestCollisions:
         cases = enumerate_collision_assignments("1,rq,16q,16r,4rq")
         assert all(c.contradiction is not None for c in cases)
 
-    def test_explicit_options_accepted(self):
-        opts = [[Term.make(1)], [parse_term("rq")], [parse_term("2q")],
-                [parse_term("2r")], [parse_term("2q"), parse_term("rq")]]
-        cases = enumerate_collision_assignments("1,rq,16q,16r,4rq", opts)
-        assert len(cases) == 2  # 4rq colliding with 16q, then with rq
-
-    def test_option_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_collision_assignments("1,rq", [[Term.make(1)]])
-
 
 class TestResolveEquation:
     def test_distinct_symbols_contradict(self):

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from usets.perm import DEFAULT_CAP
 from usets.verify import (
-    DEFAULT_VERIFY_CAP,
     GOLDEN_USETS,
     VerificationReport,
     run_verification,
@@ -119,4 +119,4 @@ def test_report_matches_the_seed_report(report):
 
 
 def test_default_cap_includes_a9_excludes_a10():
-    assert 181_440 <= DEFAULT_VERIFY_CAP < 1_814_400
+    assert 181_440 <= DEFAULT_CAP < 1_814_400

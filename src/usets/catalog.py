@@ -138,7 +138,6 @@ class CatalogEntry:
     expected_order: int
     provenance: str                  # how expected_order was obtained
     builder: Callable[[], PermGroup]
-    simple: bool = True
     _group: PermGroup | None = field(default=None, repr=False)
     _profile: InvariantProfile | None = field(default=None, repr=False)
 

@@ -193,9 +193,7 @@ def _split_check_ids(text: str) -> list[str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    selection = None
-    if args.only:
-        selection = _split_check_ids(args.only)
+    selection = None if args.only is None else _split_check_ids(args.only)
     report = run_verification(selection, cap=args.cap, catalog=default_catalog())
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n")

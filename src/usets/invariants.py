@@ -13,11 +13,13 @@ objects computed here are:
 
 A class size is |G|/|C_G(x)|, so :func:`profile` needs one representative
 per class and its centralizer order, not the elements of G.  It draws
-uniform random elements from the stabilizer chain (one transversal
-element per level, from a fixed-seed generator, so runs repeat exactly)
-and takes each draw's powers too.  A backtrack search over the chain,
-:func:`_conjugators`, both tests whether an element is conjugate to a
-known representative with the same cycle type and counts |C_G(x)|.
+uniform random elements from the group's :class:`usets.perm.BSGS` (one
+transversal element per level, from a fixed-seed generator, so runs
+repeat exactly) and takes each draw's powers too.  A backtrack search
+over the same chain, :func:`_conjugators`, both tests whether an element
+is conjugate to a known representative with the same cycle type and
+counts |C_G(x)|; it reads the chain's stored inverses and orbit labels
+as they are, and a :class:`_Budget` counts its work.
 Sampling stops when the class equation sum |G|/|C_G(x_i)| = |G| closes,
 which certifies that every class was found.  When the searches would
 cost more than enumerating the group (groups with large centralizers,
@@ -42,7 +44,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .patterns import prime_factors
-from .perm import DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose, _inverse, check_cap
+from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose, _inverse,
+                   check_cap)
 
 #: Seed of the element sampler; any fixed value gives the same profiles.
 _SAMPLER_SEED = 0
@@ -118,67 +121,31 @@ def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_CAP) -> list[ConjClas
 
 
 class _WorkLimitExceeded(Exception):
-    """A chain's searches and draws went past its work budget."""
+    """The searches and draws of one profile went past its work budget."""
 
 
-class _Chain:
-    """A group's stabilizer chain G = G^(0) > ... > G^(k) = 1 laid out for
-    backtrack searches and uniform sampling.
+class _Budget:
+    """Counts search nodes and sampled elements; past ``limit`` the next
+    one raises :class:`_WorkLimitExceeded`."""
 
-    Level j has the base point ``base[j]``; ``transversal[j]`` lists the
-    coset representatives u (u maps ``base[j]`` to a point gamma of the
-    basic orbit), ``inverse[j]`` maps each gamma to the inverse of its u,
-    and ``orbit_label[j][p]`` names the G^(j)-orbit of point p.  ``work``
-    counts search nodes and sampled elements; past ``budget`` the next
-    one raises :class:`_WorkLimitExceeded`.
-    """
-
-    def __init__(self, group: PermGroup, budget: int | None = None):
-        bsgs = group.bsgs
-        self.degree = group.degree
-        self.order = bsgs.order()
-        self.base = bsgs.base
-        levels = [sorted(t.items()) for t in bsgs._transversals]
-        self.transversal = [[u for _, u in level] for level in levels]
-        self.inverse = [{gamma: _inverse(u) for gamma, u in level} for level in levels]
-        gens = bsgs._level_gens
-        self.orbit_label = [_orbit_labels(self.degree, [g for lvl in gens[j:] for g in lvl])
-                            for j in range(len(self.base) + 1)]
+    def __init__(self, limit: int | None = None):
         self.work = 0
-        self.budget = budget
+        self.limit = limit
 
     def tick(self) -> None:
         self.work += 1
-        if self.budget is not None and self.work > self.budget:
+        if self.limit is not None and self.work > self.limit:
             raise _WorkLimitExceeded
 
-    def random_element(self, rng: random.Random) -> RawPerm:
-        """A uniform element u_0(u_1(...u_{k-1}(p))) with one random
-        transversal element per level."""
-        self.tick()
-        g = tuple(range(self.degree))
-        for level in reversed(self.transversal):
-            g = _compose(g, rng.choice(level))
-        return g
 
-
-def _orbit_labels(degree: int, gens: Sequence[RawPerm]) -> list[int]:
-    """For each point, the smallest point of its orbit under ``gens``."""
-    label = list(range(degree))
-    for start in range(degree):
-        if label[start] != start:
-            continue
-        frontier = [start]
-        while frontier:
-            new_pts = []
-            for pt in frontier:
-                for g in gens:
-                    img = g[pt]
-                    if label[img] == img and img != start:
-                        label[img] = start
-                        new_pts.append(img)
-            frontier = new_pts
-    return label
+def _random_element(bsgs: BSGS, rng: random.Random, budget: _Budget) -> RawPerm:
+    """A uniform element u_0(u_1(...u_{k-1}(p))) with one random
+    transversal element per level."""
+    budget.tick()
+    g = tuple(range(bsgs.degree))
+    for level in reversed(bsgs.transversals):
+        g = _compose(g, rng.choice(level))
+    return g
 
 
 def _cycle_lengths(x: RawPerm) -> list[int]:
@@ -197,9 +164,9 @@ def _cycle_lengths(x: RawPerm) -> list[int]:
     return lengths
 
 
-def _conjugators(chain: _Chain, x: RawPerm, y: RawPerm,
-                 first_only: bool) -> list[RawPerm]:
-    """The elements g of the chain's group with g(x(p)) = y(g(p)) for every
+def _conjugators(bsgs: BSGS, x: RawPerm, y: RawPerm, first_only: bool,
+                 budget: _Budget | None = None) -> list[RawPerm]:
+    """The elements g of the group of ``bsgs`` with g(x(p)) = y(g(p)) for every
     point p, i.e. those conjugating x to y, for x and y in the group; only
     the first one found when ``first_only``.  With y = x they form the
     centralizer C_G(x).
@@ -218,7 +185,8 @@ def _conjugators(chain: _Chain, x: RawPerm, y: RawPerm,
     one point per y-cycle, and the other conjugators are the y-powers
     times those found.
     """
-    degree, base, labels = chain.degree, chain.base, chain.orbit_label
+    degree, base, labels = bsgs.degree, bsgs.base, bsgs.orbit_labels
+    budget = budget or _Budget()
     depth = len(base)
     x_len, y_len = _cycle_lengths(x), _cycle_lengths(y)
     by_len: dict[int, list[int]] = {}
@@ -239,7 +207,7 @@ def _conjugators(chain: _Chain, x: RawPerm, y: RawPerm,
 
     def search(j: int, hinv: RawPerm) -> bool:
         """Extend t_j, given as its inverse; True once the search may stop."""
-        chain.tick()
+        budget.tick()
         label = labels[j]
         if any(label[hinv[phi[p]]] != label[p] for p in assigned):
             return False
@@ -249,7 +217,7 @@ def _conjugators(chain: _Chain, x: RawPerm, y: RawPerm,
                 return first_only
             return False
         b = base[j]
-        inverse = chain.inverse[j]
+        inverse = bsgs.inverses[j]
         if phi[b] >= 0:
             uinv = inverse[hinv[phi[b]]]
             return search(j + 1, tuple(uinv[w] for w in hinv))
@@ -284,7 +252,7 @@ def _conjugators(chain: _Chain, x: RawPerm, y: RawPerm,
     return out
 
 
-def _sampled_class_sizes(chain: _Chain) -> list[int]:
+def _sampled_class_sizes(bsgs: BSGS, budget: _Budget) -> list[int]:
     """Class sizes |G|/|C_G(x)| for one representative x per class.
 
     An element opens a new class unless it is conjugate to a known
@@ -294,22 +262,22 @@ def _sampled_class_sizes(chain: _Chain) -> list[int]:
     size, which random elements rarely hit, and the powers of an element
     conjugate to a representative are conjugate to its powers.
     """
-    order = chain.order
-    identity = tuple(range(chain.degree))
+    order = bsgs.order()
+    identity = tuple(range(bsgs.degree))
     sizes = [1]
     total = 1
     reps: dict[tuple[int, ...], list[RawPerm]] = {}
     pending: list[RawPerm] = []  # powers of new representatives
     rng = random.Random(_SAMPLER_SEED)
     while total < order:
-        x = pending.pop() if pending else chain.random_element(rng)
+        x = pending.pop() if pending else _random_element(bsgs, rng, budget)
         if x == identity:
             continue
         known = reps.setdefault(tuple(sorted(_cycle_lengths(x))), [])
-        if any(_conjugators(chain, x, r, True) for r in known):
+        if any(_conjugators(bsgs, x, r, True, budget) for r in known):
             continue
         known.append(x)
-        size = order // len(_conjugators(chain, x, x, False))
+        size = order // len(_conjugators(bsgs, x, x, False, budget))
         sizes.append(size)
         total += size
         power = _compose(x, x)
@@ -329,9 +297,9 @@ def profile(group: PermGroup, cap: int = DEFAULT_CAP) -> InvariantProfile:
     order = group.order()
     check_cap(order, cap)
     # enumerating the group costs |G| conjugations per generator
-    chain = _Chain(group, budget=order * len(group._raw_generators()))
+    budget = _Budget(order * len(group._raw_generators()))
     try:
-        sizes = _sampled_class_sizes(chain)
+        sizes = _sampled_class_sizes(group.bsgs, budget)
     except _WorkLimitExceeded:
         sizes = [c.size for c in conjugacy_classes(group, cap)]
     return _profile_from_sizes(order, sizes)
@@ -363,14 +331,13 @@ def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
     check of that enumeration refuses a group above ``cap`` before any
     search starts.
     """
-    chain = _Chain(group)
     identity = tuple(range(group.degree))
     done: set[RawPerm] = set()
     centralizers = set()
     for x in group._element_images(cap):
         if x in done:
             continue
-        centralizers.add(frozenset(_conjugators(chain, x, x, False)))
+        centralizers.add(frozenset(_conjugators(group.bsgs, x, x, False)))
         powers = [x]  # x^1, ..., x^|x| = identity
         while powers[-1] != identity:
             powers.append(_compose(powers[-1], x))

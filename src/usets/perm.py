@@ -14,6 +14,11 @@ Conventions used throughout the package:
   runs (and runs with reordered generating sets) produce identical
   output.
 
+The stabilizer chain has one layout (see :class:`BSGS`), built once per
+level by :func:`_schreier_sims` and read as it is by sifting, Schreier
+generators and the backtrack searches of :mod:`usets.invariants`.
+:func:`_orbit_labels` is the one orbit walk.
+
 The groups handled here are small (the largest the test-suite touches
 has order 1 814 400), so Schreier-Sims favours clarity and
 reproducibility over asymptotics: no randomized sifting, no Monte Carlo
@@ -67,15 +72,34 @@ def _inverse(a: RawPerm) -> RawPerm:
     return tuple(inv)
 
 
-def _sift(g: RawPerm, base: Sequence[int], transversals: Sequence[dict]) -> RawPerm:
-    """Strip one transversal factor per base point; the residue is the
-    identity iff ``g`` lies in the group these levels describe."""
-    for pt, trans in zip(base, transversals):
-        u = trans.get(g[pt])
-        if u is None:
+def _sift(g: RawPerm, base: Sequence[int], inverses: Sequence[dict]) -> RawPerm:
+    """Strip one transversal factor per base point by its stored inverse;
+    the residue is the identity iff ``g`` lies in the group described."""
+    for pt, inverse in zip(base, inverses):
+        uinv = inverse.get(g[pt])
+        if uinv is None:
             break
-        g = _compose(g, _inverse(u))
+        g = _compose(g, uinv)
     return g
+
+
+def _orbit_labels(degree: int, gens: Sequence[RawPerm]) -> list[int]:
+    """For each point, the smallest point of its orbit under ``gens``."""
+    label = list(range(degree))
+    for start in range(degree):
+        if label[start] != start:
+            continue
+        frontier = [start]
+        while frontier:
+            new_pts = []
+            for pt in frontier:
+                for g in gens:
+                    img = g[pt]
+                    if label[img] == img and img != start:
+                        label[img] = start
+                        new_pts.append(img)
+            frontier = new_pts
+    return label
 
 
 class Permutation:
@@ -201,31 +225,39 @@ class Permutation:
 
 
 class BSGS:
-    """Base and strong generating set with per-level orbit transversals.
+    """Base and strong generating set of G = G^(0) > ... > G^(k) = 1, where
+    G^(i) fixes ``base[:i]``; each level is laid out once, when built:
 
-    ``transversal(i)`` maps each point gamma of the i-th basic orbit to a
-    coset representative u with ``u.images[base[i]] == gamma``.
+    * ``transversals[i]``: the coset representatives u of G^(i+1) in
+      G^(i), in ascending order of gamma = u(base[i]);
+    * ``inverses[i]``: gamma -> u^-1, in the same order, so sifting and
+      Schreier generators never invert;
+    * ``orbit_labels[i]`` (i = 0..k, on first use): each point's smallest
+      G^(i)-orbit point.
     """
 
-    __slots__ = ("degree", "base", "_level_gens", "_transversals")
+    __slots__ = ("degree", "base", "_level_gens", "transversals", "inverses", "_labels")
 
     def __init__(self, degree: int, base: list[int],
                  level_gens: list[list[RawPerm]],
-                 transversals: list[dict[int, RawPerm]]):
+                 transversals: list[tuple[RawPerm, ...]],
+                 inverses: list[dict[int, RawPerm]]):
         self.degree = degree
         self.base = tuple(base)
         self._level_gens = level_gens
-        self._transversals = transversals
+        self.transversals = transversals
+        self.inverses = inverses
+        self._labels: list[list[int]] | None = None
 
     def order(self) -> int:
         n = 1
-        for trans in self._transversals:
+        for trans in self.transversals:
             n *= len(trans)
         return n
 
     @property
     def basic_orbits(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(t)) for t in self._transversals)
+        return tuple(tuple(inverse) for inverse in self.inverses)
 
     @property
     def strong_generators(self) -> list[Permutation]:
@@ -238,13 +270,23 @@ class BSGS:
                     out.append(Permutation._wrap(g))
         return out
 
+    @property
+    def orbit_labels(self) -> list[list[int]]:
+        """Orbit labels of each G^(i), generated by the levels i and deeper."""
+        if self._labels is None:
+            gens = self._level_gens
+            self._labels = [_orbit_labels(self.degree, [g for lvl in gens[i:] for g in lvl])
+                            for i in range(len(self.base) + 1)]
+        return self._labels
+
     def transversal(self, level: int) -> dict[int, Permutation]:
-        return {pt: Permutation._wrap(u) for pt, u in sorted(self._transversals[level].items())}
+        return {gamma: Permutation._wrap(u)
+                for gamma, u in zip(self.inverses[level], self.transversals[level])}
 
     def sift(self, images: RawPerm) -> RawPerm:
         """Strip transversal factors; the residue is the identity iff the
         permutation belongs to the group."""
-        return _sift(images, self.base, self._transversals)
+        return _sift(images, self.base, self.inverses)
 
     def contains_images(self, images: RawPerm) -> bool:
         residue = self.sift(images)
@@ -258,26 +300,29 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
     of the generators stored at level i and all deeper levels.  Inserting
     a new group element re-closes every level from its resting place back
     up to the insertion level: orbits are rebuilt and all Schreier
-    generators are sifted again, with nontrivial residues recursively
-    inserted one level further down.
+    generators u s inv[s(gamma)] are sifted again, with nontrivial
+    residues recursively inserted one level further down.
     """
     ident = _identity(degree)
     base: list[int] = []
     level_gens: list[list[RawPerm]] = []
-    transversals: list[dict[int, RawPerm]] = []
+    transversals: list[tuple[RawPerm, ...]] = []
+    inverses: list[dict[int, RawPerm]] = []
 
     def gens_at(i: int) -> list[RawPerm]:
         return [g for lvl in level_gens[i:] for g in lvl]
 
-    def new_level(g: RawPerm) -> None:
-        pt = min(x for x in range(degree) if g[x] != x)
+    def new_level(pt: int) -> None:
         base.append(pt)
         level_gens.append([])
-        transversals.append({pt: ident})
+        transversals.append((ident,))
+        inverses.append({pt: ident})
 
     def rebuild_transversal(i: int) -> None:
         pt = base[i]
-        trans = {pt: ident}
+        # indexed by point, so the orbit is read off in ascending order
+        trans: list[RawPerm | None] = [None] * degree
+        trans[pt] = ident
         frontier = [pt]
         gens = gens_at(i)
         while frontier:
@@ -286,46 +331,43 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
                 u = trans[gamma]
                 for s in gens:
                     delta = s[gamma]
-                    if delta not in trans:
+                    if trans[delta] is None:
                         trans[delta] = _compose(u, s)
                         new_pts.append(delta)
             frontier = sorted(new_pts)
-        transversals[i] = trans
+        transversals[i] = tuple(u for u in trans if u is not None)
+        inverses[i] = {gamma: _inverse(u) for gamma, u in enumerate(trans) if u is not None}
 
     def add_nonmember(i: int, g: RawPerm) -> None:
         # pre: g != identity, g fixes base[:i], g is not in the level-i
         # group, and every level deeper than i is closed
         if i == len(base):
-            new_level(g)
+            new_level(min(x for x in range(degree) if g[x] != x))
         if g[base[i]] == base[i]:
             add_nonmember(i + 1, g)
         else:
             level_gens[i].append(g)
         rebuild_transversal(i)
-        trans = transversals[i]
+        inverse = inverses[i]
         gens = gens_at(i)
-        for gamma in sorted(trans):
-            u = trans[gamma]
+        for gamma, u in zip(inverse, transversals[i]):
             for s in gens:
-                delta = s[gamma]
-                schreier = _compose(_compose(u, s), _inverse(trans[delta]))
+                schreier = _compose(_compose(u, s), inverse[s[gamma]])
                 if schreier == ident:
                     continue
-                residue = _sift(schreier, base[i + 1:], transversals[i + 1:])
+                residue = _sift(schreier, base[i + 1:], inverses[i + 1:])
                 if residue != ident:
                     add_nonmember(i + 1, residue)
 
     first = min((min(x for x in range(degree) if g[x] != x)
                  for g in raw_gens if g != ident), default=degree)
     if first < degree:
-        base.append(first)
-        level_gens.append([])
-        transversals.append({first: ident})
+        new_level(first)
     for g in raw_gens:
-        residue = _sift(g, base, transversals)
+        residue = _sift(g, base, inverses)
         if residue != ident:
             add_nonmember(0, residue)
-    return BSGS(degree, base, level_gens, transversals)
+    return BSGS(degree, base, level_gens, transversals, inverses)
 
 
 class PermGroup:
@@ -363,19 +405,8 @@ class PermGroup:
         """Orbit of a point under the group, as a sorted tuple."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range for degree {self.degree}")
-        gens = self._raw_generators()
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            new_pts = []
-            for pt in frontier:
-                for g in gens:
-                    img = g[pt]
-                    if img not in seen:
-                        seen.add(img)
-                        new_pts.append(img)
-            frontier = sorted(new_pts)
-        return tuple(sorted(seen))
+        label = _orbit_labels(self.degree, self._raw_generators())
+        return tuple(p for p in range(self.degree) if label[p] == label[point])
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:

@@ -462,8 +462,9 @@ def run_verification(selection: Iterable[str] | None = None, *,
                      catalog: Catalog | None = None) -> VerificationReport:
     """Run the published-value checks and return a structured report.
 
-    ``selection`` restricts the run to the given check ids (unknown ids
-    raise).  Groups whose order exceeds ``cap`` surface as not_checked.
+    ``selection`` restricts the run to the given check ids (unknown ids,
+    or none at all, raise).  Groups whose order exceeds ``cap`` surface as
+    not_checked.
     """
     catalog = catalog if catalog is not None else default_catalog()
     rows = _rows(catalog, cap)
@@ -472,6 +473,8 @@ def run_verification(selection: Iterable[str] | None = None, *,
         raise RuntimeError("duplicate check ids in the check table")
     if selection is not None:
         wanted = set(selection)
+        if not wanted:
+            raise ValueError("no check ids selected")
         unknown = wanted - set(ids)
         if unknown:
             raise ValueError(f"unknown check ids: {sorted(unknown)}")

@@ -218,6 +218,12 @@ def test_unknown_check_id_is_a_usage_error(capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("only", [",", "", " , "])
+def test_only_that_selects_nothing_is_a_usage_error(capsys, only):
+    code, out, err = run(capsys, "verify", "paper", "--only", only)
+    assert (code, out, err) == (2, "", "error: no check ids selected")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -296,7 +296,7 @@ def test_one_refusal_above_the_cap(compute):
 def test_profile_cap_checked_before_any_work(monkeypatch):
     def unexpected(*_args, **_kwargs):
         raise AssertionError("no class work above the cap")
-    monkeypatch.setattr(invariants, "_Chain", unexpected)
+    monkeypatch.setattr(invariants, "_sampled_class_sizes", unexpected)
     monkeypatch.setattr(invariants, "conjugacy_classes", unexpected)
     with pytest.raises(GroupTooLargeError):
         profile(alternating_group(10), cap=DEFAULT_CAP)
@@ -330,15 +330,15 @@ def test_catalog_groups_need_no_fallback(catalog, monkeypatch):
 
 def test_conjugators_form_a_coset_of_the_centralizer():
     group = psl_group(2, 7)
-    chain = invariants._Chain(group)
+    bsgs = group.bsgs
     x = group.generators[0].images
     g = group.generators[1].images
     y = tuple(g[x[b]] for b in invariants._inverse(g))  # conjugate of x by g
-    centralizer = invariants._conjugators(chain, x, x, False)
-    conjugators = invariants._conjugators(chain, x, y, False)
+    centralizer = invariants._conjugators(bsgs, x, x, False)
+    conjugators = invariants._conjugators(bsgs, x, y, False)
     assert len(conjugators) == len(centralizer) == len(set(conjugators))
     assert all(c[x[p]] == y[c[p]] for c in conjugators for p in range(group.degree))
-    assert len(invariants._conjugators(chain, x, y, True)) == 1
+    assert len(invariants._conjugators(bsgs, x, y, True)) == 1
 
 
 def test_class_sizes_match_sympy(catalog):

@@ -1,10 +1,13 @@
+import hashlib
 import math
 import random
 
 import pytest
 
+from usets import perm
+from usets.invariants import profile
 from usets.perm import GroupTooLargeError, PermGroup, Permutation
-from usets.construct import alternating_group, symmetric_group
+from usets.construct import alternating_group, psl_group, symmetric_group
 
 
 def cyc(degree, *cycles):
@@ -135,6 +138,83 @@ class TestBSGS:
         g = PermGroup([Permutation.identity(4)])
         assert g.order() == 1
         assert g.elements() == [Permutation.identity(4)]
+
+
+# sha256 of (base, strong generators in order, every transversal element in
+# order) for every catalog group and for the groups the construct-bsgs
+# benchmark builds.  profile() draws its random elements from these
+# transversals in this order, so the digests also fix what it samples.
+CATALOG_CHAIN_DIGESTS = {
+    "A5": "61ef5a9ba8326895e12a572633cdc01d3cf99cc69b1e0233d89d19f5eaf4d030",
+    "A6": "768f6125d48271f201af9a81fb51a076232054610f2e74ac9275b82ba92d748a",
+    "A9": "2890549758e8226502d91127b8546c8e7fed041f60c60dcaf317db4b3e2ad3d6",
+    "A10": "d9ff46b65b19cb36235609dadddc19a9a75fb64f8a9e5a6cfae94b2e9d7945bb",
+    "M11": "9fa09ce58a5057b826265530f2ad19963a412ff04e4c9cf9959818c36c9ea8d9",
+    "PSL(2,4)": "964d36fa365d2e7458a4ad8224a9e64373fb1ce483530e2685bdd675263fd6e7",
+    "PSL(2,5)": "41183470de04fc76391a0308072c434e68bd4c2d1e224de4051367fea3dec5f3",
+    "PSL(2,7)": "70d3fb31954360972dfc15643d70286d727e306eb473795610bec5432591c6d1",
+    "PSL(2,8)": "77ff41df2cc7020238d2a856144bf89297f5d825a17b3b4c2e3425d867a8dc9a",
+    "PSL(2,9)": "fe792e3f1f1a8e9ce87e9ffe51b6e26ef8b30b7a5f6bbae731beb1884da2b018",
+    "PSL(2,11)": "83bc8adac6215a7eb4cd53667ab0f1dab6f70eec40cfb043866fe0642e177c8d",
+    "PSL(2,13)": "a36290979e6a0d9606edc72f710acb34214c74b3b7dc24761675d4d614b9627d",
+    "PSL(2,17)": "24b1c72a80a24ef017b469152a69a9e02dd2c769a851ff3f63d4cebb918113a5",
+    "PSL(3,3)": "428a2a7f6ebbf78a3119d67a24abda129fc4aa669007cc79087d86d38ca9f527",
+    "PSL(3,4)": "f0defc0a8cddf5abfc3c69498518779c65e4109b86fafebf3c66c62c708230f2",
+    "U3(3)": "2a85d983f2df6ac47f9ac6033b5c7fa91fa7dc650738469c1ebdacd5aff29d49",
+    "U4(2)": "0a94cd0cfdfb87f6a30e87583ab15434608d8ef62a73ad63a2f4a72a648bbe29",
+}
+BUILT_CHAIN_DIGESTS = {
+    ("PSL", 2, 19): "8ea8a8e76d2f4f6e15b4857ecd021c62067f8d6c02fe38889b834a8e2212ee24",
+    ("PSL", 3, 4): "f0defc0a8cddf5abfc3c69498518779c65e4109b86fafebf3c66c62c708230f2",
+    ("PSL", 2, 25): "7626307e84d0cdab1927f5194436563bd52f4df5863d82e478fa0d9a6a59557c",
+    ("PSL", 3, 5): "1ce23680e65f55f7b2b323e406f7c8df3709a61e7e5cc8771acbf02dea740ddf",
+    ("PSL", 5, 2): "c9a35c7823b822aa05b148d37488ef87b03efa720c42b4d1c1ff0f4be0626c59",
+    ("PSL", 4, 3): "abc5673c4c00c9ba4379375ed6c821651a55e7afedeeb431c6323db67b2581d1",
+    ("PSL", 2, 47): "1b40ebe870a62ce55661c78904206344b411ed879801c3cc5724f53b35d72826",
+    ("PSL", 3, 7): "3f9df8a55756857ee7bfdc3c8aa48918787a4d3414940c10268888ef6ae9362a",
+    ("PSL", 6, 2): "1f1fe8d65ef3d03410649cb586ef05d5ce0166360c8f16e164903c8bc300b5a8",
+    ("PSL", 3, 8): "51e8adc8a445a3b132f9104963a844cc26786809381ec6a5f352fe2201cba2d9",
+    ("PSL", 2, 81): "a4104219ff3ff2ed6f9a3e22520178ac0938b9b6d9dc327151f57d4990736a87",
+    ("PSL", 4, 4): "093d46f595ee55fcc2ce4892271c0277a2981edcf7e5ed8a3b5fe763013334ca",
+    ("PSL", 3, 9): "c3a320b6d8663828de0039bc5cc2106e6e55fda997a8132e833cf72450f99cc7",
+    ("PSL", 2, 113): "0e8bde8660771861c3365fa0e362802a5f58cce4129e11f4f5ea56db22aab374",
+    ("Alt", 12): "b375200e95b4bdff03195f144fea7a47148a3fb5c2ef03378f521130722080c8",
+    ("Alt", 16): "caf582b527c66bcc141f32582afa8a87b1717045ea1447b678cd91ec5da48116",
+    ("Alt", 20): "dbee38c6c058c77968ed4904559493caee0186ac4ec7a7cfaf4e8724ef8fdf0b",
+    ("Alt", 24): "57e19f58acfb169c2ab36bc50e47641a48941498feaef86a43f150c123453d39",
+}
+
+
+def chain_digest(group):
+    bsgs = group.bsgs
+    chain = (bsgs.base, tuple(g.images for g in bsgs.strong_generators),
+             tuple(u.images for level in range(len(bsgs.base))
+                   for u in bsgs.transversal(level).values()))
+    return hashlib.sha256(repr(chain).encode()).hexdigest()
+
+
+def test_catalog_chains_are_pinned(catalog):
+    assert sorted(catalog.names()) == sorted(CATALOG_CHAIN_DIGESTS)
+    for name, digest in CATALOG_CHAIN_DIGESTS.items():
+        assert chain_digest(catalog.get(name)) == digest, name
+
+
+def test_built_chains_are_pinned():
+    for spec, digest in BUILT_CHAIN_DIGESTS.items():
+        group = psl_group(*spec[1:]) if spec[0] == "PSL" else alternating_group(spec[1])
+        assert chain_digest(group) == digest, spec
+
+
+def test_sifting_and_sampling_never_invert(monkeypatch):
+    group = psl_group(2, 11)
+    group.order()  # builds the chain
+
+    def refuse(_images):
+        raise AssertionError("a permutation was inverted")
+    monkeypatch.setattr(perm, "_inverse", refuse)
+    assert group.contains(group.generators[0] * group.generators[1])
+    assert not group.contains(cyc(12, (0, 1)))  # PSL(2,11) has no transposition
+    assert profile(group).U == {1, 55, 120, 220, 264}
 
 
 class TestContains:

@@ -72,6 +72,12 @@ def test_selection_rejects_unknown_ids(catalog):
         run_verification(["nonsense"], catalog=catalog)
 
 
+def test_empty_selection_is_refused(catalog):
+    # a run that checks nothing must not read as a pass
+    with pytest.raises(ValueError, match="^no check ids selected$"):
+        run_verification([], catalog=catalog)
+
+
 def test_json_round_trip(report):
     parsed = json.loads(report.to_json())
     assert parsed["summary"] == report.summary

@@ -16,10 +16,10 @@ per class and its centralizer order, not the elements of G.  It draws
 uniform random elements from the group's :class:`usets.perm.BSGS` (one
 transversal element per level, from a fixed-seed generator, so runs
 repeat exactly) and takes each draw's powers too.  A backtrack search
-over the same chain, :func:`_conjugators`, both tests whether an element
-is conjugate to a known representative with the same cycle type and
-counts |C_G(x)|; it reads the chain's stored inverses and orbit labels
-as they are, and a :class:`_Budget` counts its work.
+over the same chain, :func:`_conjugators`, counts conjugators without
+listing them: it tests x against the known representatives of its cycle
+type and gives |C_G(x)|.  It reads the chain's stored inverses and orbit
+labels as they are, and a :class:`_Budget` counts its work.
 Sampling stops when the class equation sum |G|/|C_G(x_i)| = |G| closes,
 which certifies that every class was found.  When the searches would
 cost more than enumerating the group (groups with large centralizers,
@@ -29,15 +29,15 @@ generators; that path also supplies the minimal class representatives.
 Output order is canonical (by size, then by a minimal representative),
 independent of the order in which generators were supplied.
 
-:func:`profile`, :func:`conjugacy_classes` and :func:`centralizer_count`
-take a ``cap`` on the group order, by default :data:`usets.perm.DEFAULT_CAP`,
-and refuse a larger group with :class:`usets.perm.GroupTooLargeError`
-whichever path they would take.
+:func:`centralizer_count` lists the group and carries C(x^s) = C(x)^s
+along the class walk of :func:`conjugacy_classes`.  These two and
+:func:`profile` take a ``cap`` on the group order, by default
+:data:`usets.perm.DEFAULT_CAP`, and refuse a larger group with
+:class:`usets.perm.GroupTooLargeError` whichever path they would take.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -128,13 +128,13 @@ class _Budget:
     """Counts search nodes and sampled elements; past ``limit`` the next
     one raises :class:`_WorkLimitExceeded`."""
 
-    def __init__(self, limit: int | None = None):
+    def __init__(self, limit: int):
         self.work = 0
         self.limit = limit
 
     def tick(self) -> None:
         self.work += 1
-        if self.limit is not None and self.work > self.limit:
+        if self.work > self.limit:
             raise _WorkLimitExceeded
 
 
@@ -148,12 +148,15 @@ def _random_element(bsgs: BSGS, rng: random.Random, budget: _Budget) -> RawPerm:
     return g
 
 
-def _cycle_lengths(x: RawPerm) -> list[int]:
-    """For each point, the length of its cycle under x."""
+def _cycle_lengths(x: RawPerm) -> tuple[list[int], list[int]]:
+    """For each point, the length of its cycle under x; and the smallest
+    point of each cycle, ascending."""
     lengths = [0] * len(x)
+    starts = []
     for start in range(len(x)):
         if lengths[start]:
             continue
+        starts.append(start)
         cycle = [start]
         pt = x[start]
         while pt != start:
@@ -161,15 +164,15 @@ def _cycle_lengths(x: RawPerm) -> list[int]:
             pt = x[pt]
         for pt in cycle:
             lengths[pt] = len(cycle)
-    return lengths
+    return lengths, starts
 
 
 def _conjugators(bsgs: BSGS, x: RawPerm, y: RawPerm, first_only: bool,
-                 budget: _Budget | None = None) -> list[RawPerm]:
-    """The elements g of the group of ``bsgs`` with g(x(p)) = y(g(p)) for every
-    point p, i.e. those conjugating x to y, for x and y in the group; only
-    the first one found when ``first_only``.  With y = x they form the
-    centralizer C_G(x).
+                 budget: _Budget) -> int:
+    """The number of elements g of the group of ``bsgs`` with g(x(p)) =
+    y(g(p)) for every point p, i.e. of those conjugating x to y, for x and
+    y in the group; with ``first_only``, 1 if there is one and 0 if not.
+    With y = x the count is |C_G(x)|.
 
     A group element is g = t_j(h) with t_j = u_0 u_1 ... u_{j-1} fixed by
     the choices at levels 0..j-1 and h in G^(j).  ``phi`` holds the
@@ -178,42 +181,36 @@ def _conjugators(bsgs: BSGS, x: RawPerm, y: RawPerm, first_only: bool,
     y-cycle of the same length that no other x-cycle maps to.  A node
     survives only if, for every p with a required image, h(p) =
     t_j^-1(phi[p]) lies in the G^(j)-orbit of p.  A leaf is a single
-    element, tested on every point.
+    element, tested on every point, and counts one.
 
     If g conjugates x to y then so does y^i(g), which maps the first base
     point i steps further along its y-cycle.  So the first level tries
-    one point per y-cycle, and the other conjugators are the y-powers
-    times those found.
+    one point per y-cycle, and the count is the leaves times the length
+    of the x-cycle through the first base point.
     """
     degree, base, labels = bsgs.degree, bsgs.base, bsgs.orbit_labels
-    budget = budget or _Budget()
     depth = len(base)
-    x_len, y_len = _cycle_lengths(x), _cycle_lengths(y)
+    (x_len, _), (y_len, y_starts) = _cycle_lengths(x), _cycle_lengths(y)
     by_len: dict[int, list[int]] = {}
-    first_by_len: dict[int, list[int]] = {}  # the smallest point of each y-cycle
-    seen = bytearray(degree)
     for c in range(degree):
         by_len.setdefault(y_len[c], []).append(c)
-        if not seen[c]:
-            first_by_len.setdefault(y_len[c], []).append(c)
-            q = c
-            while not seen[q]:
-                seen[q] = 1
-                q = y[q]
+    # the smallest point of each y-cycle
+    first_by_len = {n: [c for c in y_starts if y_len[c] == n] for n in by_len}
     phi = [-1] * degree
     taken = bytearray(degree)  # points already in the image of phi
     assigned: list[int] = []   # the points phi is defined on
-    found: list[RawPerm] = []
+    leaves = 0
 
     def search(j: int, hinv: RawPerm) -> bool:
         """Extend t_j, given as its inverse; True once the search may stop."""
+        nonlocal leaves
         budget.tick()
         label = labels[j]
         if any(label[hinv[phi[p]]] != label[p] for p in assigned):
             return False
         if j == depth:
             if all(x[hinv[q]] == hinv[y[q]] for q in range(degree)):
-                found.append(_inverse(hinv))
+                leaves += 1
                 return first_only
             return False
         b = base[j]
@@ -242,14 +239,7 @@ def _conjugators(bsgs: BSGS, x: RawPerm, y: RawPerm, first_only: bool,
         return False
 
     search(0, tuple(range(degree)))
-    if first_only or not depth:
-        return found
-    out = list(found)
-    power = y
-    for _ in range(x_len[base[0]] - 1):
-        out.extend(tuple(power[v] for v in g) for g in found)
-        power = _compose(power, y)
-    return out
+    return leaves if first_only or not depth else leaves * x_len[base[0]]
 
 
 def _sampled_class_sizes(bsgs: BSGS, budget: _Budget) -> list[int]:
@@ -273,11 +263,11 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget) -> list[int]:
         x = pending.pop() if pending else _random_element(bsgs, rng, budget)
         if x == identity:
             continue
-        known = reps.setdefault(tuple(sorted(_cycle_lengths(x))), [])
+        known = reps.setdefault(tuple(sorted(_cycle_lengths(x)[0])), [])
         if any(_conjugators(bsgs, x, r, True, budget) for r in known):
             continue
         known.append(x)
-        size = order // len(_conjugators(bsgs, x, x, False, budget))
+        size = order // _conjugators(bsgs, x, x, False, budget)
         sizes.append(size)
         total += size
         power = _compose(x, x)
@@ -324,22 +314,31 @@ def _profile_from_sizes(order: int, sizes: Sequence[int]) -> InvariantProfile:
 def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
     """Number of distinct centralizer subgroups {C(x) : x in G}.
 
-    Each centralizer is fingerprinted as the set of its elements, found
-    by the backtrack search for the elements commuting with x.  C(x) =
-    C(x^k) whenever gcd(k, |x|) = 1, so one search serves every generator
-    of the cyclic subgroup <x>.  The group is enumerated, so the cap
-    check of that enumeration refuses a group above ``cap`` before any
-    search starts.
+    The group is listed (so its cap check refuses a group above ``cap``
+    before any other work) and its classes are walked as in
+    :func:`conjugacy_classes`.  The first element x of a class gets C(x),
+    the listed elements commuting with x; an element y = x^s reached by a
+    generator s gets C(y) = C(x)^s, one conjugation per element of C(x).
+    Equal centralizers, as sets of elements, are kept once.
     """
-    identity = tuple(range(group.degree))
-    done: set[RawPerm] = set()
-    centralizers = set()
-    for x in group._element_images(cap):
-        if x in done:
+    elems = group._element_images(cap)
+    gen_pairs = [(g, _inverse(g)) for g in group._raw_generators()]
+    seen: set[RawPerm] = set()
+    distinct: dict[frozenset[RawPerm], frozenset[RawPerm]] = {}
+    for x in elems:
+        if x in seen:
             continue
-        centralizers.add(frozenset(_conjugators(group.bsgs, x, x, False)))
-        powers = [x]  # x^1, ..., x^|x| = identity
-        while powers[-1] != identity:
-            powers.append(_compose(powers[-1], x))
-        done.update(g for k, g in enumerate(powers, 1) if math.gcd(k, len(powers)) == 1)
-    return len(centralizers)
+        seen.add(x)
+        c = frozenset(g for g in elems if all(g[xb] == x[gb] for xb, gb in zip(x, g)))
+        layer = [(x, distinct.setdefault(c, c))]
+        while layer:
+            new_elems = []
+            for y, cy in layer:
+                for g, ginv in gen_pairs:
+                    z = tuple(g[y[b]] for b in ginv)  # conjugate of y by g
+                    if z not in seen:
+                        seen.add(z)
+                        c = frozenset(tuple(g[h[b]] for b in ginv) for h in cy)
+                        new_elems.append((z, distinct.setdefault(c, c)))
+            layer = new_elems
+    return len(distinct)

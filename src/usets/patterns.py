@@ -304,10 +304,11 @@ def match_pattern(pattern: USetPattern | str, target: Iterable[int],
         raise ValueError("prime bound must be at least 2")
     pat = _as_pattern(pattern)
     goal = set(target)
+    if len(goal) != len(pat.terms):  # distinct term values cannot make up the target
+        return []
     symbols = pat.symbols
     if not symbols:
-        values = instantiate_pattern(pat, {})
-        return [{}] if not duplicate_values(values) and set(values) == goal else []
+        return [{}] if set(instantiate_pattern(pat, {})) == goal else []
     autos = _pattern_automorphisms(pat)
     primes = _prime_divisors(goal, bound)
     due = [[t for t in pat.terms if t.symbols and t.symbols[-1] == s] for s in symbols]
@@ -321,8 +322,7 @@ def match_pattern(pattern: USetPattern | str, target: Iterable[int],
                 orbit_min = min(tuple(assignment[m[s]] for s in symbols) for m in autos)
                 if combo != orbit_min:
                     return
-            values = instantiate_pattern(pat, assignment)
-            if not duplicate_values(values) and set(values) == goal:
+            if set(instantiate_pattern(pat, assignment)) == goal:
                 out.append(dict(assignment))
             return
         for p in primes:

@@ -108,6 +108,16 @@ def test_pattern_match_no_result(capsys):
     assert out == "no assignment matches"
 
 
+def test_pattern_match_refuses_a_target_of_the_wrong_size_at_once(capsys):
+    # six target values for five terms: no factoring of the large prime
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "pattern", "match",
+                       "--pattern", "1,rq,8pq,4qr,8pr",
+                       "--target", "1,55,120,220,264,100000000000031", "--bound", "10000000")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (0, "no assignment matches")
+
+
 def test_solve_psl2(capsys):
     assert run(capsys, "solve-psl2", "660")[1] == "11"
     assert run(capsys, "solve-psl2", "661")[1] == "none"

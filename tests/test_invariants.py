@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from usets import invariants
-from usets.construct import alternating_group, psl_group, symmetric_group
+from usets.construct import alternating_group, m11_group, psl_group, symmetric_group
 from usets.invariants import (
     centralizer_count,
     conjugacy_classes,
@@ -178,9 +179,16 @@ class TestCentralizerCount:
         (lambda: alternating_group(5), 22),
         (lambda: psl_group(2, 7), 79),
         (lambda: psl_group(2, 11), 189),
+        (lambda: psl_group(2, 13), 275),
+        (m11_group, 2081),
     ])
     def test_known_counts(self, group_builder, expected):
         assert centralizer_count(group_builder()) == expected
+
+    def test_repeated_and_identity_generators(self):
+        g = psl_group(2, 7)
+        padded = PermGroup(list(g.generators) * 2 + [Permutation.identity(g.degree)])
+        assert centralizer_count(padded) == centralizer_count(g) == 79
 
     @pytest.mark.parametrize("group_builder", [
         lambda: symmetric_group(4),
@@ -328,17 +336,51 @@ def test_catalog_groups_need_no_fallback(catalog, monkeypatch):
         assert sum(profile(group).class_sizes) == group.order()
 
 
-def test_conjugators_form_a_coset_of_the_centralizer():
-    group = psl_group(2, 7)
+def conjugate(x, g):
+    """g x g^-1, the y with y(g(p)) = g(x(p)) for every point p."""
+    y = [0] * len(x)
+    for p in range(len(x)):
+        y[g[p]] = g[x[p]]
+    return tuple(y)
+
+
+@pytest.mark.parametrize("group_builder", [lambda: psl_group(2, 7), lambda: alternating_group(5)],
+                         ids=["PSL(2,7)", "A5"])
+def test_conjugator_counts_match_brute_force(group_builder):
+    group = group_builder()
+    elems = sorted(g.images for g in brute_force_elements(group))
     bsgs = group.bsgs
-    x = group.generators[0].images
-    g = group.generators[1].images
-    y = tuple(g[x[b]] for b in invariants._inverse(g))  # conjugate of x by g
-    centralizer = invariants._conjugators(bsgs, x, x, False)
-    conjugators = invariants._conjugators(bsgs, x, y, False)
-    assert len(conjugators) == len(centralizer) == len(set(conjugators))
-    assert all(c[x[p]] == y[c[p]] for c in conjugators for p in range(group.degree))
-    assert len(invariants._conjugators(bsgs, x, y, True)) == 1
+    budget = invariants._Budget(10 ** 9)
+    seen = Counter()
+    for x in [elems[0]] + random.Random(0).sample(elems, 6):  # the identity first
+        counts = Counter(conjugate(x, g) for g in elems)
+        for y in elems:
+            assert invariants._conjugators(bsgs, x, y, False, budget) == counts[y]
+            assert invariants._conjugators(bsgs, x, y, True, budget) == (counts[y] > 0)
+            seen[counts[y] > 0] += 1
+    assert seen[True] and seen[False]  # conjugate and non-conjugate pairs
+
+
+def test_profile_never_inverts(monkeypatch):
+    group = psl_group(2, 11)
+    group.order()  # builds the chain
+
+    def refuse(_images):
+        raise AssertionError("a permutation was inverted")
+    monkeypatch.setattr(invariants, "_inverse", refuse)
+    assert profile(group).U == {1, 55, 120, 220, 264}
+
+
+def test_a10_profile_memory_stays_small():
+    group = alternating_group(10)
+    group.order()  # builds the chain
+    tracemalloc.start()
+    try:
+        profile(group, cap=2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_class_sizes_match_sympy(catalog):

@@ -121,6 +121,13 @@ class TestMatch:
         assert match_pattern("1", {1}, 100) == [{}]
         assert match_pattern("1,rq", {1}, 100) == []
 
+    def test_target_size_differs_from_term_count(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("factored a target that cannot match")
+        monkeypatch.setattr(patterns, "_prime_divisors", refuse)
+        assert match_pattern("1,rq,8pq,4qr,8pr", {1, 55, 120, 220, 264, 100000000000031}, 10 ** 7) == []
+        assert match_pattern("1,rq,8pq,4qr,8pr", {1, 55, 120, 220}, 100) == []
+
     def test_round_trip_on_matches(self):
         target = {1, 45, 80, 90, 144}
         for assignment in match_pattern("1,r^2q,16q,2r^2q,16r^2", target, 100):

@@ -275,7 +275,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CatalogError, GroupTooLargeError, ValueError) as exc:
+    except (CatalogError, GroupTooLargeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,7 @@
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -268,3 +270,31 @@ def test_every_subcommand_emits_valid_json(capsys, argv):
     code, out, _ = run(capsys, "--format", "json", *argv)
     assert code == 0
     assert isinstance(json.loads(out), dict)
+
+
+def readme_command_lines():
+    """The ``usets ...`` lines of the README's "Command line" block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("usets ")]
+
+
+def test_readme_command_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # `verify paper --report report.json` writes here
+    lines = readme_command_lines()
+    assert len(lines) == 9
+    shown = 0
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, err)
+        if "# ->" in line:  # the value shown runs up to a double space
+            assert out == line.split("# ->", 1)[1].strip().split("  ")[0], line
+            shown += 1
+    assert shown == 2
+
+
+def test_unwritable_report_path_is_an_error(capsys, tmp_path):
+    code, _, err = run(capsys, "verify", "paper", "--only", "psl2-order-solve",
+                       "--report", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -126,6 +127,19 @@ def test_classes_independent_of_generating_set():
                        Permutation.from_cycles(5, (2, 3, 4))])
     assert other.order() == 60
     assert conjugacy_classes(a5) == conjugacy_classes(other)
+
+
+# sha256 of (name, [(size, representative images), ...]) for every catalog
+# group of order <= 25 920, in catalog order: the class tables of
+# conjugacy_classes, sizes and minimal representatives alike.
+CLASS_TABLE_DIGEST = "3528a8305743d0288cb655e7bc9d20b1261a87dfc46aaa33f1ded872d7e70d86"
+
+
+def test_catalog_class_tables_are_pinned(catalog):
+    table = [(e.name, [(c.size, c.representative.images) for c in conjugacy_classes(e.group())])
+             for e in catalog.entries(max_order=25920)]
+    assert len(table) == 15
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == CLASS_TABLE_DIGEST
 
 
 def test_profile_serialization_field_names():

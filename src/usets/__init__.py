@@ -34,7 +34,6 @@ from .invariants import (
 )
 from .patterns import (
     USetPattern,
-    classify_k,
     enumerate_collision_assignments,
     feasibility_check,
     instantiate_pattern,
@@ -62,7 +61,6 @@ __all__ = [
     "alternating_group",
     "centralizer_count",
     "classical_order",
-    "classify_k",
     "conjugacy_classes",
     "default_catalog",
     "enumerate_collision_assignments",

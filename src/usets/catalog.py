@@ -29,7 +29,7 @@ from typing import Callable, Iterable
 from .construct import (alternating_group, classical_order, m11_group, psl_group,
                         u3_3_group, u4_2_group)
 from .invariants import InvariantProfile, profile
-from .patterns import classify_k
+from .patterns import factorize
 from .perm import DEFAULT_CAP, PermGroup, Permutation, check_cap
 
 
@@ -163,7 +163,7 @@ class CatalogEntry:
     @property
     def k(self) -> int:
         """Number of distinct primes dividing the order."""
-        return classify_k(self.expected_order)[0]
+        return len(factorize(self.expected_order))
 
 
 def load_generator_file(path: Path | str) -> CatalogEntry:

@@ -29,11 +29,13 @@ generators; that path also supplies the minimal class representatives.
 Output order is canonical (by size, then by a minimal representative),
 independent of the order in which generators were supplied.
 
-:func:`centralizer_count` lists the group and carries C(x^s) = C(x)^s
-along the class walk of :func:`conjugacy_classes`.  These two and
-:func:`profile` take a ``cap`` on the group order, by default
-:data:`usets.perm.DEFAULT_CAP`, and refuse a larger group with
-:class:`usets.perm.GroupTooLargeError` whichever path they would take.
+Both :func:`conjugacy_classes` and :func:`centralizer_count` list the
+group and walk its classes with the one conjugation-orbit walk,
+:func:`_class_walk`; :func:`centralizer_count` carries C(x^s) = C(x)^s
+along it.  These two and :func:`profile` take a ``cap`` on the group
+order, by default :data:`usets.perm.DEFAULT_CAP`, and refuse a larger
+group with :class:`usets.perm.GroupTooLargeError` whichever path they
+would take.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .patterns import prime_factors
+from .patterns import factorize
 from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose, _inverse,
                    check_cap)
 
@@ -87,35 +89,38 @@ class InvariantProfile:
         }
 
 
-def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_CAP) -> list[ConjClass]:
-    """All conjugacy classes, sorted by (size, representative images)."""
-    elems = group._element_images(cap)
+def _class_walk(group: PermGroup, elems: list[RawPerm]):
+    """The conjugacy classes of a group listed as ``elems``, one at a time.
+
+    Each class is yielded as ``(members, via)``.  ``members`` starts at
+    the first listed element not yet reached and lists the class in
+    breadth-first order under conjugation by the generators.  ``via[i]``
+    is ``(k, (g, g^-1))`` for members[i + 1], which is members[k]
+    conjugated by g.
+    """
     index = {t: i for i, t in enumerate(elems)}
     gen_pairs = [(g, _inverse(g)) for g in group._raw_generators()]
     visited = bytearray(len(elems))
-    found = []
     for i, start in enumerate(elems):
         if visited[i]:
             continue
         visited[i] = 1
-        size = 1
-        rep = start
-        layer = [start]
-        while layer:
-            new_elems = []
-            for x in layer:
-                for g, ginv in gen_pairs:
-                    y = tuple(g[x[b]] for b in ginv)  # conjugate of x by g
-                    j = index[y]
-                    if not visited[j]:
-                        visited[j] = 1
-                        new_elems.append(y)
-                        if y < rep:
-                            rep = y
-            size += len(new_elems)
-            layer = new_elems
-        found.append((size, rep))
-    found.sort()
+        members, via = [start], []
+        for k, x in enumerate(members):  # members grows while it is read
+            for pair in gen_pairs:
+                g, ginv = pair
+                j = index[tuple(g[x[b]] for b in ginv)]  # conjugate of x by g
+                if not visited[j]:
+                    visited[j] = 1
+                    members.append(elems[j])
+                    via.append((k, pair))
+        yield members, via
+
+
+def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_CAP) -> list[ConjClass]:
+    """All conjugacy classes, sorted by (size, representative images)."""
+    elems = group._element_images(cap)
+    found = sorted((len(members), min(members)) for members, _ in _class_walk(group, elems))
     return [ConjClass(Permutation._wrap(rep), size, Permutation._wrap(rep).order())
             for size, rep in found]
 
@@ -307,7 +312,7 @@ def _profile_from_sizes(order: int, sizes: Sequence[int]) -> InvariantProfile:
         class_count=len(sizes),
         u_map=u_map,
         U=frozenset(u_map.values()),
-        pi=frozenset(prime_factors(order)),
+        pi=frozenset(factorize(order)),
     )
 
 
@@ -315,30 +320,19 @@ def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
     """Number of distinct centralizer subgroups {C(x) : x in G}.
 
     The group is listed (so its cap check refuses a group above ``cap``
-    before any other work) and its classes are walked as in
-    :func:`conjugacy_classes`.  The first element x of a class gets C(x),
-    the listed elements commuting with x; an element y = x^s reached by a
-    generator s gets C(y) = C(x)^s, one conjugation per element of C(x).
+    before any other work) and its classes are walked by
+    :func:`_class_walk`.  The first member x of a class gets C(x), the
+    listed elements commuting with x; a member y = z^g reached from z by
+    a generator g gets C(y) = C(z)^g, one conjugation per element of C(z).
     Equal centralizers, as sets of elements, are kept once.
     """
     elems = group._element_images(cap)
-    gen_pairs = [(g, _inverse(g)) for g in group._raw_generators()]
-    seen: set[RawPerm] = set()
     distinct: dict[frozenset[RawPerm], frozenset[RawPerm]] = {}
-    for x in elems:
-        if x in seen:
-            continue
-        seen.add(x)
+    for members, via in _class_walk(group, elems):
+        x = members[0]
         c = frozenset(g for g in elems if all(g[xb] == x[gb] for xb, gb in zip(x, g)))
-        layer = [(x, distinct.setdefault(c, c))]
-        while layer:
-            new_elems = []
-            for y, cy in layer:
-                for g, ginv in gen_pairs:
-                    z = tuple(g[y[b]] for b in ginv)  # conjugate of y by g
-                    if z not in seen:
-                        seen.add(z)
-                        c = frozenset(tuple(g[h[b]] for b in ginv) for h in cy)
-                        new_elems.append((z, distinct.setdefault(c, c)))
-            layer = new_elems
+        cents = [distinct.setdefault(c, c)]  # C(members[i])
+        for k, (g, ginv) in via:
+            c = frozenset(tuple(g[h[b]] for b in ginv) for h in cents[k])
+            cents.append(distinct.setdefault(c, c))
     return len(distinct)

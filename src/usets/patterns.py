@@ -36,43 +36,32 @@ from typing import Iterable, Mapping
 SYMBOLS = ("p", "q", "r")
 
 # ---------------------------------------------------------------------------
-# integer utilities
+# integer utilities: factorize is the one trial division, and every prime
+# question here and in match_pattern is answered from a factorization.
 
 
-def is_prime(n: int) -> bool:
-    return n > 1 and factorize(n) == {n: 1}
-
-
-def primes_up_to(bound: int) -> list[int]:
-    if bound < 2:
-        return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for n in range(2, int(math.isqrt(bound)) + 1):
-        if sieve[n]:
-            sieve[n * n :: n] = bytearray(len(sieve[n * n :: n]))
-    return [n for n, flag in enumerate(sieve) if flag]
-
-
-def factorize(n: int) -> dict[int, int]:
+def factorize(n: int, bound: int | None = None) -> dict[int, int]:
     """Prime factorization by trial division; the product of p**e
-    reconstructs n."""
+    reconstructs n.  With a ``bound``, trial divisors stop at ``bound``:
+    every key <= bound is prime, and the last key may be a composite
+    cofactor above it."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
+    bound = n if bound is None else bound
     out: dict[int, int] = {}
     f = 2
-    while f * f <= n:
+    while f <= bound and f * f <= n:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
         f += 1 if f == 2 else 2
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] = 1
     return out
 
 
-def prime_factors(n: int) -> tuple[int, ...]:
-    return tuple(sorted(factorize(n))) if n > 1 else ()
+def is_prime(n: int) -> bool:
+    return n > 1 and factorize(n) == {n: 1}
 
 
 def is_prime_power(n: int) -> bool:
@@ -81,27 +70,18 @@ def is_prime_power(n: int) -> bool:
     constraint)."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    return len(factorize(n)) == 1 if n > 1 else False
+    return len(factorize(n)) == 1
 
 
-def classify_k(order: int) -> tuple[int, dict[int, int]]:
-    """Number of distinct prime divisors of a group order, plus its full
-    factorization (a k_n classification for simple groups)."""
-    if order < 2:
-        raise ValueError(f"group order must be at least 2, got {order}")
-    factors = factorize(order)
-    return len(factors), factors
+def primes_up_to(bound: int) -> list[int]:
+    return [n for n in range(bound + 1) if is_prime(n)]
 
 
 def divisors(n: int) -> list[int]:
-    out = []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            if f != n // f:
-                out.append(n // f)
-        f += 1
+    """The positive divisors of n >= 1, ascending."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
 
 
@@ -261,26 +241,6 @@ def _pattern_automorphisms(pat: USetPattern) -> list[dict[str, str]]:
     return out
 
 
-def _prime_divisors(values: Iterable[int], bound: int) -> list[int]:
-    """Ascending primes <= bound dividing some positive value, found by
-    trial division up to min(bound, sqrt(v)); a cofactor <= bound is prime.
-
-    This is not :func:`factorize`: stopping at ``bound`` keeps a small
-    ``bound`` cheap on a target value with a large prime factor."""
-    found = set()
-    for v in values:
-        f = 2
-        while f <= bound and f * f <= v:
-            if v % f == 0:
-                found.add(f)
-                while v % f == 0:
-                    v //= f
-            f += 1 if f == 2 else 2
-        if 1 < v <= bound:
-            found.add(v)
-    return sorted(found)
-
-
 def match_pattern(pattern: USetPattern | str, target: Iterable[int],
                   bound: int) -> list[dict[str, int]]:
     """All prime assignments (primes <= bound) whose instantiation equals
@@ -296,9 +256,10 @@ def match_pattern(pattern: USetPattern | str, target: Iterable[int],
     and prunes by two consequences of the exact-set test: every term's
     value lies in the target, so a symbol only takes primes that divide
     some target value, and a term is tested as soon as its last symbol
-    is assigned.  Trial division of the target values finds the candidate
-    primes, so ``bound`` does not set the cost; the order of the results
-    is that of trying every tuple of primes.
+    is assigned.  Trial division of the target values, stopped at
+    ``bound``, finds the candidate primes, so ``bound`` caps the cost but
+    does not set it; target values below 1 have no prime divisors.  The
+    order of the results is that of trying every tuple of primes.
     """
     if bound < 2:
         raise ValueError("prime bound must be at least 2")
@@ -310,7 +271,7 @@ def match_pattern(pattern: USetPattern | str, target: Iterable[int],
     if not symbols:
         return [{}] if set(instantiate_pattern(pat, {})) == goal else []
     autos = _pattern_automorphisms(pat)
-    primes = _prime_divisors(goal, bound)
+    primes = sorted({f for v in goal if v > 0 for f in factorize(v, bound) if f <= bound})
     due = [[t for t in pat.terms if t.symbols and t.symbols[-1] == s] for s in symbols]
     assignment: dict[str, int] = {}
     out = []

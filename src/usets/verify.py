@@ -39,10 +39,11 @@ from .invariants import InvariantProfile, centralizer_count
 from .patterns import (
     USetPattern,
     admissible_size_options,
-    classify_k,
     enumerate_collision_assignments,
+    factorize,
     feasibility_check,
     instantiate_pattern,
+    is_prime_power,
     match_pattern,
     parse_term,
     primes_up_to,
@@ -227,10 +228,10 @@ PER_GROUP_ROWS = (
     ("divisibility", "every class size n of {g} divides its count u(n)", "derived",
      lambda p: (sorted(n for n in p.V if p.u_map[n] % n), [])),
     ("burnside", "{g} is simple, so no class size above 1 is a prime power", "derived",
-     lambda p: (sorted(n for n in p.V if n > 1 and len(classify_k(n)[1]) == 1), [])),
+     lambda p: (sorted(n for n in p.V if is_prime_power(n)), [])),
     ("prime-set", "{g} has trivial center, so the primes dividing the order are "
      "exactly those dividing some class size", "derived",
-     lambda p: (sorted({q for n in p.V if n > 1 for q in classify_k(n)[1]}), sorted(p.pi))),
+     lambda p: (sorted({q for n in p.V for q in factorize(n)}), sorted(p.pi))),
     ("center", "{g} has exactly one element in classes of size 1", "derived",
      lambda p: (p.u_map.get(1), 1)),
     ("feasibility", "the count multiset of {g} passes every necessary condition "
@@ -240,8 +241,7 @@ PER_GROUP_ROWS = (
 
 
 def _semiprimes(prof: InvariantProfile) -> list[int]:
-    return sorted(u for u in prof.U
-                  if u > 1 and sorted(classify_k(u)[1].values()) == [1, 1])
+    return sorted(u for u in prof.U if sorted(factorize(u).values()) == [1, 1])
 
 
 def _collision_options() -> tuple:
@@ -277,7 +277,7 @@ def _eliminate(shape: str, code: str) -> tuple:
 
 
 def _order_shape(l: int) -> tuple:
-    primes = sorted(classify_k(l * (l * l - 1))[1])
+    primes = sorted(factorize(l * (l * l - 1)))
     big = [p for p in primes if p > 3]
     computed = {"primes": primes, "large_distinct": sorted(set(big))}
     expected = {"primes": [2, 3] + big, "large_distinct": big}

@@ -12,7 +12,6 @@ from usets.patterns import (
     USetPattern,
     admissible_class_sizes,
     admissible_size_options,
-    classify_k,
     divisors,
     duplicate_values,
     enumerate_collision_assignments,
@@ -20,7 +19,6 @@ from usets.patterns import (
     feasibility_check,
     instantiate_pattern,
     integer_cube_root,
-    is_prime,
     is_prime_power,
     is_symbolic_prime_power,
     match_pattern,
@@ -121,10 +119,14 @@ class TestMatch:
         assert match_pattern("1", {1}, 100) == [{}]
         assert match_pattern("1,rq", {1}, 100) == []
 
+    def test_target_values_below_one_have_no_primes(self):
+        assert match_pattern("1,p", {0, 5}, 100) == []
+        assert match_pattern("1,p", {1, -5}, 100) == []
+
     def test_target_size_differs_from_term_count(self, monkeypatch):
         def refuse(*_args):
             raise AssertionError("factored a target that cannot match")
-        monkeypatch.setattr(patterns, "_prime_divisors", refuse)
+        monkeypatch.setattr(patterns, "factorize", refuse)
         assert match_pattern("1,rq,8pq,4qr,8pr", {1, 55, 120, 220, 264, 100000000000031}, 10 ** 7) == []
         assert match_pattern("1,rq,8pq,4qr,8pr", {1, 55, 120, 220}, 100) == []
 
@@ -342,12 +344,17 @@ class TestIntegerUtilities:
         with pytest.raises(ValueError):
             is_prime_power(0)
 
-    def test_classify_k(self):
-        assert classify_k(660) == (4, {2: 2, 3: 1, 5: 1, 11: 1})
-        assert classify_k(168)[0] == 3
-        assert classify_k(2) == (1, {2: 1})
-        with pytest.raises(ValueError):
-            classify_k(1)
+    def test_factorize(self):
+        assert factorize(660) == {2: 2, 3: 1, 5: 1, 11: 1}
+        assert len(factorize(168)) == 3
+        assert factorize(2) == {2: 1}
+        assert factorize(1) == {}
+        for bad in (0, -6):
+            with pytest.raises(ValueError):
+                factorize(bad)
+        assert factorize(660, 3) == {2: 2, 3: 1, 55: 1}  # 55 is a composite cofactor
+        assert factorize(660, 5) == {2: 2, 3: 1, 5: 1, 11: 1}
+        assert factorize(2 * 100000000000031, 100) == {2: 1, 100000000000031: 1}
 
     def test_factorize_reconstructs(self):
         for n in (2, 12, 660, 5616, 25920, 97):
@@ -357,11 +364,25 @@ class TestIntegerUtilities:
                 prod *= p ** e
             assert prod == n
 
-    def test_primes_up_to_against_trial_division(self):
-        assert primes_up_to(100) == [n for n in range(101) if is_prime(n)]
-
     def test_divisors(self):
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
+        for n in range(1, 2001):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+PRIMES_TO_1000 = [n for n in range(2, 1001) if all(n % d for d in range(2, n))]  # brute force
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 5), st.integers(2, 1000))
+def test_bounded_factorize_finds_exactly_the_small_prime_divisors(v, bound):
+    factors = factorize(v, bound)
+    assert sorted(f for f in factors if f <= bound) == \
+        [p for p in PRIMES_TO_1000 if p <= bound and v % p == 0]
+    prod = 1
+    for p, e in factors.items():
+        prod *= p ** e
+    assert prod == v
 
 
 class TestSolvePSL2Order:

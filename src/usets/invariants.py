@@ -109,7 +109,7 @@ def _class_walk(group: PermGroup, elems: list[RawPerm]):
         for k, x in enumerate(members):  # members grows while it is read
             for pair in gen_pairs:
                 g, ginv = pair
-                j = index[tuple(g[x[b]] for b in ginv)]  # conjugate of x by g
+                j = index[_compose(_compose(ginv, x), g)]  # conjugate of x by g
                 if not visited[j]:
                     visited[j] = 1
                     members.append(elems[j])
@@ -221,8 +221,7 @@ def _conjugators(bsgs: BSGS, x: RawPerm, y: RawPerm, first_only: bool,
         b = base[j]
         inverse = bsgs.inverses[j]
         if phi[b] >= 0:
-            uinv = inverse[hinv[phi[b]]]
-            return search(j + 1, tuple(uinv[w] for w in hinv))
+            return search(j + 1, _compose(hinv, inverse[hinv[phi[b]]]))
         length = x_len[b]
         for c in (first_by_len if j == 0 else by_len).get(length, ()):
             if taken[c] or label[hinv[c]] != label[b]:
@@ -233,8 +232,7 @@ def _conjugators(bsgs: BSGS, x: RawPerm, y: RawPerm, first_only: bool,
                 taken[q] = 1
                 assigned.append(p)
                 p, q = x[p], y[q]
-            uinv = inverse[hinv[c]]
-            stop = search(j + 1, tuple(uinv[w] for w in hinv))
+            stop = search(j + 1, _compose(hinv, inverse[hinv[c]]))
             for _ in range(length):
                 p = assigned.pop()
                 taken[phi[p]] = 0
@@ -333,6 +331,6 @@ def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
         c = frozenset(g for g in elems if all(g[xb] == x[gb] for xb, gb in zip(x, g)))
         cents = [distinct.setdefault(c, c)]  # C(members[i])
         for k, (g, ginv) in via:
-            c = frozenset(tuple(g[h[b]] for b in ginv) for h in cents[k])
+            c = frozenset(_compose(_compose(ginv, h), g) for h in cents[k])
             cents.append(distinct.setdefault(c, c))
     return len(distinct)

@@ -40,21 +40,62 @@ SYMBOLS = ("p", "q", "r")
 # question here and in match_pattern is answered from a factorization.
 
 
+#: Trial division alone runs up to this divisor; past it, a prime cofactor
+#: below _MR_LIMIT ends the search (see factorize).
+_TRIAL_ONLY = 1 << 16
+#: Miller-Rabin with the bases _MR_BASES has no strong pseudoprime below
+#: this bound (Sorenson and Webster, 2015), so the test is exact there.
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _miller_rabin(n: int) -> bool:
+    """Whether an odd n > 41 passes the strong-probable-prime test to
+    every base in _MR_BASES; for n < _MR_LIMIT, whether n is prime."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factorize(n: int, bound: int | None = None) -> dict[int, int]:
     """Prime factorization by trial division; the product of p**e
     reconstructs n.  With a ``bound``, trial divisors stop at ``bound``:
     every key <= bound is prime, and the last key may be a composite
-    cofactor above it."""
+    cofactor above it.
+
+    Divisors past 2**16 are tried only while the cofactor is not a prime
+    below _MR_LIMIT, which gives the same keys: a prime cofactor has no
+    divisor left to find.  A cofactor with two large prime factors is
+    still divided all the way."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     bound = n if bound is None else bound
     out: dict[int, int] = {}
     f = 2
-    while f <= bound and f * f <= n:
+    stop = min(bound, _TRIAL_ONLY)
+    while f <= stop and f * f <= n:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
         f += 1 if f == 2 else 2
+    # f is odd from here on, and the primality test runs once per cofactor
+    while f <= bound and f * f <= n and not (n < _MR_LIMIT and _miller_rabin(n)):
+        while n % f and f <= bound and f * f <= n:
+            f += 2
+        while f <= bound and n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
     if n > 1:
         out[n] = 1
     return out

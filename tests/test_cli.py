@@ -120,6 +120,19 @@ def test_pattern_match_refuses_a_target_of_the_wrong_size_at_once(capsys):
     assert (code, out) == (0, "no assignment matches")
 
 
+@pytest.mark.parametrize("prime,bound", [
+    ("100000000000031", "10000000"),         # 5·10^6 trial divisions without the prime test
+    ("1000000000000000003", "1000000000"),   # 5·10^8
+])
+def test_pattern_match_stops_dividing_a_large_prime_target(capsys, prime, bound):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "pattern", "match",
+                       "--pattern", "1,rq,8pq,4qr,8pr,p",
+                       "--target", f"1,55,120,220,264,{prime}", "--bound", bound)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "no assignment matches")
+
+
 def test_solve_psl2(capsys):
     assert run(capsys, "solve-psl2", "660")[1] == "11"
     assert run(capsys, "solve-psl2", "661")[1] == "none"

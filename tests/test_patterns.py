@@ -356,6 +356,22 @@ class TestIntegerUtilities:
         assert factorize(660, 5) == {2: 2, 3: 1, 5: 1, 11: 1}
         assert factorize(2 * 100000000000031, 100) == {2: 1, 100000000000031: 1}
 
+    def test_factorize_past_the_trial_division_only_range(self):
+        # cofactors above 2**16: prime ones end the search, composite ones
+        # (including strong pseudoprimes to the first 11 bases) do not
+        assert factorize(8 * 100000000000031) == {2: 3, 100000000000031: 1}
+        assert factorize(65537 * 65539) == {65537: 1, 65539: 1}
+        assert factorize(65537 ** 3 * 1000000007) == {65537: 3, 1000000007: 1}
+        assert factorize(3825123056546413051) == {149491: 1, 747451: 1, 34233211: 1}
+        assert factorize(3825123056546413051, 200000) == {149491: 1, 25587647795161: 1}
+
+    def test_miller_rabin_needs_all_thirteen_bases(self):
+        # a strong pseudoprime to the bases 2..37, and the least one to all
+        # thirteen, which is why the test is trusted only below it
+        assert not patterns._miller_rabin(318665857834031151167461)
+        assert patterns._miller_rabin(patterns._MR_LIMIT)
+        assert patterns._MR_LIMIT == 1287836182261 * 2575672364521
+
     def test_factorize_reconstructs(self):
         for n in (2, 12, 660, 5616, 25920, 97):
             points = factorize(n)
@@ -383,6 +399,16 @@ def test_bounded_factorize_finds_exactly_the_small_prime_divisors(v, bound):
     for p, e in factors.items():
         prod *= p ** e
     assert prod == v
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2, 1 << 18), st.integers(2, 1 << 18))
+def test_factorize_of_a_product_merges_the_factors(a, b):
+    # a and b factor by trial division below 2**9; a * b needs the range past 2**16
+    merged = dict(factorize(a))
+    for p, e in factorize(b).items():
+        merged[p] = merged.get(p, 0) + e
+    assert factorize(a * b) == merged
 
 
 class TestSolvePSL2Order:

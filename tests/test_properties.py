@@ -1,5 +1,6 @@
-"""Property tests: round trips of the text forms, and the CLI's exit codes
-over fuzzed arguments built from the real subcommands."""
+"""Property tests: round trips of the text forms, the stabilizer chain
+against a full-closure Schreier-Sims, and the CLI's exit codes over
+fuzzed arguments built from the real subcommands."""
 
 import contextlib
 import io
@@ -13,7 +14,7 @@ from usets import cli
 from usets.catalog import (default_catalog, load_generator_file, parse_cycle_notation,
                            write_generator_file)
 from usets.patterns import MAX_EXPONENT, SYMBOLS, Term, USetPattern
-from usets.perm import PermGroup, Permutation
+from usets.perm import PermGroup, Permutation, _schreier_sims
 
 
 @st.composite
@@ -46,6 +47,108 @@ def test_generator_file_round_trips(gens):
     loaded = entry.group()
     assert [g.images for g in loaded.generators] == [g.images for g in gens]
     assert entry.expected_order == loaded.order() == group.order()
+
+
+def full_closure_schreier_sims(raw_gens, degree):
+    """Schreier-Sims that re-sifts every Schreier generator of a level each
+    time the level is closed; (base, level generators, transversals,
+    inverses) as :class:`usets.perm.BSGS` stores them."""
+    ident = tuple(range(degree))
+    base, level_gens, transversals, inverses = [], [], [], []
+
+    def compose(a, b):
+        return tuple(b[x] for x in a)
+
+    def invert(a):
+        inv = [0] * len(a)
+        for i, j in enumerate(a):
+            inv[j] = i
+        return tuple(inv)
+
+    def sift(g, level):
+        for pt, inverse in zip(base[level:], inverses[level:]):
+            uinv = inverse.get(g[pt])
+            if uinv is None:
+                break
+            g = compose(g, uinv)
+        return g
+
+    def gens_at(i):
+        return [g for lvl in level_gens[i:] for g in lvl]
+
+    def new_level(pt):
+        base.append(pt)
+        level_gens.append([])
+        transversals.append((ident,))
+        inverses.append({pt: ident})
+
+    def rebuild_transversal(i):
+        trans = [None] * degree
+        trans[base[i]] = ident
+        frontier = [base[i]]
+        gens = gens_at(i)
+        while frontier:
+            new_pts = []
+            for gamma in frontier:
+                for s in gens:
+                    delta = s[gamma]
+                    if trans[delta] is None:
+                        trans[delta] = compose(trans[gamma], s)
+                        new_pts.append(delta)
+            frontier = sorted(new_pts)
+        transversals[i] = tuple(u for u in trans if u is not None)
+        inverses[i] = {gamma: invert(u) for gamma, u in enumerate(trans) if u is not None}
+
+    def add_nonmember(i, g):
+        if i == len(base):
+            new_level(min(x for x in range(degree) if g[x] != x))
+        if g[base[i]] == base[i]:
+            add_nonmember(i + 1, g)
+        else:
+            level_gens[i].append(g)
+        rebuild_transversal(i)
+        inverse = inverses[i]
+        gens = gens_at(i)
+        for gamma, u in zip(inverse, transversals[i]):
+            for s in gens:
+                schreier = compose(compose(u, s), inverse[s[gamma]])
+                if schreier == ident:
+                    continue
+                residue = sift(schreier, i + 1)
+                if residue != ident:
+                    add_nonmember(i + 1, residue)
+
+    moved = [x for g in raw_gens for x in range(degree) if g[x] != x]
+    if moved:
+        new_level(min(moved))
+    for g in raw_gens:
+        residue = sift(g, 0)
+        if residue != ident:
+            add_nonmember(0, residue)
+    return base, level_gens, transversals, inverses
+
+
+@st.composite
+def raw_generating_sets(draw):
+    """Degree 1-10; the identity and repeated generators are allowed."""
+    n = draw(st.integers(1, 10))
+    perm = st.permutations(range(n)).map(tuple)
+    gens = draw(st.lists(st.one_of(perm, perm, st.just(tuple(range(n)))),
+                         min_size=1, max_size=4))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2))
+    return n, draw(st.permutations(gens))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(raw_generating_sets())
+def test_chain_equals_full_closure_schreier_sims(case):
+    n, gens = case
+    bsgs = _schreier_sims(gens, n)
+    base, level_gens, transversals, inverses = full_closure_schreier_sims(gens, n)
+    assert bsgs.base == tuple(base)
+    assert bsgs._level_gens == level_gens
+    assert bsgs.transversals == transversals
+    assert [list(d.items()) for d in bsgs.inverses] == [list(d.items()) for d in inverses]
 
 
 terms = st.builds(

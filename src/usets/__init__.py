@@ -23,7 +23,6 @@ from .construct import (
     projectivize,
     psl_group,
     sl_generators,
-    symmetric_group,
 )
 from .invariants import (
     ConjClass,
@@ -76,5 +75,4 @@ __all__ = [
     "run_verification",
     "sl_generators",
     "solve_psl2_order",
-    "symmetric_group",
 ]

@@ -1,13 +1,13 @@
 """Concrete group families as permutation groups.
 
-Alternating and symmetric groups and M11 come from fixed generator
-patterns; PSL(n,q) is realized as the image of SL(n,q), generated by
-elementary transvections, acting on the points of projective
-(n-1)-space.  Scalar matrices act trivially on projective points, so the
-permutation image of SL(n,q) is exactly PSL(n,q); class-size invariants
-only depend on the abstract group, so no explicit coset construction is
-needed.  U3(3) and U4(2) are SU(3,3) and PSp(4,3) acting the same way,
-each generated by a few transvections of its form.
+Alternating groups and M11 come from fixed generator patterns;
+PSL(n,q) is realized as the image of SL(n,q), generated by elementary
+transvections, acting on the points of projective (n-1)-space.  Scalar
+matrices act trivially on projective points, so the permutation image of
+SL(n,q) is exactly PSL(n,q); class-size invariants only depend on the
+abstract group, so no explicit coset construction is needed.  U3(3) and
+U4(2) are SU(3,3) and PSp(4,3) acting the same way, each generated by a
+few transvections of its form.
 
 Vectors are tuples of integer-coded field elements (:mod:`usets.gf`) and
 a matrix is the tuple of its rows; every function that does arithmetic
@@ -237,18 +237,8 @@ def alternating_group(n: int) -> PermGroup:
     return PermGroup([three_cycle, big])
 
 
-def symmetric_group(n: int) -> PermGroup:
-    if n < 1:
-        raise ValueError("degree must be positive")
-    if n == 1:
-        return PermGroup([Permutation.identity(1)])
-    swap = Permutation.from_cycles(n, (0, 1))
-    cycle = Permutation.from_cycles(n, tuple(range(n)))
-    return PermGroup([swap, cycle])
-
-
 def classical_order(family: str, *params: int) -> int:
-    """Exact order of PSL(n,q), Alt(n) or Sym(n)."""
+    """Exact order of PSL(n,q) or Alt(n)."""
     if family == "PSL":
         n, q = params
         prime_power_decomposition(q)
@@ -261,7 +251,4 @@ def classical_order(family: str, *params: int) -> int:
         if n < 2:
             raise ValueError("Alt(n) needs n >= 2")
         return math.factorial(n) // 2
-    if family == "Sym":
-        (n,) = params
-        return math.factorial(n)
-    raise ValueError(f"unknown family {family!r}; expected PSL, Alt or Sym")
+    raise ValueError(f"unknown family {family!r}; expected PSL or Alt")

@@ -29,13 +29,14 @@ generators; that path also supplies the minimal class representatives.
 Output order is canonical (by size, then by a minimal representative),
 independent of the order in which generators were supplied.
 
-Both :func:`conjugacy_classes` and :func:`centralizer_count` list the
-group and walk its classes with the one conjugation-orbit walk,
-:func:`_class_walk`; :func:`centralizer_count` carries C(x^s) = C(x)^s
-along it.  These two and :func:`profile` take a ``cap`` on the group
-order, by default :data:`usets.perm.DEFAULT_CAP`, and refuse a larger
-group with :class:`usets.perm.GroupTooLargeError` whichever path they
-would take.
+Both :func:`conjugacy_classes` and :func:`centralizer_count` enumerate
+the group as one set of image tuples and walk its classes with the one
+conjugation-orbit walk, :func:`_class_walk`, which takes each class's
+members out of the set as it reaches them; :func:`centralizer_count`
+carries C(x^s) = C(x)^s along it.  These two and :func:`profile` take a
+``cap`` on the group order, by default :data:`usets.perm.DEFAULT_CAP`,
+and refuse a larger group with :class:`usets.perm.GroupTooLargeError`
+whichever path they would take.
 """
 
 from __future__ import annotations
@@ -89,38 +90,33 @@ class InvariantProfile:
         }
 
 
-def _class_walk(group: PermGroup, elems: list[RawPerm]):
-    """The conjugacy classes of a group listed as ``elems``, one at a time.
+def _class_walk(group: PermGroup, unreached: set[RawPerm]):
+    """The conjugacy classes of a group given as the set ``unreached``,
+    one at a time; the walk empties the set.
 
     Each class is yielded as ``(members, via)``.  ``members`` starts at
-    the first listed element not yet reached and lists the class in
-    breadth-first order under conjugation by the generators.  ``via[i]``
-    is ``(k, (g, g^-1))`` for members[i + 1], which is members[k]
-    conjugated by g.
+    an element taken from the set and lists the class in breadth-first
+    order under conjugation by the generators.  ``via[i]`` is ``(k, (g,
+    g^-1))`` for members[i + 1], which is members[k] conjugated by g.
     """
-    index = {t: i for i, t in enumerate(elems)}
     gen_pairs = [(g, _inverse(g)) for g in group._raw_generators()]
-    visited = bytearray(len(elems))
-    for i, start in enumerate(elems):
-        if visited[i]:
-            continue
-        visited[i] = 1
-        members, via = [start], []
+    while unreached:
+        members, via = [unreached.pop()], []
         for k, x in enumerate(members):  # members grows while it is read
             for pair in gen_pairs:
                 g, ginv = pair
-                j = index[_compose(_compose(ginv, x), g)]  # conjugate of x by g
-                if not visited[j]:
-                    visited[j] = 1
-                    members.append(elems[j])
+                y = _compose(_compose(ginv, x), g)  # conjugate of x by g
+                if y in unreached:
+                    unreached.remove(y)
+                    members.append(y)
                     via.append((k, pair))
         yield members, via
 
 
 def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_CAP) -> list[ConjClass]:
     """All conjugacy classes, sorted by (size, representative images)."""
-    elems = group._element_images(cap)
-    found = sorted((len(members), min(members)) for members, _ in _class_walk(group, elems))
+    found = sorted((len(members), min(members))
+                   for members, _ in _class_walk(group, group._element_images(cap)))
     return [ConjClass(Permutation._wrap(rep), size, Permutation._wrap(rep).order())
             for size, rep in found]
 
@@ -317,18 +313,22 @@ def _profile_from_sizes(order: int, sizes: Sequence[int]) -> InvariantProfile:
 def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
     """Number of distinct centralizer subgroups {C(x) : x in G}.
 
-    The group is listed (so its cap check refuses a group above ``cap``
-    before any other work) and its classes are walked by
-    :func:`_class_walk`.  The first member x of a class gets C(x), the
-    listed elements commuting with x; a member y = z^g reached from z by
-    a generator g gets C(y) = C(z)^g, one conjugation per element of C(z).
-    Equal centralizers, as sets of elements, are kept once.
+    The group is enumerated (so its cap check refuses a group above
+    ``cap`` before any other work) and its classes are walked by
+    :func:`_class_walk` over a copy of the set.  The first member x of a
+    class gets C(x), the elements commuting with x; a member y = z^g
+    reached from z by a generator g gets C(y) = C(z)^g, one conjugation
+    per element of C(z).  Equal centralizers, as sets of elements, are
+    kept once.
     """
     elems = group._element_images(cap)
     distinct: dict[frozenset[RawPerm], frozenset[RawPerm]] = {}
-    for members, via in _class_walk(group, elems):
+    for members, via in _class_walk(group, set(elems)):
         x = members[0]
-        c = frozenset(g for g in elems if all(g[xb] == x[gb] for xb, gb in zip(x, g)))
+        # g commutes with x iff g(x(p)) = x(g(p)) at every point p; most g
+        # already fail at p = 0, which is tested without a generator
+        c = frozenset(g for g in elems if (not x or g[x[0]] == x[g[0]])
+                      and all(g[xb] == x[gb] for xb, gb in zip(x, g)))
         cents = [distinct.setdefault(c, c)]  # C(members[i])
         for k, (g, ginv) in via:
             c = frozenset(_compose(_compose(ginv, h), g) for h in cents[k])

@@ -30,19 +30,22 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 SYMBOLS = ("p", "q", "r")
 
 # ---------------------------------------------------------------------------
-# integer utilities: factorize is the one trial division, and every prime
-# question here and in match_pattern is answered from a factorization.
+# integer utilities: factorize is the one factorization, and every prime
+# question here and in match_pattern is answered from it.
 
 
-#: Trial division alone runs up to this divisor; past it, a prime cofactor
-#: below _MR_LIMIT ends the search (see factorize).
+#: Trial division alone runs up to this divisor; past it, factorize tests
+#: the cofactor for primality and splits composite ones with _rho.
 _TRIAL_ONLY = 1 << 16
+#: _rho gets 1/_RHO_SHARE of the trial divisions it would replace.
+_RHO_SHARE = 64
 #: Miller-Rabin with the bases _MR_BASES has no strong pseudoprime below
 #: this bound (Sorenson and Webster, 2015), so the test is exact there.
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -68,16 +71,36 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def factorize(n: int, bound: int | None = None) -> dict[int, int]:
-    """Prime factorization by trial division; the product of p**e
-    reconstructs n.  With a ``bound``, trial divisors stop at ``bound``:
-    every key <= bound is prime, and the last key may be a composite
-    cofactor above it.
+def _rho(n: int, steps: int) -> int | None:
+    """A proper divisor of the odd composite n, by Pollard's rho with
+    Brent's cycle finding on x -> x*x + c for c = 1, 2, ... in turn; None
+    once ``steps`` iterations have found none."""
+    for c in itertools.count(1):
+        x = y = 2
+        power = lam = g = 1
+        while g == 1:
+            if steps <= 0:
+                return None
+            if power == lam:
+                x, power, lam = y, 2 * power, 0
+            y = (y * y + c) % n
+            lam, steps = lam + 1, steps - 1
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g
 
-    Divisors past 2**16 are tried only while the cofactor is not a prime
-    below _MR_LIMIT, which gives the same keys: a prime cofactor has no
-    divisor left to find.  A cofactor with two large prime factors is
-    still divided all the way."""
+
+def factorize(n: int, bound: int | None = None) -> dict[int, int]:
+    """Prime factorization; the product of p**e reconstructs n.  With a
+    ``bound``, the keys are the primes <= bound, ascending, and then the
+    product of the rest as one cofactor with exponent 1.
+
+    Trial division runs up to min(bound, 2**16).  What is left has only
+    larger prime factors and is taken apart piece by piece: a piece below
+    _MR_LIMIT that _miller_rabin passes is prime, one it fails is split
+    by _rho, and trial division finishes the others, among them the
+    pieces rho gives up on after 1/_RHO_SHARE of the divisions it would
+    save.  Every route gives the same keys."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     bound = n if bound is None else bound
@@ -89,15 +112,30 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
             out[f] = out.get(f, 0) + 1
             n //= f
         f += 1 if f == 2 else 2
-    # f is odd from here on, and the primality test runs once per cofactor
-    while f <= bound and f * f <= n and not (n < _MR_LIMIT and _miller_rabin(n)):
-        while n % f and f <= bound and f * f <= n:
-            f += 2
-        while f <= bound and n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-    if n > 1:
-        out[n] = 1
+    if f > bound or f * f > n:  # n is 1, a prime, or a product of primes > bound
+        if n > 1:
+            out[n] = 1
+        return out
+    found: Counter[int] = Counter()  # f is 2**16 + 1, and each piece is odd
+    pieces = [n]
+    while pieces:
+        m = pieces.pop()
+        limit = min(bound, math.isqrt(m))
+        probable = f <= limit and _miller_rabin(m)
+        if f > limit or (probable and m < _MR_LIMIT):  # a prime, or all above bound
+            found[m] += 1
+            continue
+        d = None if probable else _rho(m, (limit - f) // _RHO_SHARE)
+        if d is None:
+            d = next((g for g in range(f, limit + 1, 2) if m % g == 0), m)
+        if d == m:
+            found[m] += 1
+        else:
+            pieces += [d, m // d]
+    rest = math.prod(p ** e for p, e in found.items() if p > bound)
+    out.update((p, found[p]) for p in sorted(found) if p <= bound)
+    if rest > 1:
+        out[rest] = 1
     return out
 
 

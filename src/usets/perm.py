@@ -8,11 +8,10 @@ Conventions used throughout the package:
 * Composition applies the left factor first: ``(a * b)(x) == b(a(x))``,
   i.e. ``(a * b).images[i] == b.images[a.images[i]]``.
 * Everything is deterministic.  Base points are the smallest moved point
-  at the time a stabilizer level is created, orbits are explored with
-  ascending frontiers, and element enumeration is a breadth-first walk
-  of the Cayley graph that emits each layer in sorted order, so repeated
-  runs (and runs with reordered generating sets) produce identical
-  output.
+  at the time a stabilizer level is created and orbits are explored with
+  ascending frontiers, so repeated runs (and runs with reordered
+  generating sets) produce identical output.  Element enumeration, a
+  breadth-first walk of the Cayley graph, gives the group as a set.
 
 The stabilizer chain has one layout (see :class:`BSGS`), built once per
 level by :func:`_schreier_sims` and read as it is by sifting, Schreier
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 #: Default largest group order to enumerate or profile.  Sized to include
 #: A9 (order 181 440) while leaving A10 (order 1 814 400) out; a cap of
@@ -171,18 +170,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._wrap(_inverse(self.images))
 
-    def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = _identity(len(self.images))
-        base = self.images
-        while n:
-            if n & 1:
-                result = _compose(result, base)
-            base = _compose(base, base)
-            n >>= 1
-        return Permutation._wrap(result)
-
     def __call__(self, point: int) -> int:
         return self.images[point]
 
@@ -221,11 +208,6 @@ class Permutation:
         if not isinstance(other, Permutation):
             return NotImplemented
         return self.images == other.images
-
-    def __lt__(self, other: "Permutation") -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.images < other.images
 
     def __hash__(self) -> int:
         return hash(self.images)
@@ -269,10 +251,6 @@ class BSGS:
         return n
 
     @property
-    def basic_orbits(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(inverse) for inverse in self.inverses)
-
-    @property
     def strong_generators(self) -> list[Permutation]:
         seen: set[RawPerm] = set()
         out = []
@@ -292,18 +270,10 @@ class BSGS:
                             for i in range(len(self.base) + 1)]
         return self._labels
 
-    def transversal(self, level: int) -> dict[int, Permutation]:
-        return {gamma: Permutation._wrap(u)
-                for gamma, u in zip(self.inverses[level], self.transversals[level])}
-
     def sift(self, images: RawPerm) -> RawPerm:
         """Strip transversal factors; the residue is the identity iff the
         permutation belongs to the group."""
         return _sift(images, self.base, self.inverses)
-
-    def contains_images(self, images: RawPerm) -> bool:
-        residue = self.sift(images)
-        return all(i == j for i, j in enumerate(residue))
 
 
 def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
@@ -440,17 +410,10 @@ class PermGroup:
     def order(self) -> int:
         return self.bsgs.order()
 
-    def orbit(self, point: int) -> tuple[int, ...]:
-        """Orbit of a point under the group, as a sorted tuple."""
-        if not 0 <= point < self.degree:
-            raise ValueError(f"point {point} out of range for degree {self.degree}")
-        label = _orbit_labels(self.degree, self._raw_generators())
-        return tuple(p for p in range(self.degree) if label[p] == label[point])
-
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
-        return self.bsgs.contains_images(p.images)
+        return self.bsgs.sift(p.images) == _identity(self.degree)
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
@@ -464,13 +427,14 @@ class PermGroup:
         ident = _identity(self.degree)
         return tuple(sorted({g.images for g in self.generators} - {ident}))
 
-    def _element_images(self, limit: int = DEFAULT_CAP) -> list[RawPerm]:
+    def _element_images(self, limit: int = DEFAULT_CAP) -> set[RawPerm]:
+        """The group's elements as image tuples, breadth-first over the
+        Cayley graph; raises :class:`GroupTooLargeError` above ``limit``."""
         n = self.order()
         check_cap(n, limit)
         gens = self._raw_generators()
         start = _identity(self.degree)
         seen = {start}
-        out = [start]
         layer = [start]
         while layer:
             new_elems = []
@@ -480,21 +444,11 @@ class PermGroup:
                     if y not in seen:
                         seen.add(y)
                         new_elems.append(y)
-            new_elems.sort()
-            out.extend(new_elems)
             layer = new_elems
-        if len(out) != n:
+        if len(seen) != n:
             raise RuntimeError(
-                f"enumeration produced {len(out)} elements, BSGS order is {n}")
-        return out
-
-    def elements(self, limit: int = DEFAULT_CAP) -> list[Permutation]:
-        """All group elements, breadth-first over the Cayley graph with each
-        layer sorted; raises :class:`GroupTooLargeError` above ``limit``."""
-        return [Permutation._wrap(t) for t in self._element_images(limit)]
-
-    def __iter__(self) -> Iterator[Permutation]:
-        return iter(self.elements())
+                f"enumeration produced {len(seen)} elements, BSGS order is {n}")
+        return seen
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"

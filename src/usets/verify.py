@@ -293,7 +293,12 @@ def _uset_uniqueness(catalog: Catalog, cap: int) -> tuple:
 
 def _centralizer_counts(group: PermGroup, cap: int) -> tuple:
     first = centralizer_count(group, cap)
-    second = centralizer_count(PermGroup(tuple(reversed(group.generators))), cap)
+    # the same group on the points relabelled i -> n-1-i: other element
+    # tuples, so another walk and other centralizer sets
+    n = group.degree
+    mirrored = PermGroup([[n - 1 - g.images[n - 1 - i] for i in range(n)]
+                          for g in group.generators])
+    second = centralizer_count(mirrored, cap)
     return first, second, f"|Cent(PSL(2,11))| = {first}"
 
 

@@ -194,6 +194,6 @@ def test_orders_match_sympy(catalog):
 def test_spec_scale_enumeration(catalog):
     # the largest default-checked group enumerates comfortably below 1e5
     group = catalog.get("U4(2)")
-    assert len(group.elements(limit=100_000)) == 25920
+    assert len(group._element_images(limit=100_000)) == 25920
     with pytest.raises(GroupTooLargeError, match=r"25920.*100"):
-        group.elements(limit=100)
+        group._element_images(limit=100)

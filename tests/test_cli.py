@@ -133,6 +133,20 @@ def test_pattern_match_stops_dividing_a_large_prime_target(capsys, prime, bound)
     assert (code, out) == (0, "no assignment matches")
 
 
+@pytest.mark.parametrize("p,q", [
+    (999999937, 999999929),   # both primes below the bound: 5·10^8 trial divisions without rho
+    (999999893, 999999883),
+    (999999937, 1000000007),  # the larger one above it
+])
+def test_pattern_match_splits_a_semiprime_target(capsys, p, q):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "pattern", "match",
+                       "--pattern", "1,rq,8pq,4qr,8pr,p",
+                       "--target", f"1,55,120,220,264,{p * q}", "--bound", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "no assignment matches")
+
+
 def test_solve_psl2(capsys):
     assert run(capsys, "solve-psl2", "660")[1] == "11"
     assert run(capsys, "solve-psl2", "661")[1] == "none"

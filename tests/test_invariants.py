@@ -7,13 +7,15 @@ from collections import Counter
 import pytest
 
 from usets import invariants
-from usets.construct import alternating_group, m11_group, psl_group, symmetric_group
+from usets.construct import alternating_group, m11_group, psl_group
 from usets.invariants import (
     centralizer_count,
     conjugacy_classes,
     profile,
 )
 from usets.perm import DEFAULT_CAP, GroupTooLargeError, PermGroup, Permutation
+
+from helpers import symmetric_group
 
 
 def brute_force_elements(group):
@@ -180,10 +182,13 @@ class TestCentralizerCount:
         # (3 subgroups); both 3-cycles share one centralizer: 5 in total
         assert centralizer_count(symmetric_group(3)) == 5
 
-    def test_deterministic_across_generator_orderings(self):
+    def test_same_count_on_relabelled_points(self):
+        # another labelling gives other element tuples, so another walk and
+        # other centralizer sets; the count is the group's
         g = psl_group(2, 7)
-        reordered = PermGroup(tuple(reversed(g.generators)))
-        assert centralizer_count(g) == centralizer_count(reordered)
+        other = relabelled(g, random.Random(7))
+        assert other._element_images() != g._element_images()
+        assert centralizer_count(other) == centralizer_count(g) == 79
 
     def test_cap(self):
         with pytest.raises(GroupTooLargeError, match="exceeds cap 10"):
@@ -279,6 +284,12 @@ def test_a10_matches_cycle_type_formula():
     assert prof.group_order == math.factorial(10) // 2
 
 
+def test_a11_matches_cycle_type_formula():
+    prof = profile(alternating_group(11), cap=20_000_000)
+    assert list(prof.class_sizes) == alternating_class_sizes(11)
+    assert prof.group_order == math.factorial(11) // 2
+
+
 def test_alternating_formula_oracle_on_a5():
     assert alternating_class_sizes(5) == [1, 12, 12, 15, 20]
 
@@ -307,7 +318,7 @@ def test_small_groups_on_sampled_path():
 
 
 @pytest.mark.parametrize("compute", [profile, conjugacy_classes, centralizer_count,
-                                     PermGroup.elements])
+                                     PermGroup._element_images])
 def test_one_refusal_above_the_cap(compute):
     with pytest.raises(GroupTooLargeError, match=r"^group order 60 exceeds cap 59$"):
         compute(alternating_group(5), 59)

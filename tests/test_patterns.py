@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -365,6 +367,22 @@ class TestIntegerUtilities:
         assert factorize(3825123056546413051) == {149491: 1, 747451: 1, 34233211: 1}
         assert factorize(3825123056546413051, 200000) == {149491: 1, 25587647795161: 1}
 
+    def test_factorize_splits_composite_cofactors(self):
+        assert factorize(10000019 * 10000079) == {10000019: 1, 10000079: 1}
+        assert factorize(999999937 * 1000000007, 10 ** 9) == {999999937: 1, 1000000007: 1}
+        # primes above the bound stay together as one cofactor
+        assert factorize(1000000007 * 1000000009, 10 ** 9) == {1000000007 * 1000000009: 1}
+        assert factorize(1000003 ** 2 * 999983, 10 ** 6) == {999983: 1, 1000003 ** 2: 1}
+        assert factorize(1000003 ** 2 * 999983) == {999983: 1, 1000003: 2}
+        # a budget too small for rho leaves the cofactor to trial division
+        big = (2 ** 89 - 1) * (2 ** 61 - 1)
+        assert factorize(big, 10 ** 5) == {big: 1}
+
+    def test_rho_finds_a_proper_divisor_or_gives_up(self):
+        n = 10000019 * 10000079
+        assert patterns._rho(n, 10 ** 6) in (10000019, 10000079)
+        assert patterns._rho(n, 0) is None
+
     def test_miller_rabin_needs_all_thirteen_bases(self):
         # a strong pseudoprime to the bases 2..37, and the least one to all
         # thirteen, which is why the test is trusted only below it
@@ -409,6 +427,29 @@ def test_factorize_of_a_product_merges_the_factors(a, b):
     for p, e in factorize(b).items():
         merged[p] = merged.get(p, 0) + e
     assert factorize(a * b) == merged
+
+
+LARGE_PRIMES = [65537, 65539, 999983, 1000003, 1000033, 10000019, 10000079,
+                999999937, 1000000007, 2 ** 31 - 1]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 1000), st.lists(st.sampled_from(LARGE_PRIMES), min_size=1, max_size=4),
+       st.sampled_from([None, 1000, 65537, 10 ** 6, 10 ** 9]))
+def test_factorize_with_large_prime_factors(small, large, bound):
+    # keys: every prime <= bound ascending, then the product of the rest
+    n = small * math.prod(large)
+    primes = Counter(large)
+    for p in PRIMES_TO_1000:
+        while small % p == 0:
+            primes[p] += 1
+            small //= p
+    limit = n if bound is None else bound
+    expected = {p: primes[p] for p in sorted(primes) if p <= limit}
+    rest = math.prod(p ** e for p, e in primes.items() if p > limit)
+    if rest > 1:
+        expected[rest] = 1
+    assert list(factorize(n, bound).items()) == list(expected.items())
 
 
 class TestSolvePSL2Order:

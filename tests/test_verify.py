@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from usets import verify
+from usets.invariants import centralizer_count
 from usets.perm import DEFAULT_CAP
 from usets.verify import (
     GOLDEN_USETS,
@@ -52,6 +54,19 @@ def test_centralizer_count_recorded(report):
     r = report.result("centralizer-count:PSL(2,11)")
     assert r.status == "pass"
     assert "|Cent(PSL(2,11))|" in r.note
+
+
+def test_centralizer_count_has_a_second_labelling(catalog, monkeypatch):
+    # the row's two counts run on different element tuples of PSL(2,11)
+    element_sets = []
+
+    def recording(group, cap):
+        element_sets.append(group._element_images(cap))
+        return centralizer_count(group, cap)
+    monkeypatch.setattr(verify, "centralizer_count", recording)
+    r = run_verification(["centralizer-count:PSL(2,11)"], catalog=catalog).results[0]
+    assert (r.status, r.computed, r.expected) == ("pass", 189, 189)
+    assert len(element_sets) == 2 and element_sets[0] != element_sets[1]
 
 
 def test_deterministic_modulo_timestamp(catalog):

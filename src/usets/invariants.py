@@ -12,14 +12,18 @@ objects computed here are:
 * the prime divisor set of |G|.
 
 A class size is |G|/|C_G(x)|, so :func:`profile` needs one representative
-per class and its centralizer order, not the elements of G.  It draws
-uniform random elements from the group's :class:`usets.perm.BSGS` (one
+per class and its class size, not the elements of G.  It draws uniform
+random elements from the group's :class:`usets.perm.BSGS` (one
 transversal element per level, from a fixed-seed generator, so runs
 repeat exactly) and takes each draw's powers too.  A backtrack search
 over the same chain, :func:`_conjugators`, counts conjugators without
 listing them: it tests x against the known representatives of its cycle
 type and gives |C_G(x)|.  It reads the chain's stored inverses and orbit
 labels as they are, and a :class:`_Budget` counts its work.
+
+Each class size comes from the cheaper side of |x^G| |C_G(x)| = |G|
+(:func:`_class_size`), and a new representative brings the classes of
+its coprime powers along, with no search of their own.
 Sampling stops when the class equation sum |G|/|C_G(x_i)| = |G| closes,
 which certifies that every class was found.  When the searches would
 cost more than enumerating the group (groups with large centralizers,
@@ -29,11 +33,12 @@ generators; that path also supplies the minimal class representatives.
 Output order is canonical (by size, then by a minimal representative),
 independent of the order in which generators were supplied.
 
-Both :func:`conjugacy_classes` and :func:`centralizer_count` enumerate
-the group as one set of image tuples and walk its classes with the one
-conjugation-orbit walk, :func:`_class_walk`, which takes each class's
-members out of the set as it reaches them; :func:`centralizer_count`
-carries C(x^s) = C(x)^s along it.  These two and :func:`profile` take a
+One conjugation-orbit walk, :func:`_conjugation_orbit`, serves the
+sampler, bounded, and :func:`conjugacy_classes` and
+:func:`centralizer_count`, which enumerate the group as one set of image
+tuples and take each class's members out of it;
+:func:`centralizer_count` alone records how each member was reached, to
+carry C(x^s) = C(x)^s along.  These two and :func:`profile` take a
 ``cap`` on the group order, by default :data:`usets.perm.DEFAULT_CAP`,
 and refuse a larger group with :class:`usets.perm.GroupTooLargeError`
 whichever path they would take.
@@ -41,14 +46,17 @@ whichever path they would take.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .patterns import factorize
-from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose, _inverse,
-                   check_cap)
+# the walks conjugate by the chain's generator pairs and never call
+# _inverse; it stays in this namespace for the check that patches it
+from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose,  # noqa: F401
+                   _inverse, check_cap)
 
 #: Seed of the element sampler; any fixed value gives the same profiles.
 _SAMPLER_SEED = 0
@@ -90,35 +98,63 @@ class InvariantProfile:
         }
 
 
-def _class_walk(group: PermGroup, unreached: set[RawPerm]):
-    """The conjugacy classes of a group given as the set ``unreached``,
-    one at a time; the walk empties the set.
+class _Unreached:
+    """Every permutation but those a walk has reached: what an orbit walk
+    takes members out of when no set of the group's elements is at hand."""
 
-    Each class is yielded as ``(members, via)``.  ``members`` starts at
-    an element taken from the set and lists the class in breadth-first
-    order under conjugation by the generators.  ``via[i]`` is ``(k, (g,
-    g^-1))`` for members[i + 1], which is members[k] conjugated by g.
+    __slots__ = ("reached",)
+
+    def __init__(self, x: RawPerm):
+        self.reached = {x}
+
+    def __contains__(self, y: RawPerm) -> bool:
+        return y not in self.reached
+
+    def remove(self, y: RawPerm) -> None:
+        self.reached.add(y)
+
+
+def _conjugation_orbit(pairs: Sequence[tuple[RawPerm, RawPerm]], x: RawPerm,
+                       unreached: set[RawPerm] | _Unreached, limit: int | None = None,
+                       budget: _Budget | None = None,
+                       via: list | None = None) -> list[RawPerm] | None:
+    """The conjugacy class of x, breadth-first under conjugation by the
+    generator pairs (g, g^-1); None once it has more than ``limit``
+    members.
+
+    Every member but x is taken out of ``unreached``, which holds the
+    elements not reached yet: the rest of the group as a set, or an
+    :class:`_Unreached`.  A ``budget`` is ticked once per conjugation.
+    A ``via`` list gets ``(k, (g, g^-1))`` for members[i + 1] at via[i]:
+    that member is members[k] conjugated by g.
     """
-    gen_pairs = [(g, _inverse(g)) for g in group._raw_generators()]
-    while unreached:
-        members, via = [unreached.pop()], []
-        for k, x in enumerate(members):  # members grows while it is read
-            for pair in gen_pairs:
-                g, ginv = pair
-                y = _compose(_compose(ginv, x), g)  # conjugate of x by g
-                if y in unreached:
-                    unreached.remove(y)
-                    members.append(y)
+    members = [x]
+    for k, z in enumerate(members):  # members grows while it is read
+        if limit is not None and len(members) > limit:
+            return None
+        if budget is not None:
+            budget.tick(len(pairs))
+        for pair in pairs:
+            g, ginv = pair
+            y = _compose(_compose(ginv, z), g)  # conjugate of z by g
+            if y in unreached:
+                unreached.remove(y)
+                members.append(y)
+                if via is not None:
                     via.append((k, pair))
-        yield members, via
+    return members
 
 
 def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_CAP) -> list[ConjClass]:
     """All conjugacy classes, sorted by (size, representative images)."""
-    found = sorted((len(members), min(members))
-                   for members, _ in _class_walk(group, group._element_images(cap)))
+    unreached = group._element_images(cap)
+    pairs = group.bsgs.generator_pairs
+    found = []
+    while unreached:
+        members = _conjugation_orbit(pairs, unreached.pop(), unreached)
+        found.append((len(members), min(members)))
     return [ConjClass(Permutation._wrap(rep), size, Permutation._wrap(rep).order())
-            for size, rep in found]
+            for size, rep in sorted(found)]
 
 
 class _WorkLimitExceeded(Exception):
@@ -126,17 +162,31 @@ class _WorkLimitExceeded(Exception):
 
 
 class _Budget:
-    """Counts search nodes and sampled elements; past ``limit`` the next
-    one raises :class:`_WorkLimitExceeded`."""
+    """Counts search nodes, sampled elements and orbit-walk conjugations;
+    past ``limit`` the next one raises :class:`_WorkLimitExceeded`."""
 
     def __init__(self, limit: int):
         self.work = 0
         self.limit = limit
 
-    def tick(self) -> None:
-        self.work += 1
+    def tick(self, steps: int = 1) -> None:
+        self.work += steps
         if self.work > self.limit:
             raise _WorkLimitExceeded
+
+    def within(self, steps: int, compute, *args):
+        """``compute(*args)``, or None if it would tick more than ``steps``
+        times; its ticks count against the whole budget too."""
+        limit = self.limit
+        self.limit = min(limit, self.work + steps)
+        try:
+            return compute(*args)
+        except _WorkLimitExceeded:
+            if self.work > limit:
+                raise
+            return None
+        finally:
+            self.limit = limit
 
 
 def _random_element(bsgs: BSGS, rng: random.Random, budget: _Budget) -> RawPerm:
@@ -241,38 +291,84 @@ def _conjugators(bsgs: BSGS, x: RawPerm, y: RawPerm, first_only: bool,
     return leaves if first_only or not depth else leaves * x_len[base[0]]
 
 
+def _class_size(bsgs: BSGS, x: RawPerm, lengths: list[int], bound: int,
+                budget: _Budget) -> int:
+    """|x^G| = |G|/|C_G(x)|, from whichever side is small.
+
+    One of |x^G| and |C_G(x)| is at most ``bound`` = isqrt(|G|).  The
+    centraliser backtrack runs first, stopped after ``bound`` nodes; then
+    the conjugation orbit of x, stopped past ``bound`` members; and only
+    if neither finished, the backtrack to its end.
+
+    A bounded step is skipped when the cycle ``lengths`` of the points
+    show that it cannot finish.  C_G(x) lies in the centraliser of x in
+    the symmetric group, of order z, and has index at most n!/|G| in it;
+    so |x^G| >= |G|/z, and the backtrack, which visits one leaf per
+    |C_G(x)|/(length of the cycle through the first base point), has
+    at least z|G|/(n! length) of them.
+    """
+    order = bsgs.order()
+    z = math.prod(n ** (c // n) * math.factorial(c // n) for n, c in Counter(lengths).items())
+    if order <= bound * z:
+        if z * order <= bound * lengths[bsgs.base[0]] * math.factorial(bsgs.degree):
+            count = budget.within(bound, _conjugators, bsgs, x, x, False, budget)
+            if count is not None:
+                return order // count
+        members = _conjugation_orbit(bsgs.generator_pairs, x, _Unreached(x), bound, budget)
+        if members is not None:
+            return len(members)
+    return order // _conjugators(bsgs, x, x, False, budget)
+
+
 def _sampled_class_sizes(bsgs: BSGS, budget: _Budget) -> list[int]:
     """Class sizes |G|/|C_G(x)| for one representative x per class.
 
     An element opens a new class unless it is conjugate to a known
     representative with the same cycle type.  Random elements are
-    classified until the class sizes add up to |G|.  The powers of each
-    new representative are classified next: they reach classes of small
-    size, which random elements rarely hit, and the powers of an element
-    conjugate to a representative are conjugate to its powers.
+    classified until the class sizes add up to |G|.
+
+    A new representative x of order m brings its rational class along:
+    K = {k : x^k ~ x} is a subgroup of the units mod m, found by testing
+    each coprime power against x alone, and each coset kK is one class,
+    of x^k, with the size of x's class (:func:`_class_size`).  All of
+    them join the known representatives, which so stay closed under
+    coprime powers; so no x^k is conjugate to an earlier representative,
+    and x^k needs no test against them and no centraliser search.  The
+    powers x^d for the proper divisors d > 1 of m are classified next:
+    they reach classes of small size, which random elements rarely hit,
+    and every other power of x is a coprime power of one of them.
     """
     order = bsgs.order()
+    bound = math.isqrt(order)
     identity = tuple(range(bsgs.degree))
     sizes = [1]
     total = 1
     reps: dict[tuple[int, ...], list[RawPerm]] = {}
-    pending: list[RawPerm] = []  # powers of new representatives
+    pending: list[RawPerm] = []  # powers x^d of new representatives
     rng = random.Random(_SAMPLER_SEED)
     while total < order:
         x = pending.pop() if pending else _random_element(bsgs, rng, budget)
         if x == identity:
             continue
-        known = reps.setdefault(tuple(sorted(_cycle_lengths(x)[0])), [])
+        lengths = _cycle_lengths(x)[0]
+        known = reps.setdefault(tuple(sorted(lengths)), [])
         if any(_conjugators(bsgs, x, r, True, budget) for r in known):
             continue
-        known.append(x)
-        size = order // _conjugators(bsgs, x, x, False, budget)
-        sizes.append(size)
-        total += size
-        power = _compose(x, x)
-        while power != x:
-            pending.append(power)
-            power = _compose(power, x)
+        size = _class_size(bsgs, x, lengths, bound, budget)
+        m = math.lcm(*lengths)
+        powers = [identity, x]  # powers[k] = x^k
+        while len(powers) < m:
+            powers.append(_compose(powers[-1], x))
+        kernel = [1] + [k for k in range(2, m)  # K = {k : x^k ~ x}
+                        if math.gcd(k, m) == 1 and _conjugators(bsgs, powers[k], x, True, budget)]
+        covered: set[int] = set()
+        for k in range(1, m):
+            if math.gcd(k, m) == 1 and k not in covered:  # a new coset kK
+                covered.update(k * j % m for j in kernel)
+                known.append(powers[k])
+                sizes.append(size)
+                total += size
+        pending += [powers[d] for d in range(2, m) if m % d == 0]
     if total != order:
         raise RuntimeError(f"class sizes add up to {total}, group order is {order}")
     return sizes
@@ -286,7 +382,7 @@ def profile(group: PermGroup, cap: int = DEFAULT_CAP) -> InvariantProfile:
     order = group.order()
     check_cap(order, cap)
     # enumerating the group costs |G| conjugations per generator
-    budget = _Budget(order * len(group._raw_generators()))
+    budget = _Budget(order * len(group.bsgs.generator_pairs))
     try:
         sizes = _sampled_class_sizes(group.bsgs, budget)
     except _WorkLimitExceeded:
@@ -315,16 +411,20 @@ def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
 
     The group is enumerated (so its cap check refuses a group above
     ``cap`` before any other work) and its classes are walked by
-    :func:`_class_walk` over a copy of the set.  The first member x of a
-    class gets C(x), the elements commuting with x; a member y = z^g
-    reached from z by a generator g gets C(y) = C(z)^g, one conjugation
-    per element of C(z).  Equal centralizers, as sets of elements, are
-    kept once.
+    :func:`_conjugation_orbit` over a copy of the set.  The first member
+    x of a class gets C(x), the elements commuting with x; a member y =
+    z^g reached from z by a generator g gets C(y) = C(z)^g, one
+    conjugation per element of C(z).  Equal centralizers, as sets of
+    elements, are kept once.
     """
     elems = group._element_images(cap)
+    unreached = set(elems)
+    pairs = group.bsgs.generator_pairs
     distinct: dict[frozenset[RawPerm], frozenset[RawPerm]] = {}
-    for members, via in _class_walk(group, set(elems)):
-        x = members[0]
+    while unreached:
+        x = unreached.pop()
+        via: list = []
+        _conjugation_orbit(pairs, x, unreached, via=via)
         # g commutes with x iff g(x(p)) = x(g(p)) at every point p; most g
         # already fail at p = 0, which is tested without a generator
         c = frozenset(g for g in elems if (not x or g[x[0]] == x[g[0]])

@@ -90,6 +90,30 @@ def _rho(n: int, steps: int) -> int | None:
             return g
 
 
+def _integer_root(n: int, k: int) -> int:
+    """The largest integer r with r**k <= n, for n >= 0 and k >= 1."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > the root
+    while True:  # Newton steps decrease to the floor of the root
+        d = ((k - 1) * r + n // r ** (k - 1)) // k
+        if d >= r:
+            return r
+        r = d
+
+
+def _exact_root(n: int, least: int) -> tuple[int, int]:
+    """(r, k) with r**k == n, r >= ``least`` and k >= 2 as small as
+    possible; (n, 1) if there is none."""
+    k = 2
+    while least ** k <= n:
+        r = _integer_root(n, k)
+        if r ** k == n:
+            return r, k
+        k += 1
+    return n, 1
+
+
 def factorize(n: int, bound: int | None = None) -> dict[int, int]:
     """Prime factorization; the product of p**e reconstructs n.  With a
     ``bound``, the keys are the primes <= bound, ascending, and then the
@@ -97,10 +121,11 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
 
     Trial division runs up to min(bound, 2**16).  What is left has only
     larger prime factors and is taken apart piece by piece: a piece below
-    _MR_LIMIT that _miller_rabin passes is prime, one it fails is split
-    by _rho, and trial division finishes the others, among them the
-    pieces rho gives up on after 1/_RHO_SHARE of the divisions it would
-    save.  Every route gives the same keys."""
+    _MR_LIMIT that _miller_rabin passes is prime; one it fails is split
+    into k pieces r if it is r**k (by _exact_root; r > 2**16, so k <
+    bits/16), else by _rho; and trial division finishes the others,
+    among them the pieces rho gives up on after 1/_RHO_SHARE of the
+    divisions it would save.  Every route gives the same keys."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     bound = n if bound is None else bound
@@ -125,6 +150,11 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
         if f > limit or (probable and m < _MR_LIMIT):  # a prime, or all above bound
             found[m] += 1
             continue
+        if not probable:  # rho would need about sqrt(r) steps on r**k
+            r, k = _exact_root(m, f)
+            if k > 1:
+                pieces += [r] * k
+                continue
         d = None if probable else _rho(m, (limit - f) // _RHO_SHARE)
         if d is None:
             d = next((g for g in range(f, limit + 1, 2) if m % g == 0), m)
@@ -168,14 +198,7 @@ def integer_cube_root(n: int) -> int:
     """The largest integer c with c^3 <= n, for n >= 0 (exact at any size)."""
     if n < 0:
         raise ValueError(f"cube root of a negative number {n}")
-    if n < 2:
-        return n
-    c = 1 << -(-n.bit_length() // 3)  # 2^ceil(bits/3) > cube root of n
-    while True:  # Newton steps decrease to the floor of the root
-        d = (2 * c + n // (c * c)) // 3
-        if d >= c:
-            return c
-        c = d
+    return _integer_root(n, 3)
 
 
 def solve_psl2_order(order: int) -> int | None:

@@ -229,19 +229,27 @@ class BSGS:
       Schreier generators never invert;
     * ``orbit_labels[i]`` (i = 0..k, on first use): each point's smallest
       G^(i)-orbit point.
+
+    ``generator_pairs`` holds (g, g^-1) for the group's given generators,
+    deduplicated, identity dropped and sorted, so every generator-driven
+    walk (element enumeration, conjugation orbits) is independent of the
+    order in which the generators were supplied and never inverts.
     """
 
-    __slots__ = ("degree", "base", "_level_gens", "transversals", "inverses", "_labels")
+    __slots__ = ("degree", "base", "_level_gens", "transversals", "inverses", "_labels",
+                 "generator_pairs")
 
     def __init__(self, degree: int, base: list[int],
                  level_gens: list[list[RawPerm]],
                  transversals: list[tuple[RawPerm, ...]],
-                 inverses: list[dict[int, RawPerm]]):
+                 inverses: list[dict[int, RawPerm]],
+                 generator_pairs: tuple[tuple[RawPerm, RawPerm], ...]):
         self.degree = degree
         self.base = tuple(base)
         self._level_gens = level_gens
         self.transversals = transversals
         self.inverses = inverses
+        self.generator_pairs = generator_pairs
         self._labels: list[list[int]] | None = None
 
     def order(self) -> int:
@@ -376,7 +384,8 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
         residue = _sift(g, base, inverses)
         if residue != ident:
             add_nonmember(0, residue)
-    return BSGS(degree, base, level_gens, transversals, inverses)
+    pairs = tuple((g, _inverse(g)) for g in sorted(set(raw_gens) - {ident}))
+    return BSGS(degree, base, level_gens, transversals, inverses, pairs)
 
 
 class PermGroup:
@@ -418,21 +427,12 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
 
-    def _raw_generators(self) -> tuple[RawPerm, ...]:
-        """Deduplicated, sorted image tuples with the identity dropped.
-
-        Sorting makes every generator-driven walk independent of the
-        order in which generators were supplied.
-        """
-        ident = _identity(self.degree)
-        return tuple(sorted({g.images for g in self.generators} - {ident}))
-
     def _element_images(self, limit: int = DEFAULT_CAP) -> set[RawPerm]:
         """The group's elements as image tuples, breadth-first over the
         Cayley graph; raises :class:`GroupTooLargeError` above ``limit``."""
         n = self.order()
         check_cap(n, limit)
-        gens = self._raw_generators()
+        gens = [g for g, _ in self.bsgs.generator_pairs]
         start = _identity(self.degree)
         seen = {start}
         layer = [start]

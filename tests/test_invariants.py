@@ -290,6 +290,12 @@ def test_a11_matches_cycle_type_formula():
     assert prof.group_order == math.factorial(11) // 2
 
 
+def test_a12_matches_cycle_type_formula():
+    prof = profile(alternating_group(12), cap=10 ** 9)
+    assert list(prof.class_sizes) == alternating_class_sizes(12)
+    assert prof.group_order == math.factorial(12) // 2
+
+
 def test_alternating_formula_oracle_on_a5():
     assert alternating_class_sizes(5) == [1, 12, 12, 15, 20]
 
@@ -417,3 +423,117 @@ def test_class_sizes_match_sympy(catalog):
             [sympy.Permutation(list(g.images)) for g in group.generators])
         sizes = sorted(len(c) for c in other.conjugacy_classes())
         assert list(profile(group).class_sizes) == sizes, name
+
+
+# -- class sizes from the cheaper side, and rational classes --------------------
+
+@pytest.mark.parametrize("name", ["A9", "U4(2)", "PSL(3,4)"])
+def test_bounded_orbit_size_is_the_class_size(catalog, name):
+    group = catalog.entry(name).group()
+    order, bsgs = group.order(), group.bsgs
+    bound = math.isqrt(order)
+    budget = invariants._Budget(10 ** 9)
+    for c in conjugacy_classes(group)[1:]:  # the identity's class is known
+        x = c.representative.images
+        size = order // invariants._conjugators(bsgs, x, x, False, budget)
+        assert size == c.size
+
+        def walk(limit):
+            return invariants._conjugation_orbit(bsgs.generator_pairs, x,
+                                                 invariants._Unreached(x), limit, budget)
+        orbit = walk(bound)
+        assert (None if orbit is None else len(orbit)) == (size if size <= bound else None)
+        assert len(set(walk(size))) == size and walk(size - 1) is None
+
+
+def test_a10_profile_takes_both_routes(monkeypatch):
+    searched, walked = [], []
+    search, walk = invariants._conjugators, invariants._conjugation_orbit
+
+    def counted_search(bsgs, x, y, first_only, budget):
+        count = search(bsgs, x, y, first_only, budget)
+        if not first_only:
+            searched.append(count)
+        return count
+
+    def counted_walk(*args):
+        members = walk(*args)
+        if members is not None:
+            walked.append(len(members))
+        return members
+    monkeypatch.setattr(invariants, "_conjugators", counted_search)
+    monkeypatch.setattr(invariants, "_conjugation_orbit", counted_walk)
+    assert list(profile(alternating_group(10), cap=2_000_000).class_sizes) == \
+        alternating_class_sizes(10)
+    assert searched and walked
+    # the 3-cycles and the (2,2) elements have large centralisers
+    assert 240 in walked and 630 in walked
+
+
+def rational_class_count(group):
+    """Classes up to coprime powers, by naive closure: x and y are in one
+    rational class iff their coprime powers meet the same classes."""
+    gens = [(g, g.inverse()) for g in group.generators]
+    class_of, reps = {}, []
+    for x in brute_force_elements(group):
+        if x in class_of:
+            continue
+        class_of[x], frontier = len(reps), [x]
+        while frontier:  # the class of x, closed under conjugation by generators
+            z = frontier.pop()
+            for g, ginv in gens:
+                y = ginv * z * g
+                if y not in class_of:
+                    class_of[y] = len(reps)
+                    frontier.append(y)
+        reps.append(x)
+    rational = set()
+    for x in reps:
+        m, power, classes = x.order(), x, set()
+        for k in range(1, m + 1):
+            if math.gcd(k, m) == 1:
+                classes.add(class_of[power])
+            power = power * x
+        rational.add(frozenset(classes))
+    return len(rational)
+
+
+@pytest.mark.parametrize("name, expected", [("U3(3)", 10), ("PSL(3,4)", 8)])
+def test_one_class_size_per_rational_class(catalog, monkeypatch, name, expected):
+    # the coprime powers of a new representative get their classes from
+    # first_only tests against it, with no class size of their own
+    group = catalog.entry(name).group()
+    assert rational_class_count(group) == expected
+    sized, searched = [], Counter()
+    class_size, search = invariants._class_size, invariants._conjugators
+
+    def counted_size(bsgs, x, *args):
+        sized.append(x)
+        return class_size(bsgs, x, *args)
+
+    def counted_search(bsgs, x, y, first_only, budget):
+        if not first_only:
+            searched[x] += 1
+        return search(bsgs, x, y, first_only, budget)
+    monkeypatch.setattr(invariants, "_class_size", counted_size)
+    monkeypatch.setattr(invariants, "_conjugators", counted_search)
+    assert sum(profile(group).class_sizes) == group.order()
+    # the identity needs none; a search stopped at isqrt(|G|) nodes may
+    # run once more, to its end, on the same element
+    assert len(sized) == len(set(sized)) == expected - 1
+    assert set(searched) <= set(sized)
+    assert max(searched.values()) <= 2
+
+
+def test_budget_within_stops_one_computation_or_the_whole_profile():
+    def ticks(budget, n):
+        for _ in range(n):
+            budget.tick()
+        return n
+    budget = invariants._Budget(100)
+    assert budget.within(10, ticks, budget, 10) == 10
+    assert budget.within(10, ticks, budget, 11) is None
+    assert (budget.work, budget.limit) == (21, 100)
+    with pytest.raises(invariants._WorkLimitExceeded):
+        budget.within(1000, ticks, budget, 80)
+    assert budget.limit == 100

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -378,6 +379,23 @@ class TestIntegerUtilities:
         big = (2 ** 89 - 1) * (2 ** 61 - 1)
         assert factorize(big, 10 ** 5) == {big: 1}
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_factorize_takes_exact_roots_of_prime_powers(self, k):
+        # rho would need about 2**30 steps to split (2**61 - 1)**k
+        p = 2 ** 61 - 1
+        start = time.perf_counter()
+        assert factorize(p ** k) == {p: k}
+        assert time.perf_counter() - start < 1.0
+        assert factorize(p ** k * 65537 ** 2 * 6, 2 ** 20) == {2: 1, 3: 1, 65537: 2, p ** k: 1}
+
+    def test_exact_root(self):
+        assert patterns._exact_root(1099511627791 ** 2, 65537) == (1099511627791, 2)
+        assert patterns._exact_root(65537 ** 6, 65537) == (65537 ** 3, 2)
+        assert patterns._exact_root(65537 ** 5, 65537) == (65537, 5)
+        assert patterns._exact_root(65537 * 65539, 65537) == (65537 * 65539, 1)
+        # roots below the least factor are not tried
+        assert patterns._exact_root(65521 ** 3, 65537) == (65521 ** 3, 1)
+
     def test_rho_finds_a_proper_divisor_or_gives_up(self):
         n = 10000019 * 10000079
         assert patterns._rho(n, 10 ** 6) in (10000019, 10000079)
@@ -478,6 +496,14 @@ class TestSolvePSL2Order:
     def test_huge_round_trip(self):
         l = 10 ** 130
         assert solve_psl2_order(l * (l * l - 1) // 2) == l
+
+
+def test_integer_root():
+    rng = random.Random(6)
+    for k in (1, 2, 3, 4, 7):
+        for n in list(range(100)) + [rng.getrandbits(rng.randrange(1, 800)) for _ in range(100)]:
+            r = patterns._integer_root(n, k)
+            assert r ** k <= n < (r + 1) ** k
 
 
 def test_integer_cube_root():

@@ -64,6 +64,8 @@ def _parse_assignment(text: str) -> dict[str, int]:
         sym = sym.strip()
         if sym not in ("p", "q", "r") or not val.strip().isdigit():
             raise ValueError(f"bad assignment item {item!r} (want p=3,q=5,...)")
+        if sym in out:
+            raise ValueError(f"symbol {sym!r} is assigned twice")
         out[sym] = int(val)
     return out
 

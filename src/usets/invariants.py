@@ -53,10 +53,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .patterns import factorize
-# the walks conjugate by the chain's generator pairs and never call
-# _inverse; it stays in this namespace for the check that patches it
-from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose,  # noqa: F401
-                   _inverse, check_cap)
+from .perm import BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose, check_cap
 
 #: Seed of the element sampler; any fixed value gives the same profiles.
 _SAMPLER_SEED = 0

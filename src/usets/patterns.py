@@ -18,7 +18,8 @@ same-size-class counts to belong to a nonabelian simple group:
   center);
 * ``burnside``: every count u > 1 must admit a divisor n > 1 that is not
   a prime power, because the class size n divides u and a simple group
-  has no nontrivial class of prime-power size;
+  has no nontrivial class of prime-power size; such a divisor exists
+  exactly when u has at least two distinct prime factors;
 * ``parity``: the counts sum to the group order, which must be even.
 
 A POSSIBLE verdict never claims a group exists; INFEASIBLE is a proof
@@ -298,7 +299,8 @@ class USetPattern:
 
     @property
     def symbols(self) -> tuple[str, ...]:
-        return tuple(s for s in SYMBOLS if any(s in t.symbols for t in self.terms))
+        present = {s for t in self.terms for s, _ in t.exps}
+        return tuple(s for s in SYMBOLS if s in present)
 
     def __str__(self) -> str:
         return ",".join(str(t) for t in self.terms)
@@ -327,18 +329,16 @@ def duplicate_values(values: Iterable[int]) -> list[int]:
     return sorted(dups)
 
 
-def _apply_symbol_map(term: Term, mapping: Mapping[str, str]) -> Term:
-    return Term.make(term.coeff, {mapping[s]: e for s, e in term.exps})
-
-
 def _pattern_automorphisms(pat: USetPattern) -> list[dict[str, str]]:
-    """Symbol permutations that map the term set onto itself."""
+    """Symbol permutations that map the term set onto itself, compared
+    as (coeff, exps) keys; the terms are distinct, so into is onto."""
     symbols = pat.symbols
-    terms = set(pat.terms)
+    keys = {(t.coeff, t.exps) for t in pat.terms}
     out = []
     for perm in itertools.permutations(symbols):
         mapping = dict(zip(symbols, perm))
-        if {_apply_symbol_map(t, mapping) for t in pat.terms} == terms:
+        if all((t.coeff, tuple(sorted((mapping[s], e) for s, e in t.exps))) in keys
+               for t in pat.terms):
             out.append(mapping)
     return out
 
@@ -374,7 +374,7 @@ def match_pattern(pattern: USetPattern | str, target: Iterable[int],
         return [{}] if set(instantiate_pattern(pat, {})) == goal else []
     autos = _pattern_automorphisms(pat)
     primes = sorted({f for v in goal if v > 0 for f in factorize(v, bound) if f <= bound})
-    due = [[t for t in pat.terms if t.symbols and t.symbols[-1] == s] for s in symbols]
+    due = [[t for t in pat.terms if t.exps and t.exps[-1][0] == s] for s in symbols]
     assignment: dict[str, int] = {}
     out = []
 
@@ -424,13 +424,19 @@ class FeasibilityVerdict:
 
 def admissible_class_sizes(count: int) -> list[int]:
     """Class sizes that could produce ``count`` elements in a simple
-    group: divisors n > 1 of the count that are not prime powers."""
-    return [d for d in divisors(count) if d > 1 and not is_prime_power(d)]
+    group: divisors n > 1 of the count that are not prime powers, that is
+    the divisors with at least two distinct prime factors, ascending."""
+    out = [(1, 0)]  # (divisor, number of distinct primes in it)
+    for p, e in factorize(count).items():
+        out = [(d * p ** k, n + (k > 0)) for d, n in out for k in range(e + 1)]
+    return sorted(d for d, n in out if n >= 2)
 
 
 def feasibility_check(u_values: Iterable[int]) -> FeasibilityVerdict:
     """Necessary-condition screen for a multiset of same-size-class
-    counts of a nonabelian simple group.  Never asserts existence."""
+    counts of a nonabelian simple group.  Never asserts existence.  A
+    count u > 1 passes the Burnside screen exactly when it has at least
+    two distinct prime factors, so each distinct count is factored once."""
     values = list(u_values)
     if not values:
         raise ValueError("cannot judge an empty multiset")
@@ -439,7 +445,7 @@ def feasibility_check(u_values: Iterable[int]) -> FeasibilityVerdict:
         issues.append(FeasibilityIssue(
             "membership", "the identity class contributes a count of 1"))
     for v in sorted(set(values)):
-        if v > 1 and not admissible_class_sizes(v):
+        if v > 1 and len(factorize(v)) < 2:
             issues.append(FeasibilityIssue(
                 "burnside",
                 f"count {v} admits no class size > 1 that is not a prime power"))
@@ -564,22 +570,18 @@ def enumerate_collision_assignments(pattern: USetPattern | str) -> list[Collisio
     reducing it yields the recorded contradiction.
     """
     pat = _as_pattern(pattern)
+    n = len(pat.terms)
     option_lists = [admissible_size_options(t) for t in pat.terms]
+    ids: dict[Term, int] = {}  # equal sizes share an id, compared as ints
+    id_lists = [[ids.setdefault(o, len(ids)) for o in opts] for opts in option_lists]
+    solved: dict[tuple[int, int], tuple] = {}  # pair -> equation, reduced, contradiction
     cases = []
-    for combo in itertools.product(*option_lists):
-        pair = next(((i, j)
-                     for i in range(len(combo))
-                     for j in range(i + 1, len(combo))
-                     if combo[i] == combo[j]), None)
-        if pair is None:
+    for combo, key in zip(itertools.product(*option_lists), itertools.product(*id_lists)):
+        if len(set(key)) == n:
             continue
-        u_i, u_j = pat.terms[pair[0]], pat.terms[pair[1]]
-        reduced, why = resolve_equation(u_i, u_j)
-        cases.append(CollisionCase(
-            assignment=SizeAssignment(tuple(combo)),
-            pair=pair,
-            equation=f"{u_i} = {u_j}",
-            reduced=reduced,
-            contradiction=why,
-        ))
+        pair = next((i, j) for i in range(n) for j in range(i + 1, n) if key[i] == key[j])
+        if pair not in solved:
+            u_i, u_j = pat.terms[pair[0]], pat.terms[pair[1]]
+            solved[pair] = (f"{u_i} = {u_j}", *resolve_equation(u_i, u_j))
+        cases.append(CollisionCase(SizeAssignment(combo), pair, *solved[pair]))
     return cases

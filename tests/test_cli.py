@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -152,6 +155,13 @@ def test_solve_psl2(capsys):
     assert run(capsys, "solve-psl2", "661")[1] == "none"
 
 
+def test_python_m_usets_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "usets", "solve-psl2", "660"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "11", "")
+
+
 def test_solve_psl2_huge_order(capsys):
     assert run(capsys, "solve-psl2", str(10 ** 400)) == (0, "none", "")
 
@@ -274,6 +284,13 @@ def test_bad_assignment_is_a_usage_error(capsys):
                        "--pattern", "rq", "--assign", "z=4")
     assert code == 2
     assert "bad assignment" in err
+
+
+def test_repeated_assignment_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "pattern", "instantiate",
+                         "--pattern", "1,p", "--assign", "p=3,p=5")
+    assert (code, out) == (2, "")
+    assert err == "error: symbol 'p' is assigned twice"
 
 
 def test_bad_target_is_a_usage_error(capsys):

@@ -313,6 +313,122 @@ class TestCollisions:
         assert all(c.contradiction is not None for c in cases)
 
 
+# Reference routines: the direct forms of the Burnside screen, the
+# automorphism search and the collision enumeration, which the faster
+# routines in usets.patterns must agree with exactly.
+
+
+def reference_admissible_class_sizes(count):
+    """Scan every divisor of the count and factor each one."""
+    return [d for d in divisors(count) if d > 1 and not is_prime_power(d)]
+
+
+def reference_feasibility_check(values):
+    issues = []
+    if 1 not in values:
+        issues.append(patterns.FeasibilityIssue(
+            "membership", "the identity class contributes a count of 1"))
+    for v in sorted(set(values)):
+        if v > 1 and not reference_admissible_class_sizes(v):
+            issues.append(patterns.FeasibilityIssue(
+                "burnside",
+                f"count {v} admits no class size > 1 that is not a prime power"))
+    total = sum(values)
+    if total % 2:
+        issues.append(patterns.FeasibilityIssue(
+            "parity", f"counts sum to {total}, but the group order must be even"))
+    return patterns.FeasibilityVerdict(not issues, tuple(issues))
+
+
+def reference_symbols(pat):
+    return tuple(s for s in patterns.SYMBOLS if any(s in t.symbols for t in pat.terms))
+
+
+def reference_automorphisms(pat):
+    """Build each term's image under the symbol map and compare term sets."""
+    symbols, terms = pat.symbols, set(pat.terms)
+    out = []
+    for perm in itertools.permutations(symbols):
+        mapping = dict(zip(symbols, perm))
+        if {Term.make(t.coeff, {mapping[s]: e for s, e in t.exps}) for t in pat.terms} == terms:
+            out.append(mapping)
+    return out
+
+
+def reference_collision_assignments(pattern):
+    """Try every size assignment, find its first equal pair of Terms and
+    resolve that pair's equation afresh."""
+    pat = USetPattern.parse(pattern)
+    cases = []
+    for combo in itertools.product(*(admissible_size_options(t) for t in pat.terms)):
+        pair = next(((i, j) for i in range(len(combo)) for j in range(i + 1, len(combo))
+                     if combo[i] == combo[j]), None)
+        if pair is None:
+            continue
+        u_i, u_j = pat.terms[pair[0]], pat.terms[pair[1]]
+        reduced, why = resolve_equation(u_i, u_j)
+        cases.append(patterns.CollisionCase(patterns.SizeAssignment(tuple(combo)), pair,
+                                            f"{u_i} = {u_j}", reduced, why))
+    return cases
+
+
+def collision_variants():
+    """COLLISION_PATTERN under every renaming of p, q, r, and with its
+    terms in every order under one renaming."""
+    terms = COLLISION_PATTERN.split(",")
+    out = []
+    for perm in itertools.permutations("pqr"):
+        table = str.maketrans("pqr", "".join(perm))
+        out.append(",".join(t.translate(table) for t in terms))
+    out += [",".join(order) for order in itertools.permutations(
+        [t.translate(str.maketrans("qr", "rp")) for t in terms])]
+    return out
+
+
+ORACLE_PATTERNS = PAPER_PATTERNS + ["pq,qr", "p,q,r", "pqr,2", "1,rq", "1,2", "p,pq,r",
+                                    "qr,2p", "p^2q,q^2r,r^2p", "pq,pr,qr,2"]
+
+
+@pytest.mark.parametrize("pattern", ORACLE_PATTERNS + collision_variants())
+def test_pattern_layer_agrees_with_the_reference_routines(pattern):
+    pat = USetPattern.parse(pattern)
+    assert pat.symbols == reference_symbols(pat)
+    assert patterns._pattern_automorphisms(pat) == reference_automorphisms(pat)
+    assert enumerate_collision_assignments(pattern) == reference_collision_assignments(pattern)
+
+
+def test_burnside_screen_agrees_with_the_divisor_scan():
+    for v in range(1, 20_001):
+        sizes = reference_admissible_class_sizes(v)
+        assert admissible_class_sizes(v) == sizes, v
+        assert feasibility_check([v]) == reference_feasibility_check([v]), v
+
+
+def test_feasibility_factors_each_distinct_count_once(monkeypatch):
+    values = [1, 55, 120, 220, 264, 55, 9, 9, 36, 72, 0, -4]
+    expected = reference_feasibility_check(values)
+    calls = []
+
+    def counted(n, bound=None):
+        calls.append(n)
+        return factorize(n, bound)
+    monkeypatch.setattr(patterns, "factorize", counted)
+    assert feasibility_check(values) == expected
+    assert sorted(calls) == sorted({v for v in values if v > 1})
+
+
+def test_collisions_resolve_each_colliding_pair_once(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return resolve_equation(a, b)
+    monkeypatch.setattr(patterns, "resolve_equation", counted)
+    cases = enumerate_collision_assignments(COLLISION_PATTERN)
+    assert len(cases) == 32
+    assert len(calls) == len(set(calls)) == len({c.pair for c in cases}) <= 10
+
+
 class TestResolveEquation:
     def test_distinct_symbols_contradict(self):
         eq, why = resolve_equation(parse_term("2q"), parse_term("2r"))

@@ -12,36 +12,34 @@ objects computed here are:
 * the prime divisor set of |G|.
 
 A class size is |G|/|C_G(x)|, so :func:`profile` needs one representative
-per class and its class size, not the elements of G.  It draws uniform
-random elements from the group's :class:`usets.perm.BSGS` (one
+per class and its centraliser order, not the elements of G.  It draws
+uniform random elements from the group's :class:`usets.perm.BSGS` (one
 transversal element per level, from a fixed-seed generator, so runs
-repeat exactly) and takes each draw's powers too.  A backtrack search
-over the same chain, :func:`_conjugators`, counts conjugators without
-listing them: it tests x against the known representatives of its cycle
-type and gives |C_G(x)|.  It reads the chain's stored inverses and orbit
-labels as they are, and a :class:`_Budget` counts its work.
+repeat exactly) and takes each draw's powers too.  Two backtrack
+searches over the same chain, which read its stored inverses and orbit
+labels as they are, do the rest: :func:`_conjugator` tests conjugacy,
+pruned by the known centraliser of the representative, and
+:func:`_centralizer` finds C_G(x) as a subgroup.  A :class:`_Budget`
+counts search nodes and draws.
 
-Each class size comes from the cheaper side of |x^G| |C_G(x)| = |G|
-(:func:`_class_size`), and a new representative brings the classes of
-its coprime powers along, with no search of their own.
 Sampling stops when the class equation sum |G|/|C_G(x_i)| = |G| closes,
 which certifies that every class was found.  When the searches would
-cost more than enumerating the group (groups with large centralizers,
-such as abelian ones), it falls back to :func:`conjugacy_classes`, which
-enumerates all elements and grows conjugation orbits under the
-generators; that path also supplies the minimal class representatives.
-Output order is canonical (by size, then by a minimal representative),
-independent of the order in which generators were supplied.
+cost more than enumerating the group (groups with many classes of one
+cycle type, such as abelian ones), it falls back to
+:func:`conjugacy_classes`, which enumerates all elements and grows
+conjugation orbits under the generators; that path also supplies the
+minimal class representatives.  Output order is canonical (by size, then
+by a minimal representative), independent of the order in which
+generators were supplied.
 
-One conjugation-orbit walk, :func:`_conjugation_orbit`, serves the
-sampler, bounded, and :func:`conjugacy_classes` and
-:func:`centralizer_count`, which enumerate the group as one set of image
-tuples and take each class's members out of it;
-:func:`centralizer_count` alone records how each member was reached, to
-carry C(x^s) = C(x)^s along.  These two and :func:`profile` take a
-``cap`` on the group order, by default :data:`usets.perm.DEFAULT_CAP`,
-and refuse a larger group with :class:`usets.perm.GroupTooLargeError`
-whichever path they would take.
+One conjugation-orbit walk, :func:`_conjugation_orbit`, serves
+:func:`conjugacy_classes` and :func:`centralizer_count`, which enumerate
+the group as one set of image tuples and take each class's members out
+of it; :func:`centralizer_count` alone records how each member was
+reached, to carry C(x^s) = C(x)^s along.  These two and :func:`profile`
+take a ``cap`` on the group order, by default
+:data:`usets.perm.DEFAULT_CAP`, and refuse a larger group with
+:class:`usets.perm.GroupTooLargeError` whichever path they would take.
 """
 
 from __future__ import annotations
@@ -53,7 +51,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .patterns import factorize
-from .perm import BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose, check_cap
+from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose, _orbit_labels,
+                   check_cap)
 
 #: Seed of the element sampler; any fixed value gives the same profiles.
 _SAMPLER_SEED = 0
@@ -95,42 +94,17 @@ class InvariantProfile:
         }
 
 
-class _Unreached:
-    """Every permutation but those a walk has reached: what an orbit walk
-    takes members out of when no set of the group's elements is at hand."""
-
-    __slots__ = ("reached",)
-
-    def __init__(self, x: RawPerm):
-        self.reached = {x}
-
-    def __contains__(self, y: RawPerm) -> bool:
-        return y not in self.reached
-
-    def remove(self, y: RawPerm) -> None:
-        self.reached.add(y)
-
-
 def _conjugation_orbit(pairs: Sequence[tuple[RawPerm, RawPerm]], x: RawPerm,
-                       unreached: set[RawPerm] | _Unreached, limit: int | None = None,
-                       budget: _Budget | None = None,
-                       via: list | None = None) -> list[RawPerm] | None:
+                       unreached: set[RawPerm], via: list | None = None) -> list[RawPerm]:
     """The conjugacy class of x, breadth-first under conjugation by the
-    generator pairs (g, g^-1); None once it has more than ``limit``
-    members.
+    generator pairs (g, g^-1).
 
-    Every member but x is taken out of ``unreached``, which holds the
-    elements not reached yet: the rest of the group as a set, or an
-    :class:`_Unreached`.  A ``budget`` is ticked once per conjugation.
-    A ``via`` list gets ``(k, (g, g^-1))`` for members[i + 1] at via[i]:
-    that member is members[k] conjugated by g.
+    Every member but x is taken out of ``unreached``, the elements of the
+    group not reached yet.  A ``via`` list gets ``(k, (g, g^-1))`` for
+    members[i + 1] at via[i]: that member is members[k] conjugated by g.
     """
     members = [x]
     for k, z in enumerate(members):  # members grows while it is read
-        if limit is not None and len(members) > limit:
-            return None
-        if budget is not None:
-            budget.tick(len(pairs))
         for pair in pairs:
             g, ginv = pair
             y = _compose(_compose(ginv, z), g)  # conjugate of z by g
@@ -159,31 +133,17 @@ class _WorkLimitExceeded(Exception):
 
 
 class _Budget:
-    """Counts search nodes, sampled elements and orbit-walk conjugations;
-    past ``limit`` the next one raises :class:`_WorkLimitExceeded`."""
+    """Counts search nodes and sampled elements; past ``limit`` the next
+    one raises :class:`_WorkLimitExceeded`."""
 
     def __init__(self, limit: int):
         self.work = 0
         self.limit = limit
 
-    def tick(self, steps: int = 1) -> None:
-        self.work += steps
+    def tick(self) -> None:
+        self.work += 1
         if self.work > self.limit:
             raise _WorkLimitExceeded
-
-    def within(self, steps: int, compute, *args):
-        """``compute(*args)``, or None if it would tick more than ``steps``
-        times; its ticks count against the whole budget too."""
-        limit = self.limit
-        self.limit = min(limit, self.work + steps)
-        try:
-            return compute(*args)
-        except _WorkLimitExceeded:
-            if self.work > limit:
-                raise
-            return None
-        finally:
-            self.limit = limit
 
 
 def _random_element(bsgs: BSGS, rng: random.Random, budget: _Budget) -> RawPerm:
@@ -196,78 +156,100 @@ def _random_element(bsgs: BSGS, rng: random.Random, budget: _Budget) -> RawPerm:
     return g
 
 
-def _cycle_lengths(x: RawPerm) -> tuple[list[int], list[int]]:
-    """For each point, the length of its cycle under x; and the smallest
-    point of each cycle, ascending."""
-    lengths = [0] * len(x)
-    starts = []
-    for start in range(len(x)):
-        if lengths[start]:
-            continue
-        starts.append(start)
-        cycle = [start]
-        pt = x[start]
-        while pt != start:
-            cycle.append(pt)
-            pt = x[pt]
-        for pt in cycle:
-            lengths[pt] = len(cycle)
-    return lengths, starts
+def _cycle_lengths(x: RawPerm) -> list[int]:
+    """For each point, the length of its cycle under x."""
+    cycle = _orbit_labels(len(x), [x])
+    counts = Counter(cycle)
+    return [counts[c] for c in cycle]
 
 
-def _conjugators(bsgs: BSGS, x: RawPerm, y: RawPerm, first_only: bool,
-                 budget: _Budget) -> int:
-    """The number of elements g of the group of ``bsgs`` with g(x(p)) =
-    y(g(p)) for every point p, i.e. of those conjugating x to y, for x and
-    y in the group; with ``first_only``, 1 if there is one and 0 if not.
-    With y = x the count is |C_G(x)|.
+class _Commuting:
+    """Elements known to commute with a permutation, and orbits of subsets."""
+
+    __slots__ = ("degree", "elements", "_labels")
+
+    def __init__(self, degree: int, elements: list[RawPerm]):
+        self.degree = degree
+        self.elements = elements  # only ever appended to
+        self._labels: dict[tuple[int, ...], list[int]] = {}
+
+    def fixing(self, points: Sequence[int]) -> tuple[int, ...]:
+        """The indices of the elements that fix every one of ``points``."""
+        if not points:
+            return tuple(range(len(self.elements)))
+        return tuple(i for i, h in enumerate(self.elements) if all(h[p] == p for p in points))
+
+    def labels(self, subset: tuple[int, ...]) -> list[int]:
+        """Orbit labels under the elements at the indices ``subset``."""
+        if subset not in self._labels:
+            self._labels[subset] = _orbit_labels(self.degree, [self.elements[i] for i in subset])
+        return self._labels[subset]
+
+
+def _conjugator(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_len: list[int],
+                cent: _Commuting, budget: _Budget, level: int = 0,
+                image: int | None = None) -> RawPerm | None:
+    """An element g of G^(level), the elements fixing base[:level], with
+    g(x(p)) = y(g(p)) for every point p (g conjugates x to y) and
+    g(base[level]) = ``image`` if given; None if there is none.  With
+    level > 0, y must be x.  ``x_len`` and ``y_len`` are the cycle lengths
+    of x and y; ``cent`` holds elements of C_G(y).
 
     A group element is g = t_j(h) with t_j = u_0 u_1 ... u_{j-1} fixed by
     the choices at levels 0..j-1 and h in G^(j).  ``phi`` holds the
     images g must have: choosing g(b) for a base point b fixes g on the
     whole x-cycle of b, by g(x^i(b)) = y^i(g(b)), and g(b) must lie on a
-    y-cycle of the same length that no other x-cycle maps to.  A node
-    survives only if, for every p with a required image, h(p) =
-    t_j^-1(phi[p]) lies in the G^(j)-orbit of p.  A leaf is a single
-    element, tested on every point, and counts one.
+    y-cycle of the same length that no other x-cycle maps to.  An element
+    of G^(level) that commutes with x fixes the x-cycles of base[:level]
+    pointwise, so the search starts with those.  A node survives only if,
+    for every p with a required image, h(p) = t_j^-1(phi[p]) lies in the
+    G^(j)-orbit of p.  A leaf is a single element, tested on every point,
+    and returned as the search holds it, g^-1, so nothing is inverted.
 
-    If g conjugates x to y then so does y^i(g), which maps the first base
-    point i steps further along its y-cycle.  So the first level tries
-    one point per y-cycle, and the count is the leaves times the length
-    of the x-cycle through the first base point.
+    If g conjugates x to y, so does h g for every h in C_G(y), in the same
+    subtree if h fixes the images chosen so far; so a level tries one
+    image per orbit of the elements of ``cent`` that fix them.
     """
     degree, base, labels = bsgs.degree, bsgs.base, bsgs.orbit_labels
     depth = len(base)
-    (x_len, _), (y_len, y_starts) = _cycle_lengths(x), _cycle_lengths(y)
+    points = range(degree)
+    elements = cent.elements
     by_len: dict[int, list[int]] = {}
-    for c in range(degree):
+    for c in points:
         by_len.setdefault(y_len[c], []).append(c)
-    # the smallest point of each y-cycle
-    first_by_len = {n: [c for c in y_starts if y_len[c] == n] for n in by_len}
     phi = [-1] * degree
     taken = bytearray(degree)  # points already in the image of phi
     assigned: list[int] = []   # the points phi is defined on
-    leaves = 0
+    for b in base[:level]:
+        while phi[b] < 0:  # around the x-cycle of b
+            phi[b] = b
+            taken[b] = 1
+            assigned.append(b)
+            b = x[b]
 
-    def search(j: int, hinv: RawPerm) -> bool:
-        """Extend t_j, given as its inverse; True once the search may stop."""
-        nonlocal leaves
+    def search(j: int, hinv: RawPerm, fixing: tuple[int, ...]) -> RawPerm | None:
+        """Extend t_j, given as its inverse; ``fixing`` indexes the elements
+        of ``cent`` that fix every image chosen so far."""
         budget.tick()
         label = labels[j]
         if any(label[hinv[phi[p]]] != label[p] for p in assigned):
-            return False
+            return None
         if j == depth:
-            if all(x[hinv[q]] == hinv[y[q]] for q in range(degree)):
-                leaves += 1
-                return first_only
-            return False
+            return hinv if all(x[hinv[q]] == hinv[y[q]] for q in points) else None
         b = base[j]
         inverse = bsgs.inverses[j]
         if phi[b] >= 0:
-            return search(j + 1, _compose(hinv, inverse[hinv[phi[b]]]))
+            return search(j + 1, _compose(hinv, inverse[hinv[phi[b]]]), fixing)
         length = x_len[b]
-        for c in (first_by_len if j == 0 else by_len).get(length, ()):
-            if taken[c] or label[hinv[c]] != label[b]:
+        if j == level and image is not None:
+            choices: Sequence[int] = (image,)
+        else:
+            choices = by_len.get(length, ())
+            if fixing:
+                orbit = cent.labels(fixing)
+                choices = [c for c in choices if orbit[c] == c]
+        for c in choices:
+            if y_len[c] != length or taken[c] or label[hinv[c]] != label[b]:
                 continue
             p, q = b, c
             for _ in range(length):
@@ -275,46 +257,59 @@ def _conjugators(bsgs: BSGS, x: RawPerm, y: RawPerm, first_only: bool,
                 taken[q] = 1
                 assigned.append(p)
                 p, q = x[p], y[q]
-            stop = search(j + 1, _compose(hinv, inverse[hinv[c]]))
+            found = search(j + 1, _compose(hinv, inverse[hinv[c]]),
+                           tuple(i for i in fixing if elements[i][c] == c) if fixing else ())
             for _ in range(length):
                 p = assigned.pop()
                 taken[phi[p]] = 0
                 phi[p] = -1
-            if stop:
-                return True
-        return False
+            if found is not None:
+                return found
+        return None
 
-    search(0, tuple(range(degree)))
-    return leaves if first_only or not depth else leaves * x_len[base[0]]
+    return search(level, tuple(range(degree)), cent.fixing(base[:level]))
 
 
-def _class_size(bsgs: BSGS, x: RawPerm, lengths: list[int], bound: int,
-                budget: _Budget) -> int:
-    """|x^G| = |G|/|C_G(x)|, from whichever side is small.
+def _centralizer(bsgs: BSGS, x: RawPerm, x_len: list[int],
+                 budget: _Budget) -> tuple[int, _Commuting]:
+    """|C_G(x)| and a :class:`_Commuting` of generators of C_G(x), x first,
+    by a subgroup search over the chain (Butler, LNCS 559, 1991; Leon,
+    J. Symb. Comput. 12, 1991).
 
-    One of |x^G| and |C_G(x)| is at most ``bound`` = isqrt(|G|).  The
-    centraliser backtrack runs first, stopped after ``bound`` nodes; then
-    the conjugation orbit of x, stopped past ``bound`` members; and only
-    if neither finished, the backtrack to its end.
-
-    A bounded step is skipped when the cycle ``lengths`` of the points
-    show that it cannot finish.  C_G(x) lies in the centraliser of x in
-    the symmetric group, of order z, and has index at most n!/|G| in it;
-    so |x^G| >= |G|/z, and the backtrack, which visits one leaf per
-    |C_G(x)|/(length of the cycle through the first base point), has
-    at least z|G|/(n! length) of them.
+    C^(j) denotes the elements of C_G(x) that fix base[:j], and so the
+    x-cycles of those points.  The levels are taken deepest first.  At
+    level j, H <= C^(j) is generated by the elements found so far that fix
+    base[:j].  Each candidate image c of b = base[j] (on an x-cycle of b's
+    length, in b's G^(j)-orbit) outside b's H-orbit gets a
+    :func:`_conjugator` search for an element of C^(j) mapping b to c,
+    which joins the generators.  If there is none, none maps b into the
+    H-orbit of c either, and those points are skipped.  At the end b's
+    H-orbit is its C^(j)-orbit and H = C^(j); so |C_G(x)| is the product
+    of the final orbit lengths.
     """
-    order = bsgs.order()
-    z = math.prod(n ** (c // n) * math.factorial(c // n) for n, c in Counter(lengths).items())
-    if order <= bound * z:
-        if z * order <= bound * lengths[bsgs.base[0]] * math.factorial(bsgs.degree):
-            count = budget.within(bound, _conjugators, bsgs, x, x, False, budget)
-            if count is not None:
-                return order // count
-        members = _conjugation_orbit(bsgs.generator_pairs, x, _Unreached(x), bound, budget)
-        if members is not None:
-            return len(members)
-    return order // _conjugators(bsgs, x, x, False, budget)
+    degree, base = bsgs.degree, bsgs.base
+    cycle = _orbit_labels(degree, [x])  # each point's smallest x-cycle point
+    found = _Commuting(degree, [x])
+    order = 1
+    for j in reversed(range(len(base))):
+        b, label = base[j], bsgs.orbit_labels[j]
+        fixed = {cycle[p] for p in base[:j]}  # the x-cycles C^(j) fixes pointwise
+        if cycle[b] in fixed:
+            continue
+        orbit = found.labels(found.fixing(base[:j]))
+        failed: set[int] = set()  # points no element of C^(j) maps b to
+        for c in range(degree):
+            if (orbit[c] == orbit[b] or c in failed or x_len[c] != x_len[b]
+                    or label[c] != label[b] or cycle[c] in fixed):
+                continue
+            hinv = _conjugator(bsgs, x, x_len, x, x_len, found, budget, j, c)
+            if hinv is None:
+                failed.update(p for p in range(degree) if orbit[p] == orbit[c])
+            else:
+                found.elements.append(hinv)
+                orbit = found.labels(found.fixing(base[:j]))
+        order *= orbit.count(orbit[b])
+    return order, found
 
 
 def _sampled_class_sizes(bsgs: BSGS, budget: _Budget) -> list[int]:
@@ -322,49 +317,54 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget) -> list[int]:
 
     An element opens a new class unless it is conjugate to a known
     representative with the same cycle type.  Random elements are
-    classified until the class sizes add up to |G|.
+    classified until the class sizes add up to |G|.  Each representative
+    r is kept with the generators of C_G(r), which prune every test
+    against r.
 
-    A new representative x of order m brings its rational class along:
-    K = {k : x^k ~ x} is a subgroup of the units mod m, found by testing
-    each coprime power against x alone, and each coset kK is one class,
-    of x^k, with the size of x's class (:func:`_class_size`).  All of
-    them join the known representatives, which so stay closed under
-    coprime powers; so no x^k is conjugate to an earlier representative,
-    and x^k needs no test against them and no centraliser search.  The
-    powers x^d for the proper divisors d > 1 of m are classified next:
-    they reach classes of small size, which random elements rarely hit,
-    and every other power of x is a coprime power of one of them.
+    A new representative x of order m gets C_G(x) from
+    :func:`_centralizer` and brings its rational class along: K = {k :
+    x^k ~ x} is a subgroup of the units mod m, found by testing each
+    coprime power against x alone, and each coset kK is one class, of
+    x^k, with C_G(x^k) = C_G(x).  All of them join the known
+    representatives, which so stay closed under coprime powers; so no x^k
+    is conjugate to an earlier one.  The powers x^d for the proper
+    divisors d > 1 of m are classified next: they reach classes of small
+    size, which random elements rarely hit, and every other power of x
+    is a coprime power of one of them.
     """
-    order = bsgs.order()
-    bound = math.isqrt(order)
-    identity = tuple(range(bsgs.degree))
+    order, degree = bsgs.order(), bsgs.degree
+    identity = tuple(range(degree))
     sizes = [1]
     total = 1
-    reps: dict[tuple[int, ...], list[RawPerm]] = {}
+    # per cycle type: each representative, its cycle lengths and centraliser
+    reps: dict[tuple[int, ...], list[tuple[RawPerm, list[int], _Commuting]]] = {}
     pending: list[RawPerm] = []  # powers x^d of new representatives
     rng = random.Random(_SAMPLER_SEED)
     while total < order:
         x = pending.pop() if pending else _random_element(bsgs, rng, budget)
         if x == identity:
             continue
-        lengths = _cycle_lengths(x)[0]
+        lengths = _cycle_lengths(x)
         known = reps.setdefault(tuple(sorted(lengths)), [])
-        if any(_conjugators(bsgs, x, r, True, budget) for r in known):
+        if any(_conjugator(bsgs, x, lengths, r, r_len, cent, budget) is not None
+               for r, r_len, cent in known):
             continue
-        size = _class_size(bsgs, x, lengths, bound, budget)
+        count, cent = _centralizer(bsgs, x, lengths, budget)
         m = math.lcm(*lengths)
         powers = [identity, x]  # powers[k] = x^k
         while len(powers) < m:
             powers.append(_compose(powers[-1], x))
         kernel = [1] + [k for k in range(2, m)  # K = {k : x^k ~ x}
-                        if math.gcd(k, m) == 1 and _conjugators(bsgs, powers[k], x, True, budget)]
+                        if math.gcd(k, m) == 1
+                        and _conjugator(bsgs, powers[k], lengths, x, lengths, cent,
+                                        budget) is not None]
         covered: set[int] = set()
         for k in range(1, m):
             if math.gcd(k, m) == 1 and k not in covered:  # a new coset kK
                 covered.update(k * j % m for j in kernel)
-                known.append(powers[k])
-                sizes.append(size)
-                total += size
+                known.append((powers[k], lengths, cent))
+                sizes.append(order // count)
+                total += order // count
         pending += [powers[d] for d in range(2, m) if m % d == 0]
     if total != order:
         raise RuntimeError(f"class sizes add up to {total}, group order is {order}")

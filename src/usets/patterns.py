@@ -422,14 +422,20 @@ class FeasibilityVerdict:
         return tuple(sorted({i.code for i in self.issues}))
 
 
+def _divisor_prime_counts(n: int) -> list[tuple[int, int]]:
+    """Each divisor of n >= 1 with its number of distinct prime factors,
+    from one factorisation."""
+    out = [(1, 0)]
+    for p, e in factorize(n).items():
+        out = [(d * p ** k, m + (k > 0)) for d, m in out for k in range(e + 1)]
+    return out
+
+
 def admissible_class_sizes(count: int) -> list[int]:
     """Class sizes that could produce ``count`` elements in a simple
     group: divisors n > 1 of the count that are not prime powers, that is
     the divisors with at least two distinct prime factors, ascending."""
-    out = [(1, 0)]  # (divisor, number of distinct primes in it)
-    for p, e in factorize(count).items():
-        out = [(d * p ** k, n + (k > 0)) for d, n in out for k in range(e + 1)]
-    return sorted(d for d, n in out if n >= 2)
+    return sorted(d for d, n in _divisor_prime_counts(count) if n >= 2)
 
 
 def feasibility_check(u_values: Iterable[int]) -> FeasibilityVerdict:
@@ -460,33 +466,23 @@ def feasibility_check(u_values: Iterable[int]) -> FeasibilityVerdict:
 # symbolic divisors and collision analysis
 
 
-def symbolic_divisors(term: Term) -> list[Term]:
-    """All divisors of a term, treating symbols as primes not dividing
-    the coefficient."""
-    out = []
-    for c in divisors(term.coeff):
-        for combo in itertools.product(*(range(e + 1) for _, e in term.exps)):
-            exps = {s: f for (s, _), f in zip(term.exps, combo) if f}
-            out.append(Term.make(c, exps))
-    return sorted(set(out))
-
-
-def is_symbolic_prime_power(term: Term) -> bool:
-    """Prime-power test under the standing assumption that symbols denote
-    primes distinct from each other and from the coefficient's factors."""
-    bases = len(factorize(term.coeff)) + len(term.exps)
-    return bases == 1
-
-
 def admissible_size_options(term: Term) -> list[Term]:
     """Symbolic class sizes compatible with a count term: divisors that
-    are neither 1 nor prime powers.  The count 1 (identity class) maps to
-    size 1."""
-    if term == Term.make(1):
+    are neither 1 nor prime powers, ascending.  The count 1 (identity
+    class) maps to size 1.
+
+    The coefficient is factored once.  Each divisor is built as its sort
+    key (coeff, exps) with the number of primes and symbols it contains,
+    and it is a prime power exactly when that number is 1; only the
+    divisors kept become :class:`Term` objects."""
+    if term.coeff == 1 and not term.exps:
         return [term]
-    one = Term.make(1)
-    return [d for d in symbolic_divisors(term)
-            if d != one and not is_symbolic_prime_power(d)]
+    coeffs = _divisor_prime_counts(term.coeff)
+    keys = []
+    for combo in itertools.product(*(range(e + 1) for _, e in term.exps)):
+        exps = tuple((s, f) for (s, _), f in zip(term.exps, combo) if f)
+        keys += [(d, exps) for d, n in coeffs if n + len(exps) >= 2]
+    return [Term(d, exps) for d, exps in sorted(keys)]
 
 
 def _cancel(a: Term, b: Term) -> tuple[Term, Term]:

@@ -375,21 +375,69 @@ def conjugate(x, g):
     return tuple(y)
 
 
-@pytest.mark.parametrize("group_builder", [lambda: psl_group(2, 7), lambda: alternating_group(5)],
-                         ids=["PSL(2,7)", "A5"])
-def test_conjugator_counts_match_brute_force(group_builder):
-    group = group_builder()
+def from_cycles(degree, *perms):
+    """A group from generators each given as a list of 0-based cycles."""
+    return PermGroup([Permutation.from_cycles(degree, *cycles) for cycles in perms])
+
+
+# the two simple groups, and non-simple or intransitive groups where the
+# centraliser search meets several orbits and blocks
+CENTRALIZER_GROUPS = {
+    "PSL(2,7)": lambda: psl_group(2, 7),
+    "A5": lambda: alternating_group(5),
+    "A5xA4": lambda: from_cycles(9, [(0, 1, 2)], [(2, 3, 4)], [(5, 6, 7)], [(6, 7, 8)]),
+    "S4xC3": lambda: from_cycles(7, [(0, 1)], [(0, 1, 2, 3)], [(4, 5, 6)]),
+    "D10": lambda: from_cycles(5, [(0, 1, 2, 3, 4)], [(1, 4), (2, 3)]),
+    "diagonal A5": lambda: from_cycles(10, [(0, 1, 2), (5, 6, 7)], [(2, 3, 4), (7, 8, 9)]),
+    "C2 wr S3": lambda: from_cycles(6, [(0, 1)], [(0, 2), (1, 3)], [(0, 2, 4), (1, 3, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", CENTRALIZER_GROUPS)
+def test_centralizer_matches_brute_force(name):
+    group = CENTRALIZER_GROUPS[name]()
+    elems = [g.images for g in brute_force_elements(group)]
+    bsgs = group.bsgs
+    identity = tuple(range(group.degree))
+    budget = invariants._Budget(10 ** 9)
+    for x in elems:
+        order, cent = invariants._centralizer(bsgs, x, invariants._cycle_lengths(x), budget)
+        gens = cent.elements
+        assert order == sum(perm._compose(g, x) == perm._compose(x, g) for g in elems)
+        for g in gens:
+            assert bsgs.sift(g) == identity  # g lies in the group
+            assert perm._compose(g, x) == perm._compose(x, g)
+        assert perm._schreier_sims(gens, group.degree).order() == order
+
+
+@pytest.mark.parametrize("name", CENTRALIZER_GROUPS)
+def test_conjugator_counts_match_brute_force(name):
+    # x ~ y iff some g conjugates x to y, and then the conjugators are a
+    # coset of C(x): each level may try every point, or one point per
+    # orbit of the elements of C(y) that fix the images chosen so far
+    group = CENTRALIZER_GROUPS[name]()
     elems = sorted(g.images for g in brute_force_elements(group))
     bsgs = group.bsgs
     budget = invariants._Budget(10 ** 9)
+    lengths = {x: invariants._cycle_lengths(x) for x in elems}
+    none_known = invariants._Commuting(group.degree, [])
+    cents = {y: invariants._centralizer(bsgs, y, lengths[y], budget)[1] for y in elems}
+    nodes = {which: invariants._Budget(10 ** 9) for which in ("none", "C(y)")}
     seen = Counter()
     for x in [elems[0]] + random.Random(0).sample(elems, 6):  # the identity first
         counts = Counter(conjugate(x, g) for g in elems)
+        order = invariants._centralizer(bsgs, x, lengths[x], budget)[0]
         for y in elems:
-            assert invariants._conjugators(bsgs, x, y, False, budget) == counts[y]
-            assert invariants._conjugators(bsgs, x, y, True, budget) == (counts[y] > 0)
+            for cent, nodes_used in ((none_known, nodes["none"]), (cents[y], nodes["C(y)"])):
+                g_inv = invariants._conjugator(bsgs, x, lengths[x], y, lengths[y], cent,
+                                               nodes_used)
+                assert (g_inv is not None) == (counts[y] > 0)
+                if g_inv is not None:
+                    assert conjugate(y, g_inv) == x
+            assert counts[y] in (0, order)
             seen[counts[y] > 0] += 1
     assert seen[True] and seen[False]  # conjugate and non-conjugate pairs
+    assert nodes["C(y)"].work < nodes["none"].work  # the known centraliser prunes
 
 
 def test_profile_never_inverts(monkeypatch):
@@ -425,50 +473,7 @@ def test_class_sizes_match_sympy(catalog):
         assert list(profile(group).class_sizes) == sizes, name
 
 
-# -- class sizes from the cheaper side, and rational classes --------------------
-
-@pytest.mark.parametrize("name", ["A9", "U4(2)", "PSL(3,4)"])
-def test_bounded_orbit_size_is_the_class_size(catalog, name):
-    group = catalog.entry(name).group()
-    order, bsgs = group.order(), group.bsgs
-    bound = math.isqrt(order)
-    budget = invariants._Budget(10 ** 9)
-    for c in conjugacy_classes(group)[1:]:  # the identity's class is known
-        x = c.representative.images
-        size = order // invariants._conjugators(bsgs, x, x, False, budget)
-        assert size == c.size
-
-        def walk(limit):
-            return invariants._conjugation_orbit(bsgs.generator_pairs, x,
-                                                 invariants._Unreached(x), limit, budget)
-        orbit = walk(bound)
-        assert (None if orbit is None else len(orbit)) == (size if size <= bound else None)
-        assert len(set(walk(size))) == size and walk(size - 1) is None
-
-
-def test_a10_profile_takes_both_routes(monkeypatch):
-    searched, walked = [], []
-    search, walk = invariants._conjugators, invariants._conjugation_orbit
-
-    def counted_search(bsgs, x, y, first_only, budget):
-        count = search(bsgs, x, y, first_only, budget)
-        if not first_only:
-            searched.append(count)
-        return count
-
-    def counted_walk(*args):
-        members = walk(*args)
-        if members is not None:
-            walked.append(len(members))
-        return members
-    monkeypatch.setattr(invariants, "_conjugators", counted_search)
-    monkeypatch.setattr(invariants, "_conjugation_orbit", counted_walk)
-    assert list(profile(alternating_group(10), cap=2_000_000).class_sizes) == \
-        alternating_class_sizes(10)
-    assert searched and walked
-    # the 3-cycles and the (2,2) elements have large centralisers
-    assert 240 in walked and 630 in walked
-
+# -- one centraliser search per rational class -----------------------------------
 
 def rational_class_count(group):
     """Classes up to coprime powers, by naive closure: x and y are in one
@@ -501,39 +506,38 @@ def rational_class_count(group):
 @pytest.mark.parametrize("name, expected", [("U3(3)", 10), ("PSL(3,4)", 8)])
 def test_one_class_size_per_rational_class(catalog, monkeypatch, name, expected):
     # the coprime powers of a new representative get their classes from
-    # first_only tests against it, with no class size of their own
+    # conjugacy tests against it, with no centraliser of their own
     group = catalog.entry(name).group()
     assert rational_class_count(group) == expected
-    sized, searched = [], Counter()
-    class_size, search = invariants._class_size, invariants._conjugators
+    searched, pruning = [], []
+    centralizer, conjugator = invariants._centralizer, invariants._conjugator
 
-    def counted_size(bsgs, x, *args):
-        sized.append(x)
-        return class_size(bsgs, x, *args)
+    def counted(bsgs, x, *args):
+        searched.append(x)
+        return centralizer(bsgs, x, *args)
 
-    def counted_search(bsgs, x, y, first_only, budget):
-        if not first_only:
-            searched[x] += 1
-        return search(bsgs, x, y, first_only, budget)
-    monkeypatch.setattr(invariants, "_class_size", counted_size)
-    monkeypatch.setattr(invariants, "_conjugators", counted_search)
+    def recorded(bsgs, x, x_len, y, y_len, cent, *args):
+        pruning.append(len(cent.elements))
+        return conjugator(bsgs, x, x_len, y, y_len, cent, *args)
+    monkeypatch.setattr(invariants, "_centralizer", counted)
+    monkeypatch.setattr(invariants, "_conjugator", recorded)
     assert sum(profile(group).class_sizes) == group.order()
-    # the identity needs none; a search stopped at isqrt(|G|) nodes may
-    # run once more, to its end, on the same element
-    assert len(sized) == len(set(sized)) == expected - 1
-    assert set(searched) <= set(sized)
-    assert max(searched.values()) <= 2
+    # the identity needs none
+    assert len(searched) == len(set(searched)) == expected - 1
+    # every conjugacy test is pruned by elements of the target's centraliser
+    assert pruning and min(pruning) >= 1
 
 
-def test_budget_within_stops_one_computation_or_the_whole_profile():
-    def ticks(budget, n):
-        for _ in range(n):
-            budget.tick()
-        return n
-    budget = invariants._Budget(100)
-    assert budget.within(10, ticks, budget, 10) == 10
-    assert budget.within(10, ticks, budget, 11) is None
-    assert (budget.work, budget.limit) == (21, 100)
-    with pytest.raises(invariants._WorkLimitExceeded):
-        budget.within(1000, ticks, budget, 80)
-    assert budget.limit == 100
+def test_a10_profile_work(monkeypatch):
+    # search nodes and draws of the sampled A10 profile: at most half of
+    # the 7 706 that leaf-counting searches and bounded orbit walks took
+    budgets = []
+    budget_type = invariants._Budget
+
+    def recorded(limit):
+        budgets.append(budget_type(limit))
+        return budgets[-1]
+    monkeypatch.setattr(invariants, "_Budget", recorded)
+    assert list(profile(alternating_group(10), cap=2_000_000).class_sizes) == \
+        alternating_class_sizes(10)
+    assert len(budgets) == 1 and budgets[0].work <= 7706 // 2

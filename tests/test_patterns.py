@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import random
@@ -23,7 +24,6 @@ from usets.patterns import (
     instantiate_pattern,
     integer_cube_root,
     is_prime_power,
-    is_symbolic_prime_power,
     match_pattern,
     parse_term,
     primes_up_to,
@@ -272,6 +272,10 @@ class TestSymbolicSizes:
         assert not is_symbolic_prime_power(parse_term("2q"))
         assert not is_symbolic_prime_power(parse_term("rq"))
         assert not is_symbolic_prime_power(parse_term("1"))
+        # a count keeps itself as a size option iff it is not a prime power
+        for text, kept in [("16", False), ("q^2", False), ("2q", True), ("rq", True)]:
+            term = parse_term(text)
+            assert (term in admissible_size_options(term)) == kept, text
 
     def test_options_for_collision_counts(self):
         as_str = lambda terms: sorted(str(t) for t in terms)
@@ -340,6 +344,32 @@ def reference_feasibility_check(values):
     return patterns.FeasibilityVerdict(not issues, tuple(issues))
 
 
+def symbolic_divisors(term):
+    """All divisors of a term, treating symbols as primes not dividing
+    the coefficient."""
+    out = []
+    for c in divisors(term.coeff):
+        for combo in itertools.product(*(range(e + 1) for _, e in term.exps)):
+            exps = {s: f for (s, _), f in zip(term.exps, combo) if f}
+            out.append(Term.make(c, exps))
+    return sorted(set(out))
+
+
+def is_symbolic_prime_power(term):
+    """Prime-power test under the standing assumption that symbols denote
+    primes distinct from each other and from the coefficient's factors."""
+    return len(factorize(term.coeff)) + len(term.exps) == 1
+
+
+def reference_admissible_size_options(term):
+    """Build and check a Term for every divisor, then factor each
+    divisor's coefficient again to drop 1 and the prime powers."""
+    if term == Term.make(1):
+        return [term]
+    one = Term.make(1)
+    return [d for d in symbolic_divisors(term) if d != one and not is_symbolic_prime_power(d)]
+
+
 def reference_symbols(pat):
     return tuple(s for s in patterns.SYMBOLS if any(s in t.symbols for t in pat.terms))
 
@@ -395,6 +425,44 @@ def test_pattern_layer_agrees_with_the_reference_routines(pattern):
     assert pat.symbols == reference_symbols(pat)
     assert patterns._pattern_automorphisms(pat) == reference_automorphisms(pat)
     assert enumerate_collision_assignments(pattern) == reference_collision_assignments(pattern)
+
+
+def patterns_in_this_file():
+    """Every string constant in this file that parses as a pattern."""
+    with open(__file__) as f:
+        tree = ast.parse(f.read())
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                out.append(USetPattern.parse(node.value))
+            except ValueError:
+                pass
+    return out
+
+
+def test_size_options_agree_with_the_reference_routine():
+    pats = patterns_in_this_file() + [USetPattern.parse(p)
+                                      for p in ORACLE_PATTERNS + collision_variants()]
+    terms = {t for pat in pats for t in pat.terms}
+    assert len(terms) > 40
+    for term in sorted(terms):
+        assert admissible_size_options(term) == reference_admissible_size_options(term), term
+
+
+def test_size_options_factor_the_coefficient_once(monkeypatch):
+    calls = []
+
+    def counted(n, bound=None):
+        calls.append(n)
+        return factorize(n, bound)
+    monkeypatch.setattr(patterns, "factorize", counted)
+    for text in ("4rq", "16q", "360p^2qr", "rq"):
+        term = parse_term(text)
+        expected = reference_admissible_size_options(term)
+        calls.clear()
+        assert admissible_size_options(term) == expected
+        assert calls == [term.coeff]
 
 
 def test_burnside_screen_agrees_with_the_divisor_scan():

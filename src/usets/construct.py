@@ -37,10 +37,15 @@ def identity(n: int) -> Matrix:
 
 
 def row_apply(field: Field, m: Matrix, vec: Vector) -> Vector:
-    """Row vector times matrix; vec -> vec @ m, skipping zero products."""
+    """Row vector times matrix; vec -> vec @ m, skipping zero products.
+    Field codes are nonnegative, so a column summing to 1 is a unit vector
+    and picks one coordinate as it is."""
     add, mul = field.add, field.mul
     out = []
     for col in zip(*m):
+        if sum(col) == 1:
+            out.append(vec[col.index(1)])
+            continue
         acc = 0
         for x, a in zip(vec, col):
             if x and a:

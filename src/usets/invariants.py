@@ -203,8 +203,17 @@ def _conjugator(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_len: lis
     of G^(level) that commutes with x fixes the x-cycles of base[:level]
     pointwise, so the search starts with those.  A node survives only if,
     for every p with a required image, h(p) = t_j^-1(phi[p]) lies in the
-    G^(j)-orbit of p.  A leaf is a single element, tested on every point,
-    and returned as the search holds it, g^-1, so nothing is inverted.
+    G^(j)-orbit of p.  A leaf is a single element, returned as the search
+    holds it, g^-1, so nothing is inverted.
+
+    The leaf is also tested on every point, a check that cannot reject on
+    a complete chain: there G^(depth) = 1, so the leaf's orbit-label test
+    makes g agree with ``phi`` on every assigned point, the whole base
+    among them, and x g y^-1 g^-1 (left factor first) is an element of G
+    that fixes the base, the identity.  It stays as a guard for an x or y
+    outside G.  A wrong leaf would fail
+    ``test_conjugator_counts_match_brute_force``, which checks every answer
+    against a brute-force count of conjugators.
 
     If g conjugates x to y, so does h g for every h in C_G(y), in the same
     subtree if h fixes the images chosen so far; so a level tries one

@@ -19,13 +19,16 @@ generators and the backtrack searches of :mod:`usets.invariants`.
 :func:`_orbit_labels` is the one orbit walk, and :func:`_compose`, a
 C-level gather, the one composition kernel of the package.
 
-When :func:`_schreier_sims` closes a level again after an insertion, it
-sifts only the Schreier generators u s inv[s(gamma)] that can differ from
-those the level's last closure covered: s is a new generator, or the
-representative of gamma or of s(gamma) changed.  Every other one lies in
-the stabilizer the last closure left in the deeper levels, which only
-grow, so it would sift to the identity; skipping it gives the same chain,
-byte for byte, with fewer than half the sifts.
+Schreier-Sims skips the work that cannot change the chain.  Sifting
+does nothing at a base point the element fixes, whose representative is
+the identity.  When :func:`_schreier_sims` closes a level again after an
+insertion, it drops a Schreier generator u s inv[s(gamma)] that is the
+identity (u s is already the representative of s(gamma)), and one that
+the level's last closure certifies: the old generator's residue went
+into the deeper levels then, so the new one lies there too if the two
+changes of representative do.  Every dropped generator would sift to the
+identity, so the chain is, byte for byte, the one that re-sifting every
+Schreier generator builds.
 
 The groups handled here are small (the largest the test-suite touches
 has order 1 814 400), so Schreier-Sims favours clarity and
@@ -88,10 +91,12 @@ def _sift(g: RawPerm, base: Sequence[int], inverses: Sequence[dict]) -> RawPerm:
     """Strip one transversal factor per base point by its stored inverse;
     the residue is the identity iff ``g`` lies in the group described."""
     for pt, inverse in zip(base, inverses):
-        uinv = inverse.get(g[pt])
-        if uinv is None:
-            break
-        g = _compose(g, uinv)
+        gamma = g[pt]
+        if gamma != pt:  # a fixed base point's representative is the identity
+            uinv = inverse.get(gamma)
+            if uinv is None:
+                break
+            g = _compose(g, uinv)
     return g
 
 
@@ -294,15 +299,26 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
     generators u s inv[s(gamma)] are sifted, with nontrivial residues
     recursively inserted one level further down.
 
-    A re-closure of level i skips the pair (gamma, s) when s was a
-    generator at the end of the level's last closure and the rebuild kept
-    the representatives of gamma and of s(gamma).  That Schreier generator
-    then lies in the group the level had at its last closure and fixes
-    base[i], and by Schreier's lemma that closure left every such element
-    in the group of the deeper levels.  Those only grow and are closed
-    whenever level i is being closed, so the pair would sift to the
-    identity: skipping it changes no insertion, and the chain is the one
-    that re-sifting every pair builds.
+    A re-closure of level i passes over the pair (gamma, s), with
+    delta = s(gamma), u_gamma the representative of gamma at the level's
+    last closure and u'_gamma the one the rebuild gives it, by two rules:
+
+    * a tree edge: when u'_gamma s equals u'_delta, the Schreier generator
+      u'_gamma s u'_delta^-1 is the identity and is not sifted;
+    * a certificate from the last closure: when s was a generator at the
+      end of that closure, and h_gamma = u'_gamma u_gamma^-1 and h_delta
+      both sift to the identity through the deeper levels, the pair is not
+      formed at all.  Each h fixes base[i], and is 1 when the
+      representative did not change.  Then u'_gamma s u'_delta^-1 =
+      h_gamma (u_gamma s u_delta^-1) h_delta^-1, and by Schreier's lemma
+      the last closure left the middle factor in the group of the deeper
+      levels.  That group only grows and is closed whenever level i is
+      being closed, so the pair would sift to the identity.
+
+    h_gamma is formed from the old inverse only when a pair asks for it,
+    and sifted once, or once more after an insertion below level i
+    enlarges the deeper group.  Neither rule changes an insertion, so the
+    chain is the one that re-sifting every pair builds.
     """
     ident = _identity(degree)
     base: list[int] = []
@@ -321,9 +337,11 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
         inverses.append({pt: ident})
         closed_gens.append(set())
 
-    def rebuild_transversal(i: int) -> set[int]:
-        """Rebuild level i; return the orbit points whose representative
-        differs from the one the level's last closure used."""
+    def rebuild_transversal(i: int) -> tuple[list[RawPerm | None], dict[int, RawPerm | None]]:
+        """Rebuild level i.  Return its representatives indexed by point
+        (None off the orbit), and for every point whose representative
+        differs from the one the level's last closure used, that one's
+        inverse (None for a point new to the orbit)."""
         pt = base[i]
         # indexed by point, so the orbit is read off in ascending order
         trans: list[RawPerm | None] = [None] * degree
@@ -342,12 +360,12 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
             frontier = sorted(new_pts)
         old_inverse = inverses[i]
         old = dict(zip(old_inverse, transversals[i]))
-        changed = {gamma for gamma, u in enumerate(trans)
+        changed = {gamma: old_inverse.get(gamma) for gamma, u in enumerate(trans)
                    if u is not None and old.get(gamma) != u}
         transversals[i] = tuple(u for u in trans if u is not None)
         inverses[i] = {gamma: _inverse(u) if gamma in changed else old_inverse[gamma]
                        for gamma, u in enumerate(trans) if u is not None}
-        return changed
+        return trans, changed
 
     def add_nonmember(i: int, g: RawPerm) -> None:
         # pre: g != identity, g fixes base[:i], g is not in the level-i
@@ -358,22 +376,40 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
             add_nonmember(i + 1, g)
         else:
             level_gens[i].append(g)
-        changed = rebuild_transversal(i)
+        trans, changed = rebuild_transversal(i)
         inverse = inverses[i]
         gens = gens_at(i)
         closed = [s in closed_gens[i] for s in gens]
+        refuted: set[int] = set()  # changed points whose h sifted to a nonidentity
+
+        def sift_deeper(g: RawPerm) -> RawPerm:
+            return _sift(g, base[i + 1:], inverses[i + 1:])
+
+        def certified(gamma: int) -> bool:
+            """Whether h_gamma, for gamma in ``changed``, lies in the deeper
+            levels' group; if so, gamma leaves ``changed`` for good."""
+            old_inv = changed[gamma]
+            if old_inv is None or gamma in refuted:
+                return False
+            if sift_deeper(_compose(trans[gamma], old_inv)) != ident:
+                refuted.add(gamma)
+                return False
+            del changed[gamma]  # the deeper group only grows
+            return True
+
         for gamma, u in zip(inverse, transversals[i]):
-            same_u = gamma not in changed
             for s, s_closed in zip(gens, closed):
                 delta = s[gamma]
-                if s_closed and same_u and delta not in changed:
+                if (s_closed and (gamma not in changed or certified(gamma))
+                        and (delta not in changed or certified(delta))):
                     continue
-                schreier = _compose(_compose(u, s), inverse[delta])
-                if schreier == ident:
+                us = _compose(u, s)
+                if us == trans[delta]:  # a tree edge: the Schreier generator is 1
                     continue
-                residue = _sift(schreier, base[i + 1:], inverses[i + 1:])
+                residue = sift_deeper(_compose(us, inverse[delta]))
                 if residue != ident:
                     add_nonmember(i + 1, residue)
+                    refuted.clear()
         closed_gens[i] = set(gens_at(i))
 
     first = min((min(x for x in range(degree) if g[x] != x)

@@ -9,7 +9,7 @@ from usets.invariants import profile
 from usets.perm import GroupTooLargeError, PermGroup, Permutation
 from usets.construct import alternating_group, psl_group
 
-from helpers import symmetric_group
+from helpers import CHAIN_GROUPS, symmetric_group
 
 
 def cyc(degree, *cycles):
@@ -222,8 +222,10 @@ def test_sifting_and_sampling_never_invert(monkeypatch):
 
 
 def test_schreier_sims_sifts_only_changed_schreier_generators(monkeypatch):
-    # sifts per chain build; re-sifting every Schreier generator at each
-    # closure takes 400 for Alt(12) and 1057 for PSL(4,3)
+    # sifts per chain build, those of the h_gamma included; re-sifting every
+    # Schreier generator at each closure takes 400 for Alt(12) and 1057 for
+    # PSL(4,3), and skipping only the pairs whose representatives did not
+    # change takes 190 and 826
     calls = []
     sift = perm._sift
 
@@ -231,10 +233,61 @@ def test_schreier_sims_sifts_only_changed_schreier_generators(monkeypatch):
         calls.append(1)
         return sift(*args)
     monkeypatch.setattr(perm, "_sift", counting)
-    for group, sifts in ((alternating_group(12), 190), (psl_group(4, 3), 826)):
+    for group, sifts in ((alternating_group(12), 190), (psl_group(4, 3), 701)):
         calls.clear()
         group.order()
         assert len(calls) == sifts
+
+
+def test_schreier_sims_skips_trivial_compositions(monkeypatch):
+    # compositions per chain build; composing at every sift step and twice
+    # for every Schreier generator formed, with pairs skipped only when
+    # their representatives did not change, takes 31 138 for PSL(4,4) and
+    # 32 706 for Alt(24)
+    groups = ((psl_group(4, 4), 13_718), (alternating_group(24), 12_350))
+    calls = []
+    compose = perm._compose
+
+    def counting(a, b):
+        calls.append(1)
+        return compose(a, b)
+    monkeypatch.setattr(perm, "_compose", counting)
+    for group, compositions in groups:
+        calls.clear()
+        group.order()
+        assert len(calls) == compositions
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_GROUPS))
+def test_sift_residue_matches_composing_at_every_level(name):
+    # words in the generators are members; a member times a transposition
+    # is not, since none of these primitive groups is a full symmetric group
+    group = CHAIN_GROUPS[name]()
+    bsgs, n = group.bsgs, group.degree
+    gens = [g.images for g in group.generators]
+    rng = random.Random(16)
+    fixed = 0  # sift steps at a base point the element fixes
+
+    def reference(g):
+        nonlocal fixed
+        for pt, inverse in zip(bsgs.base, bsgs.inverses):
+            uinv = inverse.get(g[pt])
+            if uinv is None:
+                break
+            fixed += g[pt] == pt
+            g = tuple(uinv[x] for x in g)
+        return g
+
+    ident = tuple(range(n))
+    for _ in range(40):
+        word = ident
+        for gen in rng.choices(gens, k=rng.randrange(1, 30)):
+            word = tuple(gen[x] for x in word)
+        a, b = rng.sample(range(n), 2)
+        swapped = tuple(b if x == a else a if x == b else x for x in word)
+        assert bsgs.sift(word) == reference(word) == ident
+        assert bsgs.sift(swapped) == reference(swapped) != ident
+    assert fixed > 0
 
 
 class TestContains:

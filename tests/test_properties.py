@@ -7,6 +7,7 @@ import io
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ from usets.catalog import (default_catalog, load_generator_file, parse_cycle_not
                            write_generator_file)
 from usets.patterns import MAX_EXPONENT, SYMBOLS, Term, USetPattern
 from usets.perm import PermGroup, Permutation, _schreier_sims
+
+from helpers import CHAIN_GROUPS
 
 
 @st.composite
@@ -139,16 +142,26 @@ def raw_generating_sets(draw):
     return n, draw(st.permutations(gens))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(raw_generating_sets())
-def test_chain_equals_full_closure_schreier_sims(case):
-    n, gens = case
-    bsgs = _schreier_sims(gens, n)
-    base, level_gens, transversals, inverses = full_closure_schreier_sims(gens, n)
+def assert_chain_equals_full_closure(gens, degree):
+    bsgs = _schreier_sims(gens, degree)
+    base, level_gens, transversals, inverses = full_closure_schreier_sims(gens, degree)
     assert bsgs.base == tuple(base)
     assert bsgs._level_gens == level_gens
     assert bsgs.transversals == transversals
     assert [list(d.items()) for d in bsgs.inverses] == [list(d.items()) for d in inverses]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(raw_generating_sets())
+def test_chain_equals_full_closure_schreier_sims(case):
+    n, gens = case
+    assert_chain_equals_full_closure(gens, n)
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_GROUPS))
+def test_named_chains_equal_full_closure_schreier_sims(name):
+    group = CHAIN_GROUPS[name]()
+    assert_chain_equals_full_closure([g.images for g in group.generators], group.degree)
 
 
 terms = st.builds(

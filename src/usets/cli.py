@@ -50,9 +50,12 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 def _parse_ints(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
+    if not values:
+        raise ValueError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _parse_assignment(text: str) -> dict[str, int]:

@@ -15,12 +15,13 @@ A class size is |G|/|C_G(x)|, so :func:`profile` needs one representative
 per class and its centraliser order, not the elements of G.  It draws
 uniform random elements from the group's :class:`usets.perm.BSGS` (one
 transversal element per level, from a fixed-seed generator, so runs
-repeat exactly) and takes each draw's powers too.  Two backtrack
-searches over the same chain, which read its stored inverses and orbit
-labels as they are, do the rest: :func:`_conjugator` tests conjugacy,
-pruned by the known centraliser of the representative, and
-:func:`_centralizer` finds C_G(x) as a subgroup.  A :class:`_Budget`
-counts search nodes and draws.
+repeat exactly) and takes each draw's powers too.  One backtrack
+search over the chain, :func:`_conjugacy_search`, which reads its stored
+inverses and orbit labels as they are, does the rest:
+:func:`_conjugator` sets it up once per conjugacy test, pruned by the
+known centraliser of the representative, and :func:`_centralizer` once
+per level of its subgroup search for C_G(x).  A :class:`_Budget` counts
+search nodes and draws.
 
 Sampling stops when the class equation sum |G|/|C_G(x_i)| = |G| closes,
 which certifies that every class was found.  When the searches would
@@ -35,8 +36,10 @@ generators were supplied.
 One conjugation-orbit walk, :func:`_conjugation_orbit`, serves
 :func:`conjugacy_classes` and :func:`centralizer_count`, which enumerate
 the group as one set of image tuples and take each class's members out
-of it; :func:`centralizer_count` alone records how each member was
-reached, to carry C(x^s) = C(x)^s along.  These two and :func:`profile`
+of it; :func:`centralizer_count` then lists C(x) for one representative
+x per class and counts the elements that share it, B(x) = {z in Z(C(x))
+: |C(z)| = |C(x)|}, so the centralizers are never built as sets of
+their own.  These two and :func:`profile`
 take a ``cap`` on the group order, by default
 :data:`usets.perm.DEFAULT_CAP`, and refuse a larger group with
 :class:`usets.perm.GroupTooLargeError` whichever path they would take.
@@ -48,7 +51,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .patterns import factorize
 from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose, _orbit_labels,
@@ -95,24 +98,20 @@ class InvariantProfile:
 
 
 def _conjugation_orbit(pairs: Sequence[tuple[RawPerm, RawPerm]], x: RawPerm,
-                       unreached: set[RawPerm], via: list | None = None) -> list[RawPerm]:
+                       unreached: set[RawPerm]) -> list[RawPerm]:
     """The conjugacy class of x, breadth-first under conjugation by the
     generator pairs (g, g^-1).
 
     Every member but x is taken out of ``unreached``, the elements of the
-    group not reached yet.  A ``via`` list gets ``(k, (g, g^-1))`` for
-    members[i + 1] at via[i]: that member is members[k] conjugated by g.
+    group not reached yet.
     """
     members = [x]
-    for k, z in enumerate(members):  # members grows while it is read
-        for pair in pairs:
-            g, ginv = pair
+    for z in members:  # members grows while it is read
+        for g, ginv in pairs:
             y = _compose(_compose(ginv, z), g)  # conjugate of z by g
             if y in unreached:
                 unreached.remove(y)
                 members.append(y)
-                if via is not None:
-                    via.append((k, pair))
     return members
 
 
@@ -187,13 +186,27 @@ class _Commuting:
 
 
 def _conjugator(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_len: list[int],
-                cent: _Commuting, budget: _Budget, level: int = 0,
-                image: int | None = None) -> RawPerm | None:
-    """An element g of G^(level), the elements fixing base[:level], with
-    g(x(p)) = y(g(p)) for every point p (g conjugates x to y) and
-    g(base[level]) = ``image`` if given; None if there is none.  With
-    level > 0, y must be x.  ``x_len`` and ``y_len`` are the cycle lengths
-    of x and y; ``cent`` holds elements of C_G(y).
+                cent: _Commuting, budget: _Budget) -> RawPerm | None:
+    """g^-1 for an element g of G with g(x(p)) = y(g(p)) for every point p
+    (g conjugates x to y), or None if x and y are not conjugate.  ``x_len``
+    and ``y_len`` are the cycle lengths of x and y; ``cent`` holds elements
+    of C_G(y).  One :func:`_conjugacy_search`, set up for this call.
+    """
+    return _conjugacy_search(bsgs, x, x_len, y, y_len, cent, budget, 0)(
+        None, cent.fixing(()))
+
+
+def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_len: list[int],
+                      cent: _Commuting, budget: _Budget,
+                      level: int) -> Callable[[int | None, tuple[int, ...]], RawPerm | None]:
+    """A backtrack search for elements g of G^(level), the elements fixing
+    base[:level], that conjugate x to y; with level > 0, y must be x.  It
+    is set up once for x, y and ``level``: ``find(image, fixing)`` returns
+    g^-1 for one such g with g(base[level]) = ``image`` (any image if
+    None), or None if there is none, where ``fixing`` indexes the elements
+    of ``cent`` that fix base[:level].  The search leaves its state as it
+    found it, so :func:`_centralizer` runs every candidate image of one
+    level through one setup.
 
     A group element is g = t_j(h) with t_j = u_0 u_1 ... u_{j-1} fixed by
     the choices at levels 0..j-1 and h in G^(j).  ``phi`` holds the
@@ -236,9 +249,11 @@ def _conjugator(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_len: lis
             assigned.append(b)
             b = x[b]
 
-    def search(j: int, hinv: RawPerm, fixing: tuple[int, ...]) -> RawPerm | None:
+    def search(j: int, hinv: RawPerm, fixing: tuple[int, ...],
+               image: int | None = None) -> RawPerm | None:
         """Extend t_j, given as its inverse; ``fixing`` indexes the elements
-        of ``cent`` that fix every image chosen so far."""
+        of ``cent`` that fix every image chosen so far, and ``image``, given
+        only at the first level, is the one image to try there."""
         budget.tick()
         label = labels[j]
         if any(label[hinv[phi[p]]] != label[p] for p in assigned):
@@ -250,7 +265,7 @@ def _conjugator(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_len: lis
         if phi[b] >= 0:
             return search(j + 1, _compose(hinv, inverse[hinv[phi[b]]]), fixing)
         length = x_len[b]
-        if j == level and image is not None:
+        if image is not None:
             choices: Sequence[int] = (image,)
         else:
             choices = by_len.get(length, ())
@@ -276,7 +291,8 @@ def _conjugator(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_len: lis
                 return found
         return None
 
-    return search(level, tuple(range(degree)), cent.fixing(base[:level]))
+    identity = tuple(points)
+    return lambda image, fixing: search(level, identity, fixing, image)
 
 
 def _centralizer(bsgs: BSGS, x: RawPerm, x_len: list[int],
@@ -289,12 +305,12 @@ def _centralizer(bsgs: BSGS, x: RawPerm, x_len: list[int],
     x-cycles of those points.  The levels are taken deepest first.  At
     level j, H <= C^(j) is generated by the elements found so far that fix
     base[:j].  Each candidate image c of b = base[j] (on an x-cycle of b's
-    length, in b's G^(j)-orbit) outside b's H-orbit gets a
-    :func:`_conjugator` search for an element of C^(j) mapping b to c,
-    which joins the generators.  If there is none, none maps b into the
-    H-orbit of c either, and those points are skipped.  At the end b's
-    H-orbit is its C^(j)-orbit and H = C^(j); so |C_G(x)| is the product
-    of the final orbit lengths.
+    length, in b's G^(j)-orbit) outside b's H-orbit gets a search, set up
+    once per level by :func:`_conjugacy_search`, for an element of C^(j)
+    mapping b to c, which joins the generators.  If there is none, none
+    maps b into the H-orbit of c either, and those points are skipped.  At
+    the end b's H-orbit is its C^(j)-orbit and H = C^(j); so |C_G(x)| is
+    the product of the final orbit lengths.
     """
     degree, base = bsgs.degree, bsgs.base
     cycle = _orbit_labels(degree, [x])  # each point's smallest x-cycle point
@@ -305,20 +321,51 @@ def _centralizer(bsgs: BSGS, x: RawPerm, x_len: list[int],
         fixed = {cycle[p] for p in base[:j]}  # the x-cycles C^(j) fixes pointwise
         if cycle[b] in fixed:
             continue
-        orbit = found.labels(found.fixing(base[:j]))
+        find = _conjugacy_search(bsgs, x, x_len, x, x_len, found, budget, j)
+        fixing = found.fixing(base[:j])
+        orbit = found.labels(fixing)
         failed: set[int] = set()  # points no element of C^(j) maps b to
         for c in range(degree):
             if (orbit[c] == orbit[b] or c in failed or x_len[c] != x_len[b]
                     or label[c] != label[b] or cycle[c] in fixed):
                 continue
-            hinv = _conjugator(bsgs, x, x_len, x, x_len, found, budget, j, c)
+            hinv = find(c, fixing)
             if hinv is None:
                 failed.update(p for p in range(degree) if orbit[p] == orbit[c])
-            else:
+            else:  # an element of G^(j), so it fixes base[:j]
+                fixing += (len(found.elements),)
                 found.elements.append(hinv)
-                orbit = found.labels(found.fixing(base[:j]))
+                orbit = found.labels(fixing)
         order *= orbit.count(orbit[b])
     return order, found
+
+
+def _power_kernel(bsgs: BSGS, powers: list[RawPerm], lengths: list[int], cent: _Commuting,
+                  budget: _Budget) -> set[int]:
+    """K = {k coprime to m : x^k ~ x} for x = powers[1] of order m =
+    len(powers), with ``powers[k]`` = x^k and ``cent`` generators of C_G(x).
+
+    K is a subgroup of the units mod m, so each k found in it is closed
+    into it under multiplication, and each f found outside it rules out
+    its whole coset fK.  A unit is tested against x only if neither
+    already decides it, k = m - 1 first: x^-1 ~ x for a real class, as
+    most classes of the groups here are.
+    """
+    m, x = len(powers), powers[1]
+    kernel, outside = {1}, set()
+    for k in [m - 1, *range(2, m - 1)]:
+        if k in kernel or k in outside or math.gcd(k, m) != 1:
+            continue
+        if _conjugator(bsgs, powers[k], lengths, x, lengths, cent, budget) is None:
+            outside.update(k * j % m for j in kernel)
+            continue
+        grown, power = set(kernel), k  # <K, k> is the union of the cosets k^i K
+        while power not in kernel:
+            grown.update(power * j % m for j in kernel)
+            power = power * k % m
+        kernel = grown
+        outside = {f * j % m for f in outside for j in kernel}
+    return kernel
 
 
 def _sampled_class_sizes(bsgs: BSGS, budget: _Budget) -> list[int]:
@@ -332,11 +379,11 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget) -> list[int]:
 
     A new representative x of order m gets C_G(x) from
     :func:`_centralizer` and brings its rational class along: K = {k :
-    x^k ~ x} is a subgroup of the units mod m, found by testing each
-    coprime power against x alone, and each coset kK is one class, of
-    x^k, with C_G(x^k) = C_G(x).  All of them join the known
-    representatives, which so stay closed under coprime powers; so no x^k
-    is conjugate to an earlier one.  The powers x^d for the proper
+    x^k ~ x} is a subgroup of the units mod m, found by
+    :func:`_power_kernel` from tests of coprime powers against x alone,
+    and each coset kK is one class, of x^k, with C_G(x^k) = C_G(x).  All
+    of them join the known representatives, which so stay closed under
+    coprime powers; so no x^k is conjugate to an earlier one.  The powers x^d for the proper
     divisors d > 1 of m are classified next: they reach classes of small
     size, which random elements rarely hit, and every other power of x
     is a coprime power of one of them.
@@ -363,10 +410,7 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget) -> list[int]:
         powers = [identity, x]  # powers[k] = x^k
         while len(powers) < m:
             powers.append(_compose(powers[-1], x))
-        kernel = [1] + [k for k in range(2, m)  # K = {k : x^k ~ x}
-                        if math.gcd(k, m) == 1
-                        and _conjugator(bsgs, powers[k], lengths, x, lengths, cent,
-                                        budget) is not None]
+        kernel = _power_kernel(bsgs, powers, lengths, cent, budget)
         covered: set[int] = set()
         for k in range(1, m):
             if math.gcd(k, m) == 1 and k not in covered:  # a new coset kK
@@ -415,28 +459,47 @@ def _profile_from_sizes(order: int, sizes: Sequence[int]) -> InvariantProfile:
 def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
     """Number of distinct centralizer subgroups {C(x) : x in G}.
 
+    C(z) = C(x) holds iff z lies in Z(C(x)) and |C(z)| = |C(x)|: such a z
+    commutes with all of C(x), so C(x) <= C(z), and equal orders make the
+    two equal; conversely z lies in C(z) = C(x) and commutes with all of
+    it.  So the elements sharing the centralizer of x are B(x) = {z in
+    Z(C(x)) : |C(z)| = |C(x)|}, and the sum over x in G of 1/|B(x)| counts
+    each centralizer once.  |B(x)| is constant on a class, so the count is
+    the sum of |x^G|/|B(x)| over the classes, taken here over a common
+    denominator in integers.
+
     The group is enumerated (so its cap check refuses a group above
     ``cap`` before any other work) and its classes are walked by
-    :func:`_conjugation_orbit` over a copy of the set.  The first member
-    x of a class gets C(x), the elements commuting with x; a member y =
-    z^g reached from z by a generator g gets C(y) = C(z)^g, one
-    conjugation per element of C(z).  Equal centralizers, as sets of
-    elements, are kept once.
+    :func:`_conjugation_orbit` over a copy of the set, which gives every
+    element's class size.  One pass over the group lists C(x) for a
+    non-central representative x; B(x) is the members of C(x) whose class
+    has the size of x's and that commute with every member of C(x).  A
+    central x has C(x) = G and B(x) = Z(G), the classes of size 1.
     """
     elems = group._element_images(cap)
     unreached = set(elems)
     pairs = group.bsgs.generator_pairs
-    distinct: dict[frozenset[RawPerm], frozenset[RawPerm]] = {}
+    class_size: dict[RawPerm, int] = {}
+    reps = []
     while unreached:
-        x = unreached.pop()
-        via: list = []
-        _conjugation_orbit(pairs, x, unreached, via=via)
-        # g commutes with x iff g(x(p)) = x(g(p)) at every point p; most g
-        # already fail at p = 0, which is tested without a generator
-        c = frozenset(g for g in elems if (not x or g[x[0]] == x[g[0]])
-                      and all(g[xb] == x[gb] for xb, gb in zip(x, g)))
-        cents = [distinct.setdefault(c, c)]  # C(members[i])
-        for k, (g, ginv) in via:
-            c = frozenset(_compose(_compose(ginv, h), g) for h in cents[k])
-            cents.append(distinct.setdefault(c, c))
-    return len(distinct)
+        members = _conjugation_orbit(pairs, unreached.pop(), unreached)
+        reps.append(members[0])
+        class_size.update(dict.fromkeys(members, len(members)))
+    central = sum(class_size[x] == 1 for x in reps)
+    terms = []  # (|x^G|, |B(x)|) per class
+    for x in reps:
+        size = class_size[x]
+        if size == 1:  # C(x) = G, so B(x) = Z(G)
+            terms.append((1, central))
+            continue
+        # most g already fail to commute with x at point 0, tested first
+        x0 = x[0]
+        cent = [g for g in elems if g[x0] == x[g[0]] and _compose(g, x) == _compose(x, g)]
+        shared = sum(all(_compose(z, g) == _compose(g, z) for g in cent)
+                     for z in cent if class_size[z] == size)
+        terms.append((size, shared))
+    denominator = math.lcm(*(shared for _, shared in terms))
+    total = sum(size * (denominator // shared) for size, shared in terms)
+    if total % denominator:
+        raise RuntimeError(f"centralizers counted {total}/{denominator} times, not a whole number")
+    return total // denominator

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Any, Callable, Iterable
 
@@ -170,11 +170,15 @@ class VerificationReport:
         raise KeyError(f"no check {check_id!r} in this report")
 
     def as_dict(self) -> dict:
+        """The report as JSON-ready data.  Rows are shallow dicts that share
+        their values with the results (``dataclasses.asdict`` would
+        deep-copy every computed value)."""
+        names = [f.name for f in fields(CheckResult)]
         return {
             "version": self.version,
             "timestamp": self.timestamp,
             "summary": self.summary,
-            "results": [asdict(r) for r in self.results],
+            "results": [{name: getattr(r, name) for name in names} for r in self.results],
         }
 
     def to_json(self) -> str:

@@ -300,6 +300,23 @@ def test_bad_target_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("search", "--uset", ""),
+    ("search", "--uset", " , "),
+    ("search", "--uset", ","),
+    ("pattern", "match", "--pattern", "1,p", "--target", ""),
+    ("pattern", "match", "--pattern", "1,p", "--target", " , "),
+])
+def test_an_empty_integer_list_is_a_usage_error(capsys, monkeypatch, argv):
+    # refused before any group is built or profiled
+    def no_group_work():
+        raise AssertionError("the catalog was opened")
+    monkeypatch.setattr(cli, "default_catalog", no_group_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: expected at least one integer, got {argv[-1]!r}"
+
+
+@pytest.mark.parametrize("argv", [
     ("group", "info", "A5"),
     ("group", "uset", "A5"),
     ("group", "classes", "A5"),

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -7,6 +8,7 @@ from collections import Counter
 import pytest
 
 from usets import invariants, perm
+from usets.catalog import default_catalog
 from usets.construct import alternating_group, m11_group, psl_group
 from usets.invariants import (
     centralizer_count,
@@ -173,6 +175,36 @@ def test_u4_2_count_collapse(catalog):
     assert len([n for n in prof.V if prof.u_map[n] == 1440]) == 2
 
 
+def generated(degree, *generators):
+    """The group generated by permutations given as lists of cycles."""
+    return PermGroup([Permutation.from_cycles(degree, *cycles) for cycles in generators])
+
+
+def linear_group_f3(matrices):
+    """The group generated by 2x2 matrices (a, b, c, d) over GF(3), acting
+    on the 8 nonzero vectors of GF(3)^2 (faithfully, as -1 moves them)."""
+    vectors = [v for v in itertools.product(range(3), repeat=2) if v != (0, 0)]
+    index = {v: i for i, v in enumerate(vectors)}
+    return PermGroup([
+        Permutation([index[((a * u + b * v) % 3, (c * u + d * v) % 3)] for u, v in vectors])
+        for a, b, c, d in matrices])
+
+
+#: Groups with a nontrivial centre, or with classes sharing a centralizer
+#: (x and x^-1 in different classes, or several classes of an abelian
+#: C(x)), which PSL(2,q) and A5 never have; with their centralizer counts
+#: by the brute-force definition.
+SHARED_CENTRALIZER_GROUPS = {
+    "D8": (lambda: generated(4, [(0, 1, 2, 3)], [(0, 2)]), 4),
+    "C4xC2": (lambda: generated(6, [(0, 1, 2, 3)], [(4, 5)]), 1),
+    "S3xC2": (lambda: generated(5, [(0, 1)], [(0, 1, 2)], [(3, 4)]), 5),
+    "D12": (lambda: generated(6, [(0, 1, 2, 3, 4, 5)], [(1, 5), (2, 4)]), 5),
+    "S3xS3": (lambda: generated(6, [(0, 1)], [(0, 1, 2)], [(3, 4)], [(3, 4, 5)]), 25),
+    "SL(2,3)": (lambda: linear_group_f3([(1, 1, 0, 1), (1, 0, 1, 1)]), 8),
+    "GL(2,3)": (lambda: linear_group_f3([(1, 1, 0, 1), (1, 0, 1, 1), (2, 0, 0, 1)]), 14),
+}
+
+
 class TestCentralizerCount:
     def test_trivial_group(self):
         assert centralizer_count(PermGroup([Permutation.identity(2)])) == 1
@@ -200,6 +232,8 @@ class TestCentralizerCount:
         (lambda: psl_group(2, 11), 189),
         (lambda: psl_group(2, 13), 275),
         (m11_group, 2081),
+        (lambda: default_catalog().entry("PSL(3,3)").group(), 1237),
+        (lambda: default_catalog().entry("U3(3)").group(), 1185),
     ])
     def test_known_counts(self, group_builder, expected):
         assert centralizer_count(group_builder()) == expected
@@ -213,12 +247,18 @@ class TestCentralizerCount:
         lambda: symmetric_group(4),
         lambda: alternating_group(5),
         lambda: psl_group(2, 7),
+        *(builder for builder, _ in SHARED_CENTRALIZER_GROUPS.values()),
     ])
     def test_matches_brute_force_definition(self, group_builder):
         group = group_builder()
         elems = brute_force_elements(group)
         centralizers = {frozenset(g for g in elems if g * x == x * g) for x in elems}
         assert centralizer_count(group) == len(centralizers)
+
+    @pytest.mark.parametrize("name", SHARED_CENTRALIZER_GROUPS)
+    def test_counts_with_a_centre_or_shared_centralizers(self, name):
+        builder, expected = SHARED_CENTRALIZER_GROUPS[name]
+        assert centralizer_count(builder()) == expected
 
 
 # -- the sampled path against independent routes ------------------------------
@@ -510,22 +550,68 @@ def test_one_class_size_per_rational_class(catalog, monkeypatch, name, expected)
     group = catalog.entry(name).group()
     assert rational_class_count(group) == expected
     searched, pruning = [], []
-    centralizer, conjugator = invariants._centralizer, invariants._conjugator
+    centralizer, search = invariants._centralizer, invariants._conjugacy_search
 
     def counted(bsgs, x, *args):
         searched.append(x)
         return centralizer(bsgs, x, *args)
 
+    # every backtrack search, the conjugacy tests' and the centraliser
+    # levels', is set up here
     def recorded(bsgs, x, x_len, y, y_len, cent, *args):
         pruning.append(len(cent.elements))
-        return conjugator(bsgs, x, x_len, y, y_len, cent, *args)
+        return search(bsgs, x, x_len, y, y_len, cent, *args)
     monkeypatch.setattr(invariants, "_centralizer", counted)
-    monkeypatch.setattr(invariants, "_conjugator", recorded)
+    monkeypatch.setattr(invariants, "_conjugacy_search", recorded)
     assert sum(profile(group).class_sizes) == group.order()
     # the identity needs none
     assert len(searched) == len(set(searched)) == expected - 1
     # every conjugacy test is pruned by elements of the target's centraliser
     assert pruning and min(pruning) >= 1
+
+
+@pytest.mark.parametrize("name", ["U3(3)", "PSL(3,4)", "A10"])
+def test_power_kernel_equals_exhaustive_tests(catalog, monkeypatch, name):
+    # K = {k coprime to m : x^k ~ x}, built from cosets, equals the set of
+    # every coprime k whose conjugacy test succeeds
+    group = alternating_group(10) if name == "A10" else catalog.entry(name).group()
+    kernels = []
+    power_kernel = invariants._power_kernel
+
+    def recorded(bsgs, powers, lengths, cent, budget):
+        kernels.append((bsgs, powers, lengths, cent, power_kernel(bsgs, powers, lengths, cent,
+                                                                  budget)))
+        return kernels[-1][-1]
+    monkeypatch.setattr(invariants, "_power_kernel", recorded)
+    profile(group, cap=2_000_000)
+    assert kernels
+    budget = invariants._Budget(10 ** 9)
+    for bsgs, powers, lengths, cent, kernel in kernels:
+        m = len(powers)
+        assert kernel == {k for k in range(1, m) if math.gcd(k, m) == 1 and invariants._conjugator(
+            bsgs, powers[k], lengths, powers[1], lengths, cent, budget) is not None}
+    # some kernel leaves out a unit, so a negative test's coset was used,
+    # and some is larger than {1, m - 1}, so one was closed
+    units = [sum(math.gcd(k, len(powers)) == 1 for k in range(1, len(powers)))
+             for _, powers, *_ in kernels]
+    assert any(len(kernel) < n for (*_, kernel), n in zip(kernels, units))
+    assert any(len(kernel) > 2 for *_, kernel in kernels)
+
+
+def test_a10_power_kernel_tests(monkeypatch):
+    # a kernel test conjugates a coprime power of a new representative to
+    # it, passing the representative's cycle lengths twice; testing every
+    # coprime power took 60 of them
+    calls = []
+    conjugator = invariants._conjugator
+
+    def recorded(bsgs, x, x_len, y, y_len, cent, budget):
+        calls.append(x_len is y_len)
+        return conjugator(bsgs, x, x_len, y, y_len, cent, budget)
+    monkeypatch.setattr(invariants, "_conjugator", recorded)
+    assert list(profile(alternating_group(10), cap=2_000_000).class_sizes) == \
+        alternating_class_sizes(10)
+    assert sum(calls) == 32
 
 
 def test_a10_profile_work(monkeypatch):

@@ -20,8 +20,12 @@ search over the chain, :func:`_conjugacy_search`, which reads its stored
 inverses and orbit labels as they are, does the rest:
 :func:`_conjugator` sets it up once per conjugacy test, pruned by the
 known centraliser of the representative, and :func:`_centralizer` once
-per level of its subgroup search for C_G(x).  A :class:`_Budget` counts
-search nodes and draws.
+per level of its subgroup search for C_G(x) that needs a search.  The
+search refutes each child by the chain's orbit labels before it assigns
+or composes anything for it, follows levels whose image is already fixed
+without a test, and accepts a leaf only if it conjugates on every point:
+that leaf test is the exact check.  A :class:`_Budget` counts search
+nodes, refuted children included, and draws.
 
 Sampling stops when the class equation sum |G|/|C_G(x_i)| = |G| closes,
 which certifies that every class was found.  When the searches would
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .patterns import factorize
-from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose, _orbit_labels,
+from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose,
                    check_cap)
 
 #: Seed of the element sampler; any fixed value gives the same profiles.
@@ -155,22 +159,37 @@ def _random_element(bsgs: BSGS, rng: random.Random, budget: _Budget) -> RawPerm:
     return g
 
 
+def _cycle_labels(x: RawPerm) -> list[int]:
+    """For each point, the smallest point of its cycle under x."""
+    label = list(range(len(x)))
+    for start in range(len(x)):  # the first point met on a cycle is its smallest
+        if label[start] == start:
+            p = x[start]
+            while p != start:
+                label[p] = start
+                p = x[p]
+    return label
+
+
 def _cycle_lengths(x: RawPerm) -> list[int]:
     """For each point, the length of its cycle under x."""
-    cycle = _orbit_labels(len(x), [x])
+    cycle = _cycle_labels(x)
     counts = Counter(cycle)
     return [counts[c] for c in cycle]
 
 
 class _Commuting:
-    """Elements known to commute with a permutation, and orbits of subsets."""
+    """Elements known to commute with a permutation y, orbits of subsets of
+    them, and the points bucketed by y's cycle lengths."""
 
-    __slots__ = ("degree", "elements", "_labels")
+    __slots__ = ("degree", "elements", "_labels", "_lengths", "_by_len")
 
     def __init__(self, degree: int, elements: list[RawPerm]):
         self.degree = degree
         self.elements = elements  # only ever appended to
-        self._labels: dict[tuple[int, ...], list[int]] = {}
+        self._labels: dict[tuple[int, ...], Sequence[int]] = {(): range(degree)}
+        self._lengths: list[int] | None = None
+        self._by_len: dict[int, list[int]] = {}
 
     def fixing(self, points: Sequence[int]) -> tuple[int, ...]:
         """The indices of the elements that fix every one of ``points``."""
@@ -178,11 +197,43 @@ class _Commuting:
             return tuple(range(len(self.elements)))
         return tuple(i for i, h in enumerate(self.elements) if all(h[p] == p for p in points))
 
-    def labels(self, subset: tuple[int, ...]) -> list[int]:
-        """Orbit labels under the elements at the indices ``subset``."""
-        if subset not in self._labels:
-            self._labels[subset] = _orbit_labels(self.degree, [self.elements[i] for i in subset])
-        return self._labels[subset]
+    def labels(self, subset: tuple[int, ...]) -> Sequence[int]:
+        """Orbit labels, each point's smallest orbit point, under the
+        elements at the indices ``subset``.
+
+        They grow from the labels of ``subset[:-1]``: the last element h
+        joins the orbits of p and h(p) for every point p, and a union-find
+        over the old labels that keeps the smaller root names each joined
+        orbit by its smallest point.
+        """
+        labels = self._labels.get(subset)
+        if labels is None:
+            before = self.labels(subset[:-1])
+            root = list(range(self.degree))
+            for a, b in zip(before, _compose(self.elements[subset[-1]], before)):
+                while root[a] != a:
+                    a = root[a]
+                while root[b] != b:
+                    b = root[b]
+                if a < b:
+                    root[b] = a
+                elif b < a:
+                    root[a] = b
+            for p in range(self.degree):  # root[p] <= p, so ascending settles each
+                root[p] = root[root[p]]
+            labels = self._labels[subset] = _compose(before, root)
+        return labels
+
+    def by_length(self, lengths: list[int]) -> dict[int, list[int]]:
+        """The points, ascending, by their entry in ``lengths``, the cycle
+        lengths of y.  The buckets are kept for the list last given, which
+        the coprime powers of a representative share with it."""
+        if lengths is not self._lengths:
+            self._by_len = {}
+            for p, n in enumerate(lengths):
+                self._by_len.setdefault(n, []).append(p)
+            self._lengths = lengths
+        return self._by_len
 
 
 def _conjugator(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_len: list[int],
@@ -190,7 +241,9 @@ def _conjugator(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_len: lis
     """g^-1 for an element g of G with g(x(p)) = y(g(p)) for every point p
     (g conjugates x to y), or None if x and y are not conjugate.  ``x_len``
     and ``y_len`` are the cycle lengths of x and y; ``cent`` holds elements
-    of C_G(y).  One :func:`_conjugacy_search`, set up for this call.
+    of C_G(y) and keeps y's cycle-length buckets for the next test against
+    y or a coprime power of it.  One :func:`_conjugacy_search`, set up for
+    this call; its leaf test is the one that accepts g.
     """
     return _conjugacy_search(bsgs, x, x_len, y, y_len, cent, budget, 0)(
         None, cent.fixing(()))
@@ -203,8 +256,9 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_le
     base[:level], that conjugate x to y; with level > 0, y must be x.  It
     is set up once for x, y and ``level``: ``find(image, fixing)`` returns
     g^-1 for one such g with g(base[level]) = ``image`` (any image if
-    None), or None if there is none, where ``fixing`` indexes the elements
-    of ``cent`` that fix base[:level].  The search leaves its state as it
+    None; a given image lies on a y-cycle of base[level]'s x-cycle length),
+    or None if there is none, where ``fixing`` indexes the elements of
+    ``cent`` that fix base[:level].  The search leaves its state as it
     found it, so :func:`_centralizer` runs every candidate image of one
     level through one setup.
 
@@ -214,31 +268,33 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_le
     whole x-cycle of b, by g(x^i(b)) = y^i(g(b)), and g(b) must lie on a
     y-cycle of the same length that no other x-cycle maps to.  An element
     of G^(level) that commutes with x fixes the x-cycles of base[:level]
-    pointwise, so the search starts with those.  A node survives only if,
-    for every p with a required image, h(p) = t_j^-1(phi[p]) lies in the
-    G^(j)-orbit of p.  A leaf is a single element, returned as the search
-    holds it, g^-1, so nothing is inverted.
+    pointwise, so the search starts with those, and the root needs no
+    test: t_level = 1 maps each of them to itself.
 
-    The leaf is also tested on every point, a check that cannot reject on
-    a complete chain: there G^(depth) = 1, so the leaf's orbit-label test
-    makes g agree with ``phi`` on every assigned point, the whole base
-    among them, and x g y^-1 g^-1 (left factor first) is an element of G
-    that fixes the base, the identity.  It stays as a guard for an x or y
-    outside G.  A wrong leaf would fail
-    ``test_conjugator_counts_match_brute_force``, which checks every answer
-    against a brute-force count of conjugators.
+    A child is refuted before it is entered: for every p with a required
+    image, h(p) = t_{j+1}^-1(phi[p]) must lie in the G^(j+1)-orbit of p,
+    tested first along the new cycle, then on the points assigned before,
+    by reading t_{j+1}^-1 = t_j^-1 u_j^-1 point by point.  Only a child
+    that passes gets its cycle assigned and t_{j+1}^-1 composed.  A level
+    whose base point already has its image is forced: its representative
+    is read from the stored inverses with no orbit test, and a missing
+    one ends the branch.  So a forced chain runs on to the leaf, a single
+    element held as g^-1, nothing inverted, and the leaf's test that g
+    conjugates x to y on every point, x g^-1 = g^-1 y, is the exact check
+    that accepts it: the orbit tests along the forced levels are skipped.
+    A wrong leaf would fail ``test_conjugator_counts_match_brute_force``,
+    which checks every answer against a brute-force count of conjugators,
+    and dropping the leaf test fails ``test_psl_2_11_profile``.
 
     If g conjugates x to y, so does h g for every h in C_G(y), in the same
     subtree if h fixes the images chosen so far; so a level tries one
     image per orbit of the elements of ``cent`` that fix them.
     """
-    degree, base, labels = bsgs.degree, bsgs.base, bsgs.orbit_labels
+    degree, base, labels, inverses = bsgs.degree, bsgs.base, bsgs.orbit_labels, bsgs.inverses
     depth = len(base)
-    points = range(degree)
     elements = cent.elements
-    by_len: dict[int, list[int]] = {}
-    for c in points:
-        by_len.setdefault(y_len[c], []).append(c)
+    by_len = cent.by_length(y_len)
+    tick = budget.tick
     phi = [-1] * degree
     taken = bytearray(degree)  # points already in the image of phi
     assigned: list[int] = []   # the points phi is defined on
@@ -254,16 +310,17 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_le
         """Extend t_j, given as its inverse; ``fixing`` indexes the elements
         of ``cent`` that fix every image chosen so far, and ``image``, given
         only at the first level, is the one image to try there."""
-        budget.tick()
-        label = labels[j]
-        if any(label[hinv[phi[p]]] != label[p] for p in assigned):
-            return None
+        while j < depth and phi[base[j]] >= 0:  # a forced level
+            tick()
+            uinv = inverses[j].get(hinv[phi[base[j]]])
+            if uinv is None:
+                return None
+            hinv = _compose(hinv, uinv)
+            j += 1
         if j == depth:
-            return hinv if all(x[hinv[q]] == hinv[y[q]] for q in points) else None
+            return hinv if _compose(hinv, x) == _compose(y, hinv) else None
         b = base[j]
-        inverse = bsgs.inverses[j]
-        if phi[b] >= 0:
-            return search(j + 1, _compose(hinv, inverse[hinv[phi[b]]]), fixing)
+        label, after, inverse = labels[j], labels[j + 1], inverses[j]
         length = x_len[b]
         if image is not None:
             choices: Sequence[int] = (image,)
@@ -272,27 +329,47 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_le
             if fixing:
                 orbit = cent.labels(fixing)
                 choices = [c for c in choices if orbit[c] == c]
+        target = label[b]
         for c in choices:
-            if y_len[c] != length or taken[c] or label[hinv[c]] != label[b]:
+            if taken[c] or label[hinv[c]] != target:
                 continue
-            p, q = b, c
-            for _ in range(length):
-                phi[p] = q
-                taken[q] = 1
-                assigned.append(p)
+            tick()
+            uinv = inverse[hinv[c]]
+            # the level-(j+1) labels under t_{j+1}^-1 = t_j^-1 u_j^-1, on the
+            # new cycle, then on the points assigned before: a child that
+            # passes both loops is entered, with nothing built before
+            p, q = x[b], y[c]
+            for _ in range(length - 1):  # (b, c) itself maps to b
+                if after[uinv[hinv[q]]] != after[p]:
+                    break
                 p, q = x[p], y[q]
-            found = search(j + 1, _compose(hinv, inverse[hinv[c]]),
-                           tuple(i for i in fixing if elements[i][c] == c) if fixing else ())
-            for _ in range(length):
-                p = assigned.pop()
-                taken[phi[p]] = 0
-                phi[p] = -1
-            if found is not None:
-                return found
+            else:
+                for p in assigned:
+                    if after[uinv[hinv[phi[p]]]] != after[p]:
+                        break
+                else:
+                    p, q = b, c
+                    for _ in range(length):
+                        phi[p] = q
+                        taken[q] = 1
+                        assigned.append(p)
+                        p, q = x[p], y[q]
+                    kept = tuple(i for i in fixing if elements[i][c] == c) if fixing else ()
+                    found = search(j + 1, _compose(hinv, uinv), kept)
+                    for _ in range(length):
+                        p = assigned.pop()
+                        taken[phi[p]] = 0
+                        phi[p] = -1
+                    if found is not None:
+                        return found
         return None
 
-    identity = tuple(points)
-    return lambda image, fixing: search(level, identity, fixing, image)
+    identity = tuple(range(degree))
+
+    def find(image: int | None, fixing: tuple[int, ...]) -> RawPerm | None:
+        tick()
+        return search(level, identity, fixing, image)
+    return find
 
 
 def _centralizer(bsgs: BSGS, x: RawPerm, x_len: list[int],
@@ -306,36 +383,41 @@ def _centralizer(bsgs: BSGS, x: RawPerm, x_len: list[int],
     level j, H <= C^(j) is generated by the elements found so far that fix
     base[:j].  Each candidate image c of b = base[j] (on an x-cycle of b's
     length, in b's G^(j)-orbit) outside b's H-orbit gets a search, set up
-    once per level by :func:`_conjugacy_search`, for an element of C^(j)
-    mapping b to c, which joins the generators.  If there is none, none
-    maps b into the H-orbit of c either, and those points are skipped.  At
-    the end b's H-orbit is its C^(j)-orbit and H = C^(j); so |C_G(x)| is
-    the product of the final orbit lengths.
+    by :func:`_conjugacy_search` once per level that needs one, for an
+    element of C^(j) mapping b to c, which joins the generators.  If there
+    is none, none maps b into the H-orbit of c either, however large H
+    grows, and that orbit is skipped for the rest of the level.  At the
+    end b's H-orbit is its C^(j)-orbit and H = C^(j); so |C_G(x)| is the
+    product of the final orbit lengths.
     """
-    degree, base = bsgs.degree, bsgs.base
-    cycle = _orbit_labels(degree, [x])  # each point's smallest x-cycle point
-    found = _Commuting(degree, [x])
+    base = bsgs.base
+    cycle = _cycle_labels(x)  # each point's smallest x-cycle point
+    found = _Commuting(bsgs.degree, [x])
+    by_len = found.by_length(x_len)
     order = 1
     for j in reversed(range(len(base))):
         b, label = base[j], bsgs.orbit_labels[j]
         fixed = {cycle[p] for p in base[:j]}  # the x-cycles C^(j) fixes pointwise
         if cycle[b] in fixed:
             continue
-        find = _conjugacy_search(bsgs, x, x_len, x, x_len, found, budget, j)
+        find = None
         fixing = found.fixing(base[:j])
         orbit = found.labels(fixing)
-        failed: set[int] = set()  # points no element of C^(j) maps b to
-        for c in range(degree):
-            if (orbit[c] == orbit[b] or c in failed or x_len[c] != x_len[b]
-                    or label[c] != label[b] or cycle[c] in fixed):
+        failed: set[int] = set()  # labels of H-orbits no element of C^(j) maps b into
+        for c in by_len[x_len[b]]:
+            if (orbit[c] == orbit[b] or orbit[c] in failed or label[c] != label[b]
+                    or cycle[c] in fixed):
                 continue
+            if find is None:
+                find = _conjugacy_search(bsgs, x, x_len, x, x_len, found, budget, j)
             hinv = find(c, fixing)
             if hinv is None:
-                failed.update(p for p in range(degree) if orbit[p] == orbit[c])
+                failed.add(orbit[c])
             else:  # an element of G^(j), so it fixes base[:j]
                 fixing += (len(found.elements),)
                 found.elements.append(hinv)
                 orbit = found.labels(fixing)
+                failed = {orbit[f] for f in failed}  # an old label is a point of its orbit
         order *= orbit.count(orbit[b])
     return order, found
 

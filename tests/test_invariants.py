@@ -433,21 +433,34 @@ CENTRALIZER_GROUPS = {
 }
 
 
+def check_centralizer(group, x, order, cent):
+    """The elements ``_centralizer`` found for x lie in the group, commute
+    with x and generate a group of the claimed order, and the orbit labels
+    grown one element at a time equal those of a fresh orbit walk; returns
+    how many of the labels joined more than one element."""
+    gens = cent.elements
+    identity = tuple(range(group.degree))
+    for g in gens:
+        assert group.bsgs.sift(g) == identity  # g lies in the group
+        assert perm._compose(g, x) == perm._compose(x, g)
+    assert perm._schreier_sims(gens, group.degree).order() == order
+    subsets = [*cent._labels, tuple(range(len(gens)))]
+    for subset in subsets:
+        assert list(cent.labels(subset)) == perm._orbit_labels(
+            group.degree, [gens[i] for i in subset])
+    return sum(len(subset) > 1 for subset in subsets)
+
+
 @pytest.mark.parametrize("name", CENTRALIZER_GROUPS)
 def test_centralizer_matches_brute_force(name):
     group = CENTRALIZER_GROUPS[name]()
     elems = [g.images for g in brute_force_elements(group)]
-    bsgs = group.bsgs
-    identity = tuple(range(group.degree))
     budget = invariants._Budget(10 ** 9)
     for x in elems:
-        order, cent = invariants._centralizer(bsgs, x, invariants._cycle_lengths(x), budget)
-        gens = cent.elements
+        order, cent = invariants._centralizer(group.bsgs, x, invariants._cycle_lengths(x),
+                                              budget)
         assert order == sum(perm._compose(g, x) == perm._compose(x, g) for g in elems)
-        for g in gens:
-            assert bsgs.sift(g) == identity  # g lies in the group
-            assert perm._compose(g, x) == perm._compose(x, g)
-        assert perm._schreier_sims(gens, group.degree).order() == order
+        check_centralizer(group, x, order, cent)
 
 
 @pytest.mark.parametrize("name", CENTRALIZER_GROUPS)
@@ -627,3 +640,38 @@ def test_a10_profile_work(monkeypatch):
     assert list(profile(alternating_group(10), cap=2_000_000).class_sizes) == \
         alternating_class_sizes(10)
     assert len(budgets) == 1 and budgets[0].work <= 7706 // 2
+
+
+def test_psl_3_4_profile_compositions(monkeypatch):
+    # a child refuted by its orbit labels is never composed: the search
+    # composes only the children it enters, the forced levels and the leaf
+    # tests, and each grown set of orbit labels twice (composing every
+    # child took 2 149)
+    group = psl_group(3, 4)
+    group.order()  # builds the chain
+    calls = []
+    compose = invariants._compose
+
+    def counted(a, b):
+        calls.append(1)
+        return compose(a, b)
+    monkeypatch.setattr(invariants, "_compose", counted)
+    assert profile(group).class_count == 10
+    assert len(calls) == 635
+
+
+@pytest.mark.parametrize("name", ["M11", "PSL(3,4)", "U4(2)", "A10"])
+def test_every_sampled_centralizer_is_checked(catalog, monkeypatch, name):
+    # every C(x) the sampler finds passes check_centralizer
+    group = alternating_group(10) if name == "A10" else catalog.entry(name).group()
+    centralizer = invariants._centralizer
+    found = []
+
+    def recorded(bsgs, x, *args):
+        found.append((x, *centralizer(bsgs, x, *args)))
+        return found[-1][1:]
+    monkeypatch.setattr(invariants, "_centralizer", recorded)
+    profile(group, cap=2_000_000)
+    assert found
+    # some labels joined the orbits of more than one element
+    assert sum(check_centralizer(group, *args) for args in found)

@@ -37,7 +37,7 @@ from .patterns import (
     match_pattern,
     solve_psl2_order,
 )
-from .perm import DEFAULT_CAP, GroupTooLargeError
+from .perm import DEFAULT_CAP, GroupTooLargeError, check_cap
 from .verify import run_verification
 
 
@@ -90,6 +90,7 @@ def _uset_str(values) -> str:
 def _cmd_group(args: argparse.Namespace) -> int:
     entry = default_catalog().entry(args.name)
     if args.group_cmd == "classes":
+        check_cap(entry.expected_order, args.cap, entry.name)
         classes = conjugacy_classes(entry.group(), args.cap)
         rows = [{"size": c.size, "element_order": c.element_order,
                  "representative": c.representative.cycle_string()}
@@ -199,7 +200,7 @@ def _split_check_ids(text: str) -> list[str]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     selection = None if args.only is None else _split_check_ids(args.only)
-    report = run_verification(selection, cap=args.cap, catalog=default_catalog())
+    report = run_verification(selection, cap=args.cap)
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n")
     if args.format == "json":

@@ -7,7 +7,7 @@ matrices act trivially on projective points, so the permutation image of
 SL(n,q) is exactly PSL(n,q); class-size invariants only depend on the
 abstract group, so no explicit coset construction is needed.  U3(3) and
 U4(2) are SU(3,3) and PSp(4,3) acting the same way, each generated by a
-few transvections of its form.
+few transvections of its form (:func:`classical_group`).
 
 Vectors are tuples of integer-coded field elements (:mod:`usets.gf`) and
 a matrix is the tuple of its rows; every function that does arithmetic
@@ -152,10 +152,12 @@ def hermitian_form(field: Field, u: Vector, v: Vector) -> int:
 
 
 def symplectic_form(field: Field, u: Vector, v: Vector) -> int:
-    """<u, v> = u1 v2 - u2 v1 + u3 v4 - u4 v3."""
+    """<u, v> = sum_i u_{2i-1} v_{2i} - u_{2i} v_{2i-1}, in any even dimension."""
     add, mul, neg = field.add, field.mul, field.neg
-    return add[add[mul[u[0]][v[1]]][neg[mul[u[1]][v[0]]]]][
-        add[mul[u[2]][v[3]]][neg[mul[u[3]][v[2]]]]]
+    acc = 0
+    for i in range(0, len(u), 2):
+        acc = add[acc][add[mul[u[i]][v[i + 1]]][neg[mul[u[i + 1]][v[i]]]]]
+    return acc
 
 
 def form_transvections(field: Field, form: Callable[[Field, Vector, Vector], int],
@@ -174,37 +176,15 @@ def form_transvections(field: Field, form: Callable[[Field, Vector, Vector], int
     return out
 
 
-def su3_3() -> tuple[Field, list[Matrix], list[Vector]]:
-    """GF(9), three unitary transvections generating SU(3,3), and the 28
-    isotropic points they permute.  The centers are isotropic points 0,
-    13 and 21, the twist the first nonzero l with l + l^3 = 0; of the
-    generating triples, these cost profile() the fewest samples and
-    search nodes."""
-    field = field_create(3, 2)
-    points = [pt for pt in projective_points(field, 3) if not hermitian_form(field, pt, pt)]
-    twist = next(l for l in range(1, field.size) if not field.add[l][field.pow(l, 3)])
-    centers = [points[i] for i in (0, 13, 21)]
-    return field, form_transvections(field, hermitian_form, centers, twist), points
-
-
-def sp4_3() -> tuple[Field, list[Matrix], list[Vector]]:
-    """GF(3), four symplectic transvections generating Sp(4,3), centered
-    on points 0, 1, 4 and 17 of PG(3,3) (e4, e3, e2, e1+e3+e4; picked as
-    in :func:`su3_3`), and the 40 points they permute."""
-    field = field_create(3, 1)
-    points = projective_points(field, 4)
-    centers = [points[i] for i in (0, 1, 4, 17)]
-    return field, form_transvections(field, symplectic_form, centers, 1), points
-
-
-def u3_3_group() -> PermGroup:
-    """U3(3) = SU(3,3) on the isotropic points; its center is trivial."""
-    return projectivize(*su3_3())
-
-
-def u4_2_group() -> PermGroup:
-    """U4(2) = PSp(4,3): Sp(4,3) on PG(3,3), with kernel +-I."""
-    return projectivize(*sp4_3())
+def classical_group(form: Callable[[Field, Vector, Vector], int], n: int, q: int,
+                    centres: Sequence[int], twist: int = 1) -> PermGroup:
+    """The transvections x -> x + twist * form(x, v) * v, v the isotropic
+    points numbered ``centres`` in ascending order, acting on all isotropic
+    points of PG(n-1, q): the projective image of the group they generate."""
+    field = field_create(*prime_power_decomposition(q))
+    points = [pt for pt in projective_points(field, n) if not form(field, pt, pt)]
+    mats = form_transvections(field, form, [points[i] for i in centres], twist)
+    return projectivize(field, mats, points)
 
 
 def m11_group() -> PermGroup:

@@ -187,30 +187,15 @@ def primes_up_to(bound: int) -> list[int]:
     return [n for n in range(bound + 1) if is_prime(n)]
 
 
-def divisors(n: int) -> list[int]:
-    """The positive divisors of n >= 1, ascending."""
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
-def integer_cube_root(n: int) -> int:
-    """The largest integer c with c^3 <= n, for n >= 0 (exact at any size)."""
-    if n < 0:
-        raise ValueError(f"cube root of a negative number {n}")
-    return _integer_root(n, 3)
-
-
 def solve_psl2_order(order: int) -> int | None:
     """The unique l >= 2 with l(l^2 - 1)/2 == order, if any.
 
     For l >= 2, (l - 1)^3 <= l^3 - l < l^3, so the only candidate is one
-    more than the integer cube root of 2*order.
+    more than the integer cube root of 2*order, exact at any size.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    l = integer_cube_root(2 * order) + 1
+    l = _integer_root(2 * order, 3) + 1
     return l if l * (l * l - 1) // 2 == order else None
 
 
@@ -429,13 +414,6 @@ def _divisor_prime_counts(n: int) -> list[tuple[int, int]]:
     for p, e in factorize(n).items():
         out = [(d * p ** k, m + (k > 0)) for d, m in out for k in range(e + 1)]
     return out
-
-
-def admissible_class_sizes(count: int) -> list[int]:
-    """Class sizes that could produce ``count`` elements in a simple
-    group: divisors n > 1 of the count that are not prime powers, that is
-    the divisors with at least two distinct prime factors, ascending."""
-    return sorted(d for d, n in _divisor_prime_counts(count) if n >= 2)
 
 
 def feasibility_check(u_values: Iterable[int]) -> FeasibilityVerdict:

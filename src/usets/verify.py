@@ -467,15 +467,15 @@ def _outcome(row: CheckRow, catalog: Catalog, cap: int) -> tuple:
 
 
 def run_verification(selection: Iterable[str] | None = None, *,
-                     cap: int = DEFAULT_CAP,
-                     catalog: Catalog | None = None) -> VerificationReport:
-    """Run the published-value checks and return a structured report.
+                     cap: int = DEFAULT_CAP) -> VerificationReport:
+    """Run the published-value checks on :func:`default_catalog` and
+    return a structured report.
 
     ``selection`` restricts the run to the given check ids (unknown ids,
     or none at all, raise).  Groups whose order exceeds ``cap`` surface as
     not_checked.
     """
-    catalog = catalog if catalog is not None else default_catalog()
+    catalog = default_catalog()
     rows = _rows(catalog, cap)
     ids = [row.check_id for row in rows]
     if len(set(ids)) != len(ids):

@@ -11,6 +11,6 @@ def catalog():
 
 
 @pytest.fixture(scope="session")
-def report(catalog):
+def report():
     """One full verification run shared by the harness and acceptance tests."""
-    return run_verification(catalog=catalog)
+    return run_verification()

@@ -47,6 +47,21 @@ def test_group_classes(capsys):
     assert [r["size"] for r in rows] == [1, 12, 12, 15, 20]
 
 
+@pytest.mark.parametrize("command", ["info", "uset", "classes"])
+def test_group_above_the_cap_is_refused_by_name_before_it_is_built(capsys, monkeypatch,
+                                                                    command):
+    entry = default_catalog().entry("A10")
+
+    def must_not_build():
+        raise AssertionError("A10 built although it is above the cap")
+    monkeypatch.setattr(entry, "builder", must_not_build)
+    monkeypatch.setattr(entry, "_group", None)
+    code, out, err = run(capsys, "group", command, "A10")
+    assert (code, out) == (2, "")
+    assert err == ("error: group order 1814400 exceeds cap 250000; "
+                   "rerun with a higher cap to include A10")
+
+
 def test_group_accepts_alias(capsys):
     code, out, _ = run(capsys, "group", "uset", "L2(11)")
     assert code == 0

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -9,6 +10,8 @@ from usets.construct import (
     alternating_group,
     classical_order,
     det,
+    form_transvections,
+    hermitian_form,
     identity,
     m11_group,
     prime_power_decomposition,
@@ -17,11 +20,8 @@ from usets.construct import (
     psl_group,
     row_apply,
     sl_generators,
-    sp4_3,
-    su3_3,
+    symplectic_form,
     transvection,
-    u3_3_group,
-    u4_2_group,
 )
 from usets.gf import field_create
 from usets.invariants import profile
@@ -179,9 +179,21 @@ def symplectic(u, v):
     return (u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]) % 3
 
 
+def form_group_matrices(form, n, p, k, centres, twist=1):
+    """The field, the transvections and the isotropic points that the
+    catalog's U3(3) or U4(2) is built from."""
+    f = field_create(p, k)
+    points = [pt for pt in projective_points(f, n) if not form(f, pt, pt)]
+    return f, form_transvections(f, form, [points[i] for i in centres], twist), points
+
+
+U3_3_MATRICES = (hermitian_form, 3, 3, 2, (0, 13, 21), 3)
+U4_2_MATRICES = (symplectic_form, 4, 3, 1, (0, 1, 4, 17))
+
+
 class TestFormGroups:
-    def test_su3_3_generators_are_special_unitary(self):
-        f, mats, _ = su3_3()
+    def test_su3_3_generators_are_special_unitary(self, catalog):
+        f, mats, points = form_group_matrices(*U3_3_MATRICES)
         assert (f.p, f.k) == (3, 2)
         basis = identity(3)
         for m in mats:
@@ -189,9 +201,10 @@ class TestFormGroups:
             for a in basis:
                 for b in basis:
                     assert hermitian(row_apply(f, m, a), row_apply(f, m, b)) == hermitian(a, b)
+        assert projectivize(f, mats, points).generators == catalog.get("U3(3)").generators
 
-    def test_sp4_3_generators_are_symplectic(self):
-        f, mats, _ = sp4_3()
+    def test_sp4_3_generators_are_symplectic(self, catalog):
+        f, mats, points = form_group_matrices(*U4_2_MATRICES)
         assert (f.p, f.k) == (3, 1)
         basis = identity(4)
         for m in mats:
@@ -199,13 +212,23 @@ class TestFormGroups:
             for a in basis:
                 for b in basis:
                     assert symplectic(row_apply(f, m, a), row_apply(f, m, b)) == symplectic(a, b)
+        assert projectivize(f, mats, points).generators == catalog.get("U4(2)").generators
 
-    def test_point_counts(self):
-        points = su3_3()[2]
+    def test_point_counts(self, catalog):
+        points = form_group_matrices(*U3_3_MATRICES)[2]
         assert len(points) == 28  # q^3 + 1 isotropic points, q = 3
         assert all(hermitian(pt, pt) == (0, 0) for pt in points)
-        assert len(sp4_3()[2]) == 40  # (3^4 - 1) / 2 points of PG(3,3)
-        assert (u3_3_group().degree, u4_2_group().degree) == (28, 40)
+        assert len(form_group_matrices(*U4_2_MATRICES)[2]) == 40  # (3^4 - 1) / 2 points of PG(3,3)
+        assert (catalog.get("U3(3)").degree, catalog.get("U4(2)").degree) == (28, 40)
+
+    @pytest.mark.parametrize("p,k", [(3, 1), (2, 2)])
+    def test_symplectic_form_in_dimension_6(self, p, k):
+        # alternating on every vector, and a Gram matrix of nonzero determinant
+        f = field_create(p, k)
+        vectors = itertools.product(range(f.size), repeat=6)
+        assert all(symplectic_form(f, v, v) == 0 for v in vectors)
+        basis = identity(6)
+        assert det(f, tuple(tuple(symplectic_form(f, a, b) for b in basis) for a in basis))
 
     def test_m11_is_transitive_of_order_7920(self):
         group = m11_group()

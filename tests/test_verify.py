@@ -56,7 +56,7 @@ def test_centralizer_count_recorded(report):
     assert "|Cent(PSL(2,11))|" in r.note
 
 
-def test_centralizer_count_has_a_second_labelling(catalog, monkeypatch):
+def test_centralizer_count_has_a_second_labelling(monkeypatch):
     # the row's two counts run on different element tuples of PSL(2,11)
     element_sets = []
 
@@ -64,33 +64,33 @@ def test_centralizer_count_has_a_second_labelling(catalog, monkeypatch):
         element_sets.append(group._element_images(cap))
         return centralizer_count(group, cap)
     monkeypatch.setattr(verify, "centralizer_count", recording)
-    r = run_verification(["centralizer-count:PSL(2,11)"], catalog=catalog).results[0]
+    r = run_verification(["centralizer-count:PSL(2,11)"]).results[0]
     assert (r.status, r.computed, r.expected) == ("pass", 189, 189)
     assert len(element_sets) == 2 and element_sets[0] != element_sets[1]
 
 
-def test_deterministic_modulo_timestamp(catalog):
-    a = run_verification(catalog=catalog).as_dict()
-    b = run_verification(catalog=catalog).as_dict()
+def test_deterministic_modulo_timestamp():
+    a = run_verification().as_dict()
+    b = run_verification().as_dict()
     a.pop("timestamp"), b.pop("timestamp")
     assert a == b
 
 
-def test_selection_runs_subset(catalog):
-    report = run_verification(["uset:A5", "psl2-order-solve"], catalog=catalog)
+def test_selection_runs_subset():
+    report = run_verification(["uset:A5", "psl2-order-solve"])
     assert [r.check_id for r in report.results] == ["uset:A5", "psl2-order-solve"]
     assert report.all_passed
 
 
-def test_selection_rejects_unknown_ids(catalog):
+def test_selection_rejects_unknown_ids():
     with pytest.raises(ValueError, match="nonsense"):
-        run_verification(["nonsense"], catalog=catalog)
+        run_verification(["nonsense"])
 
 
-def test_empty_selection_is_refused(catalog):
+def test_empty_selection_is_refused():
     # a run that checks nothing must not read as a pass
     with pytest.raises(ValueError, match="^no check ids selected$"):
-        run_verification([], catalog=catalog)
+        run_verification([])
 
 
 def test_json_round_trip(report):
@@ -117,14 +117,14 @@ def test_report_is_a_plain_dataclass():
     assert empty.all_passed
 
 
-def test_low_cap_gates_more_groups(catalog):
-    report = run_verification(["uset:U4(2)", "uset:A5"], cap=1000, catalog=catalog)
+def test_low_cap_gates_more_groups():
+    report = run_verification(["uset:U4(2)", "uset:A5"], cap=1000)
     assert report.result("uset:U4(2)").status == "not_checked"
     assert report.result("uset:A5").status == "pass"
 
 
-def test_low_cap_gates_the_k3_elimination(catalog):
-    r = run_verification(["k3-uset-elimination"], cap=1000, catalog=catalog).result(
+def test_low_cap_gates_the_k3_elimination():
+    r = run_verification(["k3-uset-elimination"], cap=1000).result(
         "k3-uset-elimination")
     assert r.status == "not_checked"
     assert "cap" in r.note

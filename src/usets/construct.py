@@ -11,17 +11,19 @@ few transvections of its form (:func:`classical_group`).
 
 Vectors are tuples of integer-coded field elements (:mod:`usets.gf`) and
 a matrix is the tuple of its rows; every function that does arithmetic
-takes the :class:`~usets.gf.Field` explicitly.  Projective points are
-normalized so the first nonzero coordinate is 1 and enumerated in
-ascending coefficient order, which makes every permutation image stable
-across runs.
+takes the :class:`~usets.gf.Field` explicitly.  A matrix acts on all
+points at once, reading each column once (:func:`row_images`).
+Projective points are normalized so the first nonzero coordinate is 1
+and enumerated in ascending coefficient order, which makes every
+permutation image stable across runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Sequence
+from operator import getitem, itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .gf import Field, field_create
 from .patterns import factorize
@@ -36,22 +38,26 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def row_apply(field: Field, m: Matrix, vec: Vector) -> Vector:
-    """Row vector times matrix; vec -> vec @ m, skipping zero products.
-    Field codes are nonnegative, so a column summing to 1 is a unit vector
-    and picks one coordinate as it is."""
-    add, mul = field.add, field.mul
-    out = []
+def row_images(field: Field, m: Matrix, vectors: Sequence[Vector]) -> Iterator[Vector]:
+    """v @ m for each of ``vectors``, in C-level maps, for a square ``m`` of
+    their dimension.  A column summing to 1 (codes are nonnegative) picks a
+    coordinate; any other sums the ``mul`` rows of its nonzero entries."""
+    n, widths = len(vectors[0]), {len(row) for row in m}
+    if len(m) != n or widths != {n}:
+        shape = f"{len(m)}x{widths.pop()}" if len(widths) == 1 else "ragged"
+        raise ValueError(f"a {shape} matrix does not act on vectors of dimension {n}")
+    columns = []
     for col in zip(*m):
         if sum(col) == 1:
-            out.append(vec[col.index(1)])
+            columns.append(map(itemgetter(col.index(1)), vectors))
             continue
-        acc = 0
-        for x, a in zip(vec, col):
-            if x and a:
-                acc = add[acc][mul[x][a]]
-        out.append(acc)
-    return tuple(out)
+        terms = [map(field.mul[a].__getitem__, map(itemgetter(i), vectors))
+                 for i, a in enumerate(col) if a]
+        acc = terms[0] if terms else itertools.repeat(0, len(vectors))
+        for term in terms[1:]:
+            acc = map(getitem, map(field.add.__getitem__, acc), term)
+        columns.append(acc)
+    return zip(*columns)
 
 
 def det(field: Field, m: Matrix) -> int:
@@ -81,9 +87,8 @@ def transvection(n: int, i: int, j: int, value: int) -> Matrix:
     """Elementary matrix: identity plus ``value`` in position (i, j), i != j."""
     if i == j:
         raise ValueError("transvection needs i != j")
-    rows = [list(r) for r in identity(n)]
-    rows[i][j] = value
-    return tuple(tuple(r) for r in rows)
+    return tuple(tuple(value if (r, c) == (i, j) else int(r == c) for c in range(n))
+                 for r in range(n))
 
 
 def sl_generators(n: int, field: Field) -> list[Matrix]:
@@ -99,16 +104,6 @@ def sl_generators(n: int, field: Field) -> list[Matrix]:
             for i in range(n) for j in range(n) if i != j for m in range(field.k)]
 
 
-def normalize_point(field: Field, vec: Vector) -> Vector:
-    """Canonical representative of a projective point: first nonzero
-    coordinate scaled to 1."""
-    for x in vec:
-        if x:
-            scale = field.mul[field.inv[x]]
-            return tuple(scale[y] for y in vec)
-    raise ValueError("the zero vector is not a projective point")
-
-
 def projective_points(field: Field, n: int) -> list[Vector]:
     """All points of PG(n-1, q) as normalized vectors, ascending order."""
     return [(0,) * lead + (1,) + rest for lead in range(n - 1, -1, -1)
@@ -117,27 +112,36 @@ def projective_points(field: Field, n: int) -> list[Vector]:
 
 def projectivize(field: Field, mats: Sequence[Matrix],
                  points: Sequence[Vector] | None = None) -> PermGroup:
-    """Permutation action of invertible matrices on projective points.
+    """Permutation action of invertible square matrices on projective points.
 
     ``points``, all of PG(n-1, q) by default, must be normalized and
     preserved.  Points transform as row vectors (v -> v @ M), which makes
     the map a homomorphism for this package's apply-left-factor-first
     composition: the permutation of M1 @ M2 is perm(M1) * perm(M2).
     """
-    if not mats:
-        raise ValueError("need at least one matrix")
-    if points is None:
+    if points is None and mats:
         points = projective_points(field, len(mats[0]))
+    if not mats or not points:
+        raise ValueError("need at least one matrix and one point")
     index = {pt: i for i, pt in enumerate(points)}
     perms = []
     for m in mats:
+        images = row_images(field, m, points)
         if not det(field, m):
             raise ValueError("singular matrix has no projective action")
-        images = tuple(index.get(normalize_point(field, row_apply(field, m, pt)), -1)
-                       for pt in points)
-        if -1 in images:
+        perm = []
+        for v in images:
+            for x in v:
+                if x:
+                    break
+            if x != 1:  # scale the first nonzero coordinate to 1
+                if not x:
+                    raise ValueError("the zero vector is not a projective point")
+                v = tuple(map(field.mul[field.inv[x]].__getitem__, v))
+            perm.append(index.get(v))
+        if None in perm:
             raise ValueError("matrix does not preserve the point set")
-        perms.append(Permutation(images))
+        perms.append(Permutation(perm))
     return PermGroup(perms)
 
 
@@ -226,6 +230,8 @@ def classical_order(family: str, *params: int) -> int:
     """Exact order of PSL(n,q) or Alt(n)."""
     if family == "PSL":
         n, q = params
+        if n < 2:
+            raise ValueError("PSL(n,q) needs n >= 2")
         prime_power_decomposition(q)
         size = q ** (n * (n - 1) // 2)
         for i in range(2, n + 1):

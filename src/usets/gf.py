@@ -14,14 +14,16 @@ fix every downstream enumeration order:
 
 :func:`field_create` builds the addition and multiplication tables once
 per field from the powers of that primitive element, so fields are
-limited by size (:data:`MAX_FIELD_SIZE`), not by degree.  The choice of
-modulus does not matter for any computed invariant, as all fields of a
-given size are isomorphic.
+limited by size (:data:`MAX_FIELD_SIZE`), not by degree.  Each row is a
+C-level gather: row a of ``mul`` picks g^(log a + log b) for every b,
+and of ``add`` a(1 + b/a).  The choice of modulus does not matter for
+any computed invariant, as all fields of a given size are isomorphic.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .patterns import is_prime
@@ -78,6 +80,8 @@ class Field:
         self.size = q = p ** k
 
         def times(a: int, b: int) -> int:  # the product of polynomials mod the modulus
+            if k == 1:
+                return a * b % p
             prod = [0] * (2 * k - 1)
             for i, x in enumerate(_coeffs(a, p, k)):
                 for j, y in enumerate(_coeffs(b, p, k)):
@@ -93,17 +97,17 @@ class Field:
         else:
             raise ValueError(f"modulus {modulus} is not irreducible over GF({p})")
         self.primitive = g
-        log = [0] * q
+        log = [2 * q - 2] * q  # log 0 points past two cycles of powers, onto the zeros
         for e, x in enumerate(powers):
             log[x] = e
-        cycle = powers * 2
-        self.mul = ((0,) * q,) + tuple(
-            (0,) + tuple(cycle[log[a] + log[b]] for b in range(1, q)) for a in range(1, q))
+        exp = powers * 2 + [0] * (q - 1)  # exp[e] = g^e for e < 2(q - 1), then 0
+        by_log = itemgetter(*log)  # row a of mul is exp[log a + log b] for every b
+        self.mul = ((0,) * q,) + tuple(by_log(exp[log[a]:]) for a in range(1, q))
         self.inv = (None,) + tuple(powers[-log[a]] for a in range(1, q))
         # a + b = a(1 + b/a), and adding 1 only changes the constant coefficient
         plus_one = [x + 1 if (x + 1) % p else x + 1 - p for x in range(q)]
         self.add = (tuple(range(q)),) + tuple(
-            tuple(self.mul[a][plus_one[self.mul[self.inv[a]][b]]] for b in range(q))
+            itemgetter(*itemgetter(*self.mul[self.inv[a]])(plus_one))(self.mul[a])
             for a in range(1, q))
         self.neg = self.mul[p - 1]  # -1 is the constant p - 1
 

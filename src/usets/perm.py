@@ -28,7 +28,7 @@ the level's last closure certifies: the old generator's residue went
 into the deeper levels then, so the new one lies there too if the two
 changes of representative do.  Every dropped generator would sift to the
 identity, so the chain is, byte for byte, the one that re-sifting every
-Schreier generator builds.
+Schreier generator builds.  Rebuilt trees reuse unchanged edges' representatives.
 
 The groups handled here are small (the largest the tests profile, A12,
 has order 239 500 800), so Schreier-Sims favours clarity and
@@ -304,7 +304,8 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
     last closure and u'_gamma the one the rebuild gives it, by two rules:
 
     * a tree edge: when u'_gamma s equals u'_delta, the Schreier generator
-      u'_gamma s u'_delta^-1 is the identity and is not sifted;
+      u'_gamma s u'_delta^-1 is the identity and is not sifted, nor is
+      u'_gamma s formed for an edge of the rebuilt tree;
     * a certificate from the last closure: when s was a generator at the
       end of that closure, and h_gamma = u'_gamma u_gamma^-1 and h_delta
       both sift to the identity through the deeper levels, the pair is not
@@ -319,6 +320,11 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
     and sifted once, or once more after an insertion below level i
     enlarges the deeper group.  Neither rule changes an insertion, so the
     chain is the one that re-sifting every pair builds.
+
+    Each level keeps its last tree: by point, the representative and the
+    edge (parent, generator).  A point whose edge and parent representative
+    are the last tree's keeps its old representative, u_parent s all the
+    same; any other is composed and compared as before, so ``changed`` stays.
     """
     ident = _identity(degree)
     base: list[int] = []
@@ -326,6 +332,7 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
     transversals: list[tuple[RawPerm, ...]] = []
     inverses: list[dict[int, RawPerm]] = []
     closed_gens: list[set[RawPerm]] = []  # the generators at each level's last closure
+    trees: list[tuple] = []  # each level's last tree by point: reps, parents, generators
 
     def gens_at(i: int) -> list[RawPerm]:
         return [g for lvl in level_gens[i:] for g in lvl]
@@ -336,36 +343,39 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
         transversals.append((ident,))
         inverses.append({pt: ident})
         closed_gens.append(set())
+        trees.append(((None,) * degree,) * 3)  # no tree yet
 
-    def rebuild_transversal(i: int) -> tuple[list[RawPerm | None], dict[int, RawPerm | None]]:
-        """Rebuild level i.  Return its representatives indexed by point
-        (None off the orbit), and for every point whose representative
-        differs from the one the level's last closure used, that one's
-        inverse (None for a point new to the orbit)."""
-        pt = base[i]
-        # indexed by point, so the orbit is read off in ascending order
-        trans: list[RawPerm | None] = [None] * degree
-        trans[pt] = ident
-        frontier = [pt]
+    def rebuild_transversal(i: int) -> tuple[list, list, list, dict[int, RawPerm | None]]:
+        """Rebuild level i's tree; return it by point (representatives,
+        parents, generators) and the old inverse of every point whose
+        representative changed since the last closure (None if new)."""
+        old_trans, old_parent, old_via = trees[i]
+        old_inverse = inverses[i]
+        trans, parent, via = [None] * degree, [None] * degree, [None] * degree
+        trans[base[i]] = ident
+        changed: dict[int, RawPerm | None] = {}
+        frontier = [base[i]]
         gens = gens_at(i)
         while frontier:
             new_pts = []
             for gamma in frontier:
                 u = trans[gamma]
+                kept = gamma not in changed
                 for s in gens:
                     delta = s[gamma]
                     if trans[delta] is None:
-                        trans[delta] = _compose(u, s)
+                        same = kept and old_via[delta] is s and old_parent[delta] == gamma
+                        trans[delta] = v = old_trans[delta] if same else _compose(u, s)
+                        if not same and v != old_trans[delta]:
+                            changed[delta] = old_inverse.get(delta)
+                        parent[delta], via[delta] = gamma, s
                         new_pts.append(delta)
             frontier = sorted(new_pts)
-        old_inverse = inverses[i]
-        old = dict(zip(old_inverse, transversals[i]))
-        changed = {gamma: old_inverse.get(gamma) for gamma, u in enumerate(trans)
-                   if u is not None and old.get(gamma) != u}
+        trees[i] = trans, parent, via
         transversals[i] = tuple(u for u in trans if u is not None)
         inverses[i] = {gamma: _inverse(u) if gamma in changed else old_inverse[gamma]
                        for gamma, u in enumerate(trans) if u is not None}
-        return trans, changed
+        return trans, parent, via, changed
 
     def add_nonmember(i: int, g: RawPerm) -> None:
         # pre: g != identity, g fixes base[:i], g is not in the level-i
@@ -376,14 +386,15 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
             add_nonmember(i + 1, g)
         else:
             level_gens[i].append(g)
-        trans, changed = rebuild_transversal(i)
+        trans, parent, via, changed = rebuild_transversal(i)
         inverse = inverses[i]
         gens = gens_at(i)
         closed = [s in closed_gens[i] for s in gens]
         refuted: set[int] = set()  # changed points whose h sifted to a nonidentity
+        deeper = base[i + 1:], inverses[i + 1:]  # taken again after an insertion
 
         def sift_deeper(g: RawPerm) -> RawPerm:
-            return _sift(g, base[i + 1:], inverses[i + 1:])
+            return _sift(g, *deeper)
 
         def certified(gamma: int) -> bool:
             """Whether h_gamma, for gamma in ``changed``, lies in the deeper
@@ -403,13 +414,16 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
                 if (s_closed and (gamma not in changed or certified(gamma))
                         and (delta not in changed or certified(delta))):
                     continue
+                if via[delta] is s and parent[delta] == gamma:  # a tree edge
+                    continue
                 us = _compose(u, s)
-                if us == trans[delta]:  # a tree edge: the Schreier generator is 1
+                if us == trans[delta]:  # the Schreier generator is 1 all the same
                     continue
                 residue = sift_deeper(_compose(us, inverse[delta]))
                 if residue != ident:
                     add_nonmember(i + 1, residue)
                     refuted.clear()
+                    deeper = base[i + 1:], inverses[i + 1:]
         closed_gens[i] = set(gens_at(i))
 
     first = min((min(x for x in range(degree) if g[x] != x)
@@ -420,6 +434,7 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
         residue = _sift(g, base, inverses)
         if residue != ident:
             add_nonmember(0, residue)
+    del add_nonmember  # it refers to itself: free the build's state now, not at a GC pass
     pairs = tuple((g, _inverse(g)) for g in sorted(set(raw_gens) - {ident}))
     return BSGS(degree, base, level_gens, transversals, inverses, pairs)
 

@@ -18,7 +18,7 @@ from usets.construct import (
     projective_points,
     projectivize,
     psl_group,
-    row_apply,
+    row_images,
     sl_generators,
     symplectic_form,
     transvection,
@@ -159,6 +159,54 @@ class TestProjectivize:
         with pytest.raises(ValueError, match="preserve"):
             projectivize(f, [((0, 1), (1, 0))], [(0, 1)])
 
+    @pytest.mark.parametrize("mats,points", [([], None), ([()], None), ([identity(2)], [])])
+    def test_needs_a_matrix_and_a_point(self, mats, points):
+        with pytest.raises(ValueError, match="at least one matrix and one point"):
+            projectivize(field_create(3, 1), mats, points)
+
+    @pytest.mark.parametrize("mats,shape,n", [
+        ([((1, 0), (0, 1), (1, 1))], "3x2", 3),  # the points come from the first matrix
+        ([((1, 0, 0), (0, 1, 0))], "2x3", 2),
+        ([identity(2), ((2,),)], "1x1", 2),
+        ([identity(2), ((1, 0), (0,))], "ragged", 2),
+    ], ids=["3x2", "2x3", "1x1", "ragged"])
+    def test_matrix_shape_must_fit_the_points(self, mats, shape, n):
+        f = field_create(3, 1)
+        message = f"a {shape} matrix does not act on vectors of dimension {n}"
+        with pytest.raises(ValueError, match=message):
+            projectivize(f, mats)
+
+    @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2)])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_action_matches_a_per_point_reference(self, p, k, n):
+        # general invertible matrices, some columns replaced by unit columns
+        # so both kinds of column are read; each point's image is v @ m
+        # with its first nonzero coordinate scaled to 1
+        f = field_create(p, k)
+        points = projective_points(f, n)
+        rng = random.Random(100 * f.size + n)
+
+        def reference(m, pt):
+            image = tuple(_dot(f, pt, col) for col in zip(*m))
+            scale = f.inv[next(x for x in image if x)]
+            return tuple(f.mul[scale][x] for x in image)
+
+        def column():
+            if rng.random() < 0.7:
+                return tuple(rng.randrange(f.size) for _ in range(n))
+            j = rng.randrange(n)
+            return tuple(int(i == j) for i in range(n))
+
+        mats = []
+        while len(mats) < (2 if f.size ** n > 10 ** 4 else 4):
+            m = tuple(zip(*(column() for _ in range(n))))
+            if det(f, m):
+                mats.append(m)
+        index = {pt: i for i, pt in enumerate(points)}
+        got = projectivize(f, mats).generators
+        for m, perm in zip(mats, got):
+            assert perm.images == tuple(index[reference(m, pt)] for pt in points)
+
 
 def hermitian(u, v):
     """Sum of u_i * v_i^3 over GF(9), computed in the model a + b*i with
@@ -198,9 +246,10 @@ class TestFormGroups:
         basis = identity(3)
         for m in mats:
             assert det(f, m) == 1
-            for a in basis:
-                for b in basis:
-                    assert hermitian(row_apply(f, m, a), row_apply(f, m, b)) == hermitian(a, b)
+            images = list(row_images(f, m, basis))
+            for a, image_a in zip(basis, images):
+                for b, image_b in zip(basis, images):
+                    assert hermitian(image_a, image_b) == hermitian(a, b)
         assert projectivize(f, mats, points).generators == catalog.get("U3(3)").generators
 
     def test_sp4_3_generators_are_symplectic(self, catalog):
@@ -209,9 +258,10 @@ class TestFormGroups:
         basis = identity(4)
         for m in mats:
             assert det(f, m) == 1
-            for a in basis:
-                for b in basis:
-                    assert symplectic(row_apply(f, m, a), row_apply(f, m, b)) == symplectic(a, b)
+            images = list(row_images(f, m, basis))
+            for a, image_a in zip(basis, images):
+                for b, image_b in zip(basis, images):
+                    assert symplectic(image_a, image_b) == symplectic(a, b)
         assert projectivize(f, mats, points).generators == catalog.get("U4(2)").generators
 
     def test_point_counts(self, catalog):
@@ -267,6 +317,13 @@ class TestClassicalOrder:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             classical_order("Sp", 4, 3)
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_psl_needs_dimension_2(self, n):
+        with pytest.raises(ValueError, match="n >= 2"):
+            classical_order("PSL", n, 3)
+        with pytest.raises(ValueError, match="n >= 2"):
+            psl_group(n, 3)
 
 
 def test_prime_power_decomposition():

@@ -243,8 +243,9 @@ def test_schreier_sims_skips_trivial_compositions(monkeypatch):
     # compositions per chain build; composing at every sift step and twice
     # for every Schreier generator formed, with pairs skipped only when
     # their representatives did not change, takes 31 138 for PSL(4,4) and
-    # 32 706 for Alt(24)
-    groups = ((psl_group(4, 4), 13_718), (alternating_group(24), 12_350))
+    # 32 706 for Alt(24); composing every tree edge again, in each rebuilt
+    # tree and in the pair loop, takes 13 718 and 12 350
+    groups = ((psl_group(4, 4), 12_673), (alternating_group(24), 10_721))
     calls = []
     compose = perm._compose
 

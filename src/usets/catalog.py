@@ -114,16 +114,6 @@ def parse_generator_file(path: Path | str) -> tuple[int, int, list[Permutation]]
     return degree, declared, gens
 
 
-def write_generator_file(path: Path | str, group: PermGroup,
-                         comments: Iterable[str] = ()) -> None:
-    """Serialize a group in the generator file format (round-trippable)."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"degree {group.degree}")
-    lines.append(f"order {group.order()}")
-    lines.extend(g.cycle_string() for g in group.generators)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 @dataclass
 class CatalogEntry:
     """A named group with its declared order and a lazy, validated build."""

@@ -114,8 +114,9 @@ def projectivize(field: Field, mats: Sequence[Matrix],
                  points: Sequence[Vector] | None = None) -> PermGroup:
     """Permutation action of invertible square matrices on projective points.
 
-    ``points``, all of PG(n-1, q) by default, must be normalized and
-    preserved.  Points transform as row vectors (v -> v @ M), which makes
+    ``points``, all of PG(n-1, q) by default, must be preserved; repeated or
+    unnormalized ones are refused once, so an invertible matrix maps them
+    one to one.  Points transform as row vectors (v -> v @ M), which makes
     the map a homomorphism for this package's apply-left-factor-first
     composition: the permutation of M1 @ M2 is perm(M1) * perm(M2).
     """
@@ -124,6 +125,8 @@ def projectivize(field: Field, mats: Sequence[Matrix],
     if not mats or not points:
         raise ValueError("need at least one matrix and one point")
     index = {pt: i for i, pt in enumerate(points)}
+    if len(index) != len(points) or any(next(filter(None, pt), 1) != 1 for pt in points):
+        raise ValueError("points must be distinct and normalized (first nonzero coordinate 1)")
     perms = []
     for m in mats:
         images = row_images(field, m, points)
@@ -141,7 +144,7 @@ def projectivize(field: Field, mats: Sequence[Matrix],
             perm.append(index.get(v))
         if None in perm:
             raise ValueError("matrix does not preserve the point set")
-        perms.append(Permutation(perm))
+        perms.append(Permutation._wrap(tuple(perm)))
     return PermGroup(perms)
 
 

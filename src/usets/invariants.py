@@ -17,7 +17,8 @@ uniform random elements from the group's :class:`usets.perm.BSGS` (one
 transversal element per level, from a fixed-seed generator, so runs
 repeat exactly) and takes each draw's powers too.  One backtrack
 search over the chain, :func:`_conjugacy_search`, which reads its stored
-inverses and orbit labels as they are, does the rest:
+inverses and orbit labels as they are (:func:`usets.perm._join_orbits`
+labels those and the orbits of the subgroups it grows), does the rest:
 :func:`_conjugator` sets it up once per conjugacy test, pruned by the
 known centraliser of the representative, and :func:`_centralizer` once
 per level of its subgroup search for C_G(x) that needs a search.  The
@@ -33,9 +34,10 @@ cost more than enumerating the group (groups with many classes of one
 cycle type, such as abelian ones), it falls back to
 :func:`conjugacy_classes`, which enumerates all elements and grows
 conjugation orbits under the generators; that path also supplies the
-minimal class representatives.  Output order is canonical (by size, then
-by a minimal representative), independent of the order in which
-generators were supplied.
+minimal class representatives, and raises RuntimeError if a size the
+sampler found has no class there, as an overstated |C_G(x)| would.
+Output order is canonical (by size, then by a minimal representative),
+independent of the order in which generators were supplied.
 
 One conjugation-orbit walk, :func:`_conjugation_orbit`, serves
 :func:`conjugacy_classes` and :func:`centralizer_count`, which enumerate
@@ -59,7 +61,7 @@ from typing import Callable, Mapping, Sequence
 
 from .patterns import factorize
 from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose,
-                   check_cap)
+                   _join_orbits, check_cap)
 
 #: Seed of the element sampler; any fixed value gives the same profiles.
 _SAMPLER_SEED = 0
@@ -160,7 +162,10 @@ def _random_element(bsgs: BSGS, rng: random.Random, budget: _Budget) -> RawPerm:
 
 
 def _cycle_labels(x: RawPerm) -> list[int]:
-    """For each point, the smallest point of its cycle under x."""
+    """For each point, the smallest point of its cycle under x: the orbit
+    labels of <x>, on the sampler's hot path, where one walk per cycle is
+    about 3 times as fast as :func:`usets.perm._join_orbits` (timeit, a
+    random permutation: 1.5 vs 4.8 us at degree 10, 50 vs 147 at 513)."""
     label = list(range(len(x)))
     for start in range(len(x)):  # the first point met on a cycle is its smallest
         if label[start] == start:
@@ -182,10 +187,9 @@ class _Commuting:
     """Elements known to commute with a permutation y, orbits of subsets of
     them, and the points bucketed by y's cycle lengths."""
 
-    __slots__ = ("degree", "elements", "_labels", "_lengths", "_by_len")
+    __slots__ = ("elements", "_labels", "_lengths", "_by_len")
 
     def __init__(self, degree: int, elements: list[RawPerm]):
-        self.degree = degree
         self.elements = elements  # only ever appended to
         self._labels: dict[tuple[int, ...], Sequence[int]] = {(): range(degree)}
         self._lengths: list[int] | None = None
@@ -199,29 +203,12 @@ class _Commuting:
 
     def labels(self, subset: tuple[int, ...]) -> Sequence[int]:
         """Orbit labels, each point's smallest orbit point, under the
-        elements at the indices ``subset``.
-
-        They grow from the labels of ``subset[:-1]``: the last element h
-        joins the orbits of p and h(p) for every point p, and a union-find
-        over the old labels that keeps the smaller root names each joined
-        orbit by its smallest point.
-        """
+        elements at the indices ``subset``, grown from the labels of
+        ``subset[:-1]`` by :func:`usets.perm._join_orbits`."""
         labels = self._labels.get(subset)
         if labels is None:
-            before = self.labels(subset[:-1])
-            root = list(range(self.degree))
-            for a, b in zip(before, _compose(self.elements[subset[-1]], before)):
-                while root[a] != a:
-                    a = root[a]
-                while root[b] != b:
-                    b = root[b]
-                if a < b:
-                    root[b] = a
-                elif b < a:
-                    root[a] = b
-            for p in range(self.degree):  # root[p] <= p, so ascending settles each
-                root[p] = root[root[p]]
-            labels = self._labels[subset] = _compose(before, root)
+            labels = self._labels[subset] = _join_orbits(self.labels(subset[:-1]),
+                                                         self.elements[subset[-1]])
         return labels
 
     def by_length(self, lengths: list[int]) -> dict[int, list[int]]:
@@ -305,11 +292,12 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_le
             assigned.append(b)
             b = x[b]
 
-    def search(j: int, hinv: RawPerm, fixing: tuple[int, ...],
+    def search(again: Callable, j: int, hinv: RawPerm, fixing: tuple[int, ...],
                image: int | None = None) -> RawPerm | None:
         """Extend t_j, given as its inverse; ``fixing`` indexes the elements
         of ``cent`` that fix every image chosen so far, and ``image``, given
-        only at the first level, is the one image to try there."""
+        only at the first level, is the one image to try there.  ``again`` is
+        this function, passed so no cycle keeps the search alive after it."""
         while j < depth and phi[base[j]] >= 0:  # a forced level
             tick()
             uinv = inverses[j].get(hinv[phi[base[j]]])
@@ -355,7 +343,7 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_le
                         assigned.append(p)
                         p, q = x[p], y[q]
                     kept = tuple(i for i in fixing if elements[i][c] == c) if fixing else ()
-                    found = search(j + 1, _compose(hinv, uinv), kept)
+                    found = again(again, j + 1, _compose(hinv, uinv), kept)
                     for _ in range(length):
                         p = assigned.pop()
                         taken[phi[p]] = 0
@@ -368,7 +356,7 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_le
 
     def find(image: int | None, fixing: tuple[int, ...]) -> RawPerm | None:
         tick()
-        return search(level, identity, fixing, image)
+        return search(search, level, identity, fixing, image)
     return find
 
 
@@ -450,8 +438,9 @@ def _power_kernel(bsgs: BSGS, powers: list[RawPerm], lengths: list[int], cent: _
     return kernel
 
 
-def _sampled_class_sizes(bsgs: BSGS, budget: _Budget) -> list[int]:
-    """Class sizes |G|/|C_G(x)| for one representative x per class.
+def _sampled_class_sizes(bsgs: BSGS, budget: _Budget, sizes: list[int]) -> None:
+    """Class sizes |G|/|C_G(x)| for one representative x per class, added to
+    ``sizes`` as they are found, so a caller whose budget trips has them.
 
     An element opens a new class unless it is conjugate to a known
     representative with the same cycle type.  Random elements are
@@ -472,7 +461,7 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget) -> list[int]:
     """
     order, degree = bsgs.order(), bsgs.degree
     identity = tuple(range(degree))
-    sizes = [1]
+    sizes.append(1)
     total = 1
     # per cycle type: each representative, its cycle lengths and centraliser
     reps: dict[tuple[int, ...], list[tuple[RawPerm, list[int], _Commuting]]] = {}
@@ -503,7 +492,6 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget) -> list[int]:
         pending += [powers[d] for d in range(2, m) if m % d == 0]
     if total != order:
         raise RuntimeError(f"class sizes add up to {total}, group order is {order}")
-    return sizes
 
 
 def profile(group: PermGroup, cap: int = DEFAULT_CAP) -> InvariantProfile:
@@ -515,10 +503,14 @@ def profile(group: PermGroup, cap: int = DEFAULT_CAP) -> InvariantProfile:
     check_cap(order, cap)
     # enumerating the group costs |G| conjugations per generator
     budget = _Budget(order * len(group.bsgs.generator_pairs))
+    sizes: list[int] = []
     try:
-        sizes = _sampled_class_sizes(group.bsgs, budget)
+        _sampled_class_sizes(group.bsgs, budget, sizes)
     except _WorkLimitExceeded:
+        found = Counter(sizes)
         sizes = [c.size for c in conjugacy_classes(group, cap)]
+        if unmatched := found - Counter(sizes):
+            raise RuntimeError(f"no enumerated class has the sampled sizes {sorted(unmatched)}")
     return _profile_from_sizes(order, sizes)
 
 
@@ -551,15 +543,14 @@ def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
     denominator in integers.
 
     The group is enumerated (so its cap check refuses a group above
-    ``cap`` before any other work) and its classes are walked by
-    :func:`_conjugation_orbit` over a copy of the set, which gives every
-    element's class size.  One pass over the group lists C(x) for a
-    non-central representative x; B(x) is the members of C(x) whose class
-    has the size of x's and that commute with every member of C(x).  A
-    central x has C(x) = G and B(x) = Z(G), the classes of size 1.
+    ``cap`` before any other work) and its classes are walked out of that
+    set by :func:`_conjugation_orbit`, which gives every element's class
+    size.  One pass over the group, the keys of those sizes, lists C(x)
+    for a non-central representative x; B(x) is the members of C(x) whose
+    class has the size of x's and that commute with every member of C(x).
+    A central x has C(x) = G and B(x) = Z(G), the classes of size 1.
     """
-    elems = group._element_images(cap)
-    unreached = set(elems)
+    unreached = group._element_images(cap)
     pairs = group.bsgs.generator_pairs
     class_size: dict[RawPerm, int] = {}
     reps = []
@@ -576,7 +567,7 @@ def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
             continue
         # most g already fail to commute with x at point 0, tested first
         x0 = x[0]
-        cent = [g for g in elems if g[x0] == x[g[0]] and _compose(g, x) == _compose(x, g)]
+        cent = [g for g in class_size if g[x0] == x[g[0]] and _compose(g, x) == _compose(x, g)]
         shared = sum(all(_compose(z, g) == _compose(g, z) for g in cent)
                      for z in cent if class_size[z] == size)
         terms.append((size, shared))

@@ -16,8 +16,9 @@ Conventions used throughout the package:
 The stabilizer chain has one layout (see :class:`BSGS`), built once per
 level by :func:`_schreier_sims` and read as it is by sifting, Schreier
 generators and the backtrack searches of :mod:`usets.invariants`.
-:func:`_orbit_labels` is the one orbit walk, and :func:`_compose`, a
-C-level gather, the one composition kernel of the package.
+:func:`_join_orbits` is the one routine that labels the orbits of a
+subgroup, and :func:`_compose`, a C-level gather, the one composition
+kernel of the package.
 
 Schreier-Sims skips the work that cannot change the chain.  Sifting
 does nothing at a base point the element fixes, whose representative is
@@ -45,6 +46,7 @@ alike; :func:`check_cap` is the one place that refuses a group above it.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -100,23 +102,23 @@ def _sift(g: RawPerm, base: Sequence[int], inverses: Sequence[dict]) -> RawPerm:
     return g
 
 
-def _orbit_labels(degree: int, gens: Sequence[RawPerm]) -> list[int]:
-    """For each point, the smallest point of its orbit under ``gens``."""
-    label = list(range(degree))
-    for start in range(degree):
-        if label[start] != start:
-            continue
-        frontier = [start]
-        while frontier:
-            new_pts = []
-            for pt in frontier:
-                for g in gens:
-                    img = g[pt]
-                    if label[img] == img and img != start:
-                        label[img] = start
-                        new_pts.append(img)
-            frontier = new_pts
-    return label
+def _join_orbits(labels: Sequence[int], h: RawPerm) -> RawPerm:
+    """Orbit labels, each point's smallest orbit point, once ``h`` joins the
+    permutations that ``labels`` describe: a union-find over the old labels,
+    keeping the smaller root, joins the orbit of each p to that of h(p)."""
+    root = list(range(len(labels)))
+    for a, b in zip(labels, _compose(h, labels)):
+        while root[a] != a:
+            a = root[a]
+        while root[b] != b:
+            b = root[b]
+        if a < b:
+            root[b] = a
+        elif b < a:
+            root[a] = b
+    for p in range(len(root)):  # root[p] <= p, so ascending settles each
+        root[p] = root[root[p]]
+    return _compose(labels, root)
 
 
 class Permutation:
@@ -177,9 +179,6 @@ class Permutation:
 
     def __call__(self, point: int) -> int:
         return self.images[point]
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, 0-based, each starting at its smallest point."""
@@ -276,11 +275,12 @@ class BSGS:
 
     @property
     def orbit_labels(self) -> list[list[int]]:
-        """Orbit labels of each G^(i), generated by the levels i and deeper."""
+        """Orbit labels of each G^(i): level i's generators join G^(i+1)'s."""
         if self._labels is None:
-            gens = self._level_gens
-            self._labels = [_orbit_labels(self.degree, [g for lvl in gens[i:] for g in lvl])
-                            for i in range(len(self.base) + 1)]
+            labels = [list(range(self.degree))]
+            for gens in reversed(self._level_gens):
+                labels.append(list(reduce(_join_orbits, gens, labels[-1])))
+            self._labels = labels[::-1]
         return self._labels
 
     def sift(self, images: RawPerm) -> RawPerm:

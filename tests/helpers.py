@@ -1,5 +1,8 @@
-"""Groups the tests use that the package does not build, and named
-package groups that several tests share."""
+"""Groups the tests use that the package does not build, named package
+groups that several tests share, an independent orbit walk and a
+generator-file writer."""
+
+from pathlib import Path
 
 from usets.construct import alternating_group, m11_group, psl_group
 from usets.perm import PermGroup, Permutation
@@ -21,3 +24,33 @@ def symmetric_group(n: int) -> PermGroup:
         return PermGroup([Permutation.identity(1)])
     return PermGroup([Permutation.from_cycles(n, (0, 1)),
                       Permutation.from_cycles(n, tuple(range(n)))])
+
+
+def orbit_labels(degree, gens):
+    """For each point, the smallest point of its orbit under the image
+    tuples ``gens``, by a breadth-first walk from each smallest point."""
+    label = list(range(degree))
+    for start in range(degree):
+        if label[start] != start:
+            continue
+        frontier = [start]
+        while frontier:
+            new_pts = []
+            for pt in frontier:
+                for g in gens:
+                    img = g[pt]
+                    if label[img] == img and img != start:
+                        label[img] = start
+                        new_pts.append(img)
+            frontier = new_pts
+    return label
+
+
+def write_generator_file(path, group, comments=()):
+    """Write ``group`` in the generator file format that
+    :func:`usets.catalog.load_generator_file` reads."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(f"degree {group.degree}")
+    lines.append(f"order {group.order()}")
+    lines.extend(g.cycle_string() for g in group.generators)
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -14,11 +14,12 @@ from usets.catalog import (
     load_generator_file,
     parse_cycle_notation,
     parse_generator_file,
-    write_generator_file,
 )
 from usets.construct import alternating_group
 from usets.invariants import profile
-from usets.perm import GroupTooLargeError
+from usets.perm import GroupTooLargeError, Permutation
+
+from helpers import write_generator_file
 
 
 class TestRegistry:
@@ -100,7 +101,7 @@ class TestCycleParsing:
         assert p.images == (1, 2, 0)
 
     def test_identity(self):
-        assert parse_cycle_notation("()", 4).is_identity()
+        assert parse_cycle_notation("()", 4) == Permutation.identity(4)
 
     def test_multiple_cycles_with_spaces(self):
         p = parse_cycle_notation("(1, 2)(3, 4)", 4)

@@ -25,9 +25,9 @@ from usets.construct import (
 )
 from usets.gf import field_create
 from usets.invariants import profile
-from usets.perm import Permutation, _orbit_labels
+from usets.perm import Permutation
 
-from helpers import symmetric_group
+from helpers import orbit_labels, symmetric_group
 
 
 def mat_mul(f, a, b):
@@ -125,7 +125,18 @@ class TestProjectivize:
     def test_scalar_matrix_acts_trivially(self):
         f = field_create(5, 1)
         group = projectivize(f, [((2, 0), (0, 2))])
-        assert group.generators[0].is_identity()
+        assert group.generators[0] == Permutation.identity(6)
+
+    def test_repeated_points_rejected(self):
+        f = field_create(3, 1)
+        with pytest.raises(ValueError, match="points must be distinct and normalized"):
+            projectivize(f, [((1, 0), (0, 1))], [(0, 1), (1, 0), (0, 1)])
+
+    def test_unnormalized_points_rejected(self):
+        # (1, 0) and (2, 0) are one projective point: the image list would repeat it
+        f = field_create(3, 1)
+        with pytest.raises(ValueError, match="points must be distinct and normalized"):
+            projectivize(f, [((1, 0), (0, 1))], [(1, 0), (2, 0)])
 
     def test_singular_matrix_rejected(self):
         f = field_create(3, 1)
@@ -283,7 +294,7 @@ class TestFormGroups:
     def test_m11_is_transitive_of_order_7920(self):
         group = m11_group()
         assert group.degree == 11
-        assert _orbit_labels(11, [g.images for g in group.generators]) == [0] * 11
+        assert orbit_labels(11, [g.images for g in group.generators]) == [0] * 11
         assert group.order() == 7920
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -17,7 +18,7 @@ from usets.invariants import (
 )
 from usets.perm import DEFAULT_CAP, GroupTooLargeError, PermGroup, Permutation
 
-from helpers import symmetric_group
+from helpers import orbit_labels, symmetric_group
 
 
 def brute_force_elements(group):
@@ -446,8 +447,8 @@ def check_centralizer(group, x, order, cent):
     assert perm._schreier_sims(gens, group.degree).order() == order
     subsets = [*cent._labels, tuple(range(len(gens)))]
     for subset in subsets:
-        assert list(cent.labels(subset)) == perm._orbit_labels(
-            group.degree, [gens[i] for i in subset])
+        assert list(cent.labels(subset)) == orbit_labels(group.degree,
+                                                         [gens[i] for i in subset])
     return sum(len(subset) > 1 for subset in subsets)
 
 
@@ -645,8 +646,8 @@ def test_a10_profile_work(monkeypatch):
 def test_psl_3_4_profile_compositions(monkeypatch):
     # a child refuted by its orbit labels is never composed: the search
     # composes only the children it enters, the forced levels and the leaf
-    # tests, and each grown set of orbit labels twice (composing every
-    # child took 2 149)
+    # tests (composing every child took 2 149); the 19 grown sets of orbit
+    # labels compose twice each in perm._join_orbits, which is not counted
     group = psl_group(3, 4)
     group.order()  # builds the chain
     calls = []
@@ -657,7 +658,35 @@ def test_psl_3_4_profile_compositions(monkeypatch):
         return compose(a, b)
     monkeypatch.setattr(invariants, "_compose", counted)
     assert profile(group).class_count == 10
-    assert len(calls) == 635
+    assert len(calls) == 597
+
+
+def test_profile_leaves_no_cyclic_garbage():
+    # every search frees its tables when it returns, not at a GC pass
+    group = psl_group(3, 4)
+    group.order()  # builds the chain
+    gc.collect()
+    gc.disable()
+    try:
+        profile(group)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", ["A5", "PSL(2,11)"])
+def test_overstated_centralizer_raises(catalog, monkeypatch, name):
+    # |C(x)| doubled for elements of order 5 leaves the class equation open
+    # until the budget trips; the enumeration then has no class of the
+    # sampled size |G|/(2 |C(x)|), so the profile raises instead of answering
+    centralizer = invariants._centralizer
+
+    def doubled(bsgs, x, x_len, budget):
+        order, cent = centralizer(bsgs, x, x_len, budget)
+        return (2 * order if math.lcm(*x_len) == 5 else order), cent
+    monkeypatch.setattr(invariants, "_centralizer", doubled)
+    with pytest.raises(RuntimeError, match="no enumerated class has the sampled sizes"):
+        profile(catalog.entry(name).group())
 
 
 @pytest.mark.parametrize("name", ["M11", "PSL(3,4)", "U4(2)", "A10"])

@@ -9,7 +9,7 @@ from usets.invariants import profile
 from usets.perm import GroupTooLargeError, PermGroup, Permutation
 from usets.construct import alternating_group, psl_group
 
-from helpers import CHAIN_GROUPS, symmetric_group
+from helpers import CHAIN_GROUPS, orbit_labels, symmetric_group
 
 
 def cyc(degree, *cycles):
@@ -22,7 +22,7 @@ class TestCompose:
 
     def test_involution_squares_to_identity(self):
         a = cyc(3, (0, 1))
-        assert (a * a).is_identity()
+        assert a * a == Permutation.identity(3)
 
     def test_convention_left_factor_first(self):
         # hand evaluation: result[i] = b[a[i]] gives 0->2, 1->0, 2->1;
@@ -47,7 +47,7 @@ class TestCompose:
 
 class TestInverse:
     def test_identity(self):
-        assert Permutation.identity(4).inverse().is_identity()
+        assert Permutation.identity(4).inverse() == Permutation.identity(4)
 
     def test_involution(self):
         a = cyc(3, (0, 1))
@@ -56,7 +56,7 @@ class TestInverse:
     def test_three_cycle(self):
         a = cyc(3, (0, 1, 2))
         assert a.inverse() == cyc(3, (0, 2, 1))
-        assert (a * a.inverse()).is_identity()
+        assert a * a.inverse() == Permutation.identity(3)
 
 
 def test_validation_rejects_non_bijections():
@@ -94,16 +94,32 @@ def test_group_algebra_randomized():
 
 
 class TestOrbit:
-    # perm._orbit_labels: each point's smallest orbit point
+    # perm._join_orbits: each point's smallest orbit point once h joins
     def test_full_cycle(self):
-        assert perm._orbit_labels(3, [cyc(3, (0, 1, 2)).images]) == [0, 0, 0]
+        assert perm._join_orbits(range(3), cyc(3, (0, 1, 2)).images) == (0, 0, 0)
 
     def test_fixed_point(self):
-        assert perm._orbit_labels(4, [cyc(4, (0, 1)).images]) == [0, 0, 2, 3]
+        assert perm._join_orbits(range(4), cyc(4, (0, 1)).images) == (0, 0, 2, 3)
 
     def test_s5_transitive(self):
-        gens = [cyc(5, (0, 1)).images, cyc(5, (0, 1, 2, 3, 4)).images]
-        assert perm._orbit_labels(5, gens) == [0] * 5
+        labels = perm._join_orbits(range(5), cyc(5, (0, 1)).images)
+        assert perm._join_orbits(labels, cyc(5, (0, 1, 2, 3, 4)).images) == (0,) * 5
+
+    def test_joined_orbit_takes_its_smallest_point(self):
+        # (3 4) then (1 4) and (0 5)(2 3): orbits {0,5} and {1,2,3,4}
+        labels = perm._join_orbits(range(6), cyc(6, (3, 4)).images)
+        labels = perm._join_orbits(labels, cyc(6, (1, 4)).images)
+        assert labels == (0, 1, 2, 1, 1, 5)
+        assert perm._join_orbits(labels, cyc(6, (0, 5), (2, 3)).images) == (0, 1, 1, 1, 1, 0)
+
+    @pytest.mark.parametrize("group", [lambda: psl_group(3, 4), lambda: alternating_group(9)],
+                             ids=["PSL(3,4)", "A9"])
+    def test_chain_levels_match_a_breadth_first_walk(self, group):
+        bsgs = group().bsgs
+        gens = bsgs._level_gens
+        assert len(bsgs.orbit_labels) == len(bsgs.base) + 1
+        for i, labels in enumerate(bsgs.orbit_labels):
+            assert labels == orbit_labels(bsgs.degree, [g for lvl in gens[i:] for g in lvl])
 
 
 class TestBSGS:

@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usets import cli
-from usets.catalog import (default_catalog, load_generator_file, parse_cycle_notation,
-                           write_generator_file)
+from usets.catalog import default_catalog, load_generator_file, parse_cycle_notation
 from usets.patterns import MAX_EXPONENT, SYMBOLS, Term, USetPattern
 from usets.perm import PermGroup, Permutation, _schreier_sims
 
-from helpers import CHAIN_GROUPS
+from helpers import CHAIN_GROUPS, write_generator_file
 
 
 @st.composite

@@ -241,9 +241,6 @@ class Catalog:
                    if e.profile(cap).U == target]
         return matches, [e.name for e in self.entries() if e.expected_order > cap]
 
-    def __contains__(self, name: str) -> bool:
-        return _canonical(name) in self._entries
-
 
 @lru_cache(maxsize=None)
 def default_catalog() -> Catalog:

@@ -31,22 +31,22 @@ nodes, refuted children included, and draws.
 Sampling stops when the class equation sum |G|/|C_G(x_i)| = |G| closes,
 which certifies that every class was found.  When the searches would
 cost more than enumerating the group (groups with many classes of one
-cycle type, such as abelian ones), it falls back to
-:func:`conjugacy_classes`, which enumerates all elements and grows
-conjugation orbits under the generators; that path also supplies the
-minimal class representatives, and raises RuntimeError if a size the
+cycle type, such as abelian ones), it falls back to the one walk that
+lists the group, :func:`_classes`, and raises RuntimeError if a size the
 sampler found has no class there, as an overstated |C_G(x)| would.
-Output order is canonical (by size, then by a minimal representative),
-independent of the order in which generators were supplied.
 
-One conjugation-orbit walk, :func:`_conjugation_orbit`, serves
-:func:`conjugacy_classes` and :func:`centralizer_count`, which enumerate
-the group as one set of image tuples and take each class's members out
-of it; :func:`centralizer_count` then lists C(x) for one representative
-x per class and counts the elements that share it, B(x) = {z in Z(C(x))
-: |C(z)| = |C(x)|}, so the centralizers are never built as sets of
-their own.  These two and :func:`profile`
-take a ``cap`` on the group order, by default
+That walk lists the group and partitions it into classes in one
+traversal: each member of a known class is multiplied by every
+generator, and an element not seen yet opens a new class, grown at once
+under conjugation by the generators.  It serves all three callers that
+list the group: :func:`profile`'s fallback reads the class sizes,
+:func:`conjugacy_classes` the minimal member of each class, in canonical
+order (by size, then by that representative), independent of the order
+in which generators were supplied, and :func:`centralizer_count` every
+element's class, from which it lists C(x) for one representative x per
+class and counts the elements that share it, B(x) = {z in Z(C(x)) :
+|C(z)| = |C(x)|}, so the centralizers are never built as sets of their
+own.  These three take a ``cap`` on the group order, by default
 :data:`usets.perm.DEFAULT_CAP`, and refuse a larger group with
 :class:`usets.perm.GroupTooLargeError` whichever path they would take.
 """
@@ -103,34 +103,45 @@ class InvariantProfile:
         }
 
 
-def _conjugation_orbit(pairs: Sequence[tuple[RawPerm, RawPerm]], x: RawPerm,
-                       unreached: set[RawPerm]) -> list[RawPerm]:
-    """The conjugacy class of x, breadth-first under conjugation by the
-    generator pairs (g, g^-1).
+def _classes(group: PermGroup, cap: int) -> list[list[RawPerm]]:
+    """The conjugacy classes of the group, each as the list of its members,
+    from one walk that lists the group and partitions it.
 
-    Every member but x is taken out of ``unreached``, the elements of the
-    group not reached yet.
+    Every member of every class found is multiplied by each generator; an
+    element not seen yet opens a new class, walked at once breadth-first
+    under conjugation by the generator pairs (g, g^-1).  Raises
+    :class:`GroupTooLargeError` above ``cap`` before any work.
     """
-    members = [x]
-    for z in members:  # members grows while it is read
-        for g, ginv in pairs:
-            y = _compose(_compose(ginv, z), g)  # conjugate of z by g
-            if y in unreached:
-                unreached.remove(y)
-                members.append(y)
-    return members
+    order = group.order()
+    check_cap(order, cap)
+    pairs = group.bsgs.generator_pairs
+    identity = tuple(range(group.degree))
+    seen = {identity}
+    classes = [[identity]]
+    for members in classes:  # classes grows while it is read
+        for z in members:
+            for s, _ in pairs:
+                y = _compose(z, s)
+                if y not in seen:
+                    seen.add(y)
+                    found = [y]
+                    for w in found:  # found grows while it is read
+                        for g, ginv in pairs:
+                            c = _compose(_compose(ginv, w), g)  # conjugate of w by g
+                            if c not in seen:
+                                seen.add(c)
+                                found.append(c)
+                    classes.append(found)
+    if len(seen) != order:
+        raise RuntimeError(f"enumeration produced {len(seen)} elements, BSGS order is {order}")
+    return classes
 
 
 def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_CAP) -> list[ConjClass]:
     """All conjugacy classes, sorted by (size, representative images)."""
-    unreached = group._element_images(cap)
-    pairs = group.bsgs.generator_pairs
-    found = []
-    while unreached:
-        members = _conjugation_orbit(pairs, unreached.pop(), unreached)
-        found.append((len(members), min(members)))
-    return [ConjClass(Permutation._wrap(rep), size, Permutation._wrap(rep).order())
-            for size, rep in sorted(found)]
+    found = sorted((len(members), min(members)) for members in _classes(group, cap))
+    return [ConjClass(Permutation._wrap(rep), size, math.lcm(*_cycle_lengths(rep)))
+            for size, rep in found]
 
 
 class _WorkLimitExceeded(Exception):
@@ -508,7 +519,7 @@ def profile(group: PermGroup, cap: int = DEFAULT_CAP) -> InvariantProfile:
         _sampled_class_sizes(group.bsgs, budget, sizes)
     except _WorkLimitExceeded:
         found = Counter(sizes)
-        sizes = [c.size for c in conjugacy_classes(group, cap)]
+        sizes = [len(members) for members in _classes(group, cap)]
         if unmatched := found - Counter(sizes):
             raise RuntimeError(f"no enumerated class has the sampled sizes {sorted(unmatched)}")
     return _profile_from_sizes(order, sizes)
@@ -540,28 +551,23 @@ def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
     Z(C(x)) : |C(z)| = |C(x)|}, and the sum over x in G of 1/|B(x)| counts
     each centralizer once.  |B(x)| is constant on a class, so the count is
     the sum of |x^G|/|B(x)| over the classes, taken here over a common
-    denominator in integers.
+    denominator in integers: importing :mod:`fractions` would cost every
+    process that imports the package about 0.7 MB of RSS.
 
-    The group is enumerated (so its cap check refuses a group above
-    ``cap`` before any other work) and its classes are walked out of that
-    set by :func:`_conjugation_orbit`, which gives every element's class
-    size.  One pass over the group, the keys of those sizes, lists C(x)
-    for a non-central representative x; B(x) is the members of C(x) whose
-    class has the size of x's and that commute with every member of C(x).
-    A central x has C(x) = G and B(x) = Z(G), the classes of size 1.
+    The classes come from :func:`_classes` (so its cap check refuses a
+    group above ``cap`` before any other work), which gives every
+    element's class size.  One pass over the group, the keys of those
+    sizes, lists C(x) for the first member x of a non-central class; B(x)
+    is the members of C(x) whose class has the size of x's and that
+    commute with every member of C(x).  A central x has C(x) = G and B(x)
+    = Z(G), the classes of size 1.
     """
-    unreached = group._element_images(cap)
-    pairs = group.bsgs.generator_pairs
-    class_size: dict[RawPerm, int] = {}
-    reps = []
-    while unreached:
-        members = _conjugation_orbit(pairs, unreached.pop(), unreached)
-        reps.append(members[0])
-        class_size.update(dict.fromkeys(members, len(members)))
-    central = sum(class_size[x] == 1 for x in reps)
+    classes = _classes(group, cap)
+    class_size = {z: len(members) for members in classes for z in members}
+    central = sum(len(members) == 1 for members in classes)
     terms = []  # (|x^G|, |B(x)|) per class
-    for x in reps:
-        size = class_size[x]
+    for members in classes:
+        x, size = members[0], len(members)
         if size == 1:  # C(x) = G, so B(x) = Z(G)
             terms.append((1, central))
             continue

@@ -10,8 +10,7 @@ Conventions used throughout the package:
 * Everything is deterministic.  Base points are the smallest moved point
   at the time a stabilizer level is created and orbits are explored with
   ascending frontiers, so repeated runs (and runs with reordered
-  generating sets) produce identical output.  Element enumeration, a
-  breadth-first walk of the Cayley graph, gives the group as a set.
+  generating sets) produce identical output.
 
 The stabilizer chain has one layout (see :class:`BSGS`), built once per
 level by :func:`_schreier_sims` and read as it is by sifting, Schreier
@@ -34,9 +33,10 @@ Schreier generator builds.  Rebuilt trees reuse unchanged edges' representatives
 The groups handled here are small (the largest the tests profile, A12,
 has order 239 500 800), so Schreier-Sims favours clarity and
 reproducibility over asymptotics: no randomized sifting, no Monte Carlo
-variants.  Element enumeration is the fallback and oracle of class
-finding; :mod:`usets.invariants` normally samples elements from the BSGS
-transversals with a fixed seed and never lists the group.
+variants.  :mod:`usets.invariants` normally samples elements from the
+BSGS transversals with a fixed seed; the one walk that lists the group,
+``invariants._classes``, multiplies by the generators and partitions the
+elements into classes as it goes.
 
 One cap, :data:`DEFAULT_CAP`, bounds the group order of every
 computation that takes a cap, in the library and on the command line
@@ -236,8 +236,8 @@ class BSGS:
 
     ``generator_pairs`` holds (g, g^-1) for the group's given generators,
     deduplicated, identity dropped and sorted, so every generator-driven
-    walk (element enumeration, conjugation orbits) is independent of the
-    order in which the generators were supplied and never inverts.
+    walk (the class walk of :mod:`usets.invariants`) is independent of
+    the order in which the generators were supplied and never inverts.
     """
 
     __slots__ = ("degree", "base", "_level_gens", "transversals", "inverses", "_labels",
@@ -474,32 +474,6 @@ class PermGroup:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
         return self.bsgs.sift(p.images) == _identity(self.degree)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return self.contains(p)
-
-    def _element_images(self, limit: int = DEFAULT_CAP) -> set[RawPerm]:
-        """The group's elements as image tuples, breadth-first over the
-        Cayley graph; raises :class:`GroupTooLargeError` above ``limit``."""
-        n = self.order()
-        check_cap(n, limit)
-        gens = [g for g, _ in self.bsgs.generator_pairs]
-        start = _identity(self.degree)
-        seen = {start}
-        layer = [start]
-        while layer:
-            new_elems = []
-            for x in layer:
-                for s in gens:
-                    y = _compose(x, s)
-                    if y not in seen:
-                        seen.add(y)
-                        new_elems.append(y)
-            layer = new_elems
-        if len(seen) != n:
-            raise RuntimeError(
-                f"enumeration produced {len(seen)} elements, BSGS order is {n}")
-        return seen
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"

@@ -1,11 +1,12 @@
 """Groups the tests use that the package does not build, named package
-groups that several tests share, an independent orbit walk and a
-generator-file writer."""
+groups that several tests share, an independent orbit walk, the group's
+elements read off the package's class walk and a generator-file writer."""
 
 from pathlib import Path
 
+from usets import invariants
 from usets.construct import alternating_group, m11_group, psl_group
-from usets.perm import PermGroup, Permutation
+from usets.perm import DEFAULT_CAP, PermGroup, Permutation
 
 #: Degrees 11 to 40; building their chains re-closes levels whose
 #: representatives changed, which the generated property cases (degree
@@ -44,6 +45,12 @@ def orbit_labels(degree, gens):
                         new_pts.append(img)
             frontier = new_pts
     return label
+
+
+def group_elements(group, cap=DEFAULT_CAP):
+    """The group's elements as a set of image tuples, flattened from the
+    classes of ``invariants._classes``, the one walk that lists a group."""
+    return {z for members in invariants._classes(group, cap) for z in members}
 
 
 def write_generator_file(path, group, comments=()):

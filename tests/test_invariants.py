@@ -18,7 +18,7 @@ from usets.invariants import (
 )
 from usets.perm import DEFAULT_CAP, GroupTooLargeError, PermGroup, Permutation
 
-from helpers import orbit_labels, symmetric_group
+from helpers import group_elements, orbit_labels, symmetric_group
 
 
 def brute_force_elements(group):
@@ -220,7 +220,7 @@ class TestCentralizerCount:
         # other centralizer sets; the count is the group's
         g = psl_group(2, 7)
         other = relabelled(g, random.Random(7))
-        assert other._element_images() != g._element_images()
+        assert group_elements(other) != group_elements(g)
         assert centralizer_count(other) == centralizer_count(g) == 79
 
     def test_cap(self):
@@ -365,7 +365,7 @@ def test_small_groups_on_sampled_path():
 
 
 @pytest.mark.parametrize("compute", [profile, conjugacy_classes, centralizer_count,
-                                     PermGroup._element_images])
+                                     group_elements])
 def test_one_refusal_above_the_cap(compute):
     with pytest.raises(GroupTooLargeError, match=r"^group order 60 exceeds cap 59$"):
         compute(alternating_group(5), 59)
@@ -377,32 +377,56 @@ def test_profile_cap_checked_before_any_work(monkeypatch):
     def unexpected(*_args, **_kwargs):
         raise AssertionError("no class work above the cap")
     monkeypatch.setattr(invariants, "_sampled_class_sizes", unexpected)
-    monkeypatch.setattr(invariants, "conjugacy_classes", unexpected)
+    monkeypatch.setattr(invariants, "_classes", unexpected)
     with pytest.raises(GroupTooLargeError):
         profile(alternating_group(10), cap=DEFAULT_CAP)
 
 
-def test_elementary_abelian_group_falls_back_to_enumeration(monkeypatch):
-    # 2^10: every element is its own class, so counting centralizers by
-    # backtrack would list the whole group once per class
-    group = PermGroup([Permutation.from_cycles(20, (2 * i, 2 * i + 1)) for i in range(10)])
+@pytest.fixture
+def class_walks(monkeypatch):
+    """The arguments of every call to ``invariants._classes`` in a test."""
     calls = []
-    enumerate_classes = invariants.conjugacy_classes
+    walk = invariants._classes
 
     def counted(*args):
         calls.append(args)
-        return enumerate_classes(*args)
-    monkeypatch.setattr(invariants, "conjugacy_classes", counted)
+        return walk(*args)
+    monkeypatch.setattr(invariants, "_classes", counted)
+    return calls
+
+
+def test_elementary_abelian_group_falls_back_to_enumeration(class_walks):
+    # 2^10: every element is its own class, so counting centralizers by
+    # backtrack would list the whole group once per class
+    group = PermGroup([Permutation.from_cycles(20, (2 * i, 2 * i + 1)) for i in range(10)])
     prof = profile(group)
-    assert len(calls) == 1
+    assert len(class_walks) == 1
     assert prof.class_sizes == (1,) * 1024
     assert prof.U == frozenset({1024})
+
+
+@pytest.mark.parametrize("build, sizes", [
+    # C2^6 x S3: each S3 class times the 64 central elements of C2^6
+    (lambda: generated(15, *([(2 * i, 2 * i + 1)] for i in range(6)), [(12, 13)], [(12, 13, 14)]),
+     (1,) * 64 + (2,) * 64 + (3,) * 64),
+    # D100 of order 200: {1, r^50}, the pairs {r^k, r^-k}, two reflection classes
+    (lambda: PermGroup([Permutation.from_cycles(100, tuple(range(100))),
+                        Permutation([-p % 100 for p in range(100)])]),
+     (1, 1) + (2,) * 49 + (50, 50)),
+], ids=["C2^6xS3", "D100"])
+def test_nonabelian_groups_fall_back_to_enumeration(class_walks, build, sizes):
+    # many classes of one cycle type trip the sampler's budget
+    group = build()
+    prof = profile(group)
+    assert len(class_walks) == 1
+    assert prof.class_sizes == sizes
+    assert sum(sizes) == group.order()
 
 
 def test_catalog_groups_need_no_fallback(catalog, monkeypatch):
     def unexpected(*_args, **_kwargs):
         raise AssertionError("fell back to enumeration")
-    monkeypatch.setattr(invariants, "conjugacy_classes", unexpected)
+    monkeypatch.setattr(invariants, "_classes", unexpected)
     for name in ("A5", "PSL(2,11)", "U3(3)", "A9"):
         group = catalog.entry(name).group()
         assert sum(profile(group).class_sizes) == group.order()

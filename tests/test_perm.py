@@ -9,7 +9,7 @@ from usets.invariants import profile
 from usets.perm import GroupTooLargeError, PermGroup, Permutation
 from usets.construct import alternating_group, psl_group
 
-from helpers import CHAIN_GROUPS, orbit_labels, symmetric_group
+from helpers import CHAIN_GROUPS, group_elements, orbit_labels, symmetric_group
 
 
 def cyc(degree, *cycles):
@@ -134,7 +134,7 @@ class TestBSGS:
         g = alternating_group(6)
         bsgs = g.bsgs
         prod = math.prod(len(orbit) for orbit in bsgs.inverses)
-        assert prod == len(g._element_images()) == 360
+        assert prod == len(group_elements(g)) == 360
 
     def test_original_generators_sift_trivially(self):
         g = alternating_group(7)
@@ -158,7 +158,7 @@ class TestBSGS:
     def test_trivial_group(self):
         g = PermGroup([Permutation.identity(4)])
         assert g.order() == 1
-        assert g._element_images() == {(0, 1, 2, 3)}
+        assert group_elements(g) == {(0, 1, 2, 3)}
 
 
 # sha256 of (base, strong generators in order, every transversal element in
@@ -311,7 +311,7 @@ class TestContains:
     def test_generators_are_members(self):
         g = alternating_group(6)
         for gen in g.generators:
-            assert gen in g
+            assert g.contains(gen)
 
     def test_transposition_not_in_cyclic_group(self):
         g = PermGroup([cyc(3, (0, 1, 2))])
@@ -323,7 +323,7 @@ class TestContains:
         word = Permutation.identity(6)
         for _ in range(10):
             word = word * rng.choice(g.generators)
-        assert word in g
+        assert g.contains(word)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -331,19 +331,19 @@ class TestContains:
 
 
 class TestElements:
-    # PermGroup._element_images: the group as a set of image tuples
+    # the group as a set of image tuples, read off the class walk
     def test_cyclic(self):
         g = PermGroup([cyc(3, (0, 1, 2))])
-        assert g._element_images() == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+        assert group_elements(g) == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
 
     def test_a5_complete_and_distinct(self):
-        elems = alternating_group(5)._element_images()
+        elems = group_elements(alternating_group(5))
         assert len(elems) == 60
         assert all(Permutation(x).order() in (1, 2, 3, 5) for x in elems)
 
     def test_closed_under_generators(self):
         g = alternating_group(5)
-        elems = g._element_images()
+        elems = group_elements(g)
         for x in elems:
             for s in g.generators:
                 assert perm._compose(x, s.images) in elems
@@ -351,11 +351,11 @@ class TestElements:
     def test_deterministic_and_generator_order_independent(self):
         g1 = alternating_group(5)
         g2 = PermGroup(tuple(reversed(g1.generators)))
-        assert g1._element_images() == g2._element_images() == g1._element_images()
+        assert group_elements(g1) == group_elements(g2) == group_elements(g1)
 
     def test_too_large_error_names_order_and_limit(self):
         with pytest.raises(GroupTooLargeError, match=r"60.*10"):
-            alternating_group(5)._element_images(limit=10)
+            group_elements(alternating_group(5), 10)
 
     @pytest.mark.parametrize("group,order", [
         (symmetric_group(5), 120),
@@ -364,4 +364,4 @@ class TestElements:
     ])
     def test_enumeration_count_matches_bsgs_order(self, group, order):
         assert group.order() == order
-        assert len(group._element_images()) == order
+        assert len(group_elements(group)) == order

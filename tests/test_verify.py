@@ -12,6 +12,8 @@ from usets.verify import (
     run_verification,
 )
 
+from helpers import group_elements
+
 
 def test_no_failures(report):
     failed = [r.check_id for r in report.results if r.status == "fail"]
@@ -61,7 +63,7 @@ def test_centralizer_count_has_a_second_labelling(monkeypatch):
     element_sets = []
 
     def recording(group, cap):
-        element_sets.append(group._element_images(cap))
+        element_sets.append(group_elements(group, cap))
         return centralizer_count(group, cap)
     monkeypatch.setattr(verify, "centralizer_count", recording)
     r = run_verification(["centralizer-count:PSL(2,11)"]).results[0]

@@ -37,7 +37,7 @@ from .patterns import (
     match_pattern,
     solve_psl2_order,
 )
-from .perm import DEFAULT_CAP, GroupTooLargeError, check_cap
+from .perm import DEFAULT_CAP, check_cap
 from .verify import run_verification
 
 
@@ -201,12 +201,10 @@ def _split_check_ids(text: str) -> list[str]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     selection = None if args.only is None else _split_check_ids(args.only)
     report = run_verification(selection, cap=args.cap)
+    json_text = report.to_json() if args.report or args.format == "json" else ""
     if args.report:
-        Path(args.report).write_text(report.to_json() + "\n")
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.format_table(verbose=args.verbose))
+        Path(args.report).write_text(json_text + "\n")
+    print(json_text if args.format == "json" else report.format_table(verbose=args.verbose))
     return 0 if report.all_passed else 1
 
 
@@ -281,7 +279,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CatalogError, GroupTooLargeError, OSError, ValueError) as exc:
+    except (CatalogError, OSError, ValueError) as exc:  # GroupTooLargeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -124,9 +124,10 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
     larger prime factors and is taken apart piece by piece: a piece below
     _MR_LIMIT that _miller_rabin passes is prime; one it fails is split
     into k pieces r if it is r**k (by _exact_root; r > 2**16, so k <
-    bits/16), else by _rho; and trial division finishes the others,
-    among them the pieces rho gives up on after 1/_RHO_SHARE of the
-    divisions it would save.  Every route gives the same keys."""
+    bits/16), else by _rho; and trial division finishes the pieces rho
+    gives up on after 1/_RHO_SHARE of the divisions it would save.  Every
+    route gives the same keys.  A piece at or above _MR_LIMIT that passes
+    raises ValueError, unless the bound leaves no divisor to try."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     bound = n if bound is None else bound
@@ -151,12 +152,14 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
         if f > limit or (probable and m < _MR_LIMIT):  # a prime, or all above bound
             found[m] += 1
             continue
-        if not probable:  # rho would need about sqrt(r) steps on r**k
-            r, k = _exact_root(m, f)
-            if k > 1:
-                pieces += [r] * k
-                continue
-        d = None if probable else _rho(m, (limit - f) // _RHO_SHARE)
+        if probable:  # only trial division up to limit could decide it
+            raise ValueError(f"cannot factor {m}: a probable prime at or above "
+                             f"{_MR_LIMIT}, where the primality test is not exact")
+        r, k = _exact_root(m, f)  # rho would need about sqrt(r) steps on r**k
+        if k > 1:
+            pieces += [r] * k
+            continue
+        d = _rho(m, (limit - f) // _RHO_SHARE)
         if d is None:
             d = next((g for g in range(f, limit + 1, 2) if m % g == 0), m)
         if d == m:
@@ -528,8 +531,7 @@ class CollisionCase:
 
     assignment: SizeAssignment
     pair: tuple[int, int]      # indices of the colliding count terms
-    equation: str              # raw equation between the two counts
-    reduced: str               # after cancelling shared factors
+    reduced: str               # the two counts equated, shared factors cancelled
     contradiction: str | None  # None would mean the case is not refuted
 
 
@@ -548,14 +550,13 @@ def enumerate_collision_assignments(pattern: USetPattern | str) -> list[Collisio
     option_lists = [admissible_size_options(t) for t in pat.terms]
     ids: dict[Term, int] = {}  # equal sizes share an id, compared as ints
     id_lists = [[ids.setdefault(o, len(ids)) for o in opts] for opts in option_lists]
-    solved: dict[tuple[int, int], tuple] = {}  # pair -> equation, reduced, contradiction
+    solved: dict[tuple[int, int], tuple] = {}  # pair -> reduced, contradiction
     cases = []
     for combo, key in zip(itertools.product(*option_lists), itertools.product(*id_lists)):
         if len(set(key)) == n:
             continue
         pair = next((i, j) for i in range(n) for j in range(i + 1, n) if key[i] == key[j])
         if pair not in solved:
-            u_i, u_j = pat.terms[pair[0]], pat.terms[pair[1]]
-            solved[pair] = (f"{u_i} = {u_j}", *resolve_equation(u_i, u_j))
+            solved[pair] = resolve_equation(pat.terms[pair[0]], pat.terms[pair[1]])
         cases.append(CollisionCase(SizeAssignment(combo), pair, *solved[pair]))
     return cases

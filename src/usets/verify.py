@@ -34,7 +34,7 @@ from datetime import datetime, timezone
 from typing import Any, Callable, Iterable
 
 from . import __version__
-from .catalog import Catalog, _natural_key, default_catalog
+from .catalog import Catalog, CatalogError, _natural_key, default_catalog
 from .invariants import InvariantProfile, centralizer_count
 from .patterns import (
     USetPattern,
@@ -192,6 +192,7 @@ class VerificationReport:
             line = f"{tag:5} {r.check_id:<{width}}"
             if r.status == FAIL:
                 line += f"  computed={r.computed!r} expected={r.expected!r}"
+                line += f"  [{r.note}]" if r.note else ""
             elif r.status == NOT_CHECKED:
                 line += f"  [{r.note}]"
             elif verbose:
@@ -454,7 +455,8 @@ def _rows(catalog: Catalog, cap: int) -> list[CheckRow]:
 def _outcome(row: CheckRow, catalog: Catalog, cap: int) -> tuple:
     """``(status, computed, expected, source, note)`` of one row: profile
     its groups at ``cap``, run it and compare.  A group above a cap makes
-    the row not_checked, with the cap's message as the note."""
+    the row not_checked, and a catalog failure (a built order that is not
+    the declared one) makes it fail; the error message is the note."""
     if row.run is None:
         return NOT_CHECKED, None, None, "", NO_DATA_NOTE
     try:
@@ -462,6 +464,8 @@ def _outcome(row: CheckRow, catalog: Catalog, cap: int) -> tuple:
             *[catalog.entry(name).profile(cap) for name in row.groups])
     except GroupTooLargeError as exc:
         return NOT_CHECKED, None, None, "", str(exc)
+    except CatalogError as exc:
+        return FAIL, None, None, row.source, str(exc)
     status = PASS if computed == expected else FAIL
     return status, computed, expected, row.source, note[0] if note else ""
 

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -151,6 +153,20 @@ def test_pattern_match_stops_dividing_a_large_prime_target(capsys, prime, bound)
     assert (code, out) == (0, "no assignment matches")
 
 
+def test_pattern_match_refuses_a_prime_target_past_the_exact_prime_test():
+    # the least prime above 4·10^24, where trial division would run to 10^9;
+    # a subprocess, so a hang fails on its timeout
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "usets", "pattern", "match",
+                           "--pattern", "1,rq", "--target", "1,4000000000000000000000027",
+                           "--bound", "1000000000"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert time.perf_counter() - start < 5.0
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: cannot factor 4000000000000000000000027")
+
+
 @pytest.mark.parametrize("p,q", [
     (999999937, 999999929),   # both primes below the bound: 5·10^8 trial divisions without rho
     (999999893, 999999883),
@@ -192,6 +208,22 @@ def test_verify_selected_checks(capsys, tmp_path):
     assert saved["summary"] == {"pass": 2, "fail": 0, "not_checked": 0}
 
 
+def test_verify_json_and_report_serialize_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    to_json = VerificationReport.to_json
+
+    def counted(report):
+        calls.append(report)
+        return to_json(report)
+    monkeypatch.setattr(VerificationReport, "to_json", counted)
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "--format", "json", "verify", "paper",
+                       "--only", "psl2-order-solve", "--report", str(path))
+    assert code == 0
+    assert len(calls) == 1
+    assert path.read_text() == out + "\n"
+
+
 def test_verify_json_output(capsys):
     code, out, _ = run(capsys, "--format", "json", "verify", "paper",
                        "--only", "uset:PSL(2,11)")
@@ -207,6 +239,23 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "paper")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_an_order_mismatch_fails_its_row_and_the_run_goes_on(capsys, monkeypatch):
+    entry = default_catalog().entry("A5")
+    monkeypatch.setattr(entry, "expected_order", 61)
+    monkeypatch.setattr(entry, "_group", None)
+    code, out, _ = run(capsys, "--format", "json", "verify", "paper",
+                       "--only", "order:A5,uset:A6")
+    rows = {r["check_id"]: r for r in json.loads(out)["results"]}
+    assert code == 1
+    assert (rows["order:A5"]["status"], rows["order:A5"]["note"]) == \
+        ("fail", "A5: built order 60, expected 61")
+    assert rows["uset:A6"]["status"] == "pass"
+    code, out, _ = run(capsys, "verify", "paper", "--only", "order:A5,uset:A6")
+    assert code == 1
+    assert out.splitlines()[1] == ("FAIL  order:A5  computed=None expected=None  "
+                                   "[A5: built order 60, expected 61]")
 
 
 def test_verify_at_a_low_cap_reports_not_checked(capsys):
@@ -367,6 +416,18 @@ def test_readme_command_examples_run(capsys, tmp_path, monkeypatch):
             assert out == line.split("# ->", 1)[1].strip().split("  ")[0], line
             shown += 1
     assert shown == 2
+
+
+def test_readme_library_names_resolve():
+    # every backticked usets.<module>[.<name>...] names a module attribute
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    names = re.findall(r"`usets\.(\w+)((?:\.\w+)*)", text)
+    assert len(names) >= 15
+    for module, attrs in names:
+        obj = importlib.import_module(f"usets.{module}")
+        for attr in attrs.split(".")[1:]:
+            assert hasattr(obj, attr), f"usets.{module}{attrs}"
+            obj = getattr(obj, attr)
 
 
 def test_unwritable_report_path_is_an_error(capsys, tmp_path):

@@ -395,7 +395,7 @@ def reference_collision_assignments(pattern):
         u_i, u_j = pat.terms[pair[0]], pat.terms[pair[1]]
         reduced, why = resolve_equation(u_i, u_j)
         cases.append(patterns.CollisionCase(patterns.SizeAssignment(tuple(combo)), pair,
-                                            f"{u_i} = {u_j}", reduced, why))
+                                            reduced, why))
     return cases
 
 
@@ -557,6 +557,20 @@ class TestIntegerUtilities:
         # a budget too small for rho leaves the cofactor to trial division
         big = (2 ** 89 - 1) * (2 ** 61 - 1)
         assert factorize(big, 10 ** 5) == {big: 1}
+
+    def test_factorize_refuses_a_probable_prime_past_the_exact_test(self):
+        # the least prime above 4·10^24: the prime test cannot prove it, and
+        # trial division past the bound 2**16 would run to min(bound, 2·10^12)
+        p = 4000000000000000000000027
+        assert p > patterns._MR_LIMIT
+        assert factorize(p, 2 ** 16) == {p: 1}
+        start = time.perf_counter()
+        for bound in (2 ** 20, None):
+            with pytest.raises(ValueError, match=f"cannot factor {p}: .* {patterns._MR_LIMIT}"):
+                factorize(p, bound)
+        with pytest.raises(ValueError, match=f"cannot factor {p}"):
+            factorize(6 * p)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_factorize_takes_exact_roots_of_prime_powers(self, k):

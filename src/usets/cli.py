@@ -10,10 +10,12 @@ Subcommands::
     usets pattern instantiate --pattern P --assign p=3,q=5,r=11
     usets pattern match --pattern P --target 1,55,... --bound 100
     usets solve-psl2 N
-    usets verify paper [--only id,...] [--report PATH]
+    usets verify paper [--only ID ...] [-v] [--report PATH]
 
-Global flags: ``--format text|json``, ``--cap N``, ``-v``.  Group names
-are accepted in both notations (PSL(2,11) or L2(11), U3(3) or PSU(3,3)).
+Global flags: ``--format text|json``, ``--cap N``.  Group names are
+accepted in both notations (PSL(2,11) or L2(11), U3(3) or PSU(3,3)).
+Check ids contain commas but no whitespace, so ``--only`` takes them as
+separate arguments.
 
 Exit status: 0 on success (and when all verification checks pass),
 1 when any verification check fails, 2 on usage or infrastructure
@@ -182,25 +184,8 @@ def _cmd_solve_psl2(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_check_ids(text: str) -> list[str]:
-    """Split a comma-separated id list, ignoring commas inside parentheses
-    (check ids contain group names like ``PSL(2,11)``)."""
-    out, buf, depth = [], [], 0
-    for ch in text:
-        if ch == "," and depth == 0:
-            out.append("".join(buf))
-            buf = []
-            continue
-        depth += ch == "("
-        depth -= ch == ")"
-        buf.append(ch)
-    out.append("".join(buf))
-    return [tok.strip() for tok in out if tok.strip()]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    selection = None if args.only is None else _split_check_ids(args.only)
-    report = run_verification(selection, cap=args.cap)
+    report = run_verification(args.only, cap=args.cap)
     json_text = report.to_json() if args.report or args.format == "json" else ""
     if args.report:
         Path(args.report).write_text(json_text + "\n")
@@ -218,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"largest group order to enumerate, profile or scan, the same "
                              f"for every command (default {DEFAULT_CAP}; at least 1814400 "
                              f"includes A10)")
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_group = sub.add_parser("group", help="invariants of one catalog group")
@@ -258,8 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("target", choices=("paper",),
                           help="which suite to run (only the published-value "
                                "suite exists)")
-    p_verify.add_argument("--only", default=None,
-                          help="comma-separated check ids")
+    p_verify.add_argument("--only", nargs="+", default=None, metavar="ID",
+                          help="run only these check ids")
+    p_verify.add_argument("-v", "--verbose", action="store_true",
+                          help="print each passing check's value or note")
     p_verify.add_argument("--report", default=None, metavar="PATH",
                           help="also write the JSON report here")
 

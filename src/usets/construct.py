@@ -114,9 +114,9 @@ def projectivize(field: Field, mats: Sequence[Matrix],
                  points: Sequence[Vector] | None = None) -> PermGroup:
     """Permutation action of invertible square matrices on projective points.
 
-    ``points``, all of PG(n-1, q) by default, must be preserved; repeated or
-    unnormalized ones are refused once, so an invertible matrix maps them
-    one to one.  Points transform as row vectors (v -> v @ M), which makes
+    ``points``, all of PG(n-1, q) by default, must be preserved; repeated,
+    unnormalized or zero ones are refused once, so an invertible matrix maps
+    them one to one.  Points transform as row vectors (v -> v @ M), which makes
     the map a homomorphism for this package's apply-left-factor-first
     composition: the permutation of M1 @ M2 is perm(M1) * perm(M2).
     """
@@ -125,7 +125,7 @@ def projectivize(field: Field, mats: Sequence[Matrix],
     if not mats or not points:
         raise ValueError("need at least one matrix and one point")
     index = {pt: i for i, pt in enumerate(points)}
-    if len(index) != len(points) or any(next(filter(None, pt), 1) != 1 for pt in points):
+    if len(index) != len(points) or any(next(filter(None, pt), 0) != 1 for pt in points):
         raise ValueError("points must be distinct and normalized (first nonzero coordinate 1)")
     perms = []
     for m in mats:
@@ -138,8 +138,6 @@ def projectivize(field: Field, mats: Sequence[Matrix],
                 if x:
                     break
             if x != 1:  # scale the first nonzero coordinate to 1
-                if not x:
-                    raise ValueError("the zero vector is not a projective point")
                 v = tuple(map(field.mul[field.inv[x]].__getitem__, v))
             perm.append(index.get(v))
         if None in perm:

@@ -195,16 +195,18 @@ def _cycle_lengths(x: RawPerm) -> list[int]:
 
 
 class _Commuting:
-    """Elements known to commute with a permutation y, orbits of subsets of
-    them, and the points bucketed by y's cycle lengths."""
+    """The search record of a representative y: elements known to commute
+    with y, y first, orbits of subsets of them, and the points bucketed by
+    ``lengths``, y's cycle lengths, which its coprime powers share."""
 
-    __slots__ = ("elements", "_labels", "_lengths", "_by_len")
+    __slots__ = ("elements", "by_len", "_labels")
 
-    def __init__(self, degree: int, elements: list[RawPerm]):
-        self.elements = elements  # only ever appended to
+    def __init__(self, degree: int, y: RawPerm, lengths: list[int]):
+        self.elements = [y]  # only ever appended to
+        self.by_len: dict[int, list[int]] = {}  # the points, ascending, by cycle length
+        for p, n in enumerate(lengths):
+            self.by_len.setdefault(n, []).append(p)
         self._labels: dict[tuple[int, ...], Sequence[int]] = {(): range(degree)}
-        self._lengths: list[int] | None = None
-        self._by_len: dict[int, list[int]] = {}
 
     def fixing(self, points: Sequence[int]) -> tuple[int, ...]:
         """The indices of the elements that fix every one of ``points``."""
@@ -222,32 +224,21 @@ class _Commuting:
                                                          self.elements[subset[-1]])
         return labels
 
-    def by_length(self, lengths: list[int]) -> dict[int, list[int]]:
-        """The points, ascending, by their entry in ``lengths``, the cycle
-        lengths of y.  The buckets are kept for the list last given, which
-        the coprime powers of a representative share with it."""
-        if lengths is not self._lengths:
-            self._by_len = {}
-            for p, n in enumerate(lengths):
-                self._by_len.setdefault(n, []).append(p)
-            self._lengths = lengths
-        return self._by_len
 
-
-def _conjugator(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_len: list[int],
+def _conjugator(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm,
                 cent: _Commuting, budget: _Budget) -> RawPerm | None:
     """g^-1 for an element g of G with g(x(p)) = y(g(p)) for every point p
     (g conjugates x to y), or None if x and y are not conjugate.  ``x_len``
-    and ``y_len`` are the cycle lengths of x and y; ``cent`` holds elements
-    of C_G(y) and keeps y's cycle-length buckets for the next test against
-    y or a coprime power of it.  One :func:`_conjugacy_search`, set up for
-    this call; its leaf test is the one that accepts g.
+    is the cycle lengths of x; ``cent`` is the search record of y, with
+    elements of C_G(y) and y's cycle-length buckets.  One
+    :func:`_conjugacy_search`, set up for this call; its leaf test is the
+    one that accepts g.
     """
-    return _conjugacy_search(bsgs, x, x_len, y, y_len, cent, budget, 0)(
+    return _conjugacy_search(bsgs, x, x_len, y, cent, budget, 0)(
         None, cent.fixing(()))
 
 
-def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_len: list[int],
+def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm,
                       cent: _Commuting, budget: _Budget,
                       level: int) -> Callable[[int | None, tuple[int, ...]], RawPerm | None]:
     """A backtrack search for elements g of G^(level), the elements fixing
@@ -290,8 +281,7 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm, y_le
     """
     degree, base, labels, inverses = bsgs.degree, bsgs.base, bsgs.orbit_labels, bsgs.inverses
     depth = len(base)
-    elements = cent.elements
-    by_len = cent.by_length(y_len)
+    elements, by_len = cent.elements, cent.by_len
     tick = budget.tick
     phi = [-1] * degree
     taken = bytearray(degree)  # points already in the image of phi
@@ -391,8 +381,7 @@ def _centralizer(bsgs: BSGS, x: RawPerm, x_len: list[int],
     """
     base = bsgs.base
     cycle = _cycle_labels(x)  # each point's smallest x-cycle point
-    found = _Commuting(bsgs.degree, [x])
-    by_len = found.by_length(x_len)
+    found = _Commuting(bsgs.degree, x, x_len)
     order = 1
     for j in reversed(range(len(base))):
         b, label = base[j], bsgs.orbit_labels[j]
@@ -403,12 +392,12 @@ def _centralizer(bsgs: BSGS, x: RawPerm, x_len: list[int],
         fixing = found.fixing(base[:j])
         orbit = found.labels(fixing)
         failed: set[int] = set()  # labels of H-orbits no element of C^(j) maps b into
-        for c in by_len[x_len[b]]:
+        for c in found.by_len[x_len[b]]:
             if (orbit[c] == orbit[b] or orbit[c] in failed or label[c] != label[b]
                     or cycle[c] in fixed):
                 continue
             if find is None:
-                find = _conjugacy_search(bsgs, x, x_len, x, x_len, found, budget, j)
+                find = _conjugacy_search(bsgs, x, x_len, x, found, budget, j)
             hinv = find(c, fixing)
             if hinv is None:
                 failed.add(orbit[c])
@@ -437,7 +426,7 @@ def _power_kernel(bsgs: BSGS, powers: list[RawPerm], lengths: list[int], cent: _
     for k in [m - 1, *range(2, m - 1)]:
         if k in kernel or k in outside or math.gcd(k, m) != 1:
             continue
-        if _conjugator(bsgs, powers[k], lengths, x, lengths, cent, budget) is None:
+        if _conjugator(bsgs, powers[k], lengths, x, cent, budget) is None:
             outside.update(k * j % m for j in kernel)
             continue
         grown, power = set(kernel), k  # <K, k> is the union of the cosets k^i K
@@ -474,8 +463,8 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget, sizes: list[int]) -> None:
     identity = tuple(range(degree))
     sizes.append(1)
     total = 1
-    # per cycle type: each representative, its cycle lengths and centraliser
-    reps: dict[tuple[int, ...], list[tuple[RawPerm, list[int], _Commuting]]] = {}
+    # per cycle type: each representative and the search record of its centraliser
+    reps: dict[tuple[int, ...], list[tuple[RawPerm, _Commuting]]] = {}
     pending: list[RawPerm] = []  # powers x^d of new representatives
     rng = random.Random(_SAMPLER_SEED)
     while total < order:
@@ -484,8 +473,8 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget, sizes: list[int]) -> None:
             continue
         lengths = _cycle_lengths(x)
         known = reps.setdefault(tuple(sorted(lengths)), [])
-        if any(_conjugator(bsgs, x, lengths, r, r_len, cent, budget) is not None
-               for r, r_len, cent in known):
+        if any(_conjugator(bsgs, x, lengths, r, cent, budget) is not None
+               for r, cent in known):
             continue
         count, cent = _centralizer(bsgs, x, lengths, budget)
         m = math.lcm(*lengths)
@@ -497,7 +486,7 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget, sizes: list[int]) -> None:
         for k in range(1, m):
             if math.gcd(k, m) == 1 and k not in covered:  # a new coset kK
                 covered.update(k * j % m for j in kernel)
-                known.append((powers[k], lengths, cent))
+                known.append((powers[k], cent))
                 sizes.append(order // count)
                 total += order // count
         pending += [powers[d] for d in range(2, m) if m % d == 0]

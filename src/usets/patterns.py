@@ -515,21 +515,11 @@ def resolve_equation(a: Term, b: Term) -> tuple[str, str | None]:
 
 
 @dataclass(frozen=True)
-class SizeAssignment:
-    """One candidate class size per count term, aligned with the pattern."""
-
-    sizes: tuple[Term, ...]
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(s) for s in self.sizes) + "}"
-
-
-@dataclass(frozen=True)
 class CollisionCase:
     """A size assignment in which two distinct count terms receive the
     same symbolic class size, plus the equation that refutes it."""
 
-    assignment: SizeAssignment
+    sizes: tuple[Term, ...]    # one class size per count term, aligned with the pattern
     pair: tuple[int, int]      # indices of the colliding count terms
     reduced: str               # the two counts equated, shared factors cancelled
     contradiction: str | None  # None would mean the case is not refuted
@@ -558,5 +548,5 @@ def enumerate_collision_assignments(pattern: USetPattern | str) -> list[Collisio
         pair = next((i, j) for i in range(n) for j in range(i + 1, n) if key[i] == key[j])
         if pair not in solved:
             solved[pair] = resolve_equation(pat.terms[pair[0]], pat.terms[pair[1]])
-        cases.append(CollisionCase(SizeAssignment(combo), pair, *solved[pair]))
+        cases.append(CollisionCase(combo, pair, *solved[pair]))
     return cases

@@ -260,7 +260,7 @@ def _collision_options() -> tuple:
 
 def _collision_screen() -> tuple:
     cases = enumerate_collision_assignments(COLLISION_PATTERN)
-    unrefuted = [str(c.assignment) for c in cases if c.contradiction is None]
+    unrefuted = ["{" + ",".join(map(str, c.sizes)) + "}" for c in cases if c.contradiction is None]
     note = (f"systematic enumeration yields {len(cases)} collision cases; "
             f"the published case list shows {PUBLISHED_COLLISION_CASE_COUNT} "
             f"(one case, sizes {{1,rq,2q,2r,rq}}, is omitted there but is "

@@ -200,7 +200,7 @@ def test_solve_psl2_huge_order(capsys):
 def test_verify_selected_checks(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "paper",
-                       "--only", "uset:A5,psl2-order-solve",
+                       "--only", "uset:A5", "psl2-order-solve",
                        "--report", str(path))
     assert code == 0
     assert out.count("PASS") == 2
@@ -246,13 +246,13 @@ def test_an_order_mismatch_fails_its_row_and_the_run_goes_on(capsys, monkeypatch
     monkeypatch.setattr(entry, "expected_order", 61)
     monkeypatch.setattr(entry, "_group", None)
     code, out, _ = run(capsys, "--format", "json", "verify", "paper",
-                       "--only", "order:A5,uset:A6")
+                       "--only", "order:A5", "uset:A6")
     rows = {r["check_id"]: r for r in json.loads(out)["results"]}
     assert code == 1
     assert (rows["order:A5"]["status"], rows["order:A5"]["note"]) == \
         ("fail", "A5: built order 60, expected 61")
     assert rows["uset:A6"]["status"] == "pass"
-    code, out, _ = run(capsys, "verify", "paper", "--only", "order:A5,uset:A6")
+    code, out, _ = run(capsys, "verify", "paper", "--only", "order:A5", "uset:A6")
     assert code == 1
     assert out.splitlines()[1] == ("FAIL  order:A5  computed=None expected=None  "
                                    "[A5: built order 60, expected 61]")
@@ -331,10 +331,48 @@ def test_unknown_check_id_is_a_usage_error(capsys):
     assert "bogus" in err
 
 
-@pytest.mark.parametrize("only", [",", "", " , "])
+@pytest.mark.parametrize("only", [",", "", " , ", "order:A5,uset:A6"])
 def test_only_that_selects_nothing_is_a_usage_error(capsys, only):
+    # ids are separate arguments, so no argument is split or trimmed
     code, out, err = run(capsys, "verify", "paper", "--only", only)
-    assert (code, out, err) == (2, "", "error: no check ids selected")
+    assert (code, out, err) == (2, "", f"error: unknown check ids: {[only]}")
+
+
+def test_only_without_an_id_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "paper", "--only"])
+    assert exc.value.code == 2
+    assert "--only: expected at least one argument" in capsys.readouterr().err
+
+
+def test_every_check_id_can_be_selected(capsys):
+    # ids such as eliminate:1,r^2,4r^2,16r hold commas, alone or together
+    code, out, _ = run(capsys, "--format", "json", "verify", "paper")
+    ids = [r["check_id"] for r in json.loads(out)["results"]]
+    assert code == 0 and len(ids) == 195
+    assert any("," in i and "(" not in i for i in ids)
+    for check_id in ids:
+        code, out, _ = run(capsys, "--cap", "0", "--format", "json", "verify", "paper",
+                           "--only", check_id)
+        assert [r["check_id"] for r in json.loads(out)["results"]] == [check_id]
+    code, out, _ = run(capsys, "--cap", "0", "--format", "json", "verify", "paper")
+    whole = json.loads(out)
+    code, out, _ = run(capsys, "--cap", "0", "--format", "json", "verify", "paper",
+                       "--only", *reversed(ids))
+    chosen = json.loads(out)
+    assert [r["check_id"] for r in chosen["results"]] == \
+        [r["check_id"] for r in whole["results"]] == ids
+    assert chosen["summary"] == whole["summary"] == {"pass": 31, "fail": 0, "not_checked": 164}
+
+
+def test_verbose_is_a_verify_option(capsys):
+    code, out, _ = run(capsys, "verify", "paper", "-v", "--only", "psl2-order-solve")
+    assert code == 0
+    assert out.splitlines()[0] == "PASS  psl2-order-solve  computed=11"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-v", "group", "info", "A5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -v" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -138,6 +138,12 @@ class TestProjectivize:
         with pytest.raises(ValueError, match="points must be distinct and normalized"):
             projectivize(f, [((1, 0), (0, 1))], [(1, 0), (2, 0)])
 
+    def test_zero_point_rejected(self):
+        f = field_create(3, 1)
+        points = projective_points(f, 2)
+        with pytest.raises(ValueError, match="points must be distinct and normalized"):
+            projectivize(f, [identity(2)], points + [(0, 0)])
+
     def test_singular_matrix_rejected(self):
         f = field_create(3, 1)
         with pytest.raises(ValueError, match="singular"):

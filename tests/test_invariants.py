@@ -498,17 +498,18 @@ def test_conjugator_counts_match_brute_force(name):
     bsgs = group.bsgs
     budget = invariants._Budget(10 ** 9)
     lengths = {x: invariants._cycle_lengths(x) for x in elems}
-    none_known = invariants._Commuting(group.degree, [])
     cents = {y: invariants._centralizer(bsgs, y, lengths[y], budget)[1] for y in elems}
+    none_known = {y: invariants._Commuting(group.degree, y, lengths[y]) for y in elems}
+    for record in none_known.values():
+        record.elements.clear()  # not even y itself
     nodes = {which: invariants._Budget(10 ** 9) for which in ("none", "C(y)")}
     seen = Counter()
     for x in [elems[0]] + random.Random(0).sample(elems, 6):  # the identity first
         counts = Counter(conjugate(x, g) for g in elems)
         order = invariants._centralizer(bsgs, x, lengths[x], budget)[0]
         for y in elems:
-            for cent, nodes_used in ((none_known, nodes["none"]), (cents[y], nodes["C(y)"])):
-                g_inv = invariants._conjugator(bsgs, x, lengths[x], y, lengths[y], cent,
-                                               nodes_used)
+            for cent, nodes_used in ((none_known[y], nodes["none"]), (cents[y], nodes["C(y)"])):
+                g_inv = invariants._conjugator(bsgs, x, lengths[x], y, cent, nodes_used)
                 assert (g_inv is not None) == (counts[y] > 0)
                 if g_inv is not None:
                     assert conjugate(y, g_inv) == x
@@ -596,9 +597,9 @@ def test_one_class_size_per_rational_class(catalog, monkeypatch, name, expected)
 
     # every backtrack search, the conjugacy tests' and the centraliser
     # levels', is set up here
-    def recorded(bsgs, x, x_len, y, y_len, cent, *args):
+    def recorded(bsgs, x, x_len, y, cent, *args):
         pruning.append(len(cent.elements))
-        return search(bsgs, x, x_len, y, y_len, cent, *args)
+        return search(bsgs, x, x_len, y, cent, *args)
     monkeypatch.setattr(invariants, "_centralizer", counted)
     monkeypatch.setattr(invariants, "_conjugacy_search", recorded)
     assert sum(profile(group).class_sizes) == group.order()
@@ -627,7 +628,7 @@ def test_power_kernel_equals_exhaustive_tests(catalog, monkeypatch, name):
     for bsgs, powers, lengths, cent, kernel in kernels:
         m = len(powers)
         assert kernel == {k for k in range(1, m) if math.gcd(k, m) == 1 and invariants._conjugator(
-            bsgs, powers[k], lengths, powers[1], lengths, cent, budget) is not None}
+            bsgs, powers[k], lengths, powers[1], cent, budget) is not None}
     # some kernel leaves out a unit, so a negative test's coset was used,
     # and some is larger than {1, m - 1}, so one was closed
     units = [sum(math.gcd(k, len(powers)) == 1 for k in range(1, len(powers)))
@@ -638,15 +639,22 @@ def test_power_kernel_equals_exhaustive_tests(catalog, monkeypatch, name):
 
 def test_a10_power_kernel_tests(monkeypatch):
     # a kernel test conjugates a coprime power of a new representative to
-    # it, passing the representative's cycle lengths twice; testing every
-    # coprime power took 60 of them
-    calls = []
-    conjugator = invariants._conjugator
+    # it; testing every coprime power took 60 of them
+    calls, inside = [], []
+    conjugator, power_kernel = invariants._conjugator, invariants._power_kernel
 
-    def recorded(bsgs, x, x_len, y, y_len, cent, budget):
-        calls.append(x_len is y_len)
-        return conjugator(bsgs, x, x_len, y, y_len, cent, budget)
+    def recorded(*args):
+        calls.append(bool(inside))
+        return conjugator(*args)
+
+    def kernel(*args):
+        inside.append(1)
+        try:
+            return power_kernel(*args)
+        finally:
+            inside.pop()
     monkeypatch.setattr(invariants, "_conjugator", recorded)
+    monkeypatch.setattr(invariants, "_power_kernel", kernel)
     assert list(profile(alternating_group(10), cap=2_000_000).class_sizes) == \
         alternating_class_sizes(10)
     assert sum(calls) == 32

@@ -291,7 +291,7 @@ class TestCollisions:
     def test_published_example_case(self):
         cases = enumerate_collision_assignments("1,rq,16q,16r,4rq")
         target = [c for c in cases
-                  if [str(t) for t in c.assignment.sizes] == ["1", "qr", "2q", "2r", "2r"]]
+                  if [str(t) for t in c.sizes] == ["1", "qr", "2q", "2r", "2r"]]
         assert len(target) == 1
         case = target[0]
         assert case.reduced == "q = 4"
@@ -394,8 +394,7 @@ def reference_collision_assignments(pattern):
             continue
         u_i, u_j = pat.terms[pair[0]], pat.terms[pair[1]]
         reduced, why = resolve_equation(u_i, u_j)
-        cases.append(patterns.CollisionCase(patterns.SizeAssignment(tuple(combo)), pair,
-                                            reduced, why))
+        cases.append(patterns.CollisionCase(tuple(combo), pair, reduced, why))
     return cases
 
 

@@ -201,14 +201,15 @@ commands = st.one_of(
               st.sampled_from(PATTERNS), st.just("--target"), st.sampled_from(INT_LISTS),
               st.just("--bound"), st.sampled_from(("1", "100", "1000000000", "x"))),
     st.tuples(st.just("solve-psl2"), st.sampled_from(("660", "0", "-1", "x", "10" * 20))),
-    st.tuples(st.just("verify"), st.sampled_from(("paper", "paper", "other")), st.just("--only"),
-              st.lists(st.sampled_from(CHECK_IDS), min_size=1, max_size=3).map(",".join)),
+    st.tuples(st.sampled_from((("verify", "paper"), ("verify", "paper"), ("verify", "other"))),
+              st.sampled_from(((), ("-v",))),
+              st.lists(st.sampled_from(CHECK_IDS), min_size=1, max_size=3).map(tuple))
+    .map(lambda t: t[0] + t[1] + ("--only",) + t[2]),
     st.lists(words, max_size=3).map(tuple),
 )
 argvs = st.tuples(
     st.sampled_from(((), (), ("--format", "json"), ("--format", "xml"))),
     st.sampled_from(CAPS).map(lambda c: ("--cap", c)),
-    st.sampled_from(((), ("-v",))),
     commands,
 ).map(lambda parts: [tok for part in parts for tok in part])
 

@@ -67,15 +67,17 @@ def det(field: Field, m: Matrix) -> int:
     n = len(rows)
     d = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
+        if not rows[col][col]:
+            pivot = next((r for r in range(col + 1, n) if rows[r][col]), None)
+            if pivot is None:
+                return 0
             rows[col], rows[pivot] = rows[pivot], rows[col]
             d = neg[d]
-        d = mul[d][rows[col][col]]
-        scale = mul[inv[rows[col][col]]]
-        rows[col] = [scale[x] for x in rows[col]]
+        a = rows[col][col]
+        if a != 1:  # scale the pivot row to a leading 1
+            d = mul[d][a]
+            scale = mul[inv[a]]
+            rows[col] = [scale[x] for x in rows[col]]
         for r in range(col + 1, n):
             if rows[r][col]:
                 minus_f = mul[neg[rows[r][col]]]
@@ -208,12 +210,23 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
 
 def psl_group(n: int, q: int) -> PermGroup:
     """PSL(n,q) acting on the (q^n - 1)/(q - 1) projective points, for
-    q <= :data:`usets.gf.MAX_FIELD_SIZE`."""
+    q <= :data:`usets.gf.MAX_FIELD_SIZE`.
+
+    Every generator is checked to have determinant 1, so the group lies in
+    the image of SL(n,q) on the points, whose order, the number of ordered
+    bases of GF(q)^n over (q - 1) gcd(n, q - 1), bounds the Schreier-Sims
+    build.  The bound is not :func:`classical_order`: the order checks
+    compare the built group with that formula, and a bound taken from it
+    would make them circular."""
     if (n, q) in ((2, 2), (2, 3)):
         raise ValueError(f"PSL({n},{q}) is not simple; not provided here")
     p, k = prime_power_decomposition(q)
     field = field_create(p, k)
-    return projectivize(field, sl_generators(n, field))
+    mats = sl_generators(n, field)
+    if any(det(field, m) != 1 for m in mats):
+        raise ValueError(f"a generator of SL({n},{q}) does not have determinant 1")
+    bound = math.prod(q ** n - q ** i for i in range(n)) // ((q - 1) * math.gcd(n, q - 1))
+    return PermGroup(projectivize(field, mats).generators, order_bound=bound)
 
 
 def alternating_group(n: int) -> PermGroup:

@@ -30,6 +30,16 @@ changes of representative do.  Every dropped generator would sift to the
 identity, so the chain is, byte for byte, the one that re-sifting every
 Schreier generator builds.  Rebuilt trees reuse unchanged edges' representatives.
 
+The build also stops once the chain is complete, which it knows from a
+proven upper bound on the group's order: |A_n| or |S_n| by the
+generators' parity, or one the caller proves (:class:`PermGroup`'s
+``order_bound``).  If Delta_i is the basic orbit of level i, then
+prod |Delta_i| <= |<S>| <= bound, with equality on the left exactly when
+the chain is a complete base and strong generating set.  So once the
+product equals the bound, every Schreier generator and raw generator
+still to come sifts to the identity, and the chain is again, byte for
+byte, the one the full closure builds.
+
 The groups handled here are small (the largest the tests profile, A12,
 has order 239 500 800), so Schreier-Sims favours clarity and
 reproducibility over asymptotics: no randomized sifting, no Monte Carlo
@@ -289,8 +299,24 @@ class BSGS:
         return _sift(images, self.base, self.inverses)
 
 
-def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
-    """Deterministic Schreier-Sims with full Schreier-generator closure.
+def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
+                   bound: int | None = None) -> BSGS:
+    """Deterministic Schreier-Sims with full Schreier-generator closure,
+    stopped once the chain's order reaches ``bound``.
+
+    ``bound`` must be a true upper bound on |<S>|, S = ``raw_gens``; by
+    default it is |A_n| = n!/2 when every generator is even and
+    |S_n| = n! otherwise (1 for n <= 1).  Level i's orbit Delta_i is one
+    of the group H_i its generators give, and H_(i+1) fixes base[i], so
+    prod |Delta_i| <= |H_0| <= |<S>| <= bound, with equality on the left
+    exactly when the chain is a complete base and strong generating set
+    for <S> (Seress, *Permutation Group Algorithms*, 4.5).  So after each
+    transversal rebuild, a product equal to ``bound`` means every
+    Schreier generator and raw generator still to come sifts to the
+    identity: the build returns at once.  A product above ``bound``
+    raises ValueError, the bound being false.  A level entered only to
+    pass an element down is rebuilt on the way back all the same, so the
+    chain is the one the unstopped closure builds.
 
     The generating set of the stabilizer subgroup at level i is the union
     of the generators stored at level i and all deeper levels.  Inserting
@@ -326,6 +352,9 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
     are the last tree's keeps its old representative, u_parent s all the
     same; any other is composed and compared as before, so ``changed`` stays.
     """
+    if bound is None:  # a cycle of length l is a product of l - 1 transpositions
+        odd = any(sum(len(c) - 1 for c in Permutation._wrap(g).cycles()) % 2 for g in raw_gens)
+        bound = math.factorial(degree) // (2 if degree > 1 and not odd else 1)
     ident = _identity(degree)
     base: list[int] = []
     level_gens: list[list[RawPerm]] = []
@@ -377,16 +406,22 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
                        for gamma, u in enumerate(trans) if u is not None}
         return trans, parent, via, changed
 
-    def add_nonmember(i: int, g: RawPerm) -> None:
+    def add_nonmember(i: int, g: RawPerm) -> bool:
         # pre: g != identity, g fixes base[:i], g is not in the level-i
-        # group, and every level deeper than i is closed
+        # group, and every level deeper than i is closed; True once the
+        # chain is complete
         if i == len(base):
             new_level(min(x for x in range(degree) if g[x] != x))
         if g[base[i]] == base[i]:
-            add_nonmember(i + 1, g)
+            add_nonmember(i + 1, g)  # complete or not, level i is rebuilt
         else:
             level_gens[i].append(g)
         trans, parent, via, changed = rebuild_transversal(i)
+        order = math.prod(map(len, transversals))
+        if order > bound:
+            raise ValueError(f"the chain's order {order} exceeds the bound {bound}")
+        if order == bound:
+            return True
         inverse = inverses[i]
         gens = gens_at(i)
         closed = [s in closed_gens[i] for s in gens]
@@ -421,10 +456,12 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
                     continue
                 residue = sift_deeper(_compose(us, inverse[delta]))
                 if residue != ident:
-                    add_nonmember(i + 1, residue)
+                    if add_nonmember(i + 1, residue):
+                        return True
                     refuted.clear()
                     deeper = base[i + 1:], inverses[i + 1:]
         closed_gens[i] = set(gens_at(i))
+        return False
 
     first = min((min(x for x in range(degree) if g[x] != x)
                  for g in raw_gens if g != ident), default=degree)
@@ -432,8 +469,8 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int) -> BSGS:
         new_level(first)
     for g in raw_gens:
         residue = _sift(g, base, inverses)
-        if residue != ident:
-            add_nonmember(0, residue)
+        if residue != ident and add_nonmember(0, residue):
+            break
     del add_nonmember  # it refers to itself: free the build's state now, not at a GC pass
     pairs = tuple((g, _inverse(g)) for g in sorted(set(raw_gens) - {ident}))
     return BSGS(degree, base, level_gens, transversals, inverses, pairs)
@@ -444,12 +481,14 @@ class PermGroup:
 
     The base-and-strong-generating-set structure is built lazily on first
     use and cached; groups are immutable once constructed and safe to
-    share.
+    share.  ``order_bound``, a proven upper bound on the group's order,
+    lets the build stop early (:func:`_schreier_sims`).
     """
 
-    __slots__ = ("degree", "generators", "_bsgs")
+    __slots__ = ("degree", "generators", "_order_bound", "_bsgs")
 
-    def __init__(self, generators: Iterable[Permutation | Iterable[int]]):
+    def __init__(self, generators: Iterable[Permutation | Iterable[int]],
+                 order_bound: int | None = None):
         gens = tuple(g if isinstance(g, Permutation) else Permutation(g)
                      for g in generators)
         if not gens:
@@ -459,12 +498,14 @@ class PermGroup:
             raise ValueError(f"generators have mixed degrees {sorted(degrees)}")
         self.degree = degrees.pop()
         self.generators = gens
+        self._order_bound = order_bound
         self._bsgs: BSGS | None = None
 
     @property
     def bsgs(self) -> BSGS:
         if self._bsgs is None:
-            self._bsgs = _schreier_sims([g.images for g in self.generators], self.degree)
+            self._bsgs = _schreier_sims([g.images for g in self.generators], self.degree,
+                                        self._order_bound)
         return self._bsgs
 
     def order(self) -> int:

@@ -143,6 +143,8 @@ class TestGeneratorFiles:
         assert entry.group().order() == 3
 
     def test_order_mismatch_names_both_orders(self, tmp_path):
+        # a declared order below the true one is no bound on the build:
+        # the group comes out whole and the mismatch is a CatalogError
         path = tmp_path / "bad.txt"
         path.write_text("degree 5\norder 59\n(1,2,3)\n(3,4,5)\n")
         with pytest.raises(OrderMismatchError, match=r"60.*59|59.*60"):

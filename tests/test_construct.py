@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from usets import construct
 from usets.catalog import default_catalog
 from usets.construct import (
     alternating_group,
@@ -322,6 +323,20 @@ class TestPSLGroups:
     def test_non_prime_power_rejected(self):
         with pytest.raises(ValueError):
             psl_group(2, 6)
+
+    def test_proper_subgroup_keeps_its_order_under_the_bound(self, monkeypatch):
+        # E_12 and E_21 generate SL(2,3) in the top-left block, which no
+        # nonidentity scalar of SL(3,3) meets: order 24, not |PSL(3,3)| = 5616
+        monkeypatch.setattr(construct, "sl_generators", lambda n, field: [
+            transvection(n, 0, 1, 1), transvection(n, 1, 0, 1)])
+        assert psl_group(3, 3).order() == 24
+
+    def test_generator_outside_sl_rejected(self, monkeypatch):
+        # diag(2, 1) would make the group PGL(2,5), twice |PSL(2,5)|
+        monkeypatch.setattr(construct, "sl_generators", lambda n, field: [
+            *sl_generators(n, field), ((2, 0), (0, 1))])
+        with pytest.raises(ValueError, match=r"^a generator of SL\(2,5\) does not have"):
+            psl_group(2, 5)
 
 
 class TestClassicalOrder:

@@ -240,8 +240,9 @@ def test_sifting_and_sampling_never_invert(monkeypatch):
 def test_schreier_sims_sifts_only_changed_schreier_generators(monkeypatch):
     # sifts per chain build, those of the h_gamma included; re-sifting every
     # Schreier generator at each closure takes 400 for Alt(12) and 1057 for
-    # PSL(4,3), and skipping only the pairs whose representatives did not
-    # change takes 190 and 826
+    # PSL(4,3), skipping only the pairs whose representatives did not
+    # change takes 190 and 826, and closing levels after the chain reaches
+    # |A_12| or |PSL(4,3)| takes 190 and 701
     calls = []
     sift = perm._sift
 
@@ -249,7 +250,7 @@ def test_schreier_sims_sifts_only_changed_schreier_generators(monkeypatch):
         calls.append(1)
         return sift(*args)
     monkeypatch.setattr(perm, "_sift", counting)
-    for group, sifts in ((alternating_group(12), 190), (psl_group(4, 3), 701)):
+    for group, sifts in ((alternating_group(12), 153), (psl_group(4, 3), 291)):
         calls.clear()
         group.order()
         assert len(calls) == sifts
@@ -260,8 +261,9 @@ def test_schreier_sims_skips_trivial_compositions(monkeypatch):
     # for every Schreier generator formed, with pairs skipped only when
     # their representatives did not change, takes 31 138 for PSL(4,4) and
     # 32 706 for Alt(24); composing every tree edge again, in each rebuilt
-    # tree and in the pair loop, takes 13 718 and 12 350
-    groups = ((psl_group(4, 4), 12_673), (alternating_group(24), 10_721))
+    # tree and in the pair loop, takes 13 718 and 12 350; closing levels
+    # after the chain reaches |PSL(4,4)| or |A_24| takes 12 673 and 10 721
+    groups = ((psl_group(4, 4), 4_631), (alternating_group(24), 10_032))
     calls = []
     compose = perm._compose
 
@@ -273,6 +275,23 @@ def test_schreier_sims_skips_trivial_compositions(monkeypatch):
         calls.clear()
         group.order()
         assert len(calls) == compositions
+
+
+def test_schreier_sims_refuses_a_false_order_bound():
+    with pytest.raises(ValueError, match=r"order 3 exceeds the bound 1$"):
+        perm._schreier_sims([(1, 2, 0)], 3, 1)
+    with pytest.raises(ValueError, match=r"order 4 exceeds the bound 2$"):
+        PermGroup([cyc(4, (0, 1, 2, 3))], order_bound=2).order()
+
+
+@pytest.mark.parametrize("gens, order", [
+    ([()], 1), ([(0,)], 1), ([(0, 1)], 1), ([(1, 0)], 2), ([(0, 1), (1, 0), (0, 1)], 2),
+    ([(0, 1, 2, 3, 4)] * 2, 1), ([(1, 0, 2)], 2), ([(1, 2, 0)], 3),
+    ([(1, 2, 0, 3), (0, 2, 3, 1)], 12), ([(1, 0, 2, 3), (1, 2, 3, 0)], 24)])
+def test_default_bound_keeps_small_and_trivial_orders(gens, order):
+    # degree 0 and 1 give a bound of 1, not 1!/2 = 0; the last two groups
+    # reach the default bounds |A_4| and |S_4|
+    assert PermGroup(gens).order() == order
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_GROUPS))

@@ -5,6 +5,7 @@ fuzzed arguments built from the real subcommands."""
 import contextlib
 import io
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from usets import cli
 from usets.catalog import default_catalog, load_generator_file, parse_cycle_notation
+from usets.construct import alternating_group, psl_group
 from usets.patterns import MAX_EXPONENT, SYMBOLS, Term, USetPattern
 from usets.perm import PermGroup, Permutation, _schreier_sims
 
@@ -141,8 +143,7 @@ def raw_generating_sets(draw):
     return n, draw(st.permutations(gens))
 
 
-def assert_chain_equals_full_closure(gens, degree):
-    bsgs = _schreier_sims(gens, degree)
+def assert_chain_equals_full_closure(bsgs, gens, degree):
     base, level_gens, transversals, inverses = full_closure_schreier_sims(gens, degree)
     assert bsgs.base == tuple(base)
     assert bsgs._level_gens == level_gens
@@ -153,14 +154,25 @@ def assert_chain_equals_full_closure(gens, degree):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(raw_generating_sets())
 def test_chain_equals_full_closure_schreier_sims(case):
+    # the build stops at |A_n| or |S_n|, by the generators' parity
     n, gens = case
-    assert_chain_equals_full_closure(gens, n)
+    assert_chain_equals_full_closure(_schreier_sims(gens, n), gens, n)
 
 
-@pytest.mark.parametrize("name", sorted(CHAIN_GROUPS))
+#: CHAIN_GROUPS and the construct-bsgs benchmark's groups, whose builds
+#: stop at |PSL(n,q)| or, for Alt(n), at |A_n| by the generators' parity.
+NAMED_CHAINS = {**CHAIN_GROUPS, **{f"PSL({n},{q})": partial(psl_group, n, q) for n, q in (
+    (2, 19), (3, 4), (2, 25), (3, 5), (5, 2), (4, 3), (2, 47), (3, 7), (6, 2),
+    (3, 8), (2, 81), (4, 4), (3, 9), (2, 113))}}
+NAMED_CHAINS.update((f"Alt({n})", partial(alternating_group, n)) for n in (12, 16, 20, 24))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_CHAINS))
 def test_named_chains_equal_full_closure_schreier_sims(name):
-    group = CHAIN_GROUPS[name]()
-    assert_chain_equals_full_closure([g.images for g in group.generators], group.degree)
+    # the stop is exact: the chain is the one that closing every level builds
+    group = NAMED_CHAINS[name]()
+    assert_chain_equals_full_closure(group.bsgs, [g.images for g in group.generators],
+                                     group.degree)
 
 
 terms = st.builds(

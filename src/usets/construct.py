@@ -122,6 +122,13 @@ def projectivize(field: Field, mats: Sequence[Matrix],
     the map a homomorphism for this package's apply-left-factor-first
     composition: the permutation of M1 @ M2 is perm(M1) * perm(M2).
     """
+    return _projectivize(field, mats, points, nonsingular=False)
+
+
+def _projectivize(field: Field, mats: Sequence[Matrix], points: Sequence[Vector] | None,
+                  nonsingular: bool) -> PermGroup:
+    """:func:`projectivize`; ``nonsingular`` says the caller has checked
+    every determinant, so none is computed again."""
     if points is None and mats:
         points = projective_points(field, len(mats[0]))
     if not mats or not points:
@@ -132,7 +139,7 @@ def projectivize(field: Field, mats: Sequence[Matrix],
     perms = []
     for m in mats:
         images = row_images(field, m, points)
-        if not det(field, m):
+        if not nonsingular and not det(field, m):
             raise ValueError("singular matrix has no projective action")
         perm = []
         for v in images:
@@ -226,7 +233,8 @@ def psl_group(n: int, q: int) -> PermGroup:
     if any(det(field, m) != 1 for m in mats):
         raise ValueError(f"a generator of SL({n},{q}) does not have determinant 1")
     bound = math.prod(q ** n - q ** i for i in range(n)) // ((q - 1) * math.gcd(n, q - 1))
-    return PermGroup(projectivize(field, mats).generators, order_bound=bound)
+    return PermGroup(_projectivize(field, mats, None, nonsingular=True).generators,
+                     order_bound=bound)
 
 
 def alternating_group(n: int) -> PermGroup:

@@ -24,6 +24,21 @@ same-size-class counts to belong to a nonabelian simple group:
 
 A POSSIBLE verdict never claims a group exists; INFEASIBLE is a proof
 that none does.
+
+Six pure functions are memoised, each by a ``functools.lru_cache`` of at
+most ``_CACHE_SIZE`` entries: :func:`parse_term`; the text -> pattern
+parse behind every function that takes a pattern as text
+(``_parse_pattern``); a pattern's symmetries (``_pattern_automorphisms``);
+a term's size options (``_size_options``, behind
+:func:`admissible_size_options`); :func:`resolve_equation`; and the
+prime-power test of a count (``_is_prime_power``, behind
+:func:`is_prime_power` and :func:`feasibility_check`).  Sharing the
+results is safe: the keys are strings, ints and frozen dataclasses, the
+cached values are frozen dataclasses, tuples of them, strings or bools,
+and the public functions that return lists hand out fresh ones.  An input
+that raises is never cached, so it is checked and refused on every call.
+The gain needs repeated inputs: an analysis that meets each pattern, term
+and count once does the same work as without the caches.
 """
 
 from __future__ import annotations
@@ -32,10 +47,16 @@ import itertools
 import math
 import re
 from collections import Counter
+from functools import lru_cache
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 SYMBOLS = ("p", "q", "r")
+
+#: Entries kept by each memo cache of this module: well above the distinct
+#: patterns, terms and counts that ``usets verify paper`` meets, and a fixed
+#: ceiling on what a long-lived process holds.
+_CACHE_SIZE = 1024
 
 # ---------------------------------------------------------------------------
 # integer utilities: factorize is the one factorization, and every prime
@@ -183,6 +204,12 @@ def is_prime_power(n: int) -> bool:
     constraint)."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
+    return _is_prime_power(n)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _is_prime_power(n: int) -> bool:
+    """:func:`is_prime_power` for n >= 1, one factorisation per n."""
     return len(factorize(n)) == 1
 
 
@@ -253,6 +280,7 @@ class Term:
         return body if self.coeff == 1 else f"{self.coeff}{body}"
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def parse_term(text: str) -> Term:
     s = text.strip().replace(" ", "")
     m = _TERM_RE.match(s)
@@ -294,8 +322,12 @@ class USetPattern:
         return ",".join(str(t) for t in self.terms)
 
 
+#: USetPattern.parse, once per distinct text.
+_parse_pattern = lru_cache(maxsize=_CACHE_SIZE)(USetPattern.parse)
+
+
 def _as_pattern(pattern: USetPattern | str) -> USetPattern:
-    return pattern if isinstance(pattern, USetPattern) else USetPattern.parse(pattern)
+    return pattern if isinstance(pattern, USetPattern) else _parse_pattern(pattern)
 
 
 def instantiate_pattern(pattern: USetPattern | str,
@@ -317,9 +349,11 @@ def duplicate_values(values: Iterable[int]) -> list[int]:
     return sorted(dups)
 
 
-def _pattern_automorphisms(pat: USetPattern) -> list[dict[str, str]]:
+@lru_cache(maxsize=_CACHE_SIZE)
+def _pattern_automorphisms(pat: USetPattern) -> tuple[tuple[str, ...], ...]:
     """Symbol permutations that map the term set onto itself, compared
-    as (coeff, exps) keys; the terms are distinct, so into is onto."""
+    as (coeff, exps) keys; the terms are distinct, so into is onto.  Each
+    is the tuple of the images of ``pat.symbols``, in that order."""
     symbols = pat.symbols
     keys = {(t.coeff, t.exps) for t in pat.terms}
     out = []
@@ -327,8 +361,8 @@ def _pattern_automorphisms(pat: USetPattern) -> list[dict[str, str]]:
         mapping = dict(zip(symbols, perm))
         if all((t.coeff, tuple(sorted((mapping[s], e) for s, e in t.exps))) in keys
                for t in pat.terms):
-            out.append(mapping)
-    return out
+            out.append(perm)
+    return tuple(out)
 
 
 def match_pattern(pattern: USetPattern | str, target: Iterable[int],
@@ -370,7 +404,7 @@ def match_pattern(pattern: USetPattern | str, target: Iterable[int],
         if k == len(symbols):
             combo = tuple(assignment.values())
             if len(autos) > 1:
-                orbit_min = min(tuple(assignment[m[s]] for s in symbols) for m in autos)
+                orbit_min = min(tuple(map(assignment.__getitem__, image)) for image in autos)
                 if combo != orbit_min:
                     return
             if set(instantiate_pattern(pat, assignment)) == goal:
@@ -423,7 +457,8 @@ def feasibility_check(u_values: Iterable[int]) -> FeasibilityVerdict:
     """Necessary-condition screen for a multiset of same-size-class
     counts of a nonabelian simple group.  Never asserts existence.  A
     count u > 1 passes the Burnside screen exactly when it has at least
-    two distinct prime factors, so each distinct count is factored once."""
+    two distinct prime factors, so each distinct count is factored once,
+    and a count already seen by ``_is_prime_power`` not at all."""
     values = list(u_values)
     if not values:
         raise ValueError("cannot judge an empty multiset")
@@ -432,7 +467,7 @@ def feasibility_check(u_values: Iterable[int]) -> FeasibilityVerdict:
         issues.append(FeasibilityIssue(
             "membership", "the identity class contributes a count of 1"))
     for v in sorted(set(values)):
-        if v > 1 and len(factorize(v)) < 2:
+        if v > 1 and _is_prime_power(v):
             issues.append(FeasibilityIssue(
                 "burnside",
                 f"count {v} admits no class size > 1 that is not a prime power"))
@@ -450,20 +485,26 @@ def feasibility_check(u_values: Iterable[int]) -> FeasibilityVerdict:
 def admissible_size_options(term: Term) -> list[Term]:
     """Symbolic class sizes compatible with a count term: divisors that
     are neither 1 nor prime powers, ascending.  The count 1 (identity
-    class) maps to size 1.
+    class) maps to size 1."""
+    return list(_size_options(term))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _size_options(term: Term) -> tuple[Term, ...]:
+    """:func:`admissible_size_options` as a tuple, once per term.
 
     The coefficient is factored once.  Each divisor is built as its sort
     key (coeff, exps) with the number of primes and symbols it contains,
     and it is a prime power exactly when that number is 1; only the
     divisors kept become :class:`Term` objects."""
     if term.coeff == 1 and not term.exps:
-        return [term]
+        return (term,)
     coeffs = _divisor_prime_counts(term.coeff)
     keys = []
     for combo in itertools.product(*(range(e + 1) for _, e in term.exps)):
         exps = tuple((s, f) for (s, _), f in zip(term.exps, combo) if f)
         keys += [(d, exps) for d, n in coeffs if n + len(exps) >= 2]
-    return [Term(d, exps) for d, exps in sorted(keys)]
+    return tuple(Term(d, exps) for d, exps in sorted(keys))
 
 
 def _cancel(a: Term, b: Term) -> tuple[Term, Term]:
@@ -488,6 +529,7 @@ def _shape_solutions(term: Term, value: int) -> bool:
     return sorted(factors.values()) == sorted(e for _, e in term.exps)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def resolve_equation(a: Term, b: Term) -> tuple[str, str | None]:
     """Normalize ``a == b`` by cancelling shared factors and decide it.
 
@@ -537,7 +579,7 @@ def enumerate_collision_assignments(pattern: USetPattern | str) -> list[Collisio
     """
     pat = _as_pattern(pattern)
     n = len(pat.terms)
-    option_lists = [admissible_size_options(t) for t in pat.terms]
+    option_lists = [_size_options(t) for t in pat.terms]
     ids: dict[Term, int] = {}  # equal sizes share an id, compared as ints
     id_lists = [[ids.setdefault(o, len(ids)) for o in opts] for opts in option_lists]
     solved: dict[tuple[int, int], tuple] = {}  # pair -> reduced, contradiction

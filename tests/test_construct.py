@@ -150,6 +150,23 @@ class TestProjectivize:
         with pytest.raises(ValueError, match="singular"):
             projectivize(f, [((1, 1), (1, 1))])
 
+    def test_psl_group_computes_each_determinant_once(self, monkeypatch):
+        calls = []
+
+        def counted(field, m):
+            calls.append(m)
+            return det(field, m)
+        monkeypatch.setattr(construct, "det", counted)
+        assert psl_group(3, 4).order() == classical_order("PSL", 3, 4)
+        assert sorted(calls) == sorted(sl_generators(3, field_create(2, 2)))
+
+    @pytest.mark.parametrize("bad", [((2, 0), (0, 1)), ((1, 1), (1, 1))])
+    def test_psl_group_refuses_a_generator_outside_sl(self, monkeypatch, bad):
+        # determinant 2, and a singular matrix: both fail the SL check first
+        monkeypatch.setattr(construct, "sl_generators", lambda n, field: [bad])
+        with pytest.raises(ValueError, match=r"a generator of SL\(2,5\) does not have determinant 1"):
+            psl_group(2, 5)
+
     def test_point_count(self):
         f = field_create(2, 2)
         assert len(projective_points(f, 3)) == (4 ** 3 - 1) // 3

@@ -176,7 +176,7 @@ def reference_match(pattern, target, bound):
     out = []
     for combo in itertools.product(primes_up_to(bound), repeat=len(symbols)):
         assignment = dict(zip(symbols, combo))
-        if combo != min(tuple(assignment[m[s]] for s in symbols) for m in autos):
+        if combo != min(tuple(assignment[s] for s in image) for image in autos):
             continue
         values = instantiate_pattern(pat, assignment)
         if not duplicate_values(values) and set(values) == goal:
@@ -419,7 +419,8 @@ ORACLE_PATTERNS = PAPER_PATTERNS + ["pq,qr", "p,q,r", "pqr,2", "1,rq", "1,2", "p
 def test_pattern_layer_agrees_with_the_reference_routines(pattern):
     pat = USetPattern.parse(pattern)
     assert pat.symbols == reference_symbols(pat)
-    assert patterns._pattern_automorphisms(pat) == reference_automorphisms(pat)
+    assert patterns._pattern_automorphisms(pat) == tuple(
+        tuple(m[s] for s in pat.symbols) for m in reference_automorphisms(pat))
     assert enumerate_collision_assignments(pattern) == reference_collision_assignments(pattern)
 
 
@@ -453,12 +454,15 @@ def test_size_options_factor_the_coefficient_once(monkeypatch):
         calls.append(n)
         return factorize(n, bound)
     monkeypatch.setattr(patterns, "factorize", counted)
+    patterns._size_options.cache_clear()
     for text in ("4rq", "16q", "360p^2qr", "rq"):
         term = parse_term(text)
         expected = reference_admissible_size_options(term)
         calls.clear()
         assert admissible_size_options(term) == expected
         assert calls == [term.coeff]
+        assert admissible_size_options(parse_term(text)) == expected
+        assert calls == [term.coeff]  # the second call reads the cache
 
 
 def test_burnside_screen_agrees_with_the_divisor_scan():
@@ -475,8 +479,12 @@ def test_feasibility_factors_each_distinct_count_once(monkeypatch):
         calls.append(n)
         return factorize(n, bound)
     monkeypatch.setattr(patterns, "factorize", counted)
+    patterns._is_prime_power.cache_clear()
     assert feasibility_check(values) == expected
     assert sorted(calls) == sorted({v for v in values if v > 1})
+    calls.clear()
+    assert feasibility_check(values) == expected
+    assert calls == []  # every count is in the cache
 
 
 def test_collisions_resolve_each_colliding_pair_once(monkeypatch):
@@ -489,6 +497,77 @@ def test_collisions_resolve_each_colliding_pair_once(monkeypatch):
     cases = enumerate_collision_assignments(COLLISION_PATTERN)
     assert len(cases) == 32
     assert len(calls) == len(set(calls)) == len({c.pair for c in cases}) <= 10
+
+
+# the memo caches: same answers from text and from a parsed pattern, fresh
+# lists out, no refusal cached, every cache bounded
+
+BENCHMARK_PATTERNS = (
+    "1,rq,2rq,16r,8q", "1,r^2q,8r^3,32q", "1,r^2q,16q,2r^2q,16r^2",
+    "1,r^2q,32r^2,2r^3q,64q", "1,rq,16q,16r,4rq", "1,rq,4rq,8rq,8r^2",
+    "1,rq,8pq,4qr,8pr", "1,r^2,4r^2,16r", "1,p^2,4p^2,8p^2",
+    "1,r^2,4r^2,8pr", "1,2p,8p,16p", "1,2q,8pq,8q,16p", "1,2p,8p,16p,8p^2",
+)
+
+
+@pytest.mark.parametrize("text", BENCHMARK_PATTERNS)
+def test_match_from_text_equals_match_from_a_parsed_pattern(text):
+    rng = random.Random(text)
+    pat = USetPattern.parse(text)
+    patterns._parse_pattern.cache_clear()
+    for bound in (100, 150, 200):
+        primes = [p for p in primes_up_to(bound) if p > 2]
+        planted = dict(zip(pat.symbols, rng.sample(primes, len(pat.symbols))))
+        hit = instantiate_pattern(pat, planted)
+        miss = hit[:-1] + [hit[-1] * 211]  # 211 is a prime above every bound
+        for target in (hit, miss):
+            expected = match_pattern(USetPattern.parse(text), target, bound)
+            assert bool(expected) == (target is hit and not duplicate_values(hit))
+            assert match_pattern(text, target, bound) == expected  # cold or warm
+            assert match_pattern(text, target, bound) == expected  # warm
+    assert patterns._parse_pattern.cache_info().currsize == 1
+
+
+def test_returned_lists_are_fresh_copies():
+    term = parse_term("4rq")
+    first = admissible_size_options(term)
+    expected = list(first)
+    first.append(term)
+    first.reverse()
+    assert admissible_size_options(term) == expected
+    got = match_pattern(CHARACTERIZATION_PATTERN, {1, 55, 120, 220, 264}, 100)
+    got[0]["p"] = 7
+    got.append({})
+    assert match_pattern(CHARACTERIZATION_PATTERN, {1, 55, 120, 220, 264}, 100) == [
+        {"p": 3, "q": 5, "r": 11}]
+
+
+@pytest.mark.parametrize("bad", ["1,x", "1,1", "", "p,,q", "1,p^65", "rq,qr"])
+def test_a_malformed_pattern_raises_on_every_call(bad):
+    before = patterns._parse_pattern.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            match_pattern(bad, {1, 3}, 100)
+        with pytest.raises(ValueError):
+            instantiate_pattern(bad, {"p": 3, "q": 5})
+        with pytest.raises(ValueError):
+            enumerate_collision_assignments(bad)
+    assert patterns._parse_pattern.cache_info().currsize == before
+
+
+def test_every_cache_is_bounded_and_hands_out_immutable_values():
+    caches = {name: fn for name, fn in vars(patterns).items() if hasattr(fn, "cache_info")}
+    assert sorted(caches) == ["_is_prime_power", "_parse_pattern", "_pattern_automorphisms",
+                              "_size_options", "parse_term", "resolve_equation"]
+    for name, fn in caches.items():
+        maxsize = fn.cache_info().maxsize
+        assert isinstance(maxsize, int) and 0 < maxsize <= 4096, name
+    pat = patterns._parse_pattern(COLLISION_PATTERN)
+    assert isinstance(pat, USetPattern) and isinstance(pat.terms, tuple)
+    autos = patterns._pattern_automorphisms(pat)
+    assert autos == (("q", "r"), ("r", "q"))
+    assert all(isinstance(image, tuple) for image in autos)
+    assert all(isinstance(patterns._size_options(t), tuple) for t in pat.terms)
 
 
 class TestResolveEquation:

@@ -21,7 +21,6 @@ boundary only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
@@ -114,17 +113,26 @@ def parse_generator_file(path: Path | str) -> tuple[int, int, list[Permutation]]
     return degree, declared, gens
 
 
-@dataclass
 class CatalogEntry:
-    """A named group with its declared order and a lazy, validated build."""
+    """A named group with its declared order and a lazy, validated build.
 
-    name: str
-    source: str                      # "constructor" | "generator_file"
-    expected_order: int
-    provenance: str                  # how expected_order was obtained
-    builder: Callable[[], PermGroup]
-    _group: PermGroup | None = field(default=None, repr=False)
-    _profile: InvariantProfile | None = field(default=None, repr=False)
+    ``source`` is "constructor" or "generator_file", and ``provenance``
+    says how ``expected_order`` was obtained."""
+
+    def __init__(self, name: str, source: str, expected_order: int, provenance: str,
+                 builder: Callable[[], PermGroup]):
+        self.name = name
+        self.source = source
+        self.expected_order = expected_order
+        self.provenance = provenance
+        self.builder = builder
+        self._group: PermGroup | None = None
+        self._profile: InvariantProfile | None = None
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(name={self.name!r}, source={self.source!r}, "
+                f"expected_order={self.expected_order!r}, provenance={self.provenance!r}, "
+                f"builder={self.builder!r})")
 
     def group(self) -> PermGroup:
         if self._group is None:

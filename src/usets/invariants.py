@@ -56,8 +56,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .patterns import factorize
 from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose,
@@ -67,15 +66,13 @@ from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose,
 _SAMPLER_SEED = 0
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(NamedTuple):
     representative: Permutation  # minimal class member in image-tuple order
     size: int
     element_order: int
 
 
-@dataclass(frozen=True)
-class InvariantProfile:
+class InvariantProfile(NamedTuple):
     group_order: int
     class_sizes: tuple[int, ...]   # one entry per class, ascending
     V: tuple[int, ...]             # distinct sizes, ascending

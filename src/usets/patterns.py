@@ -33,12 +33,17 @@ a term's size options (``_size_options``, behind
 :func:`admissible_size_options`); :func:`resolve_equation`; and the
 prime-power test of a count (``_is_prime_power``, behind
 :func:`is_prime_power` and :func:`feasibility_check`).  Sharing the
-results is safe: the keys are strings, ints and frozen dataclasses, the
-cached values are frozen dataclasses, tuples of them, strings or bools,
+results is safe: the keys are strings, ints and immutable records, the
+cached values are immutable records, tuples of them, strings or bools,
 and the public functions that return lists hand out fresh ones.  An input
 that raises is never cached, so it is checked and refused on every call.
 The gain needs repeated inputs: an analysis that meets each pattern, term
 and count once does the same work as without the caches.
+
+The records are ``typing.NamedTuple`` classes, so importing the module
+generates no methods; as tuples they hash, sort and compare by their
+fields, and :class:`Term` and :class:`USetPattern` check theirs in
+``__new__``.
 """
 
 from __future__ import annotations
@@ -48,8 +53,7 @@ import math
 import re
 from collections import Counter
 from functools import lru_cache
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 SYMBOLS = ("p", "q", "r")
 
@@ -214,7 +218,14 @@ def _is_prime_power(n: int) -> bool:
 
 
 def primes_up_to(bound: int) -> list[int]:
-    return [n for n in range(bound + 1) if is_prime(n)]
+    """The primes <= bound, ascending, by the sieve of Eratosthenes."""
+    if bound < 2:
+        return []
+    sieve = bytearray(2) + bytearray([1]) * (bound - 1)
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+    return [n for n, flag in enumerate(sieve) if flag]
 
 
 def solve_psl2_order(order: int) -> int | None:
@@ -240,21 +251,25 @@ _TERM_RE = re.compile(r"^(\d+)?((?:[pqr](?:\^\d+)?)*)$")
 _FACTOR_RE = re.compile(r"([pqr])(?:\^(\d+))?")
 
 
-@dataclass(frozen=True, order=True)
-class Term:
-    """A product ``coeff * p^a q^b r^c`` with a positive coefficient."""
-
+class _TermFields(NamedTuple):
     coeff: int
     exps: tuple[tuple[str, int], ...]  # sorted by symbol, exponents >= 1
 
-    def __post_init__(self):
-        if self.coeff < 1:
+
+class Term(_TermFields):
+    """A product ``coeff * p^a q^b r^c`` with a positive coefficient."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeff: int, exps: tuple[tuple[str, int], ...]) -> "Term":
+        if coeff < 1:
             raise ValueError("coefficient must be positive")
-        symbols = [s for s, _ in self.exps]
+        symbols = [s for s, _ in exps]
         if symbols != sorted(symbols) or len(set(symbols)) != len(symbols):
             raise ValueError("exponent list must be sorted and without repeats")
-        if any(s not in SYMBOLS for s in symbols) or any(e < 1 for _, e in self.exps):
-            raise ValueError(f"bad exponent list {self.exps!r}")
+        if any(s not in SYMBOLS for s in symbols) or any(e < 1 for _, e in exps):
+            raise ValueError(f"bad exponent list {exps!r}")
+        return tuple.__new__(cls, (coeff, exps))
 
     @classmethod
     def make(cls, coeff: int, exps: Mapping[str, int] | None = None) -> "Term":
@@ -297,17 +312,21 @@ def parse_term(text: str) -> Term:
     return Term.make(coeff, exps)
 
 
-@dataclass(frozen=True)
-class USetPattern:
-    """A candidate same-size class set given symbolically."""
-
+class _USetPatternFields(NamedTuple):
     terms: tuple[Term, ...]
 
-    def __post_init__(self):
-        if not self.terms:
+
+class USetPattern(_USetPatternFields):
+    """A candidate same-size class set given symbolically."""
+
+    __slots__ = ()
+
+    def __new__(cls, terms: tuple[Term, ...]) -> "USetPattern":
+        if not terms:
             raise ValueError("pattern needs at least one term")
-        if len(set(self.terms)) != len(self.terms):
+        if len(set(terms)) != len(terms):
             raise ValueError("pattern terms must be pairwise distinct")
+        return tuple.__new__(cls, (terms,))
 
     @classmethod
     def parse(cls, text: str) -> "USetPattern":
@@ -424,14 +443,12 @@ def match_pattern(pattern: USetPattern | str, target: Iterable[int],
 # feasibility of concrete count multisets
 
 
-@dataclass(frozen=True)
-class FeasibilityIssue:
+class FeasibilityIssue(NamedTuple):
     code: str  # "membership" | "burnside" | "parity"
     detail: str
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     feasible: bool
     issues: tuple[FeasibilityIssue, ...]
 
@@ -556,8 +573,7 @@ def resolve_equation(a: Term, b: Term) -> tuple[str, str | None]:
     return eq, f"no distinct odd primes give {lhs} the value {value}"
 
 
-@dataclass(frozen=True)
-class CollisionCase:
+class CollisionCase(NamedTuple):
     """A size assignment in which two distinct count terms receive the
     same symbolic class size, plus the equation that refutes it."""
 

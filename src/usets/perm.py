@@ -361,6 +361,7 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
     transversals: list[tuple[RawPerm, ...]] = []
     inverses: list[dict[int, RawPerm]] = []
     closed_gens: list[set[RawPerm]] = []  # the generators at each level's last closure
+    gen_inverse: dict[RawPerm, RawPerm] = {}  # each level generator's inverse, formed once
     trees: list[tuple] = []  # each level's last tree by point: reps, parents, generators
 
     def gens_at(i: int) -> list[RawPerm]:
@@ -377,33 +378,38 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
     def rebuild_transversal(i: int) -> tuple[list, list, list, dict[int, RawPerm | None]]:
         """Rebuild level i's tree; return it by point (representatives,
         parents, generators) and the old inverse of every point whose
-        representative changed since the last closure (None if new)."""
+        representative changed since the last closure (None if new).  A
+        changed representative u s is inverted as s^-1 u^-1, from its
+        parent's inverse."""
         old_trans, old_parent, old_via = trees[i]
         old_inverse = inverses[i]
-        trans, parent, via = [None] * degree, [None] * degree, [None] * degree
-        trans[base[i]] = ident
+        trans, parent, via, inv = ([None] * degree for _ in range(4))
+        trans[base[i]] = inv[base[i]] = ident
         changed: dict[int, RawPerm | None] = {}
         frontier = [base[i]]
         gens = gens_at(i)
+        gen_invs = [gen_inverse[s] for s in gens]
         while frontier:
             new_pts = []
             for gamma in frontier:
-                u = trans[gamma]
+                u, uinv = trans[gamma], inv[gamma]
                 kept = gamma not in changed
-                for s in gens:
+                for s, sinv in zip(gens, gen_invs):
                     delta = s[gamma]
                     if trans[delta] is None:
                         same = kept and old_via[delta] is s and old_parent[delta] == gamma
                         trans[delta] = v = old_trans[delta] if same else _compose(u, s)
-                        if not same and v != old_trans[delta]:
+                        if same or v == old_trans[delta]:
+                            inv[delta] = old_inverse[delta]
+                        else:
                             changed[delta] = old_inverse.get(delta)
+                            inv[delta] = _compose(sinv, uinv)
                         parent[delta], via[delta] = gamma, s
                         new_pts.append(delta)
             frontier = sorted(new_pts)
         trees[i] = trans, parent, via
         transversals[i] = tuple(u for u in trans if u is not None)
-        inverses[i] = {gamma: _inverse(u) if gamma in changed else old_inverse[gamma]
-                       for gamma, u in enumerate(trans) if u is not None}
+        inverses[i] = {gamma: uinv for gamma, uinv in enumerate(inv) if uinv is not None}
         return trans, parent, via, changed
 
     def add_nonmember(i: int, g: RawPerm) -> bool:
@@ -416,6 +422,7 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
             add_nonmember(i + 1, g)  # complete or not, level i is rebuilt
         else:
             level_gens[i].append(g)
+            gen_inverse[g] = _inverse(g)
         trans, parent, via, changed = rebuild_transversal(i)
         order = math.prod(map(len, transversals))
         if order > bound:

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import __version__
 from .catalog import Catalog, CatalogError, _natural_key, default_catalog
@@ -135,22 +134,61 @@ CHARACTERIZATION_ASSIGNMENT = {"p": 3, "q": 5, "r": 11}
 ORDER_AND_CLASS_PRIMES = (5, 11, 13, 17)
 
 
-@dataclass(frozen=True)
+#: The fields of a :class:`CheckResult`, in report order.
+_RESULT_FIELDS = ("check_id", "claim", "status", "computed", "expected",
+                  "expected_source", "note")
+
+
 class CheckResult:
-    check_id: str
-    claim: str
-    status: str            # "pass" | "fail" | "not_checked"
-    computed: Any = None
-    expected: Any = None
-    expected_source: str = ""  # "published" | "formula" | "derived" | "internal"
-    note: str = ""
+    """One check's outcome, immutable: ``status`` is "pass", "fail" or
+    "not_checked", and ``expected_source`` "published", "formula",
+    "derived" or "internal".  A plain class, not a tuple, so that a
+    subclass can extend ``__init__`` and pass its arguments on."""
+
+    __slots__ = _RESULT_FIELDS
+
+    def __init__(self, check_id: str, claim: str, status: str, computed: Any = None,
+                 expected: Any = None, expected_source: str = "", note: str = ""):
+        for name, value in zip(_RESULT_FIELDS, (check_id, claim, status, computed,
+                                                expected, expected_source, note)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in _RESULT_FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(_RESULT_FIELDS, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass
 class VerificationReport:
-    version: str
-    timestamp: str
-    results: list[CheckResult] = field(default_factory=list)
+    """The check results in report order, with the toolkit version and the
+    time of the run."""
+
+    def __init__(self, version: str, timestamp: str,
+                 results: list[CheckResult] | None = None):
+        self.version = version
+        self.timestamp = timestamp
+        self.results = [] if results is None else results
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(version={self.version!r}, "
+                f"timestamp={self.timestamp!r}, results={self.results!r})")
 
     @property
     def summary(self) -> dict[str, int]:
@@ -170,15 +208,13 @@ class VerificationReport:
         raise KeyError(f"no check {check_id!r} in this report")
 
     def as_dict(self) -> dict:
-        """The report as JSON-ready data.  Rows are shallow dicts that share
-        their values with the results (``dataclasses.asdict`` would
-        deep-copy every computed value)."""
-        names = [f.name for f in fields(CheckResult)]
+        """The report as JSON-ready data.  Rows are shallow dicts, keyed in
+        field order, that share their values with the results."""
         return {
             "version": self.version,
             "timestamp": self.timestamp,
             "summary": self.summary,
-            "results": [{name: getattr(r, name) for name in names} for r in self.results],
+            "results": [dict(zip(_RESULT_FIELDS, r._values())) for r in self.results],
         }
 
     def to_json(self) -> str:
@@ -205,8 +241,8 @@ class VerificationReport:
             f"({len(self.results)} checks, toolkit {self.version})")
         return "\n".join(lines)
 
-@dataclass(frozen=True)
-class CheckRow:
+
+class CheckRow(NamedTuple):
     """One line of the check table.
 
     ``run`` receives the profiles of ``groups``, in order, and returns
@@ -269,10 +305,9 @@ def _collision_screen() -> tuple:
             {"cases": 32, "unrefuted": []}, note)
 
 
-def _eliminate(shape: str, code: str) -> tuple:
+def _eliminate(shape: str, code: str, odd_primes: list[int]) -> tuple:
     pat = USetPattern.parse(shape)
     symbols = pat.symbols
-    odd_primes = [p for p in primes_up_to(ELIMINATION_PRIME_BOUND) if p > 2]
     outcomes = set()
     for combo in itertools.product(odd_primes, repeat=len(symbols)):
         verdict = feasibility_check(
@@ -363,13 +398,14 @@ def _rows(catalog: Catalog, cap: int) -> list[CheckRow]:
         _collision_screen))
 
     # -- eliminations of symbolic candidate sets ----------------------------
+    odd_primes = [p for p in primes_up_to(ELIMINATION_PRIME_BOUND) if p > 2]
     for shape in ELIMINATION_BURNSIDE + ELIMINATION_PARITY:
         code = "burnside" if shape in ELIMINATION_BURNSIDE else "parity"
         rows.append(CheckRow(
             f"eliminate:{shape}", f"{{{shape}}} is infeasible for a simple group, by "
             f"the {code} condition, for all odd-prime values below "
             f"{ELIMINATION_PRIME_BOUND}", "published",
-            lambda s=shape, c=code: _eliminate(s, c)))
+            lambda s=shape, c=code: _eliminate(s, c, odd_primes)))
 
     # -- no count in these sets is a product of two distinct primes ---------
     for name in ("A6", "PSL(2,17)"):

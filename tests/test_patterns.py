@@ -604,6 +604,11 @@ class TestIntegerUtilities:
         with pytest.raises(ValueError):
             is_prime_power(0)
 
+    def test_primes_up_to_sieves_what_factorize_calls_prime(self):
+        for bound in range(-2, 400):
+            assert primes_up_to(bound) == [n for n in range(2, bound + 1)
+                                           if factorize(n) == {n: 1}]
+
     def test_factorize(self):
         assert factorize(660) == {2: 2, 3: 1, 5: 1, 11: 1}
         assert len(factorize(168)) == 3

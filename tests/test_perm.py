@@ -257,24 +257,31 @@ def test_schreier_sims_sifts_only_changed_schreier_generators(monkeypatch):
 
 
 def test_schreier_sims_skips_trivial_compositions(monkeypatch):
-    # compositions per chain build; composing at every sift step and twice
-    # for every Schreier generator formed, with pairs skipped only when
-    # their representatives did not change, takes 31 138 for PSL(4,4) and
-    # 32 706 for Alt(24); composing every tree edge again, in each rebuilt
-    # tree and in the pair loop, takes 13 718 and 12 350; closing levels
-    # after the chain reaches |PSL(4,4)| or |A_24| takes 12 673 and 10 721
-    groups = ((psl_group(4, 4), 4_631), (alternating_group(24), 10_032))
-    calls = []
-    compose = perm._compose
+    # compositions and inversions per chain build; composing at every sift
+    # step and twice for every Schreier generator formed, with pairs skipped
+    # only when their representatives did not change, takes 31 138
+    # compositions for PSL(4,4) and 32 706 for Alt(24); composing every tree
+    # edge again, in each rebuilt tree and in the pair loop, takes 13 718 and
+    # 12 350; closing levels after the chain reaches |PSL(4,4)| or |A_24|
+    # takes 12 673 and 10 721, and 4 631 and 10 032 with 446 and 288
+    # inversions while each changed representative was inverted afresh
+    groups = ((psl_group(4, 4), 5_053, 46), (alternating_group(24), 10_318, 24))
+    calls = {"compose": 0, "inverse": 0}
+    compose, inverse = perm._compose, perm._inverse
 
-    def counting(a, b):
-        calls.append(1)
+    def counting_compose(a, b):
+        calls["compose"] += 1
         return compose(a, b)
-    monkeypatch.setattr(perm, "_compose", counting)
-    for group, compositions in groups:
-        calls.clear()
+
+    def counting_inverse(a):
+        calls["inverse"] += 1
+        return inverse(a)
+    monkeypatch.setattr(perm, "_compose", counting_compose)
+    monkeypatch.setattr(perm, "_inverse", counting_inverse)
+    for group, compositions, inversions in groups:
+        calls.update(compose=0, inverse=0)
         group.order()
-        assert len(calls) == compositions
+        assert calls == {"compose": compositions, "inverse": inversions}
 
 
 def test_schreier_sims_refuses_a_false_order_bound():

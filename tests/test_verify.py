@@ -113,10 +113,29 @@ def test_unknown_result_lookup(report):
         report.result("bogus")
 
 
-def test_report_is_a_plain_dataclass():
+def test_an_empty_report_counts_nothing_and_passes():
     empty = VerificationReport(version="x", timestamp="t")
     assert empty.summary == {"pass": 0, "fail": 0, "not_checked": 0}
     assert empty.all_passed
+
+
+def test_no_check_compares_a_record(report):
+    # the package's records are tuples, equal to a plain tuple of their
+    # fields, so a check comparing one could pass on a plain tuple; the
+    # compared values hold only plain data
+    def kinds(value):
+        yield type(value)
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield from kinds(key)
+                yield from kinds(item)
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            for item in value:
+                yield from kinds(item)
+
+    seen = {kind for r in report.results for value in (r.computed, r.expected)
+            for kind in kinds(value)}
+    assert seen <= {type(None), bool, int, str, tuple, list, dict}
 
 
 def test_low_cap_gates_more_groups():

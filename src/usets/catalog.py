@@ -1,35 +1,23 @@
 """Named registry of the groups the verification suite works with.
 
 Every catalog group is built on first use by a constructor in
-:mod:`usets.construct`.  Each entry records its expected order together
-with a provenance note saying how that number was obtained, and a group
-is only handed out after its computed order matches.
-
-Groups from elsewhere load through :func:`load_generator_file`, which
-takes the generator file format (text, UTF-8)::
-
-    # comment lines and blank lines are ignored
-    degree N
-    order M
-    (1,2,3)(4,5)      <- one generator per line, 1-based disjoint cycles
-    ()                <- the identity, if ever needed
-
-Points are 1-based in files (atlas convention) and converted at this
-boundary only.
+:mod:`usets.construct`; nothing is read from disk.  Each entry records
+its expected order together with a provenance note saying how that
+number was obtained, and a group is only handed out after its computed
+order matches.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable, Iterable
 
 from .construct import (alternating_group, classical_group, classical_order,
                         hermitian_form, m11_group, psl_group, symplectic_form)
 from .invariants import InvariantProfile, profile
 from .patterns import factorize
-from .perm import DEFAULT_CAP, PermGroup, Permutation, check_cap
+from .perm import DEFAULT_CAP, PermGroup, check_cap
 
 
 class CatalogError(Exception):
@@ -44,80 +32,12 @@ class OrderMismatchError(CatalogError):
     """A built group's order disagrees with its declared order."""
 
 
-class GeneratorFileError(CatalogError):
-    """Base class for generator-file parse failures."""
-
-
-class MalformedCycleError(GeneratorFileError):
-    pass
-
-
-class PointOutOfRangeError(GeneratorFileError):
-    pass
-
-
-class DuplicatePointError(GeneratorFileError):
-    pass
-
-
-#: Largest degree a generator file may declare; each generator costs a
-#: list of that many points, allocated before any cycle is read.
-MAX_FILE_DEGREE = 100_000
-
-_CYCLE_LINE_RE = re.compile(r"^(\(\s*\)|\(\s*\d+(\s*,\s*\d+)*\s*\))+$")
-
-
-def parse_cycle_notation(text: str, degree: int) -> Permutation:
-    """One permutation in 1-based disjoint cycle notation."""
-    s = text.strip()
-    if not _CYCLE_LINE_RE.match(s):
-        raise MalformedCycleError(f"cannot parse cycle notation {text!r}")
-    cycles = [[int(tok) - 1 for tok in body.split(",")]
-              for body in re.findall(r"\(([^()]*)\)", s) if body.strip()]
-    seen: set[int] = set()
-    for cycle in cycles:
-        for pt in cycle:
-            if not 0 <= pt < degree:
-                raise PointOutOfRangeError(
-                    f"point {pt + 1} outside 1..{degree} in {text!r}")
-            if pt in seen:
-                raise DuplicatePointError(
-                    f"point {pt + 1} repeated in {text!r}")
-            seen.add(pt)
-    return Permutation.from_cycles(degree, *cycles)
-
-
-def parse_generator_file(path: Path | str) -> tuple[int, int, list[Permutation]]:
-    """Parse a generator file into (degree, declared order, generators)."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise GeneratorFileError(f"cannot read generator file {path}: {exc}")
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if len(lines) < 3:
-        raise GeneratorFileError(f"{path.name}: need degree, order and generators")
-    m = re.fullmatch(r"degree\s+(\d+)", lines[0])
-    if not m:
-        raise GeneratorFileError(f"{path.name}: first line must be 'degree N'")
-    degree = int(m.group(1))
-    if degree > MAX_FILE_DEGREE:
-        raise GeneratorFileError(
-            f"{path.name}: degree {degree} exceeds the limit {MAX_FILE_DEGREE}")
-    m = re.fullmatch(r"order\s+(\d+)", lines[1])
-    if not m:
-        raise GeneratorFileError(f"{path.name}: second line must be 'order M'")
-    declared = int(m.group(1))
-    gens = [parse_cycle_notation(ln, degree) for ln in lines[2:]]
-    return degree, declared, gens
-
-
 class CatalogEntry:
     """A named group with its declared order and a lazy, validated build.
 
-    ``source`` is "constructor" or "generator_file", and ``provenance``
-    says how ``expected_order`` was obtained."""
+    ``source`` is "constructor", the one way a group is built (a function
+    of :mod:`usets.construct`), and ``provenance`` says how
+    ``expected_order`` was obtained."""
 
     def __init__(self, name: str, source: str, expected_order: int, provenance: str,
                  builder: Callable[[], PermGroup]):
@@ -157,21 +77,6 @@ class CatalogEntry:
     def k(self) -> int:
         """Number of distinct primes dividing the order."""
         return len(factorize(self.expected_order))
-
-
-def load_generator_file(path: Path | str) -> CatalogEntry:
-    """Standalone entry from a generator file, validated immediately."""
-    path = Path(path)
-    _, declared, gens = parse_generator_file(path)
-    entry = CatalogEntry(
-        name=path.stem,
-        source="generator_file",
-        expected_order=declared,
-        provenance=f"declared in {path.name}",
-        builder=lambda: PermGroup(gens),
-    )
-    entry.group()
-    return entry
 
 
 def _natural_key(name: str) -> tuple:

@@ -114,21 +114,19 @@ def projective_points(field: Field, n: int) -> list[Vector]:
 
 def projectivize(field: Field, mats: Sequence[Matrix],
                  points: Sequence[Vector] | None = None) -> PermGroup:
-    """Permutation action of invertible square matrices on projective points.
+    """Permutation action of square matrices on projective points.
 
-    ``points``, all of PG(n-1, q) by default, must be preserved; repeated,
-    unnormalized or zero ones are refused once, so an invertible matrix maps
-    them one to one.  Points transform as row vectors (v -> v @ M), which makes
-    the map a homomorphism for this package's apply-left-factor-first
-    composition: the permutation of M1 @ M2 is perm(M1) * perm(M2).
+    ``points``, all of PG(n-1, q) by default, must be distinct and
+    normalized; repeated, unnormalized or zero ones are refused once.  Each
+    matrix must map them one to one onto themselves: one that sends a point
+    to the zero vector is refused as singular, and one that sends a point
+    off the list, or two points to one, as not preserving the point set.
+    Every singular matrix has a kernel point in PG(n-1, q), so on all of it
+    exactly the singular matrices are refused; no determinant is computed.
+    Points transform as row vectors (v -> v @ M), which makes the map a
+    homomorphism for this package's apply-left-factor-first composition:
+    the permutation of M1 @ M2 is perm(M1) * perm(M2).
     """
-    return _projectivize(field, mats, points, nonsingular=False)
-
-
-def _projectivize(field: Field, mats: Sequence[Matrix], points: Sequence[Vector] | None,
-                  nonsingular: bool) -> PermGroup:
-    """:func:`projectivize`; ``nonsingular`` says the caller has checked
-    every determinant, so none is computed again."""
     if points is None and mats:
         points = projective_points(field, len(mats[0]))
     if not mats or not points:
@@ -138,18 +136,17 @@ def _projectivize(field: Field, mats: Sequence[Matrix], points: Sequence[Vector]
         raise ValueError("points must be distinct and normalized (first nonzero coordinate 1)")
     perms = []
     for m in mats:
-        images = row_images(field, m, points)
-        if not nonsingular and not det(field, m):
-            raise ValueError("singular matrix has no projective action")
         perm = []
-        for v in images:
+        for v in row_images(field, m, points):
             for x in v:
                 if x:
                     break
             if x != 1:  # scale the first nonzero coordinate to 1
+                if not x:
+                    raise ValueError("singular matrix has no projective action")
                 v = tuple(map(field.mul[field.inv[x]].__getitem__, v))
             perm.append(index.get(v))
-        if None in perm:
+        if None in perm or len(set(perm)) != len(perm):
             raise ValueError("matrix does not preserve the point set")
         perms.append(Permutation._wrap(tuple(perm)))
     return PermGroup(perms)
@@ -233,8 +230,7 @@ def psl_group(n: int, q: int) -> PermGroup:
     if any(det(field, m) != 1 for m in mats):
         raise ValueError(f"a generator of SL({n},{q}) does not have determinant 1")
     bound = math.prod(q ** n - q ** i for i in range(n)) // ((q - 1) * math.gcd(n, q - 1))
-    return PermGroup(_projectivize(field, mats, None, nonsingular=True).generators,
-                     order_bound=bound)
+    return PermGroup(projectivize(field, mats).generators, order_bound=bound)
 
 
 def alternating_group(n: int) -> PermGroup:

@@ -31,12 +31,12 @@ parse behind every function that takes a pattern as text
 (``_parse_pattern``); a pattern's symmetries (``_pattern_automorphisms``);
 a term's size options (``_size_options``, behind
 :func:`admissible_size_options`); :func:`resolve_equation`; and the
-prime-power test of a count (``_is_prime_power``, behind
-:func:`is_prime_power` and :func:`feasibility_check`).  Sharing the
-results is safe: the keys are strings, ints and immutable records, the
-cached values are immutable records, tuples of them, strings or bools,
-and the public functions that return lists hand out fresh ones.  An input
-that raises is never cached, so it is checked and refused on every call.
+prime-power test of a count (:func:`is_prime_power`, which
+:func:`feasibility_check` calls).  Sharing the results is safe: the keys
+are strings, ints and immutable records, the cached values are immutable
+records, tuples of them, strings or bools, and the public functions that
+return lists hand out fresh ones.  An input that raises is never cached,
+so it is checked and refused on every call.
 The gain needs repeated inputs: an analysis that meets each pattern, term
 and count once does the same work as without the caches.
 
@@ -202,18 +202,13 @@ def is_prime(n: int) -> bool:
     return n > 1 and factorize(n) == {n: 1}
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def is_prime_power(n: int) -> bool:
-    """True iff n = p^k with k >= 1.  By convention 1 is not a prime
-    power (it is the identity class size, exempt from the Burnside
-    constraint)."""
+    """True iff n = p^k with k >= 1, one factorisation per n.  By
+    convention 1 is not a prime power (it is the identity class size,
+    exempt from the Burnside constraint)."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    return _is_prime_power(n)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _is_prime_power(n: int) -> bool:
-    """:func:`is_prime_power` for n >= 1, one factorisation per n."""
     return len(factorize(n)) == 1
 
 
@@ -475,7 +470,7 @@ def feasibility_check(u_values: Iterable[int]) -> FeasibilityVerdict:
     counts of a nonabelian simple group.  Never asserts existence.  A
     count u > 1 passes the Burnside screen exactly when it has at least
     two distinct prime factors, so each distinct count is factored once,
-    and a count already seen by ``_is_prime_power`` not at all."""
+    and a count already seen by :func:`is_prime_power` not at all."""
     values = list(u_values)
     if not values:
         raise ValueError("cannot judge an empty multiset")
@@ -484,7 +479,7 @@ def feasibility_check(u_values: Iterable[int]) -> FeasibilityVerdict:
         issues.append(FeasibilityIssue(
             "membership", "the identity class contributes a count of 1"))
     for v in sorted(set(values)):
-        if v > 1 and _is_prime_power(v):
+        if v > 1 and is_prime_power(v):
             issues.append(FeasibilityIssue(
                 "burnside",
                 f"count {v} admits no class size > 1 that is not a prime power"))

@@ -3,8 +3,7 @@
 Conventions used throughout the package:
 
 * Points are 0-based; a degree-n permutation acts on {0, ..., n-1}.
-  Cycle notation is 1-based at I/O boundaries only (catalog data files,
-  CLI output).
+  Cycle notation is 1-based at the I/O boundary only (CLI output).
 * Composition applies the left factor first: ``(a * b)(x) == b(a(x))``,
   i.e. ``(a * b).images[i] == b.images[a.images[i]]``.
 * Everything is deterministic.  Base points are the smallest moved point

@@ -1,8 +1,6 @@
 """Groups the tests use that the package does not build, named package
-groups that several tests share, an independent orbit walk, the group's
-elements read off the package's class walk and a generator-file writer."""
-
-from pathlib import Path
+groups that several tests share, an independent orbit walk and the group's
+elements read off the package's class walk."""
 
 from usets import invariants
 from usets.construct import alternating_group, m11_group, psl_group
@@ -52,12 +50,3 @@ def group_elements(group, cap=DEFAULT_CAP):
     classes of ``invariants._classes``, the one walk that lists a group."""
     return {z for members in invariants._classes(group, cap) for z in members}
 
-
-def write_generator_file(path, group, comments=()):
-    """Write ``group`` in the generator file format that
-    :func:`usets.catalog.load_generator_file` reads."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"degree {group.degree}")
-    lines.append(f"order {group.order()}")
-    lines.extend(g.cycle_string() for g in group.generators)
-    Path(path).write_text("\n".join(lines) + "\n")

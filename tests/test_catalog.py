@@ -2,24 +2,11 @@ import math
 
 import pytest
 
-from usets.catalog import (
-    CatalogEntry,
-    DuplicatePointError,
-    MAX_FILE_DEGREE,
-    GeneratorFileError,
-    MalformedCycleError,
-    OrderMismatchError,
-    PointOutOfRangeError,
-    UnknownGroupError,
-    load_generator_file,
-    parse_cycle_notation,
-    parse_generator_file,
-)
+from usets.catalog import CatalogEntry, OrderMismatchError, UnknownGroupError
 from usets.construct import alternating_group
-from usets.invariants import profile
-from usets.perm import GroupTooLargeError, Permutation
+from usets.perm import GroupTooLargeError
 
-from helpers import group_elements, write_generator_file
+from helpers import group_elements
 
 
 class TestRegistry:
@@ -57,6 +44,13 @@ class TestRegistry:
             if entry.expected_order <= 30000:
                 assert entry.group().order() == entry.expected_order
 
+    def test_catalog_rejects_entry_with_wrong_expected_order(self):
+        entry = CatalogEntry(name="A5", source="constructor", expected_order=59,
+                             provenance="deliberately wrong",
+                             builder=lambda: alternating_group(5))
+        with pytest.raises(OrderMismatchError, match=r"60.*59"):
+            entry.group()
+
 
 class TestFilters:
     def test_k3_members(self, catalog):
@@ -93,88 +87,6 @@ class TestExpectedOrderOracles:
 
     def test_every_entry_has_a_provenance_note(self, catalog):
         assert all(e.provenance for e in catalog.entries())
-
-
-class TestCycleParsing:
-    def test_simple(self):
-        p = parse_cycle_notation("(1,2,3)", 3)
-        assert p.images == (1, 2, 0)
-
-    def test_identity(self):
-        assert parse_cycle_notation("()", 4) == Permutation.identity(4)
-
-    def test_multiple_cycles_with_spaces(self):
-        p = parse_cycle_notation("(1, 2)(3, 4)", 4)
-        assert p.images == (1, 0, 3, 2)
-
-    def test_malformed(self):
-        for bad in ("(1,2", "1,2,3", "(a,b)", "(1,,2)", "(1)(", ""):
-            with pytest.raises(MalformedCycleError):
-                parse_cycle_notation(bad, 5)
-
-    def test_point_out_of_range(self):
-        with pytest.raises(PointOutOfRangeError):
-            parse_cycle_notation("(1,4)", 3)
-        with pytest.raises(PointOutOfRangeError):
-            parse_cycle_notation("(0,1)", 3)
-
-    def test_duplicate_point(self):
-        with pytest.raises(DuplicatePointError):
-            parse_cycle_notation("(1,2,1)", 3)
-        with pytest.raises(DuplicatePointError):
-            parse_cycle_notation("(1,2)(2,3)", 3)
-
-
-class TestGeneratorFiles:
-    def test_round_trip_preserves_order_and_profile(self, tmp_path):
-        group = alternating_group(5)
-        path = tmp_path / "a5.txt"
-        write_generator_file(path, group, comments=["test file"])
-        degree, declared, gens = parse_generator_file(path)
-        assert (degree, declared) == (5, 60)
-        entry = load_generator_file(path)
-        assert entry.group().order() == 60
-        assert profile(entry.group()) == profile(group)
-
-    def test_valid_minimal_file(self, tmp_path):
-        path = tmp_path / "c3.txt"
-        path.write_text("# cyclic of order 3\ndegree 3\norder 3\n(1,2,3)\n")
-        entry = load_generator_file(path)
-        assert entry.group().order() == 3
-
-    def test_order_mismatch_names_both_orders(self, tmp_path):
-        # a declared order below the true one is no bound on the build:
-        # the group comes out whole and the mismatch is a CatalogError
-        path = tmp_path / "bad.txt"
-        path.write_text("degree 5\norder 59\n(1,2,3)\n(3,4,5)\n")
-        with pytest.raises(OrderMismatchError, match=r"60.*59|59.*60"):
-            load_generator_file(path)
-
-    def test_missing_header(self, tmp_path):
-        path = tmp_path / "noheader.txt"
-        path.write_text("(1,2,3)\n(1,2)\n(2,3)\n")
-        with pytest.raises(GeneratorFileError):
-            load_generator_file(path)
-
-    def test_blank_lines_and_comments_ignored(self, tmp_path):
-        path = tmp_path / "c2.txt"
-        path.write_text("\n# a comment\n\ndegree 2\n# another\norder 2\n\n(1,2)\n")
-        assert load_generator_file(path).group().order() == 2
-
-    def test_oversized_degree_rejected_before_allocating(self, tmp_path):
-        path = tmp_path / "huge.txt"
-        path.write_text("degree 1000000000\norder 2\n(1,2)\n")
-        with pytest.raises(GeneratorFileError, match="degree 1000000000 exceeds"):
-            load_generator_file(path)
-        path.write_text(f"degree {MAX_FILE_DEGREE}\norder 2\n(1,2)\n")
-        assert parse_generator_file(path)[0] == MAX_FILE_DEGREE
-
-    def test_catalog_rejects_entry_with_wrong_expected_order(self):
-        entry = CatalogEntry(name="A5", source="constructor", expected_order=59,
-                             provenance="deliberately wrong",
-                             builder=lambda: alternating_group(5))
-        with pytest.raises(OrderMismatchError, match=r"60.*59"):
-            entry.group()
 
 
 def test_entry_refusal_names_the_group(catalog):

@@ -9,6 +9,7 @@ from usets import construct
 from usets.catalog import default_catalog
 from usets.construct import (
     alternating_group,
+    classical_group,
     classical_order,
     det,
     form_transvections,
@@ -150,6 +151,12 @@ class TestProjectivize:
         with pytest.raises(ValueError, match="singular"):
             projectivize(f, [((1, 1), (1, 1))])
 
+    def test_two_points_sent_to_one_rejected(self):
+        # singular, but no listed point goes to zero: both go to (1, 0)
+        f = field_create(3, 1)
+        with pytest.raises(ValueError, match="preserve"):
+            projectivize(f, [((1, 0), (1, 0))], [(1, 0), (0, 1)])
+
     def test_psl_group_computes_each_determinant_once(self, monkeypatch):
         calls = []
 
@@ -159,6 +166,9 @@ class TestProjectivize:
         monkeypatch.setattr(construct, "det", counted)
         assert psl_group(3, 4).order() == classical_order("PSL", 3, 4)
         assert sorted(calls) == sorted(sl_generators(3, field_create(2, 2)))
+        calls.clear()  # projectivize itself computes none
+        assert classical_group(symplectic_form, 4, 3, (0, 1, 4, 17)).order() == 25920
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [((2, 0), (0, 1)), ((1, 1), (1, 1))])
     def test_psl_group_refuses_a_generator_outside_sl(self, monkeypatch, bad):

@@ -479,7 +479,7 @@ def test_feasibility_factors_each_distinct_count_once(monkeypatch):
         calls.append(n)
         return factorize(n, bound)
     monkeypatch.setattr(patterns, "factorize", counted)
-    patterns._is_prime_power.cache_clear()
+    patterns.is_prime_power.cache_clear()
     assert feasibility_check(values) == expected
     assert sorted(calls) == sorted({v for v in values if v > 1})
     calls.clear()
@@ -557,8 +557,8 @@ def test_a_malformed_pattern_raises_on_every_call(bad):
 
 def test_every_cache_is_bounded_and_hands_out_immutable_values():
     caches = {name: fn for name, fn in vars(patterns).items() if hasattr(fn, "cache_info")}
-    assert sorted(caches) == ["_is_prime_power", "_parse_pattern", "_pattern_automorphisms",
-                              "_size_options", "parse_term", "resolve_equation"]
+    assert sorted(caches) == ["_parse_pattern", "_pattern_automorphisms", "_size_options",
+                              "is_prime_power", "parse_term", "resolve_equation"]
     for name, fn in caches.items():
         maxsize = fn.cache_info().maxsize
         assert isinstance(maxsize, int) and 0 < maxsize <= 4096, name
@@ -601,8 +601,9 @@ class TestIntegerUtilities:
         assert is_prime_power(343)
         assert not is_prime_power(55)
         assert not is_prime_power(1)  # convention: identity class size
-        with pytest.raises(ValueError):
-            is_prime_power(0)
+        for _ in range(2):  # a refusal is never cached
+            with pytest.raises(ValueError):
+                is_prime_power(0)
 
     def test_primes_up_to_sieves_what_factorize_calls_prime(self):
         for bound in range(-2, 400):

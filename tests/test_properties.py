@@ -4,21 +4,19 @@ fuzzed arguments built from the real subcommands."""
 
 import contextlib
 import io
-import tempfile
 from functools import partial
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usets import cli
-from usets.catalog import default_catalog, load_generator_file, parse_cycle_notation
+from usets.catalog import default_catalog
 from usets.construct import alternating_group, psl_group
 from usets.patterns import MAX_EXPONENT, SYMBOLS, Term, USetPattern
 from usets.perm import PermGroup, Permutation, _schreier_sims
 
-from helpers import CHAIN_GROUPS, write_generator_file
+from helpers import CHAIN_GROUPS
 
 
 @st.composite
@@ -31,26 +29,11 @@ def permutations(draw):
 @given(permutations())
 def test_cycle_notation_round_trips(case):
     n, p = case
-    assert parse_cycle_notation(p.cycle_string(), n) == p
-
-
-@st.composite
-def generating_sets(draw):
-    n = draw(st.integers(1, 12))
-    return draw(st.lists(st.permutations(range(n)).map(Permutation), min_size=1, max_size=3))
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(generating_sets())
-def test_generator_file_round_trips(gens):
-    group = PermGroup(gens)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "group.gen"
-        write_generator_file(path, group, comments=["random generators"])
-        entry = load_generator_file(path)
-    loaded = entry.group()
-    assert [g.images for g in loaded.generators] == [g.images for g in gens]
-    assert entry.expected_order == loaded.order() == group.order()
+    text = p.cycle_string()
+    assert text.startswith("(") and text.endswith(")")
+    cycles = [[int(pt) - 1 for pt in body.split(",")]
+              for body in text[1:-1].split(")(") if body]
+    assert Permutation.from_cycles(n, *cycles) == p
 
 
 def full_closure_schreier_sims(raw_gens, degree):

@@ -136,10 +136,10 @@ def test_the_mutable_records_build_by_keyword():
     result = CheckResult(check_id="a", claim="b", status="pass", note="n")
     assert (result.computed, result.expected, result.expected_source, result.note) == (
         None, None, "", "n")
-    entry = CatalogEntry(name="X", source="generator_file", expected_order=6,
+    entry = CatalogEntry(name="X", source="constructor", expected_order=6,
                          provenance="declared", builder=_builder)
     assert (entry.name, entry.source, entry.expected_order, entry.provenance,
-            entry.builder) == ("X", "generator_file", 6, "declared", _builder)
+            entry.builder) == ("X", "constructor", 6, "declared", _builder)
     report = VerificationReport(version="v", timestamp="t", results=[result])
     assert report.results == [result] and report.result("a") is result
     assert VerificationReport(version="v", timestamp="t").results == []

@@ -35,14 +35,15 @@ class OrderMismatchError(CatalogError):
 class CatalogEntry:
     """A named group with its declared order and a lazy, validated build.
 
-    ``source`` is "constructor", the one way a group is built (a function
-    of :mod:`usets.construct`), and ``provenance`` says how
+    ``source`` is a constant, "constructor": every group is built one way,
+    by a function of :mod:`usets.construct`.  ``provenance`` says how
     ``expected_order`` was obtained."""
 
-    def __init__(self, name: str, source: str, expected_order: int, provenance: str,
+    source = "constructor"
+
+    def __init__(self, name: str, expected_order: int, provenance: str,
                  builder: Callable[[], PermGroup]):
         self.name = name
-        self.source = source
         self.expected_order = expected_order
         self.provenance = provenance
         self.builder = builder
@@ -116,7 +117,7 @@ class Catalog:
             ("U4(2)", lambda: classical_group(symplectic_form, 4, 3, (0, 1, 4, 17)), 25920,
              "q^4(q^2-1)(q^4-1)/gcd(2,q-1) = 81*8*80/2, q=3 (as the symplectic group on PG(3,3))"),
         ]
-        self._entries = {name: CatalogEntry(name, "constructor", order, provenance, builder)
+        self._entries = {name: CatalogEntry(name, order, provenance, builder)
                          for name, builder, order, provenance in specs}
 
     def names(self) -> list[str]:

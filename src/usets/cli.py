@@ -137,7 +137,7 @@ def _cmd_catalog_list(args: argparse.Namespace) -> int:
              "source": e.source} for e in entries]
     text = "\n".join(
         f"{r['name']:<10} order {r['order']:>8}  k{r['k']}  {r['source']}"
-        for r in rows)
+        for r in rows) or "no catalog group matches these filters"
     _emit(args, {"groups": rows}, text)
     return 0
 

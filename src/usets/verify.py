@@ -134,61 +134,36 @@ CHARACTERIZATION_ASSIGNMENT = {"p": 3, "q": 5, "r": 11}
 ORDER_AND_CLASS_PRIMES = (5, 11, 13, 17)
 
 
-#: The fields of a :class:`CheckResult`, in report order.
-_RESULT_FIELDS = ("check_id", "claim", "status", "computed", "expected",
-                  "expected_source", "note")
+class _CheckResultFields(NamedTuple):
+    check_id: str
+    claim: str
+    status: str
+    computed: Any = None
+    expected: Any = None
+    expected_source: str = ""
+    note: str = ""
 
 
-class CheckResult:
-    """One check's outcome, immutable: ``status`` is "pass", "fail" or
-    "not_checked", and ``expected_source`` "published", "formula",
-    "derived" or "internal".  A plain class, not a tuple, so that a
-    subclass can extend ``__init__`` and pass its arguments on."""
+class CheckResult(_CheckResultFields):
+    """One check's outcome, immutable, with its fields in report order:
+    ``status`` is "pass", "fail" or "not_checked", and ``expected_source``
+    "published", "formula", "derived" or "internal"."""
 
-    __slots__ = _RESULT_FIELDS
+    __slots__ = ()
 
-    def __init__(self, check_id: str, claim: str, status: str, computed: Any = None,
-                 expected: Any = None, expected_source: str = "", note: str = ""):
-        for name, value in zip(_RESULT_FIELDS, (check_id, claim, status, computed,
-                                                expected, expected_source, note)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in _RESULT_FIELDS)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(_RESULT_FIELDS, self._values()))
-        return f"{type(self).__qualname__}({fields})"
+    def __init__(self, *args, **kwargs):
+        """Does nothing, so that a subclass which extends ``__init__`` can
+        pass its arguments on with ``super().__init__(*args, **kwargs)``;
+        ``object.__init__`` would refuse them."""
 
 
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """The check results in report order, with the toolkit version and the
     time of the run."""
 
-    def __init__(self, version: str, timestamp: str,
-                 results: list[CheckResult] | None = None):
-        self.version = version
-        self.timestamp = timestamp
-        self.results = [] if results is None else results
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(version={self.version!r}, "
-                f"timestamp={self.timestamp!r}, results={self.results!r})")
+    version: str
+    timestamp: str
+    results: list[CheckResult]
 
     @property
     def summary(self) -> dict[str, int]:
@@ -214,7 +189,7 @@ class VerificationReport:
             "version": self.version,
             "timestamp": self.timestamp,
             "summary": self.summary,
-            "results": [dict(zip(_RESULT_FIELDS, r._values())) for r in self.results],
+            "results": [r._asdict() for r in self.results],
         }
 
     def to_json(self) -> str:
@@ -530,7 +505,7 @@ def run_verification(selection: Iterable[str] | None = None, *,
         rows = [row for row in rows if row.check_id in wanted]
     report = VerificationReport(
         version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"))
+        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"), results=[])
     for row in rows:
         # one CheckResult per check, created once the check's work is done
         report.results.append(

@@ -45,8 +45,7 @@ class TestRegistry:
                 assert entry.group().order() == entry.expected_order
 
     def test_catalog_rejects_entry_with_wrong_expected_order(self):
-        entry = CatalogEntry(name="A5", source="constructor", expected_order=59,
-                             provenance="deliberately wrong",
+        entry = CatalogEntry(name="A5", expected_order=59, provenance="deliberately wrong",
                              builder=lambda: alternating_group(5))
         with pytest.raises(OrderMismatchError, match=r"60.*59"):
             entry.group()

@@ -83,6 +83,14 @@ def test_catalog_list_max_order(capsys):
     assert set(out.split()) >= {"A5", "PSL(2,4)", "PSL(2,5)", "PSL(2,7)"}
 
 
+@pytest.mark.parametrize("filters", [("--k", "-1"), ("--max-order=-5",)])
+def test_catalog_list_says_when_no_group_matches(capsys, filters):
+    assert run(capsys, "catalog", "list", *filters) == (
+        0, "no catalog group matches these filters", "")
+    code, out, _ = run(capsys, "--format", "json", "catalog", "list", *filters)
+    assert (code, json.loads(out)) == (0, {"groups": []})
+
+
 def test_search_finds_unique_group(capsys):
     code, out, _ = run(capsys, "--format", "json",
                        "search", "--uset", "1,55,120,220,264")

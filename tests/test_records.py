@@ -52,14 +52,15 @@ RECORDS = [
      "VerificationReport(version='0.1.0', timestamp='t', results=[CheckResult("
      "check_id='a', claim='b', status='fail', computed=None, expected=None, "
      "expected_source='', note='')])"),
-    (CatalogEntry("X", "constructor", 60, "p", None),
+    (CatalogEntry("X", 60, "p", None),
      "CatalogEntry(name='X', source='constructor', expected_order=60, provenance='p', "
      "builder=None)"),
 ]
 
 #: The immutable records, each with one of its fields.
 FROZEN = [(record, field) for (record, _), field in zip(RECORDS, (
-    "coeff", "terms", "code", "feasible", "pair", "size", "rank", "status", "run"))]
+    "coeff", "terms", "code", "feasible", "pair", "size", "rank", "status", "run",
+    "version"))]
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
@@ -132,17 +133,17 @@ def test_pattern_refuses_no_terms_or_repeated_terms(terms, message):
         USetPattern(terms)
 
 
-def test_the_mutable_records_build_by_keyword():
+def test_the_records_build_by_keyword():
     result = CheckResult(check_id="a", claim="b", status="pass", note="n")
     assert (result.computed, result.expected, result.expected_source, result.note) == (
         None, None, "", "n")
-    entry = CatalogEntry(name="X", source="constructor", expected_order=6,
-                         provenance="declared", builder=_builder)
+    entry = CatalogEntry(name="X", expected_order=6, provenance="declared",
+                         builder=_builder)
     assert (entry.name, entry.source, entry.expected_order, entry.provenance,
             entry.builder) == ("X", "constructor", 6, "declared", _builder)
     report = VerificationReport(version="v", timestamp="t", results=[result])
     assert report.results == [result] and report.result("a") is result
-    assert VerificationReport(version="v", timestamp="t").results == []
+    assert VerificationReport(version="v", timestamp="t", results=[]).results == []
 
 
 def test_a_check_result_subclass_passes_its_arguments_on():

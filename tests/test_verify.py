@@ -114,7 +114,7 @@ def test_unknown_result_lookup(report):
 
 
 def test_an_empty_report_counts_nothing_and_passes():
-    empty = VerificationReport(version="x", timestamp="t")
+    empty = VerificationReport(version="x", timestamp="t", results=[])
     assert empty.summary == {"pass": 0, "fail": 0, "not_checked": 0}
     assert empty.all_passed
 
@@ -158,6 +158,21 @@ def test_report_matches_the_seed_report(report):
     got = json.loads(report.to_json())
     got.pop("timestamp")
     assert got == json.loads(seed.read_text())
+
+
+def test_report_keys_keep_the_seed_report_order(report):
+    """Parsed JSON compares equal in any key order; the report's bytes
+    depend on it, so the keys of the report and of each row are read in
+    the order they are written."""
+    seed = Path(__file__).resolve().parents[1] / "bench" / "data" / "verify_paper_seed.json"
+    row_keys = ["check_id", "claim", "status", "computed", "expected", "expected_source",
+                "note"]
+    for text, top_keys in ((report.to_json(), ["version", "timestamp", "summary", "results"]),
+                           (seed.read_text(), ["version", "summary", "results"])):
+        pairs = json.loads(text, object_pairs_hook=list)
+        assert [key for key, _ in pairs] == top_keys
+        rows = pairs[-1][1]
+        assert rows and all([key for key, _ in row] == row_keys for row in rows)
 
 
 def test_default_cap_includes_a9_excludes_a10():

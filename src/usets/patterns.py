@@ -25,17 +25,18 @@ same-size-class counts to belong to a nonabelian simple group:
 A POSSIBLE verdict never claims a group exists; INFEASIBLE is a proof
 that none does.
 
-Six pure functions are memoised, each by a ``functools.lru_cache`` of at
-most ``_CACHE_SIZE`` entries: :func:`parse_term`; the text -> pattern
+Seven pure functions are memoised, each by a ``functools.lru_cache`` of
+at most ``_CACHE_SIZE`` entries: :func:`parse_term`; the text -> pattern
 parse behind every function that takes a pattern as text
-(``_parse_pattern``); a pattern's symmetries (``_pattern_automorphisms``);
-a term's size options (``_size_options``, behind
-:func:`admissible_size_options`); :func:`resolve_equation`; and the
-prime-power test of a count (:func:`is_prime_power`, which
-:func:`feasibility_check` calls).  Sharing the results is safe: the keys
-are strings, ints and immutable records, the cached values are immutable
-records, tuples of them, strings or bools, and the public functions that
-return lists hand out fresh ones.  An input that raises is never cached,
+(``_parse_pattern``); a pattern's symmetries (``_pattern_automorphisms``)
+and its :func:`match_pattern` search plan (``_match_plan``); a term's size
+options (``_size_options``, behind :func:`admissible_size_options`);
+:func:`resolve_equation`; and the prime-power test of a count
+(:func:`is_prime_power`, which :func:`feasibility_check` calls).  Sharing
+the results is safe: the keys are strings, ints and immutable records,
+the cached values are immutable records, strings, bools and tuples built
+of these and of ints, and the public functions that return lists hand
+out fresh ones.  An input that raises is never cached,
 so it is checked and refused on every call.
 The gain needs repeated inputs: an analysis that meets each pattern, term
 and count once does the same work as without the caches.
@@ -118,7 +119,7 @@ def _rho(n: int, steps: int) -> int | None:
 
 def _integer_root(n: int, k: int) -> int:
     """The largest integer r with r**k <= n, for n >= 0 and k >= 1."""
-    if n < 2:
+    if n < 2 or k == 1:
         return n
     r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > the root
     while True:  # Newton steps decrease to the floor of the root
@@ -379,6 +380,53 @@ def _pattern_automorphisms(pat: USetPattern) -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _match_plan(pat: USetPattern) -> tuple:
+    """The search plan of :func:`match_pattern`, as (symbols, steps,
+    images).  Step k finds the candidates of symbols[k] from one term, as
+    (symbol, the term's coefficient, the symbol's exponent in it, the
+    term's (symbol, exponent) pairs assigned before it, whether the
+    symbol is the term's last, the other terms the symbol closes).  The
+    term is the first one the symbol closes; a symbol that closes none
+    takes the first term holding it with the largest coefficient.
+    ``images`` are the pattern's non-identity symmetries, as indices into
+    ``symbols``."""
+    symbols = pat.symbols
+    steps = []
+    for s in symbols:
+        due = [t for t in pat.terms if t.exps and t.exps[-1][0] == s]
+        term = due[0] if due else max((t for t in pat.terms if s in t.symbols),
+                                      key=lambda t: t.coeff)
+        steps.append((s, term.coeff, dict(term.exps)[s],
+                      tuple((x, e) for x, e in term.exps if x < s), bool(due), tuple(due[1:])))
+    images = tuple(tuple(map(symbols.index, image))
+                   for image in _pattern_automorphisms(pat) if image != symbols)
+    return symbols, tuple(steps), images
+
+
+def _root_candidates(goal: set[int], known: int, e: int, bound: int) -> list[int]:
+    """The primes p <= bound with known * p**e in goal, ascending."""
+    out = []
+    for v in goal:
+        quotient, rem = divmod(v, known)
+        if not rem and quotient > 1:
+            root = _integer_root(quotient, e)
+            if root <= bound and root ** e == quotient and is_prime(root):
+                out.append(root)
+    out.sort()
+    return out
+
+
+def _divisor_candidates(goal: set[int], known: int, e: int, bound: int) -> list[int]:
+    """The primes p <= bound with p**e dividing some v / known, ascending."""
+    found: set[int] = set()
+    for v in sorted(goal):
+        quotient, rem = divmod(v, known)
+        if not rem and quotient > 1:
+            found.update(f for f, m in factorize(quotient, bound).items() if f <= bound and m >= e)
+    return sorted(found)
+
+
 def match_pattern(pattern: USetPattern | str, target: Iterable[int],
                   bound: int) -> list[dict[str, int]]:
     """All prime assignments (primes <= bound) whose instantiation equals
@@ -391,13 +439,18 @@ def match_pattern(pattern: USetPattern | str, target: Iterable[int],
     the pattern's symbols; prime values are not forced to be distinct.
 
     The search assigns the symbols one at a time, in ``SYMBOLS`` order,
-    and prunes by two consequences of the exact-set test: every term's
-    value lies in the target, so a symbol only takes primes that divide
-    some target value, and a term is tested as soon as its last symbol
-    is assigned.  Trial division of the target values, stopped at
-    ``bound``, finds the candidate primes, so ``bound`` caps the cost but
-    does not set it; target values below 1 have no prime divisors.  The
-    order of the results is that of trying every tuple of primes.
+    and tests a term as soon as its last symbol is assigned.  When a
+    symbol closes a term, that term's other symbols already have values,
+    so the symbol's candidates are the exact roots, primes <= ``bound``,
+    of the target values divided by the term's known part, and no target
+    value is factored.  A symbol that closes no term (p in
+    ``1,rq,8pq,4qr,8pr``) takes the primes <= ``bound`` dividing the
+    quotients of one term holding it, found by trial division stopped at
+    ``bound``; so ``bound`` caps the cost but does not set it.  Every
+    prime left out would fail a term test, so the results and the leaves
+    reached are those of trying every prime that divides a target value;
+    target values below 1 have no prime divisors.  The order of the
+    results is that of trying every tuple of primes.
     """
     if bound < 2:
         raise ValueError("prime bound must be at least 2")
@@ -405,30 +458,28 @@ def match_pattern(pattern: USetPattern | str, target: Iterable[int],
     goal = set(target)
     if len(goal) != len(pat.terms):  # distinct term values cannot make up the target
         return []
-    symbols = pat.symbols
-    if not symbols:
-        return [{}] if set(instantiate_pattern(pat, {})) == goal else []
-    autos = _pattern_automorphisms(pat)
-    primes = sorted({f for v in goal if v > 0 for f in factorize(v, bound) if f <= bound})
-    due = [[t for t in pat.terms if t.exps and t.exps[-1][0] == s] for s in symbols]
+    symbols, steps, images = _match_plan(pat)
+    last = len(symbols)
     assignment: dict[str, int] = {}
     out = []
 
     def extend(k: int) -> None:
-        if k == len(symbols):
+        if k == last:
             combo = tuple(assignment.values())
-            if len(autos) > 1:
-                orbit_min = min(tuple(map(assignment.__getitem__, image)) for image in autos)
-                if combo != orbit_min:
-                    return
+            if any(tuple(combo[i] for i in image) < combo for image in images):
+                return  # not the smallest of its orbit
             if set(instantiate_pattern(pat, assignment)) == goal:
                 out.append(dict(assignment))
             return
-        for p in primes:
-            assignment[symbols[k]] = p
-            if all(t.evaluate(assignment) in goal for t in due[k]):
+        symbol, known, e, known_exps, closes, checks = steps[k]
+        for s, m in known_exps:
+            known *= assignment[s] ** m
+        find = _root_candidates if closes else _divisor_candidates
+        for p in find(goal, known, e, bound):
+            assignment[symbol] = p
+            if all(t.evaluate(assignment) in goal for t in checks):
                 extend(k + 1)
-        assignment.pop(symbols[k], None)
+        assignment.pop(symbol, None)
 
     extend(0)
     return out

@@ -130,6 +130,30 @@ class TestMatch:
         assert match_pattern("1,rq,8pq,4qr,8pr", {1, 55, 120, 220, 264, 100000000000031}, 10 ** 7) == []
         assert match_pattern("1,rq,8pq,4qr,8pr", {1, 55, 120, 220}, 100) == []
 
+    def test_only_a_symbol_that_closes_no_term_factors(self, monkeypatch):
+        calls = []
+
+        def recorded(n, bound=None):
+            calls.append((n, bound))
+            return factorize(n, bound)
+        monkeypatch.setattr(patterns, "factorize", recorded)
+        # every symbol closes a term: p closes 16p, q closes 2q, 8pq and 8q
+        target = {1, 10, 40, 48, 120}
+        assert match_pattern("1,2q,8pq,8q,16p", target, 100) == [{"p": 3, "q": 5}]
+        assert calls and all(bound is None and n not in target for n, bound in calls)
+        # p closes no term, so its fallback term 8pq factors 120 / 8 and 264 / 8
+        calls.clear()
+        assert match_pattern("1,rq,8pq,4qr,8pr", {1, 55, 120, 220, 264}, 100) == [
+            {"p": 3, "q": 5, "r": 11}]
+        assert [c for c in calls if c[1] is not None] == [(15, 100), (33, 100)]
+        assert all(n <= 100 for n, bound in calls if bound is None)  # primality tests of roots
+
+    def test_a_target_value_above_the_bound_asks_no_primality_question(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("tested a root above the bound")
+        monkeypatch.setattr(patterns, "factorize", refuse)
+        assert match_pattern("1,p", {1, 4000000000000000000000027}, 2 ** 20) == []
+
     def test_round_trip_on_matches(self):
         target = {1, 45, 80, 90, 144}
         for assignment in match_pattern("1,r^2q,16q,2r^2q,16r^2", target, 100):
@@ -557,8 +581,8 @@ def test_a_malformed_pattern_raises_on_every_call(bad):
 
 def test_every_cache_is_bounded_and_hands_out_immutable_values():
     caches = {name: fn for name, fn in vars(patterns).items() if hasattr(fn, "cache_info")}
-    assert sorted(caches) == ["_parse_pattern", "_pattern_automorphisms", "_size_options",
-                              "is_prime_power", "parse_term", "resolve_equation"]
+    assert sorted(caches) == ["_match_plan", "_parse_pattern", "_pattern_automorphisms",
+                              "_size_options", "is_prime_power", "parse_term", "resolve_equation"]
     for name, fn in caches.items():
         maxsize = fn.cache_info().maxsize
         assert isinstance(maxsize, int) and 0 < maxsize <= 4096, name
@@ -568,6 +592,13 @@ def test_every_cache_is_bounded_and_hands_out_immutable_values():
     assert autos == (("q", "r"), ("r", "q"))
     assert all(isinstance(image, tuple) for image in autos)
     assert all(isinstance(patterns._size_options(t), tuple) for t in pat.terms)
+
+    def tuples_only(node):
+        if isinstance(node, tuple):
+            return all(tuples_only(x) for x in node)
+        return isinstance(node, (str, int))
+    plan = patterns._match_plan(pat)
+    assert tuples_only(plan) and plan[0] == ("q", "r")
 
 
 class TestResolveEquation:

@@ -38,16 +38,20 @@ sampler found has no class there, as an overstated |C_G(x)| would.
 That walk lists the group and partitions it into classes in one
 traversal: each member of a known class is multiplied by every
 generator, and an element not seen yet opens a new class, grown at once
-under conjugation by the generators.  It serves all three callers that
-list the group: :func:`profile`'s fallback reads the class sizes,
-:func:`conjugacy_classes` the minimal member of each class, in canonical
-order (by size, then by that representative), independent of the order
-in which generators were supplied, and :func:`centralizer_count` every
-element's class, from which it lists C(x) for one representative x per
-class and counts the elements that share it, B(x) = {z in Z(C(x)) :
-|C(z)| = |C(x)|}, so the centralizers are never built as sets of their
-own.  These three take a ``cap`` on the group order, by default
-:data:`usets.perm.DEFAULT_CAP`, and refuse a larger group with
+under conjugation by the generators.  :func:`conjugacy_classes` reads
+the minimal member of each class from it, in canonical order (by size,
+then by that representative), independent of the order in which
+generators were supplied.
+
+:func:`centralizer_count` needs, per class, |x^G| and the elements that
+share C(x), B(x) = {z in Z(C(x)) : |C(z)| = |C(x)|}.  It reads them from
+the sampler's class records (a representative x, |C_G(x)| and
+generators of C_G(x)): once per rational class it lists C(x) from those
+generators and keeps the members that commute with each of them and
+have the centraliser order of x.  Like :func:`profile`, it falls back
+to the walk when that work would cost more than listing the group.
+All three take a ``cap`` on the group order, by
+default :data:`usets.perm.DEFAULT_CAP`, and refuse a larger group with
 :class:`usets.perm.GroupTooLargeError` whichever path they would take.
 """
 
@@ -435,9 +439,12 @@ def _power_kernel(bsgs: BSGS, powers: list[RawPerm], lengths: list[int], cent: _
     return kernel
 
 
-def _sampled_class_sizes(bsgs: BSGS, budget: _Budget, sizes: list[int]) -> None:
-    """Class sizes |G|/|C_G(x)| for one representative x per class, added to
-    ``sizes`` as they are found, so a caller whose budget trips has them.
+def _sampled_class_sizes(bsgs: BSGS, budget: _Budget,
+                         records: list[tuple[RawPerm, int, _Commuting | None]]) -> None:
+    """One record (x, |C_G(x)|, the :class:`_Commuting` of C_G(x)) per
+    class, x its representative, added to ``records`` as it is found, so a
+    caller whose budget trips has them; the identity's record has no
+    :class:`_Commuting`, and the classes of one rational class share one.
 
     An element opens a new class unless it is conjugate to a known
     representative with the same cycle type.  Random elements are
@@ -458,7 +465,7 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget, sizes: list[int]) -> None:
     """
     order, degree = bsgs.order(), bsgs.degree
     identity = tuple(range(degree))
-    sizes.append(1)
+    records.append((identity, order, None))
     total = 1
     # per cycle type: each representative and the search record of its centraliser
     reps: dict[tuple[int, ...], list[tuple[RawPerm, _Commuting]]] = {}
@@ -484,7 +491,7 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget, sizes: list[int]) -> None:
             if math.gcd(k, m) == 1 and k not in covered:  # a new coset kK
                 covered.update(k * j % m for j in kernel)
                 known.append((powers[k], cent))
-                sizes.append(order // count)
+                records.append((powers[k], count, cent))
                 total += order // count
         pending += [powers[d] for d in range(2, m) if m % d == 0]
     if total != order:
@@ -500,11 +507,12 @@ def profile(group: PermGroup, cap: int = DEFAULT_CAP) -> InvariantProfile:
     check_cap(order, cap)
     # enumerating the group costs |G| conjugations per generator
     budget = _Budget(order * len(group.bsgs.generator_pairs))
-    sizes: list[int] = []
+    records: list = []
     try:
-        _sampled_class_sizes(group.bsgs, budget, sizes)
+        _sampled_class_sizes(group.bsgs, budget, records)
+        sizes = [order // count for _, count, _ in records]
     except _WorkLimitExceeded:
-        found = Counter(sizes)
+        found = Counter(order // count for _, count, _ in records)
         sizes = [len(members) for members in _classes(group, cap)]
         if unmatched := found - Counter(sizes):
             raise RuntimeError(f"no enumerated class has the sampled sizes {sorted(unmatched)}")
@@ -540,18 +548,82 @@ def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
     denominator in integers: importing :mod:`fractions` would cost every
     process that imports the package about 0.7 MB of RSS.
 
-    The classes come from :func:`_classes` (so its cap check refuses a
-    group above ``cap`` before any other work), which gives every
+    The terms come from the sampler's class records, or from the walk
+    where that work would cost more than listing the group, as
+    :func:`profile`'s do.  A group above ``cap`` is refused before any work.
+    """
+    order = group.order()
+    check_cap(order, cap)
+    try:
+        terms = _sampled_centralizer_terms(
+            group.bsgs, _Budget(order * len(group.bsgs.generator_pairs)))
+    except _WorkLimitExceeded:
+        terms = _walked_centralizer_terms(group, cap)
+    denominator = math.lcm(*(shared for _, shared in terms))
+    total = sum(size * (denominator // shared) for size, shared in terms)
+    if total % denominator:
+        raise RuntimeError(f"centralizers counted {total}/{denominator} times, not a whole number")
+    return total // denominator
+
+
+def _sampled_centralizer_terms(bsgs: BSGS, budget: _Budget) -> list[tuple[int, int]]:
+    """(|x^G|, |B(x)|) per class, from the records of
+    :func:`_sampled_class_sizes`; B(x) = Z(G) for a central x.  The
+    classes of one rational class share C(x), so B(x) is found once for
+    them: C(x) is listed from its generators, one budget tick per
+    element, and B(x) is the members that commute with each generator and
+    have |C(z)| = |C(x)|, read from the records when the classes of z's
+    cycle type have one centraliser order, else from :func:`_centralizer`.
+    """
+    order, identity = bsgs.order(), tuple(range(bsgs.degree))
+    records: list = []
+    _sampled_class_sizes(bsgs, budget, records)
+    one_order: dict[tuple[int, ...], int | None] = {}  # cycle type -> its one |C|, or None
+    for x, count, _ in records:
+        key = tuple(sorted(_cycle_lengths(x)))
+        one_order[key] = count if one_order.get(key, count) == count else None
+    central = sum(count == order for _, count, _ in records)
+    shared: dict[_Commuting, int] = {}
+    terms = []
+    for x, count, cent in records:
+        if count == order:
+            terms.append((1, central))
+            continue
+        if cent not in shared:
+            gens = cent.elements
+            members, seen = [identity], {identity}
+            for z in members:  # members grows while it is read
+                for g in gens:
+                    y = _compose(z, g)
+                    if y not in seen:
+                        budget.tick()
+                        seen.add(y)
+                        members.append(y)
+            if len(members) != count:
+                raise RuntimeError(f"C(x) lists {len(members)} elements, its search gave {count}")
+            shared[cent] = 0
+            for z in members:
+                if all(_compose(z, g) == _compose(g, z) for g in gens):
+                    lengths = _cycle_lengths(z)
+                    z_count = one_order[tuple(sorted(lengths))]
+                    if z_count is None:
+                        z_count = _centralizer(bsgs, z, lengths, budget)[0]
+                    shared[cent] += z_count == count
+        terms.append((order // count, shared[cent]))
+    return terms
+
+
+def _walked_centralizer_terms(group: PermGroup, cap: int) -> list[tuple[int, int]]:
+    """(|x^G|, |B(x)|) per class, from :func:`_classes`, which gives every
     element's class size.  One pass over the group, the keys of those
     sizes, lists C(x) for the first member x of a non-central class; B(x)
     is the members of C(x) whose class has the size of x's and that
-    commute with every member of C(x).  A central x has C(x) = G and B(x)
-    = Z(G), the classes of size 1.
+    commute with every member of C(x).
     """
     classes = _classes(group, cap)
     class_size = {z: len(members) for members in classes for z in members}
     central = sum(len(members) == 1 for members in classes)
-    terms = []  # (|x^G|, |B(x)|) per class
+    terms = []
     for members in classes:
         x, size = members[0], len(members)
         if size == 1:  # C(x) = G, so B(x) = Z(G)
@@ -563,8 +635,4 @@ def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
         shared = sum(all(_compose(z, g) == _compose(g, z) for g in cent)
                      for z in cent if class_size[z] == size)
         terms.append((size, shared))
-    denominator = math.lcm(*(shared for _, shared in terms))
-    total = sum(size * (denominator // shared) for size, shared in terms)
-    if total % denominator:
-        raise RuntimeError(f"centralizers counted {total}/{denominator} times, not a whole number")
-    return total // denominator
+    return terms

@@ -28,11 +28,13 @@ that none does.
 Seven pure functions are memoised, each by a ``functools.lru_cache`` of
 at most ``_CACHE_SIZE`` entries: :func:`parse_term`; the text -> pattern
 parse behind every function that takes a pattern as text
-(``_parse_pattern``); a pattern's symmetries (``_pattern_automorphisms``)
-and its :func:`match_pattern` search plan (``_match_plan``); a term's size
+(``_parse_pattern``); a pattern's :func:`match_pattern` search plan
+(``_match_plan``, which holds the pattern's symmetries); a term's size
 options (``_size_options``, behind :func:`admissible_size_options`);
-:func:`resolve_equation`; and the prime-power test of a count
-(:func:`is_prime_power`, which :func:`feasibility_check` calls).  Sharing
+:func:`resolve_equation`; the prime-power test of a count
+(:func:`is_prime_power`, which :func:`feasibility_check` calls); and the
+prime test of a candidate root (:func:`is_prime`, which
+:func:`match_pattern` calls for the same roots on every query).  Sharing
 the results is safe: the keys are strings, ints and immutable records,
 the cached values are immutable records, strings, bools and tuples built
 of these and of ints, and the public functions that return lists hand
@@ -199,6 +201,7 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def is_prime(n: int) -> bool:
     return n > 1 and factorize(n) == {n: 1}
 
@@ -364,7 +367,6 @@ def duplicate_values(values: Iterable[int]) -> list[int]:
     return sorted(dups)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _pattern_automorphisms(pat: USetPattern) -> tuple[tuple[str, ...], ...]:
     """Symbol permutations that map the term set onto itself, compared
     as (coeff, exps) keys; the terms are distinct, so into is onto.  Each

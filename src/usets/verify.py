@@ -467,7 +467,9 @@ def _outcome(row: CheckRow, catalog: Catalog, cap: int) -> tuple:
     """``(status, computed, expected, source, note)`` of one row: profile
     its groups at ``cap``, run it and compare.  A group above a cap makes
     the row not_checked, and a catalog failure (a built order that is not
-    the declared one) makes it fail; the error message is the note."""
+    the declared one) or a RuntimeError (two routes of a computation that
+    disagree, as a sampled class size with no enumerated class) makes it
+    fail; the error message is the note."""
     if row.run is None:
         return NOT_CHECKED, None, None, "", NO_DATA_NOTE
     try:
@@ -475,7 +477,7 @@ def _outcome(row: CheckRow, catalog: Catalog, cap: int) -> tuple:
             *[catalog.entry(name).profile(cap) for name in row.groups])
     except GroupTooLargeError as exc:
         return NOT_CHECKED, None, None, "", str(exc)
-    except CatalogError as exc:
+    except (CatalogError, RuntimeError) as exc:
         return FAIL, None, None, row.source, str(exc)
     status = PASS if computed == expected else FAIL
     return status, computed, expected, row.source, note[0] if note else ""

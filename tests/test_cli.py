@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from usets import cli
+from usets import cli, invariants
 from usets.catalog import default_catalog
 from usets.verify import CheckResult, VerificationReport, _uset_uniqueness
 
@@ -264,6 +264,34 @@ def test_an_order_mismatch_fails_its_row_and_the_run_goes_on(capsys, monkeypatch
     assert code == 1
     assert out.splitlines()[1] == ("FAIL  order:A5  computed=None expected=None  "
                                    "[A5: built order 60, expected 61]")
+
+
+def test_an_inconsistent_profile_fails_its_rows_and_the_report_is_written(capsys, monkeypatch,
+                                                                         tmp_path):
+    # an overstated |C(x)|: the first count _centralizer returns for
+    # PSL(2,11) doubled, every time, so no profile of it closes its class
+    # equation and its fallback raises RuntimeError
+    entry = default_catalog().entry("PSL(2,11)")
+    monkeypatch.setattr(entry, "_profile", None)
+    bsgs, centralizer, first = entry.group().bsgs, invariants._centralizer, {}
+
+    def overstated(b, x, *args):
+        order, cent = centralizer(b, x, *args)
+        if b is bsgs and first.setdefault("x", x) == x:
+            order *= 2
+        return order, cent
+    monkeypatch.setattr(invariants, "_centralizer", overstated)
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "paper", "--report", str(report), "--only",
+                         "uset:PSL(2,11)", "centralizer-count:PSL(2,11)", "uset:A6")
+    assert (code, err) == (1, "")
+    rows = {r["check_id"]: r for r in json.loads(report.read_text())["results"]}
+    note = "no enumerated class has the sampled sizes [66]"
+    for check in ("uset:PSL(2,11)", "centralizer-count:PSL(2,11)"):
+        assert (rows[check]["status"], rows[check]["note"]) == ("fail", note)
+    assert rows["uset:A6"]["status"] == "pass"
+    assert f"FAIL  uset:PSL(2,11)               computed=None expected=None  [{note}]" in out
+    assert "1 passed, 2 failed" in out
 
 
 def test_verify_at_a_low_cap_reports_not_checked(capsys):

@@ -7,6 +7,8 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usets import invariants, perm
 from usets.catalog import default_catalog
@@ -206,6 +208,11 @@ SHARED_CENTRALIZER_GROUPS = {
 }
 
 
+def c2_5():
+    """The elementary abelian group C2^5 on 10 points."""
+    return generated(10, *([(2 * i, 2 * i + 1)] for i in range(5)))
+
+
 class TestCentralizerCount:
     def test_trivial_group(self):
         assert centralizer_count(PermGroup([Permutation.identity(2)])) == 1
@@ -260,6 +267,58 @@ class TestCentralizerCount:
     def test_counts_with_a_centre_or_shared_centralizers(self, name):
         builder, expected = SHARED_CENTRALIZER_GROUPS[name]
         assert centralizer_count(builder()) == expected
+
+    @pytest.mark.parametrize("name", [e.name for e in default_catalog().entries(max_order=25_920)])
+    def test_sampled_terms_equal_the_walk_on_catalog(self, catalog, name):
+        assert_routes_agree(catalog.entry(name).group())
+
+    @pytest.mark.parametrize("build", [
+        *(builder for builder, _ in SHARED_CENTRALIZER_GROUPS.values()), c2_5,
+    ], ids=[*SHARED_CENTRALIZER_GROUPS, "C2^5"])
+    def test_sampled_terms_equal_the_walk(self, build):
+        assert_routes_agree(build())
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(st.sampled_from(["PSL(2,7)", "A5", "S3xS3", "D12", "GL(2,3)"]), st.integers(0, 2 ** 32))
+    def test_sampled_terms_equal_the_walk_on_relabellings(self, name, seed):
+        builders = {"PSL(2,7)": lambda: psl_group(2, 7), "A5": lambda: alternating_group(5),
+                    **{n: SHARED_CENTRALIZER_GROUPS[n][0] for n in ("S3xS3", "D12", "GL(2,3)")}}
+        assert_routes_agree(relabelled(builders[name](), random.Random(seed)))
+
+    def test_abelian_group_falls_back_to_the_walk(self, class_walks):
+        # every class has size 1: the sampler's budget trips and the walk answers
+        assert centralizer_count(c2_5()) == 1
+        assert len(class_walks) == 1
+
+    @pytest.mark.parametrize("group_builder, cap, expected", [
+        (lambda: psl_group(2, 11), DEFAULT_CAP, 189),
+        (lambda: alternating_group(9), DEFAULT_CAP, 51_914),  # the walk's value
+        (lambda: alternating_group(10), 2_000_000, 373_754),  # checked once against the walk
+    ])
+    def test_counts_without_listing_the_group(self, monkeypatch, group_builder, cap, expected):
+        def unexpected(*_args, **_kwargs):
+            raise AssertionError("listed the group")
+        monkeypatch.setattr(invariants, "_classes", unexpected)
+        assert centralizer_count(group_builder(), cap) == expected
+
+    def test_a_centraliser_listed_short_of_its_order_raises(self, monkeypatch):
+        # C(x) listed from too few generators disagrees with its search's |C(x)|
+        centralizer = invariants._centralizer
+
+        def generators_dropped(bsgs, x, x_len, budget):
+            order, cent = centralizer(bsgs, x, x_len, budget)
+            del cent.elements[1:]
+            return order, cent
+        monkeypatch.setattr(invariants, "_centralizer", generators_dropped)
+        with pytest.raises(RuntimeError, match=r"^C\(x\) lists \d+ elements, its search gave \d+$"):
+            centralizer_count(psl_group(2, 11))
+
+
+def assert_routes_agree(group):
+    """The sampler's terms (|x^G|, |B(x)|), with a budget that never trips,
+    are the walk's, class for class."""
+    sampled = invariants._sampled_centralizer_terms(group.bsgs, invariants._Budget(10 ** 9))
+    assert sorted(sampled) == sorted(invariants._walked_centralizer_terms(group, DEFAULT_CAP))
 
 
 # -- the sampled path against independent routes ------------------------------

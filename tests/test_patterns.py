@@ -581,8 +581,8 @@ def test_a_malformed_pattern_raises_on_every_call(bad):
 
 def test_every_cache_is_bounded_and_hands_out_immutable_values():
     caches = {name: fn for name, fn in vars(patterns).items() if hasattr(fn, "cache_info")}
-    assert sorted(caches) == ["_match_plan", "_parse_pattern", "_pattern_automorphisms",
-                              "_size_options", "is_prime_power", "parse_term", "resolve_equation"]
+    assert sorted(caches) == ["_match_plan", "_parse_pattern", "_size_options", "is_prime",
+                              "is_prime_power", "parse_term", "resolve_equation"]
     for name, fn in caches.items():
         maxsize = fn.cache_info().maxsize
         assert isinstance(maxsize, int) and 0 < maxsize <= 4096, name
@@ -592,6 +592,8 @@ def test_every_cache_is_bounded_and_hands_out_immutable_values():
     assert autos == (("q", "r"), ("r", "q"))
     assert all(isinstance(image, tuple) for image in autos)
     assert all(isinstance(patterns._size_options(t), tuple) for t in pat.terms)
+    assert [patterns.is_prime(n) for n in (11, 15, 11)] == [True, False, True]
+    assert patterns.is_prime.cache_info().hits >= 1
 
     def tuples_only(node):
         if isinstance(node, tuple):

@@ -37,7 +37,8 @@ class CatalogEntry:
 
     ``source`` is a constant, "constructor": every group is built one way,
     by a function of :mod:`usets.construct`.  ``provenance`` says how
-    ``expected_order`` was obtained."""
+    ``expected_order`` was obtained.  A wrong build order and a profile's
+    RuntimeError are kept and raised again, not computed again."""
 
     source = "constructor"
 
@@ -47,8 +48,8 @@ class CatalogEntry:
         self.expected_order = expected_order
         self.provenance = provenance
         self.builder = builder
-        self._group: PermGroup | None = None
-        self._profile: InvariantProfile | None = None
+        self._group: PermGroup | OrderMismatchError | None = None
+        self._profile: InvariantProfile | RuntimeError | None = None
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(name={self.name!r}, source={self.source!r}, "
@@ -59,10 +60,10 @@ class CatalogEntry:
         if self._group is None:
             g = self.builder()
             got = g.order()
-            if got != self.expected_order:
-                raise OrderMismatchError(
-                    f"{self.name}: built order {got}, expected {self.expected_order}")
-            self._group = g
+            self._group = g if got == self.expected_order else OrderMismatchError(
+                f"{self.name}: built order {got}, expected {self.expected_order}")
+        if isinstance(self._group, OrderMismatchError):
+            raise self._group.with_traceback(None)  # no frames pile up on the kept error
         return self._group
 
     def profile(self, cap: int = DEFAULT_CAP) -> InvariantProfile:
@@ -71,7 +72,12 @@ class CatalogEntry:
         or not."""
         check_cap(self.expected_order, cap, self.name)
         if self._profile is None:
-            self._profile = profile(self.group(), cap)
+            try:
+                self._profile = profile(self.group(), cap)
+            except RuntimeError as exc:
+                self._profile = exc
+        if isinstance(self._profile, RuntimeError):
+            raise self._profile.with_traceback(None)
         return self._profile
 
     @property

@@ -28,31 +28,33 @@ without a test, and accepts a leaf only if it conjugates on every point:
 that leaf test is the exact check.  A :class:`_Budget` counts search
 nodes, refuted children included, and draws.
 
-Sampling stops when the class equation sum |G|/|C_G(x_i)| = |G| closes,
-which certifies that every class was found.  When the searches would
-cost more than enumerating the group (groups with many classes of one
-cycle type, such as abelian ones), it falls back to the one walk that
-lists the group, :func:`_classes`, and raises RuntimeError if a size the
-sampler found has no class there, as an overstated |C_G(x)| would.
+The sampler keeps one table, by cycle type, of each class's
+representative x, |C_G(x)| and generators of C_G(x), and stops when the
+class equation sum |G|/|C_G(x_i)| = |G| closes, which certifies that
+every class was found.  Past :func:`_walk_budget` (groups with many
+classes of one cycle type, such as abelian ones), it falls back to the
+one walk that lists the group, :func:`_classes`, and raises RuntimeError
+if a size the sampler found has no class there, as an overstated
+|C_G(x)| would.
 
 That walk lists the group and partitions it into classes in one
 traversal: each member of a known class is multiplied by every
 generator, and an element not seen yet opens a new class, grown at once
-under conjugation by the generators.  :func:`conjugacy_classes` reads
-the minimal member of each class from it, in canonical order (by size,
-then by that representative), independent of the order in which
-generators were supplied.
+under conjugation by the generators, distinct, identity dropped and
+sorted.  :func:`conjugacy_classes` reads the minimal member of each
+class from it, in canonical order (by size, then by that
+representative), independent of the order in which generators were
+supplied.
 
 :func:`centralizer_count` needs, per class, |x^G| and the elements that
 share C(x), B(x) = {z in Z(C(x)) : |C(z)| = |C(x)|}.  It reads them from
-the sampler's class records (a representative x, |C_G(x)| and
-generators of C_G(x)): once per rational class it lists C(x) from those
-generators and keeps the members that commute with each of them and
-have the centraliser order of x.  Like :func:`profile`, it falls back
-to the walk when that work would cost more than listing the group.
-All three take a ``cap`` on the group order, by
-default :data:`usets.perm.DEFAULT_CAP`, and refuse a larger group with
-:class:`usets.perm.GroupTooLargeError` whichever path they would take.
+the sampler's class table: once per rational class it lists C(x) from
+the generators of C_G(x) and keeps the members that commute with each
+of them and have the centraliser order of x.  Like :func:`profile`, it
+falls back to the walk past the same budget.  All three take a ``cap``
+on the group order, by default :data:`usets.perm.DEFAULT_CAP`, and
+refuse a larger group with :class:`usets.perm.GroupTooLargeError`
+whichever path they would take.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from collections import Counter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .patterns import factorize
-from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose,
+from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose, _inverse,
                    _join_orbits, check_cap)
 
 #: Seed of the element sampler; any fixed value gives the same profiles.
@@ -104,18 +106,24 @@ class InvariantProfile(NamedTuple):
         }
 
 
+def _walk_generators(group: PermGroup) -> list[RawPerm]:
+    """The group's generators, distinct, identity dropped and sorted: the
+    class walk's, whatever order they were supplied in."""
+    return sorted({g.images for g in group.generators} - {tuple(range(group.degree))})
+
+
 def _classes(group: PermGroup, cap: int) -> list[list[RawPerm]]:
     """The conjugacy classes of the group, each as the list of its members,
     from one walk that lists the group and partitions it.
 
     Every member of every class found is multiplied by each generator; an
     element not seen yet opens a new class, walked at once breadth-first
-    under conjugation by the generator pairs (g, g^-1).  Raises
-    :class:`GroupTooLargeError` above ``cap`` before any work.
+    under conjugation by the pairs (g, g^-1) of :func:`_walk_generators`.
+    Raises :class:`GroupTooLargeError` above ``cap`` before any work.
     """
     order = group.order()
     check_cap(order, cap)
-    pairs = group.bsgs.generator_pairs
+    pairs = [(g, _inverse(g)) for g in _walk_generators(group)]
     identity = tuple(range(group.degree))
     seen = {identity}
     classes = [[identity]]
@@ -161,6 +169,12 @@ class _Budget:
         self.work += 1
         if self.work > self.limit:
             raise _WorkLimitExceeded
+
+
+def _walk_budget(group: PermGroup) -> _Budget:
+    """The sampler's work budget: what :func:`_classes` costs, |G|
+    conjugations per generator it walks by."""
+    return _Budget(group.order() * len(_walk_generators(group)))
 
 
 def _random_element(bsgs: BSGS, rng: random.Random, budget: _Budget) -> RawPerm:
@@ -439,18 +453,17 @@ def _power_kernel(bsgs: BSGS, powers: list[RawPerm], lengths: list[int], cent: _
     return kernel
 
 
-def _sampled_class_sizes(bsgs: BSGS, budget: _Budget,
-                         records: list[tuple[RawPerm, int, _Commuting | None]]) -> None:
-    """One record (x, |C_G(x)|, the :class:`_Commuting` of C_G(x)) per
-    class, x its representative, added to ``records`` as it is found, so a
-    caller whose budget trips has them; the identity's record has no
-    :class:`_Commuting`, and the classes of one rational class share one.
+def _sampled_class_sizes(bsgs: BSGS, budget: _Budget, classes: dict) -> None:
+    """Fill ``classes``, the one class table: cycle type -> a record (x,
+    |C_G(x)|, the :class:`_Commuting` of C_G(x)) per class of that type, x
+    its representative, added as it is found, so a caller whose budget
+    trips has them.  The identity's record has no :class:`_Commuting`, and
+    the classes of one rational class share one.
 
     An element opens a new class unless it is conjugate to a known
-    representative with the same cycle type.  Random elements are
-    classified until the class sizes add up to |G|.  Each representative
-    r is kept with the generators of C_G(r), which prune every test
-    against r.
+    representative of its cycle type, each test pruned by the generators
+    of C_G(r) in the representative r's record.  Random elements are
+    classified until the class sizes add up to |G|.
 
     A new representative x of order m gets C_G(x) from
     :func:`_centralizer` and brings its rational class along: K = {k :
@@ -458,17 +471,15 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget,
     :func:`_power_kernel` from tests of coprime powers against x alone,
     and each coset kK is one class, of x^k, with C_G(x^k) = C_G(x).  All
     of them join the known representatives, which so stay closed under
-    coprime powers; so no x^k is conjugate to an earlier one.  The powers x^d for the proper
-    divisors d > 1 of m are classified next: they reach classes of small
-    size, which random elements rarely hit, and every other power of x
-    is a coprime power of one of them.
+    coprime powers; so no x^k is conjugate to an earlier one.  The powers
+    x^d for the proper divisors d > 1 of m are classified next: they
+    reach classes of small size, which random elements rarely hit, and
+    every other power of x is a coprime power of one of them.
     """
     order, degree = bsgs.order(), bsgs.degree
     identity = tuple(range(degree))
-    records.append((identity, order, None))
+    classes[(1,) * degree] = [(identity, order, None)]
     total = 1
-    # per cycle type: each representative and the search record of its centraliser
-    reps: dict[tuple[int, ...], list[tuple[RawPerm, _Commuting]]] = {}
     pending: list[RawPerm] = []  # powers x^d of new representatives
     rng = random.Random(_SAMPLER_SEED)
     while total < order:
@@ -476,9 +487,9 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget,
         if x == identity:
             continue
         lengths = _cycle_lengths(x)
-        known = reps.setdefault(tuple(sorted(lengths)), [])
+        known = classes.setdefault(tuple(sorted(lengths)), [])
         if any(_conjugator(bsgs, x, lengths, r, cent, budget) is not None
-               for r, cent in known):
+               for r, _, cent in known):
             continue
         count, cent = _centralizer(bsgs, x, lengths, budget)
         m = math.lcm(*lengths)
@@ -490,8 +501,7 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget,
         for k in range(1, m):
             if math.gcd(k, m) == 1 and k not in covered:  # a new coset kK
                 covered.update(k * j % m for j in kernel)
-                known.append((powers[k], cent))
-                records.append((powers[k], count, cent))
+                known.append((powers[k], count, cent))
                 total += order // count
         pending += [powers[d] for d in range(2, m) if m % d == 0]
     if total != order:
@@ -505,14 +515,12 @@ def profile(group: PermGroup, cap: int = DEFAULT_CAP) -> InvariantProfile:
     """
     order = group.order()
     check_cap(order, cap)
-    # enumerating the group costs |G| conjugations per generator
-    budget = _Budget(order * len(group.bsgs.generator_pairs))
-    records: list = []
+    classes: dict = {}
     try:
-        _sampled_class_sizes(group.bsgs, budget, records)
-        sizes = [order // count for _, count, _ in records]
+        _sampled_class_sizes(group.bsgs, _walk_budget(group), classes)
+        sizes = [order // count for same in classes.values() for _, count, _ in same]
     except _WorkLimitExceeded:
-        found = Counter(order // count for _, count, _ in records)
+        found = Counter(order // count for same in classes.values() for _, count, _ in same)
         sizes = [len(members) for members in _classes(group, cap)]
         if unmatched := found - Counter(sizes):
             raise RuntimeError(f"no enumerated class has the sampled sizes {sorted(unmatched)}")
@@ -548,15 +556,14 @@ def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
     denominator in integers: importing :mod:`fractions` would cost every
     process that imports the package about 0.7 MB of RSS.
 
-    The terms come from the sampler's class records, or from the walk
-    where that work would cost more than listing the group, as
-    :func:`profile`'s do.  A group above ``cap`` is refused before any work.
+    The terms come from the sampler's class table, or from the walk past
+    :func:`_walk_budget`, as :func:`profile`'s do.  A group above ``cap``
+    is refused before any work.
     """
     order = group.order()
     check_cap(order, cap)
     try:
-        terms = _sampled_centralizer_terms(
-            group.bsgs, _Budget(order * len(group.bsgs.generator_pairs)))
+        terms = _sampled_centralizer_terms(group.bsgs, _walk_budget(group))
     except _WorkLimitExceeded:
         terms = _walked_centralizer_terms(group, cap)
     denominator = math.lcm(*(shared for _, shared in terms))
@@ -567,25 +574,22 @@ def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
 
 
 def _sampled_centralizer_terms(bsgs: BSGS, budget: _Budget) -> list[tuple[int, int]]:
-    """(|x^G|, |B(x)|) per class, from the records of
+    """(|x^G|, |B(x)|) per class, from the class table of
     :func:`_sampled_class_sizes`; B(x) = Z(G) for a central x.  The
     classes of one rational class share C(x), so B(x) is found once for
     them: C(x) is listed from its generators, one budget tick per
     element, and B(x) is the members that commute with each generator and
-    have |C(z)| = |C(x)|, read from the records when the classes of z's
+    have |C(z)| = |C(x)|, read from the table when the classes of z's
     cycle type have one centraliser order, else from :func:`_centralizer`.
     """
     order, identity = bsgs.order(), tuple(range(bsgs.degree))
-    records: list = []
-    _sampled_class_sizes(bsgs, budget, records)
-    one_order: dict[tuple[int, ...], int | None] = {}  # cycle type -> its one |C|, or None
-    for x, count, _ in records:
-        key = tuple(sorted(_cycle_lengths(x)))
-        one_order[key] = count if one_order.get(key, count) == count else None
+    classes: dict = {}
+    _sampled_class_sizes(bsgs, budget, classes)
+    records = [record for same in classes.values() for record in same]
     central = sum(count == order for _, count, _ in records)
     shared: dict[_Commuting, int] = {}
     terms = []
-    for x, count, cent in records:
+    for _, count, cent in records:
         if count == order:
             terms.append((1, central))
             continue
@@ -605,8 +609,9 @@ def _sampled_centralizer_terms(bsgs: BSGS, budget: _Budget) -> list[tuple[int, i
             for z in members:
                 if all(_compose(z, g) == _compose(g, z) for g in gens):
                     lengths = _cycle_lengths(z)
-                    z_count = one_order[tuple(sorted(lengths))]
-                    if z_count is None:
+                    same = classes[tuple(sorted(lengths))]  # the classes of z's cycle type
+                    z_count = same[0][1]
+                    if any(c != z_count for _, c, _ in same):
                         z_count = _centralizer(bsgs, z, lengths, budget)[0]
                     shared[cent] += z_count == count
         terms.append((order // count, shared[cent]))

@@ -42,10 +42,7 @@ byte, the one the full closure builds.
 The groups handled here are small (the largest the tests profile, A12,
 has order 239 500 800), so Schreier-Sims favours clarity and
 reproducibility over asymptotics: no randomized sifting, no Monte Carlo
-variants.  :mod:`usets.invariants` normally samples elements from the
-BSGS transversals with a fixed seed; the one walk that lists the group,
-``invariants._classes``, multiplies by the generators and partitions the
-elements into classes as it goes.
+variants.
 
 One cap, :data:`DEFAULT_CAP`, bounds the group order of every
 computation that takes a cap, in the library and on the command line
@@ -242,27 +239,19 @@ class BSGS:
       Schreier generators never invert;
     * ``orbit_labels[i]`` (i = 0..k, on first use): each point's smallest
       G^(i)-orbit point.
-
-    ``generator_pairs`` holds (g, g^-1) for the group's given generators,
-    deduplicated, identity dropped and sorted, so every generator-driven
-    walk (the class walk of :mod:`usets.invariants`) is independent of
-    the order in which the generators were supplied and never inverts.
     """
 
-    __slots__ = ("degree", "base", "_level_gens", "transversals", "inverses", "_labels",
-                 "generator_pairs")
+    __slots__ = ("degree", "base", "_level_gens", "transversals", "inverses", "_labels")
 
     def __init__(self, degree: int, base: list[int],
                  level_gens: list[list[RawPerm]],
                  transversals: list[tuple[RawPerm, ...]],
-                 inverses: list[dict[int, RawPerm]],
-                 generator_pairs: tuple[tuple[RawPerm, RawPerm], ...]):
+                 inverses: list[dict[int, RawPerm]]):
         self.degree = degree
         self.base = tuple(base)
         self._level_gens = level_gens
         self.transversals = transversals
         self.inverses = inverses
-        self.generator_pairs = generator_pairs
         self._labels: list[list[int]] | None = None
 
     def order(self) -> int:
@@ -478,8 +467,7 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
         if residue != ident and add_nonmember(0, residue):
             break
     del add_nonmember  # it refers to itself: free the build's state now, not at a GC pass
-    pairs = tuple((g, _inverse(g)) for g in sorted(set(raw_gens) - {ident}))
-    return BSGS(degree, base, level_gens, transversals, inverses, pairs)
+    return BSGS(degree, base, level_gens, transversals, inverses)
 
 
 class PermGroup:

@@ -309,7 +309,7 @@ def _uset_uniqueness(catalog: Catalog, cap: int) -> tuple:
 def _centralizer_counts(group: PermGroup, cap: int) -> tuple:
     first = centralizer_count(group, cap)
     # the same group on the points relabelled i -> n-1-i: other element
-    # tuples, so another walk and other centralizer sets
+    # tuples, so another chain, other draws and other C(x) generators
     n = group.degree
     mirrored = PermGroup([[n - 1 - g.images[n - 1 - i] for i in range(n)]
                           for g in group.generators])

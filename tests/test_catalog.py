@@ -50,6 +50,19 @@ class TestRegistry:
         with pytest.raises(OrderMismatchError, match=r"60.*59"):
             entry.group()
 
+    def test_a_wrong_order_is_built_once_and_raised_again(self):
+        builds = []
+
+        def build():
+            builds.append(1)
+            return alternating_group(5)
+        entry = CatalogEntry(name="A5", expected_order=59, provenance="deliberately wrong",
+                             builder=build)
+        for call in (entry.group, entry.group, entry.profile):
+            with pytest.raises(OrderMismatchError, match=r"^A5: built order 60, expected 59$"):
+                call()
+        assert len(builds) == 1
+
 
 class TestFilters:
     def test_k3_members(self, catalog):

@@ -124,7 +124,9 @@ def test_classes_independent_of_generator_order():
     gens = list(base.generators)
     rng.shuffle(gens)
     shuffled = PermGroup(gens)
-    assert conjugacy_classes(base) == conjugacy_classes(shuffled)
+    # each generator twice and the identity: the walk takes each once
+    assert conjugacy_classes(base) == conjugacy_classes(shuffled) == conjugacy_classes(
+        padded(shuffled))
 
 
 def test_classes_independent_of_generating_set():
@@ -183,6 +185,11 @@ def generated(degree, *generators):
     return PermGroup([Permutation.from_cycles(degree, *cycles) for cycles in generators])
 
 
+def padded(group):
+    """The same group with each generator given twice, and the identity."""
+    return PermGroup(list(group.generators) * 2 + [Permutation.identity(group.degree)])
+
+
 def linear_group_f3(matrices):
     """The group generated by 2x2 matrices (a, b, c, d) over GF(3), acting
     on the 8 nonzero vectors of GF(3)^2 (faithfully, as -1 moves them)."""
@@ -223,8 +230,8 @@ class TestCentralizerCount:
         assert centralizer_count(symmetric_group(3)) == 5
 
     def test_same_count_on_relabelled_points(self):
-        # another labelling gives other element tuples, so another walk and
-        # other centralizer sets; the count is the group's
+        # another labelling gives other element tuples, so another chain,
+        # other draws and other C(x) generators; the count is the group's
         g = psl_group(2, 7)
         other = relabelled(g, random.Random(7))
         assert group_elements(other) != group_elements(g)
@@ -248,8 +255,7 @@ class TestCentralizerCount:
 
     def test_repeated_and_identity_generators(self):
         g = psl_group(2, 7)
-        padded = PermGroup(list(g.generators) * 2 + [Permutation.identity(g.degree)])
-        assert centralizer_count(padded) == centralizer_count(g) == 79
+        assert centralizer_count(padded(g)) == centralizer_count(g) == 79
 
     @pytest.mark.parametrize("group_builder", [
         lambda: symmetric_group(4),
@@ -464,15 +470,29 @@ def test_elementary_abelian_group_falls_back_to_enumeration(class_walks):
     assert prof.U == frozenset({1024})
 
 
+def c2_6_x_s3():
+    """C2^6 x S3: each S3 class times the 64 central elements of C2^6."""
+    return generated(15, *([(2 * i, 2 * i + 1)] for i in range(6)), [(12, 13)], [(12, 13, 14)])
+
+
+def d100():
+    """D100 of order 200: {1, r^50}, the pairs {r^k, r^-k}, two reflection
+    classes."""
+    return PermGroup([Permutation.from_cycles(100, tuple(range(100))),
+                      Permutation([-p % 100 for p in range(100)])])
+
+
+# The padded groups give each generator twice and the identity, and the
+# budget counts each distinct generator once, so the sampler gives way to
+# the walk as before.  D100's sampler needs 416 work units, past 200 x 2
+# but within 200 x 5, so a budget that counted the given generators would
+# let padded D100 finish without the walk.
 @pytest.mark.parametrize("build, sizes", [
-    # C2^6 x S3: each S3 class times the 64 central elements of C2^6
-    (lambda: generated(15, *([(2 * i, 2 * i + 1)] for i in range(6)), [(12, 13)], [(12, 13, 14)]),
-     (1,) * 64 + (2,) * 64 + (3,) * 64),
-    # D100 of order 200: {1, r^50}, the pairs {r^k, r^-k}, two reflection classes
-    (lambda: PermGroup([Permutation.from_cycles(100, tuple(range(100))),
-                        Permutation([-p % 100 for p in range(100)])]),
-     (1, 1) + (2,) * 49 + (50, 50)),
-], ids=["C2^6xS3", "D100"])
+    (c2_6_x_s3, (1,) * 64 + (2,) * 64 + (3,) * 64),
+    (lambda: padded(c2_6_x_s3()), (1,) * 64 + (2,) * 64 + (3,) * 64),
+    (d100, (1, 1) + (2,) * 49 + (50, 50)),
+    (lambda: padded(d100()), (1, 1) + (2,) * 49 + (50, 50)),
+], ids=["C2^6xS3", "C2^6xS3-padded", "D100", "D100-padded"])
 def test_nonabelian_groups_fall_back_to_enumeration(class_walks, build, sizes):
     # many classes of one cycle type trip the sampler's budget
     group = build()
@@ -585,6 +605,7 @@ def test_profile_never_inverts(monkeypatch):
     def refuse(_images):
         raise AssertionError("a permutation was inverted")
     monkeypatch.setattr(perm, "_inverse", refuse)  # the one definition
+    monkeypatch.setattr(invariants, "_inverse", refuse)  # the class walk's import of it
     assert profile(group).U == {1, 55, 120, 220, 264}
 
 

@@ -1,9 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from usets import verify
+from usets import invariants, verify
+from usets.catalog import default_catalog
 from usets.invariants import centralizer_count
 from usets.perm import DEFAULT_CAP
 from usets.verify import (
@@ -69,6 +71,39 @@ def test_centralizer_count_has_a_second_labelling(monkeypatch):
     r = run_verification(["centralizer-count:PSL(2,11)"]).results[0]
     assert (r.status, r.computed, r.expected) == ("pass", 189, 189)
     assert len(element_sets) == 2 and element_sets[0] != element_sets[1]
+
+
+def test_a_failed_profile_is_kept_and_raised_again(monkeypatch):
+    # |C(x)| doubled for the elements of order 5 of PSL(2,11) leaves its
+    # class equation open, and the walk then finds no class of the sampled
+    # size: each of the 12 rows that profile PSL(2,11) fails with that
+    # error, from one sampler run and one walk, not one of each per row
+    entry = default_catalog().entry("PSL(2,11)")
+    monkeypatch.setattr(entry, "_profile", None)
+    bsgs = entry.group().bsgs
+    centralizer, sampler, walk = (invariants._centralizer, invariants._sampled_class_sizes,
+                                  invariants._classes)
+    runs = {"sampler": 0, "walk": 0}
+
+    def doubled(b, x, x_len, budget):
+        order, cent = centralizer(b, x, x_len, budget)
+        return (2 * order if b is bsgs and math.lcm(*x_len) == 5 else order), cent
+
+    def sampled(b, *args):
+        runs["sampler"] += b is bsgs
+        return sampler(b, *args)
+
+    def walked(*args):
+        runs["walk"] += 1
+        return walk(*args)
+    monkeypatch.setattr(invariants, "_centralizer", doubled)
+    monkeypatch.setattr(invariants, "_sampled_class_sizes", sampled)
+    monkeypatch.setattr(invariants, "_classes", walked)
+    report = run_verification()
+    failed = [r for r in report.results if r.status == "fail"]
+    assert len(failed) == 12
+    assert {r.note for r in failed} == {"no enumerated class has the sampled sizes [66]"}
+    assert runs == {"sampler": 1, "walk": 1}
 
 
 def test_deterministic_modulo_timestamp():

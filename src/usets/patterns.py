@@ -304,8 +304,6 @@ def parse_term(text: str) -> Term:
     exps: dict[str, int] = {}
     for sym, e in _FACTOR_RE.findall(m.group(2)):
         exps[sym] = exps.get(sym, 0) + (int(e) if e else 1)
-    if m.group(1) is None and not exps:
-        raise ValueError(f"cannot parse term {text!r}")
     if any(e > MAX_EXPONENT for e in exps.values()):
         raise ValueError(f"exponent in term {text!r} exceeds the limit {MAX_EXPONENT}")
     return Term.make(coeff, exps)

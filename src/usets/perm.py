@@ -183,9 +183,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._wrap(_inverse(self.images))
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, 0-based, each starting at its smallest point."""
         seen = bytearray(len(self.images))
@@ -225,9 +222,6 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)!r})"
 
-    def __str__(self) -> str:
-        return self.cycle_string()
-
 
 class BSGS:
     """Base and strong generating set of G = G^(0) > ... > G^(k) = 1, where
@@ -255,10 +249,7 @@ class BSGS:
         self._labels: list[list[int]] | None = None
 
     def order(self) -> int:
-        n = 1
-        for trans in self.transversals:
-            n *= len(trans)
-        return n
+        return math.prod(map(len, self.transversals))
 
     @property
     def strong_generators(self) -> list[Permutation]:
@@ -323,22 +314,22 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
     * a certificate from the last closure: when s was a generator at the
       end of that closure, and h_gamma = u'_gamma u_gamma^-1 and h_delta
       both sift to the identity through the deeper levels, the pair is not
-      formed at all.  Each h fixes base[i], and is 1 when the
-      representative did not change.  Then u'_gamma s u'_delta^-1 =
+      formed at all.  Each h fixes base[i], and is 1 for a point kept
+      from the last tree.  Then u'_gamma s u'_delta^-1 =
       h_gamma (u_gamma s u_delta^-1) h_delta^-1, and by Schreier's lemma
       the last closure left the middle factor in the group of the deeper
       levels.  That group only grows and is closed whenever level i is
       being closed, so the pair would sift to the identity.
 
-    h_gamma is formed from the old inverse only when a pair asks for it,
-    and sifted once, or once more after an insertion below level i
-    enlarges the deeper group.  Neither rule changes an insertion, so the
+    h_gamma is formed from the old inverse and sifted whenever a pair asks
+    for it, until it certifies; a certified point stays certified, as the
+    deeper group only grows.  Neither rule changes an insertion, so the
     chain is the one that re-sifting every pair builds.
 
     Each level keeps its last tree: by point, the representative and the
-    edge (parent, generator).  A point whose edge and parent representative
-    are the last tree's keeps its old representative, u_parent s all the
-    same; any other is composed and compared as before, so ``changed`` stays.
+    edge (parent, generator).  A point whose edge is the last tree's, from
+    a parent kept from it, keeps its old representative, u_parent s all
+    the same; any other point counts as changed.
     """
     if bound is None:  # a cycle of length l is a product of l - 1 transpositions
         odd = any(sum(len(c) - 1 for c in Permutation._wrap(g).cycles()) % 2 for g in raw_gens)
@@ -365,9 +356,9 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
 
     def rebuild_transversal(i: int) -> tuple[list, list, list, dict[int, RawPerm | None]]:
         """Rebuild level i's tree; return it by point (representatives,
-        parents, generators) and the old inverse of every point whose
-        representative changed since the last closure (None if new).  A
-        changed representative u s is inverted as s^-1 u^-1, from its
+        parents, generators) and the old inverse of every changed point,
+        one not kept from the last tree (None if new).  A changed point's
+        representative u s is composed and inverted as s^-1 u^-1, from its
         parent's inverse."""
         old_trans, old_parent, old_via = trees[i]
         old_inverse = inverses[i]
@@ -385,13 +376,11 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
                 for s, sinv in zip(gens, gen_invs):
                     delta = s[gamma]
                     if trans[delta] is None:
-                        same = kept and old_via[delta] is s and old_parent[delta] == gamma
-                        trans[delta] = v = old_trans[delta] if same else _compose(u, s)
-                        if same or v == old_trans[delta]:
-                            inv[delta] = old_inverse[delta]
+                        if kept and old_via[delta] is s and old_parent[delta] == gamma:
+                            trans[delta], inv[delta] = old_trans[delta], old_inverse[delta]
                         else:
+                            trans[delta], inv[delta] = _compose(u, s), _compose(sinv, uinv)
                             changed[delta] = old_inverse.get(delta)
-                            inv[delta] = _compose(sinv, uinv)
                         parent[delta], via[delta] = gamma, s
                         new_pts.append(delta)
             frontier = sorted(new_pts)
@@ -420,20 +409,13 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
         inverse = inverses[i]
         gens = gens_at(i)
         closed = [s in closed_gens[i] for s in gens]
-        refuted: set[int] = set()  # changed points whose h sifted to a nonidentity
         deeper = base[i + 1:], inverses[i + 1:]  # taken again after an insertion
-
-        def sift_deeper(g: RawPerm) -> RawPerm:
-            return _sift(g, *deeper)
 
         def certified(gamma: int) -> bool:
             """Whether h_gamma, for gamma in ``changed``, lies in the deeper
             levels' group; if so, gamma leaves ``changed`` for good."""
             old_inv = changed[gamma]
-            if old_inv is None or gamma in refuted:
-                return False
-            if sift_deeper(_compose(trans[gamma], old_inv)) != ident:
-                refuted.add(gamma)
+            if old_inv is None or _sift(_compose(trans[gamma], old_inv), *deeper) != ident:
                 return False
             del changed[gamma]  # the deeper group only grows
             return True
@@ -449,11 +431,10 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
                 us = _compose(u, s)
                 if us == trans[delta]:  # the Schreier generator is 1 all the same
                     continue
-                residue = sift_deeper(_compose(us, inverse[delta]))
+                residue = _sift(_compose(us, inverse[delta]), *deeper)
                 if residue != ident:
                     if add_nonmember(i + 1, residue):
                         return True
-                    refuted.clear()
                     deeper = base[i + 1:], inverses[i + 1:]
         closed_gens[i] = set(gens_at(i))
         return False

@@ -107,6 +107,12 @@ def test_pattern_instantiate(capsys):
     assert out == "{1, 55, 120, 220, 264}"
 
 
+def test_pattern_instantiate_skips_empty_assignment_items(capsys):
+    code, out, _ = run(capsys, "pattern", "instantiate",
+                       "--pattern", "1,p", "--assign", "p=3,,")
+    assert (code, out) == (0, "{1, 3}")
+
+
 def test_pattern_instantiate_warns_on_duplicates(capsys):
     code, out, _ = run(capsys, "pattern", "instantiate",
                        "--pattern", "pq,qr", "--assign", "p=7,q=5,r=7")
@@ -334,6 +340,13 @@ def test_negative_cap_is_a_usage_error(capsys):
         cli.main(["--cap", "-5", "group", "uset", "PSL(2,11)"])
     assert exc.value.code == 2
     assert "non-negative" in capsys.readouterr().err
+
+
+def test_non_integer_cap_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--cap", "abc", "catalog", "list"])
+    assert exc.value.code == 2
+    assert "expected a non-negative integer, got 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -377,6 +377,10 @@ class TestClassicalOrder:
         with pytest.raises(ValueError, match="unknown family"):
             classical_order("Sp", 4, 3)
 
+    def test_alt_needs_degree_2(self):
+        with pytest.raises(ValueError, match=r"^Alt\(n\) needs n >= 2$"):
+            classical_order("Alt", 1)
+
     @pytest.mark.parametrize("n", [1, 0, -1])
     def test_psl_needs_dimension_2(self, n):
         with pytest.raises(ValueError, match="n >= 2"):

@@ -801,6 +801,25 @@ def test_overstated_centralizer_raises(catalog, monkeypatch, name):
         profile(catalog.entry(name).group())
 
 
+@pytest.mark.parametrize("name, total, order", [("A5", 75, 60), ("PSL(2,11)", 715, 660)])
+def test_understated_centralizer_overshoots_the_class_equation(catalog, monkeypatch, name,
+                                                               total, order):
+    # |C(x)| halved for the involutions doubles their class size, so the
+    # sampled sizes add up to more than |G| and both routes raise
+    centralizer = invariants._centralizer
+
+    def halved(bsgs, x, x_len, budget):
+        count, cent = centralizer(bsgs, x, x_len, budget)
+        return (count // 2 if math.lcm(*x_len) == 2 else count), cent
+    monkeypatch.setattr(invariants, "_centralizer", halved)
+    group = catalog.entry(name).group()
+    message = rf"^class sizes add up to {total}, group order is {order}$"
+    with pytest.raises(RuntimeError, match=message):
+        profile(group)
+    with pytest.raises(RuntimeError, match=message):
+        centralizer_count(group)
+
+
 @pytest.mark.parametrize("name", ["M11", "PSL(3,4)", "U4(2)", "A10"])
 def test_every_sampled_centralizer_is_checked(catalog, monkeypatch, name):
     # every C(x) the sampler finds passes check_centralizer

@@ -73,6 +73,13 @@ def test_from_cycles_rejects_bad_points():
         cyc(4, (0, 1), (1, 2))
 
 
+def test_group_rejects_bad_generator_lists():
+    with pytest.raises(ValueError, match=r"^a group needs at least one generator$"):
+        PermGroup([])
+    with pytest.raises(ValueError, match=r"^generators have mixed degrees \[2, 3\]$"):
+        PermGroup([[0, 1], [0, 1, 2]])
+
+
 def test_cycle_string_and_order():
     p = cyc(5, (0, 1), (2, 3, 4))
     assert p.cycle_string() == "(1,2)(3,4,5)"
@@ -266,10 +273,11 @@ def test_schreier_sims_skips_trivial_compositions(monkeypatch):
     # takes 12 673 and 10 721, and 4 631 and 10 032 with 446 and 288
     # inversions while each changed representative was inverted afresh;
     # inverting every given generator for the class walk as well took 46
-    # and 24 inversions
-    groups = ((psl_group(4, 4), 5_053, 22), (alternating_group(24), 10_318, 22))
-    calls = {"compose": 0, "inverse": 0}
-    compose, inverse = perm._compose, perm._inverse
+    # and 24 inversions.  The sifts count the certificates tried as well as
+    # the Schreier generators sifted, so more of either shows here
+    groups = ((psl_group(4, 4), 5_053, 22, 954), (alternating_group(24), 10_318, 22, 2_609))
+    calls = {"compose": 0, "inverse": 0, "sift": 0}
+    compose, inverse, sift = perm._compose, perm._inverse, perm._sift
 
     def counting_compose(a, b):
         calls["compose"] += 1
@@ -278,12 +286,17 @@ def test_schreier_sims_skips_trivial_compositions(monkeypatch):
     def counting_inverse(a):
         calls["inverse"] += 1
         return inverse(a)
+
+    def counting_sift(*args):
+        calls["sift"] += 1
+        return sift(*args)
     monkeypatch.setattr(perm, "_compose", counting_compose)
     monkeypatch.setattr(perm, "_inverse", counting_inverse)
-    for group, compositions, inversions in groups:
-        calls.update(compose=0, inverse=0)
+    monkeypatch.setattr(perm, "_sift", counting_sift)
+    for group, compositions, inversions, sifts in groups:
+        calls.update(compose=0, inverse=0, sift=0)
         group.order()
-        assert calls == {"compose": compositions, "inverse": inversions}
+        assert calls == {"compose": compositions, "inverse": inversions, "sift": sifts}
 
 
 def test_schreier_sims_refuses_a_false_order_bound():

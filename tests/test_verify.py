@@ -74,20 +74,19 @@ def test_centralizer_count_has_a_second_labelling(monkeypatch):
 
 
 def test_a_failed_profile_is_kept_and_raised_again(monkeypatch):
-    # |C(x)| doubled for the elements of order 5 of PSL(2,11) leaves its
-    # class equation open, and the walk then finds no class of the sampled
-    # size: each of the 12 rows that profile PSL(2,11) fails with that
-    # error, from one sampler run and one walk, not one of each per row
+    # a |C(x)| planted wrong for PSL(2,11) fails each of the 12 rows that
+    # profile PSL(2,11) with the profile's error, from one sampler run and
+    # at most one walk, not one of each per row.  Doubled for the elements
+    # of order 5, it leaves the class equation open, and the walk then
+    # finds no class of the sampled size; halved for the involutions, it
+    # overshoots |G|, and nothing walks
+    plants = ((5, lambda order: 2 * order, "no enumerated class has the sampled sizes [66]", 1),
+              (2, lambda order: order // 2, "class sizes add up to 715, group order is 660", 0))
     entry = default_catalog().entry("PSL(2,11)")
-    monkeypatch.setattr(entry, "_profile", None)
     bsgs = entry.group().bsgs
     centralizer, sampler, walk = (invariants._centralizer, invariants._sampled_class_sizes,
                                   invariants._classes)
     runs = {"sampler": 0, "walk": 0}
-
-    def doubled(b, x, x_len, budget):
-        order, cent = centralizer(b, x, x_len, budget)
-        return (2 * order if b is bsgs and math.lcm(*x_len) == 5 else order), cent
 
     def sampled(b, *args):
         runs["sampler"] += b is bsgs
@@ -96,14 +95,21 @@ def test_a_failed_profile_is_kept_and_raised_again(monkeypatch):
     def walked(*args):
         runs["walk"] += 1
         return walk(*args)
-    monkeypatch.setattr(invariants, "_centralizer", doubled)
     monkeypatch.setattr(invariants, "_sampled_class_sizes", sampled)
     monkeypatch.setattr(invariants, "_classes", walked)
-    report = run_verification()
-    failed = [r for r in report.results if r.status == "fail"]
-    assert len(failed) == 12
-    assert {r.note for r in failed} == {"no enumerated class has the sampled sizes [66]"}
-    assert runs == {"sampler": 1, "walk": 1}
+    for element_order, planted, note, walks in plants:
+        def wrong(b, x, x_len, budget):
+            order, cent = centralizer(b, x, x_len, budget)
+            return (planted(order) if b is bsgs and math.lcm(*x_len) == element_order
+                    else order), cent
+        monkeypatch.setattr(invariants, "_centralizer", wrong)
+        monkeypatch.setattr(entry, "_profile", None)
+        runs.update(sampler=0, walk=0)
+        report = run_verification()
+        failed = [r for r in report.results if r.status == "fail"]
+        assert len(failed) == 12
+        assert {r.note for r in failed} == {note}
+        assert runs == {"sampler": 1, "walk": walks}
 
 
 def test_deterministic_modulo_timestamp():

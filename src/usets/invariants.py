@@ -32,10 +32,12 @@ The sampler keeps one table, by cycle type, of each class's
 representative x, |C_G(x)| and generators of C_G(x), and stops when the
 class equation sum |G|/|C_G(x_i)| = |G| closes, which certifies that
 every class was found.  Past :func:`_walk_budget` (groups with many
-classes of one cycle type, such as abelian ones), it falls back to the
-one walk that lists the group, :func:`_classes`, and raises RuntimeError
-if a size the sampler found has no class there, as an overstated
-|C_G(x)| would.
+classes of one cycle type, such as abelian ones), :func:`_class_table`
+falls back to the one walk that lists the group, :func:`_classes`, and
+raises RuntimeError if a size the sampler found has no class there, as
+an overstated |C_G(x)| would; else the table holds one record per class
+of the walk.  :func:`profile` and :func:`centralizer_count` read that
+one table.
 
 That walk lists the group and partitions it into classes in one
 traversal: each member of a known class is multiplied by every
@@ -47,14 +49,14 @@ representative), independent of the order in which generators were
 supplied.
 
 :func:`centralizer_count` needs, per class, |x^G| and the elements that
-share C(x), B(x) = {z in Z(C(x)) : |C(z)| = |C(x)|}.  It reads them from
-the sampler's class table: once per rational class it lists C(x) from
-the generators of C_G(x) and keeps the members that commute with each
-of them and have the centraliser order of x.  Like :func:`profile`, it
-falls back to the walk past the same budget.  All three take a ``cap``
-on the group order, by default :data:`usets.perm.DEFAULT_CAP`, and
-refuse a larger group with :class:`usets.perm.GroupTooLargeError`
-whichever path they would take.
+share C(x), B(x) = {z in Z(C(x)) : |C(z)| = |C(x)|}.  One routine,
+:func:`_centralizer_terms`, reads them from the class table: once per
+rational class of the sampler's table, or once per class of the walk's,
+whose generators of C_G(x) it searches for, it lists C(x) from them and
+keeps the members that commute with each and have the centraliser order
+of x.  All three take a ``cap`` on the group order, by default
+:data:`usets.perm.DEFAULT_CAP`, and refuse a larger group with
+:class:`usets.perm.GroupTooLargeError` whichever path they would take.
 """
 
 from __future__ import annotations
@@ -508,23 +510,37 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget, classes: dict) -> None:
         raise RuntimeError(f"class sizes add up to {total}, group order is {order}")
 
 
+def _class_table(group: PermGroup, cap: int) -> dict:
+    """The class table, cycle type -> [(x, |C_G(x)|, the :class:`_Commuting`
+    of C_G(x) or None)]: the sampler's, or past :func:`_walk_budget` one
+    record per class of the walk, with none, once every size the sampler
+    found has a class there.  A group above ``cap`` is refused first.
+    """
+    order = group.order()
+    check_cap(order, cap)
+    table: dict = {}
+    try:
+        _sampled_class_sizes(group.bsgs, _walk_budget(group), table)
+        return table
+    except _WorkLimitExceeded:
+        found = Counter(order // count for same in table.values() for _, count, _ in same)
+    walked = _classes(group, cap)
+    if unmatched := found - Counter(map(len, walked)):
+        raise RuntimeError(f"no enumerated class has the sampled sizes {sorted(unmatched)}")
+    table = {}
+    for members in walked:
+        record = (members[0], order // len(members), None)
+        table.setdefault(tuple(sorted(_cycle_lengths(members[0]))), []).append(record)
+    return table
+
+
 def profile(group: PermGroup, cap: int = DEFAULT_CAP) -> InvariantProfile:
     """The full invariant profile; see the module docstring.
 
     Raises :class:`GroupTooLargeError` when the group order exceeds ``cap``.
     """
-    order = group.order()
-    check_cap(order, cap)
-    classes: dict = {}
-    try:
-        _sampled_class_sizes(group.bsgs, _walk_budget(group), classes)
-        sizes = [order // count for same in classes.values() for _, count, _ in same]
-    except _WorkLimitExceeded:
-        found = Counter(order // count for same in classes.values() for _, count, _ in same)
-        sizes = [len(members) for members in _classes(group, cap)]
-        if unmatched := found - Counter(sizes):
-            raise RuntimeError(f"no enumerated class has the sampled sizes {sorted(unmatched)}")
-    return _profile_from_sizes(order, sizes)
+    table, order = _class_table(group, cap), group.order()
+    return _profile_from_sizes(order, [order // c for same in table.values() for _, c, _ in same])
 
 
 def _profile_from_sizes(order: int, sizes: Sequence[int]) -> InvariantProfile:
@@ -556,16 +572,10 @@ def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
     denominator in integers: importing :mod:`fractions` would cost every
     process that imports the package about 0.7 MB of RSS.
 
-    The terms come from the sampler's class table, or from the walk past
-    :func:`_walk_budget`, as :func:`profile`'s do.  A group above ``cap``
-    is refused before any work.
+    The terms are :func:`_centralizer_terms` of :func:`_class_table`, the
+    table :func:`profile` reads.  A group above ``cap`` is refused first.
     """
-    order = group.order()
-    check_cap(order, cap)
-    try:
-        terms = _sampled_centralizer_terms(group.bsgs, _walk_budget(group))
-    except _WorkLimitExceeded:
-        terms = _walked_centralizer_terms(group, cap)
+    terms = _centralizer_terms(group.bsgs, _class_table(group, cap))
     denominator = math.lcm(*(shared for _, shared in terms))
     total = sum(size * (denominator // shared) for size, shared in terms)
     if total % denominator:
@@ -573,26 +583,29 @@ def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
     return total // denominator
 
 
-def _sampled_centralizer_terms(bsgs: BSGS, budget: _Budget) -> list[tuple[int, int]]:
-    """(|x^G|, |B(x)|) per class, from the class table of
-    :func:`_sampled_class_sizes`; B(x) = Z(G) for a central x.  The
-    classes of one rational class share C(x), so B(x) is found once for
-    them: C(x) is listed from its generators, one budget tick per
-    element, and B(x) is the members that commute with each generator and
-    have |C(z)| = |C(x)|, read from the table when the classes of z's
-    cycle type have one centraliser order, else from :func:`_centralizer`.
+def _centralizer_terms(bsgs: BSGS, table: dict) -> list[tuple[int, int]]:
+    """(|x^G|, |B(x)|) per record of the class table; B(x) = Z(G) for a
+    central x.  C(x) is listed from its generators once per
+    :class:`_Commuting` (the classes of a rational class share one), taken
+    from :func:`_centralizer` for a walk's record, which has none.  B(x)
+    is the members that commute with each generator and have |C(z)| =
+    |C(x)|, found once per z: read from the table unless z's cycle type
+    has classes of more than one centraliser order, else searched.  Every
+    step ends, so no budget is kept.
     """
     order, identity = bsgs.order(), tuple(range(bsgs.degree))
-    classes: dict = {}
-    _sampled_class_sizes(bsgs, budget, classes)
-    records = [record for same in classes.values() for record in same]
+    unbounded = _Budget(math.inf)
+    records = [record for same in table.values() for record in same]
     central = sum(count == order for _, count, _ in records)
     shared: dict[_Commuting, int] = {}
+    z_counts: dict[RawPerm, int] = {}  # |C(z)| by z
     terms = []
-    for _, count, cent in records:
+    for x, count, cent in records:
         if count == order:
             terms.append((1, central))
             continue
+        if cent is None:
+            cent = _centralizer(bsgs, x, _cycle_lengths(x), unbounded)[1]
         if cent not in shared:
             gens = cent.elements
             members, seen = [identity], {identity}
@@ -600,7 +613,6 @@ def _sampled_centralizer_terms(bsgs: BSGS, budget: _Budget) -> list[tuple[int, i
                 for g in gens:
                     y = _compose(z, g)
                     if y not in seen:
-                        budget.tick()
                         seen.add(y)
                         members.append(y)
             if len(members) != count:
@@ -608,36 +620,12 @@ def _sampled_centralizer_terms(bsgs: BSGS, budget: _Budget) -> list[tuple[int, i
             shared[cent] = 0
             for z in members:
                 if all(_compose(z, g) == _compose(g, z) for g in gens):
-                    lengths = _cycle_lengths(z)
-                    same = classes[tuple(sorted(lengths))]  # the classes of z's cycle type
-                    z_count = same[0][1]
-                    if any(c != z_count for _, c, _ in same):
-                        z_count = _centralizer(bsgs, z, lengths, budget)[0]
-                    shared[cent] += z_count == count
+                    if z not in z_counts:
+                        lengths = _cycle_lengths(z)
+                        same = table[tuple(sorted(lengths))]  # the classes of z's cycle type
+                        z_counts[z] = same[0][1]
+                        if any(c != z_counts[z] for _, c, _ in same):
+                            z_counts[z] = _centralizer(bsgs, z, lengths, unbounded)[0]
+                    shared[cent] += z_counts[z] == count
         terms.append((order // count, shared[cent]))
-    return terms
-
-
-def _walked_centralizer_terms(group: PermGroup, cap: int) -> list[tuple[int, int]]:
-    """(|x^G|, |B(x)|) per class, from :func:`_classes`, which gives every
-    element's class size.  One pass over the group, the keys of those
-    sizes, lists C(x) for the first member x of a non-central class; B(x)
-    is the members of C(x) whose class has the size of x's and that
-    commute with every member of C(x).
-    """
-    classes = _classes(group, cap)
-    class_size = {z: len(members) for members in classes for z in members}
-    central = sum(len(members) == 1 for members in classes)
-    terms = []
-    for members in classes:
-        x, size = members[0], len(members)
-        if size == 1:  # C(x) = G, so B(x) = Z(G)
-            terms.append((1, central))
-            continue
-        # most g already fail to commute with x at point 0, tested first
-        x0 = x[0]
-        cent = [g for g in class_size if g[x0] == x[g[0]] and _compose(g, x) == _compose(x, g)]
-        shared = sum(all(_compose(z, g) == _compose(g, z) for g in cent)
-                     for z in cent if class_size[z] == size)
-        terms.append((size, shared))
     return terms

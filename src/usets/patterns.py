@@ -303,6 +303,8 @@ def parse_term(text: str) -> Term:
     coeff = int(m.group(1)) if m.group(1) else 1
     exps: dict[str, int] = {}
     for sym, e in _FACTOR_RE.findall(m.group(2)):
+        if e and not int(e):
+            raise ValueError(f"exponent {sym}^{e} in term {text!r} is zero")
         exps[sym] = exps.get(sym, 0) + (int(e) if e else 1)
     if any(e > MAX_EXPONENT for e in exps.values()):
         raise ValueError(f"exponent in term {text!r} exceeds the limit {MAX_EXPONENT}")

@@ -361,6 +361,18 @@ def test_oversized_exponent_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ") and "exceeds the limit" in err and "\n" not in err
 
 
+@pytest.mark.parametrize("argv, exponent", [
+    (("pattern", "instantiate", "--pattern", "p^0", "--assign", "p=3"), "p^0"),
+    (("pattern", "instantiate", "--pattern", "p^00q", "--assign", "p=3,q=5"), "p^00"),
+    (("pattern", "match", "--pattern", "1,p^0q", "--target", "1,5"), "p^0"),
+    (("pattern", "match", "--pattern", "1,p^0", "--target", "1,3"), "p^0"),
+])
+def test_zero_exponent_is_a_usage_error(capsys, argv, exponent):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"exponent {exponent} in term" in err
+
+
 def test_cached_profile_still_honours_the_cap(capsys):
     assert run(capsys, "group", "uset", "A5")[0] == 0
     code, out, err = run(capsys, "--cap", "10", "group", "uset", "A5")

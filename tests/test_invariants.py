@@ -296,6 +296,17 @@ class TestCentralizerCount:
         assert centralizer_count(c2_5()) == 1
         assert len(class_walks) == 1
 
+    @pytest.mark.parametrize("build, expected", [(lambda: d100(), 52), (lambda: c2_6_x_s3(), 5)],
+                             ids=["D100", "C2^6xS3"])
+    def test_counts_from_the_walks_class_table(self, class_walks, build, expected):
+        # many classes of one cycle type trip the sampler's budget: one walk
+        # gives the class table, and B(x) comes from searched centralisers
+        group = build()
+        assert centralizer_count(group) == expected
+        assert len(class_walks) == 1
+        elems = brute_force_elements(group)
+        assert len({frozenset(g for g in elems if g * x == x * g) for x in elems}) == expected
+
     @pytest.mark.parametrize("group_builder, cap, expected", [
         (lambda: psl_group(2, 11), DEFAULT_CAP, 189),
         (lambda: alternating_group(9), DEFAULT_CAP, 51_914),  # the walk's value
@@ -319,12 +330,54 @@ class TestCentralizerCount:
         with pytest.raises(RuntimeError, match=r"^C\(x\) lists \d+ elements, its search gave \d+$"):
             centralizer_count(psl_group(2, 11))
 
+    def test_a_count_that_is_not_a_whole_number_raises(self, monkeypatch):
+        # an impossible term, one class whose element shares C(x) with one
+        # other, adds half a centraliser
+        terms = invariants._centralizer_terms
+        monkeypatch.setattr(invariants, "_centralizer_terms",
+                            lambda bsgs, table: terms(bsgs, table) + [(1, 2)])
+        with pytest.raises(RuntimeError,
+                           match=r"^centralizers counted \d+/\d+ times, not a whole number$"):
+            centralizer_count(psl_group(2, 11))
+
+
+def walked_centralizer_terms(group):
+    """The reference terms (|x^G|, |B(x)|), one per class of the walk, which
+    gives every element's class size: C(x) is every element that commutes
+    with the first member x of a non-central class, and B(x) the members of
+    C(x) whose class has the size of x's and that commute with all of C(x)."""
+    classes = invariants._classes(group, DEFAULT_CAP)
+    class_size = {z: len(members) for members in classes for z in members}
+    central = sum(len(members) == 1 for members in classes)
+    terms = []
+    for members in classes:
+        x, size = members[0], len(members)
+        if size == 1:  # C(x) = G, so B(x) = Z(G)
+            terms.append((1, central))
+            continue
+        # most g already fail to commute with x at point 0, tested first
+        x0 = x[0]
+        cent = [g for g in class_size
+                if g[x0] == x[g[0]] and perm._compose(g, x) == perm._compose(x, g)]
+        shared = sum(all(perm._compose(z, g) == perm._compose(g, z) for g in cent)
+                     for z in cent if class_size[z] == size)
+        terms.append((size, shared))
+    return terms
+
 
 def assert_routes_agree(group):
-    """The sampler's terms (|x^G|, |B(x)|), with a budget that never trips,
-    are the walk's, class for class."""
-    sampled = invariants._sampled_centralizer_terms(group.bsgs, invariants._Budget(10 ** 9))
-    assert sorted(sampled) == sorted(invariants._walked_centralizer_terms(group, DEFAULT_CAP))
+    """The terms (|x^G|, |B(x)|) of the sampler's class table, with a budget
+    that never trips, and of the walk's class table are the reference's,
+    class for class."""
+    sampled = {}
+    invariants._sampled_class_sizes(group.bsgs, invariants._Budget(10 ** 9), sampled)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "_walk_budget", lambda _group: invariants._Budget(0))
+        walked = invariants._class_table(group, DEFAULT_CAP)
+    assert all(cent is None for same in walked.values() for _, _, cent in same)
+    expected = sorted(walked_centralizer_terms(group))
+    for table in (sampled, walked):
+        assert sorted(invariants._centralizer_terms(group.bsgs, table)) == expected
 
 
 # -- the sampled path against independent routes ------------------------------
@@ -500,6 +553,14 @@ def test_nonabelian_groups_fall_back_to_enumeration(class_walks, build, sizes):
     assert len(class_walks) == 1
     assert prof.class_sizes == sizes
     assert sum(sizes) == group.order()
+
+
+def test_a_walk_short_of_the_group_order_raises(monkeypatch):
+    # a walk by too few generators lists a proper subgroup
+    walk_generators = invariants._walk_generators
+    monkeypatch.setattr(invariants, "_walk_generators", lambda group: walk_generators(group)[1:])
+    with pytest.raises(RuntimeError, match=r"^enumeration produced \d+ elements, BSGS order is 60$"):
+        conjugacy_classes(alternating_group(5))
 
 
 def test_catalog_groups_need_no_fallback(catalog, monkeypatch):
@@ -790,15 +851,18 @@ def test_profile_leaves_no_cyclic_garbage():
 def test_overstated_centralizer_raises(catalog, monkeypatch, name):
     # |C(x)| doubled for elements of order 5 leaves the class equation open
     # until the budget trips; the enumeration then has no class of the
-    # sampled size |G|/(2 |C(x)|), so the profile raises instead of answering
+    # sampled size |G|/(2 |C(x)|), so the profile and the centraliser count
+    # raise instead of answering
     centralizer = invariants._centralizer
 
     def doubled(bsgs, x, x_len, budget):
         order, cent = centralizer(bsgs, x, x_len, budget)
         return (2 * order if math.lcm(*x_len) == 5 else order), cent
     monkeypatch.setattr(invariants, "_centralizer", doubled)
-    with pytest.raises(RuntimeError, match="no enumerated class has the sampled sizes"):
-        profile(catalog.entry(name).group())
+    group = catalog.entry(name).group()
+    for compute in (profile, centralizer_count):
+        with pytest.raises(RuntimeError, match="no enumerated class has the sampled sizes"):
+            compute(group)
 
 
 @pytest.mark.parametrize("name, total, order", [("A5", 75, 60), ("PSL(2,11)", 715, 660)])

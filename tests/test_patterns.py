@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -65,6 +66,13 @@ class TestParsing:
         for bad in (f"p^{limit + 1}", f"q^{limit}q", "p^99999999"):
             with pytest.raises(ValueError, match="exceeds the limit"):
                 parse_term(bad)
+
+    @pytest.mark.parametrize("text, exponent", [("p^0", "p^0"), ("p^00q", "p^00"),
+                                                ("3qr^0", "r^0"), ("p^0p", "p^0")])
+    def test_zero_exponent_rejected(self, text, exponent):
+        message = f"exponent {exponent} in term {text!r} is zero"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_term(text)
 
     def test_symbols(self):
         assert USetPattern.parse("1,rq,8pq").symbols == ("p", "q", "r")

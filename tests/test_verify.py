@@ -112,6 +112,13 @@ def test_a_failed_profile_is_kept_and_raised_again(monkeypatch):
         assert runs == {"sampler": 1, "walk": walks}
 
 
+def test_duplicate_check_ids_raise(monkeypatch):
+    rows = verify._rows
+    monkeypatch.setattr(verify, "_rows", lambda catalog, cap: [*rows(catalog, cap)] * 2)
+    with pytest.raises(RuntimeError, match=r"^duplicate check ids in the check table$"):
+        run_verification()
+
+
 def test_deterministic_modulo_timestamp():
     a = run_verification().as_dict()
     b = run_verification().as_dict()

@@ -60,31 +60,6 @@ def row_images(field: Field, m: Matrix, vectors: Sequence[Vector]) -> Iterator[V
     return zip(*columns)
 
 
-def det(field: Field, m: Matrix) -> int:
-    """Determinant by Gaussian elimination."""
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
-    rows = [list(r) for r in m]
-    n = len(rows)
-    d = 1
-    for col in range(n):
-        if not rows[col][col]:
-            pivot = next((r for r in range(col + 1, n) if rows[r][col]), None)
-            if pivot is None:
-                return 0
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            d = neg[d]
-        a = rows[col][col]
-        if a != 1:  # scale the pivot row to a leading 1
-            d = mul[d][a]
-            scale = mul[inv[a]]
-            rows[col] = [scale[x] for x in rows[col]]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                minus_f = mul[neg[rows[r][col]]]
-                rows[r] = [add[x][minus_f[y]] for x, y in zip(rows[r], rows[col])]
-    return d
-
-
 def transvection(n: int, i: int, j: int, value: int) -> Matrix:
     """Elementary matrix: identity plus ``value`` in position (i, j), i != j."""
     if i == j:
@@ -216,19 +191,23 @@ def psl_group(n: int, q: int) -> PermGroup:
     """PSL(n,q) acting on the (q^n - 1)/(q - 1) projective points, for
     q <= :data:`usets.gf.MAX_FIELD_SIZE`.
 
-    Every generator is checked to have determinant 1, so the group lies in
-    the image of SL(n,q) on the points, whose order, the number of ordered
-    bases of GF(q)^n over (q - 1) gcd(n, q - 1), bounds the Schreier-Sims
-    build.  The bound is not :func:`classical_order`: the order checks
-    compare the built group with that formula, and a bound taken from it
-    would make them circular."""
+    Every generator is checked to be an elementary transvection, the
+    n x n identity with exactly one nonzero entry off the diagonal, which
+    has determinant 1; any other matrix is refused before the build.  So
+    the group lies in the image of SL(n,q) on the points, whose order, the
+    number of ordered bases of GF(q)^n over (q - 1) gcd(n, q - 1), bounds
+    the Schreier-Sims build.  The bound is not :func:`classical_order`:
+    the order checks compare the built group with that formula, and a
+    bound taken from it would make them circular."""
     if (n, q) in ((2, 2), (2, 3)):
         raise ValueError(f"PSL({n},{q}) is not simple; not provided here")
     p, k = prime_power_decomposition(q)
     field = field_create(p, k)
     mats = sl_generators(n, field)
-    if any(det(field, m) != 1 for m in mats):
-        raise ValueError(f"a generator of SL({n},{q}) does not have determinant 1")
+    for m in mats:  # m must be the transvection of its one nonzero entry off the diagonal
+        off = [(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if i != j and x]
+        if len(off) != 1 or m != transvection(n, *off[0]):
+            raise ValueError(f"a generator of SL({n},{q}) is not an elementary transvection")
     bound = math.prod(q ** n - q ** i for i in range(n)) // ((q - 1) * math.gcd(n, q - 1))
     return PermGroup(projectivize(field, mats).generators, order_bound=bound)
 

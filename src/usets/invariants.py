@@ -51,11 +51,11 @@ supplied.
 :func:`centralizer_count` needs, per class, |x^G| and the elements that
 share C(x), B(x) = {z in Z(C(x)) : |C(z)| = |C(x)|}.  One routine,
 :func:`_centralizer_terms`, reads them from the class table: once per
-rational class of the sampler's table, or once per class of the walk's,
-whose generators of C_G(x) it searches for, it lists C(x) from them and
-keeps the members that commute with each and have the centraliser order
-of x.  All three take a ``cap`` on the group order, by default
-:data:`usets.perm.DEFAULT_CAP`, and refuse a larger group with
+distinct B(x), for the first record whose representative lies in no B(y)
+found before, it lists C(x) from its generators (searched for a walk's
+record) and keeps the members that commute with each and have the
+centraliser order of x.  All three take a ``cap`` on the group order, by
+default :data:`usets.perm.DEFAULT_CAP`, and refuse a larger group with
 :class:`usets.perm.GroupTooLargeError` whichever path they would take.
 """
 
@@ -585,28 +585,32 @@ def centralizer_count(group: PermGroup, cap: int = DEFAULT_CAP) -> int:
 
 def _centralizer_terms(bsgs: BSGS, table: dict) -> list[tuple[int, int]]:
     """(|x^G|, |B(x)|) per record of the class table; B(x) = Z(G) for a
-    central x.  C(x) is listed from its generators once per
-    :class:`_Commuting` (the classes of a rational class share one), taken
-    from :func:`_centralizer` for a walk's record, which has none.  B(x)
-    is the members that commute with each generator and have |C(z)| =
-    |C(x)|, found once per z: read from the table unless z's cycle type
-    has classes of more than one centraliser order, else searched.  Every
-    step ends, so no budget is kept.
+    central x.  C(z) = C(y) exactly when z lies in B(y), so each B(y)
+    found keeps |C(y)| and |B(y)| for every member, and a later record
+    whose representative is one takes its term from there; the classes of
+    a rational class so share one, since coprime powers of y lie in B(y).
+    Any other record lists C(x) from its generators, taken from
+    :func:`_centralizer` for a walk's record, which has none, and B(x) is
+    the members that commute with each generator and have |C(z)| = |C(x)|,
+    found once per z: read from the table unless z's cycle type has
+    classes of more than one centraliser order, else searched.  A listing
+    short of |C(x)|, or a record whose |C(x)| is not that of the B(y) it
+    lies in, raises RuntimeError.  Every step ends, so no budget is kept.
     """
     order, identity = bsgs.order(), tuple(range(bsgs.degree))
     unbounded = _Budget(math.inf)
     records = [record for same in table.values() for record in same]
     central = sum(count == order for _, count, _ in records)
-    shared: dict[_Commuting, int] = {}
+    shared: dict[RawPerm, tuple[int, int]] = {}  # z in a B(y) found -> (|C(y)|, |B(y)|)
     z_counts: dict[RawPerm, int] = {}  # |C(z)| by z
     terms = []
     for x, count, cent in records:
         if count == order:
             terms.append((1, central))
             continue
-        if cent is None:
-            cent = _centralizer(bsgs, x, _cycle_lengths(x), unbounded)[1]
-        if cent not in shared:
+        if x not in shared:
+            if cent is None:
+                cent = _centralizer(bsgs, x, _cycle_lengths(x), unbounded)[1]
             gens = cent.elements
             members, seen = [identity], {identity}
             for z in members:  # members grows while it is read
@@ -617,7 +621,7 @@ def _centralizer_terms(bsgs: BSGS, table: dict) -> list[tuple[int, int]]:
                         members.append(y)
             if len(members) != count:
                 raise RuntimeError(f"C(x) lists {len(members)} elements, its search gave {count}")
-            shared[cent] = 0
+            b = []
             for z in members:
                 if all(_compose(z, g) == _compose(g, z) for g in gens):
                     if z not in z_counts:
@@ -626,6 +630,11 @@ def _centralizer_terms(bsgs: BSGS, table: dict) -> list[tuple[int, int]]:
                         z_counts[z] = same[0][1]
                         if any(c != z_counts[z] for _, c, _ in same):
                             z_counts[z] = _centralizer(bsgs, z, lengths, unbounded)[0]
-                    shared[cent] += z_counts[z] == count
-        terms.append((order // count, shared[cent]))
+                    if z_counts[z] == count:
+                        b.append(z)
+            shared.update(dict.fromkeys(b, (count, len(b))))
+        y_count, b_size = shared.get(x, (None, 0))
+        if y_count != count:
+            raise RuntimeError(f"a record gives |C(x)| = {count}, the B(y) that holds x {y_count}")
+        terms.append((order // count, b_size))
     return terms

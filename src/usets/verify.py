@@ -294,10 +294,9 @@ def _eliminate(shape: str, code: str, odd_primes: list[int]) -> tuple:
 def _order_shape(l: int) -> tuple:
     primes = sorted(factorize(l * (l * l - 1)))
     big = [p for p in primes if p > 3]
-    computed = {"primes": primes, "large_distinct": sorted(set(big))}
+    computed = {"primes": primes, "large_distinct": big}
     expected = {"primes": [2, 3] + big, "large_distinct": big}
-    ok = len(big) == 2 and big[0] != big[1]
-    return computed, expected if ok else {"primes": None}
+    return computed, expected if len(big) == 2 else {"primes": None}
 
 
 def _uset_uniqueness(catalog: Catalog, cap: int) -> tuple:

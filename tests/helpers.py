@@ -1,6 +1,8 @@
 """Groups the tests use that the package does not build, named package
-groups that several tests share, an independent orbit walk and the group's
-elements read off the package's class walk."""
+groups that several tests share, an independent orbit walk, a Leibniz
+determinant and the group's elements read off the package's class walk."""
+
+import itertools
 
 from usets import invariants
 from usets.construct import alternating_group, m11_group, psl_group
@@ -43,6 +45,20 @@ def orbit_labels(degree, gens):
                         new_pts.append(img)
             frontier = new_pts
     return label
+
+
+def det(field, m):
+    """The determinant of the square matrix ``m`` over ``field`` by the
+    Leibniz formula, the sum over all permutations s of sign(s) times
+    m[0][s(0)] ... m[n-1][s(n-1)]; a test oracle, n! terms."""
+    n, total = len(m), 0
+    for s in itertools.permutations(range(n)):
+        term = 1
+        for i in range(n):
+            term = field.mul[term][m[i][s[i]]]
+        inversions = sum(s[i] > s[j] for i in range(n) for j in range(i + 1, n))
+        total = field.add[total][field.neg[term] if inversions % 2 else term]
+    return total
 
 
 def group_elements(group, cap=DEFAULT_CAP):

@@ -11,7 +11,6 @@ from usets.construct import (
     alternating_group,
     classical_group,
     classical_order,
-    det,
     form_transvections,
     hermitian_form,
     identity,
@@ -29,7 +28,7 @@ from usets.gf import field_create
 from usets.invariants import profile
 from usets.perm import Permutation
 
-from helpers import orbit_labels, symmetric_group
+from helpers import det, orbit_labels, symmetric_group
 
 
 def mat_mul(f, a, b):
@@ -104,17 +103,19 @@ class TestSLGenerators:
             assert det(f, m) == 1
 
     def test_determinant_against_cofactor_expansion(self):
-        f = field_create(2, 2)
+        # the test oracle det of tests/helpers.py, in characteristic 2,
+        # where the signs are all +, and 3, where the last three are -
         rng = random.Random(7)
-        for _ in range(200):
-            m = tuple(tuple(rng.randrange(4) for _ in range(3)) for _ in range(3))
-            terms = [f.mul[f.mul[m[0][a]][m[1][b]]][m[2][c]]
-                     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1),
-                                     (2, 1, 0), (0, 2, 1), (1, 0, 2))]
-            expected = 0
-            for t in terms:  # characteristic 2: the signs are all +
-                expected = f.add[expected][t]
-            assert det(f, m) == expected
+        for f in (field_create(2, 2), field_create(3, 1)):
+            for _ in range(200):
+                m = tuple(tuple(rng.randrange(f.size) for _ in range(3)) for _ in range(3))
+                terms = [f.mul[f.mul[m[0][a]][m[1][b]]][m[2][c]]
+                         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1),
+                                         (2, 1, 0), (0, 2, 1), (1, 0, 2))]
+                expected = 0
+                for i, t in enumerate(terms):
+                    expected = f.add[expected][t if i < 3 else f.neg[t]]
+                assert det(f, m) == expected
 
 
 class TestProjectivize:
@@ -157,24 +158,15 @@ class TestProjectivize:
         with pytest.raises(ValueError, match="preserve"):
             projectivize(f, [((1, 0), (1, 0))], [(1, 0), (0, 1)])
 
-    def test_psl_group_computes_each_determinant_once(self, monkeypatch):
-        calls = []
-
-        def counted(field, m):
-            calls.append(m)
-            return det(field, m)
-        monkeypatch.setattr(construct, "det", counted)
-        assert psl_group(3, 4).order() == classical_order("PSL", 3, 4)
-        assert sorted(calls) == sorted(sl_generators(3, field_create(2, 2)))
-        calls.clear()  # projectivize itself computes none
-        assert classical_group(symplectic_form, 4, 3, (0, 1, 4, 17)).order() == 25920
-        assert calls == []
-
-    @pytest.mark.parametrize("bad", [((2, 0), (0, 1)), ((1, 1), (1, 1))])
+    @pytest.mark.parametrize("bad", [((2, 0), (0, 1)), ((1, 1), (1, 1)), ((2, 0), (0, 3)),
+                                     ((1, 1, 0), (0, 1, 0))])
     def test_psl_group_refuses_a_generator_outside_sl(self, monkeypatch, bad):
-        # determinant 2, and a singular matrix: both fail the SL check first
+        # determinant 2, a singular matrix, diag(2, 3) of determinant 1 that
+        # is no transvection, and a transvection padded with a zero column:
+        # each fails the shape check first
         monkeypatch.setattr(construct, "sl_generators", lambda n, field: [bad])
-        with pytest.raises(ValueError, match=r"a generator of SL\(2,5\) does not have determinant 1"):
+        with pytest.raises(ValueError,
+                           match=r"^a generator of SL\(2,5\) is not an elementary transvection$"):
             psl_group(2, 5)
 
     def test_point_count(self):
@@ -362,7 +354,7 @@ class TestPSLGroups:
         # diag(2, 1) would make the group PGL(2,5), twice |PSL(2,5)|
         monkeypatch.setattr(construct, "sl_generators", lambda n, field: [
             *sl_generators(n, field), ((2, 0), (0, 1))])
-        with pytest.raises(ValueError, match=r"^a generator of SL\(2,5\) does not have"):
+        with pytest.raises(ValueError, match=r"^a generator of SL\(2,5\) is not an elementary"):
             psl_group(2, 5)
 
 

@@ -296,14 +296,26 @@ class TestCentralizerCount:
         assert centralizer_count(c2_5()) == 1
         assert len(class_walks) == 1
 
-    @pytest.mark.parametrize("build, expected", [(lambda: d100(), 52), (lambda: c2_6_x_s3(), 5)],
+    @pytest.mark.parametrize("build, expected, searches",
+                             [(lambda: d100(), 52, 16), (lambda: c2_6_x_s3(), 5, 189)],
                              ids=["D100", "C2^6xS3"])
-    def test_counts_from_the_walks_class_table(self, class_walks, build, expected):
+    def test_counts_from_the_walks_class_table(self, monkeypatch, class_walks, build, expected,
+                                               searches):
         # many classes of one cycle type trip the sampler's budget: one walk
-        # gives the class table, and B(x) comes from searched centralisers
+        # gives the class table, and B(x) comes from searched centralisers:
+        # the sampler's searches before its budget trips, then one per
+        # distinct B(x) and per |C(z)| the table leaves open (D100's 49
+        # rotation classes share one C(x))
         group = build()
+        centralizer, calls = invariants._centralizer, []
+
+        def counted(*args):
+            calls.append(args)
+            return centralizer(*args)
+        monkeypatch.setattr(invariants, "_centralizer", counted)
         assert centralizer_count(group) == expected
         assert len(class_walks) == 1
+        assert len(calls) == searches
         elems = brute_force_elements(group)
         assert len({frozenset(g for g in elems if g * x == x * g) for x in elems}) == expected
 
@@ -329,6 +341,19 @@ class TestCentralizerCount:
         monkeypatch.setattr(invariants, "_centralizer", generators_dropped)
         with pytest.raises(RuntimeError, match=r"^C\(x\) lists \d+ elements, its search gave \d+$"):
             centralizer_count(psl_group(2, 11))
+
+    def test_a_record_that_disagrees_with_its_b_raises(self):
+        # PSL(2,11)'s two classes of order 5, of y and y^2, share C(y); a
+        # record of y^2 planted with twice |C(y)| lies in the B(y) of the first
+        group = psl_group(2, 11)
+        table = {}
+        invariants._sampled_class_sizes(group.bsgs, invariants._Budget(10 ** 9), table)
+        same = next(same for same in table.values() if len(same) == 2)
+        x, count, cent = same[1]
+        same[1] = (x, 2 * count, cent)
+        with pytest.raises(RuntimeError, match=rf"^a record gives \|C\(x\)\| = {2 * count},"
+                                               rf" the B\(y\) that holds x {count}$"):
+            invariants._centralizer_terms(group.bsgs, table)
 
     def test_a_count_that_is_not_a_whole_number_raises(self, monkeypatch):
         # an impossible term, one class whose element shares C(x) with one

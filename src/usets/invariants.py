@@ -183,7 +183,7 @@ def _random_element(bsgs: BSGS, rng: random.Random, budget: _Budget) -> RawPerm:
     """A uniform element u_0(u_1(...u_{k-1}(p))) with one random
     transversal element per level."""
     budget.tick()
-    g = tuple(range(bsgs.degree))
+    g = bsgs.identity
     for level in reversed(bsgs.transversals):
         g = _compose(g, rng.choice(level))
     return g
@@ -370,7 +370,7 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm,
                         return found
         return None
 
-    identity = tuple(range(degree))
+    identity = bsgs.identity
 
     def find(image: int | None, fixing: tuple[int, ...]) -> RawPerm | None:
         tick()
@@ -478,8 +478,7 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget, classes: dict) -> None:
     reach classes of small size, which random elements rarely hit, and
     every other power of x is a coprime power of one of them.
     """
-    order, degree = bsgs.order(), bsgs.degree
-    identity = tuple(range(degree))
+    order, degree, identity = bsgs.order(), bsgs.degree, bsgs.identity
     classes[(1,) * degree] = [(identity, order, None)]
     total = 1
     pending: list[RawPerm] = []  # powers x^d of new representatives
@@ -597,7 +596,7 @@ def _centralizer_terms(bsgs: BSGS, table: dict) -> list[tuple[int, int]]:
     short of |C(x)|, or a record whose |C(x)| is not that of the B(y) it
     lies in, raises RuntimeError.  Every step ends, so no budget is kept.
     """
-    order, identity = bsgs.order(), tuple(range(bsgs.degree))
+    order, identity = bsgs.order(), bsgs.identity
     unbounded = _Budget(math.inf)
     records = [record for same in table.values() for record in same]
     central = sum(count == order for _, count, _ in records)

@@ -16,7 +16,12 @@ level by :func:`_schreier_sims` and read as it is by sifting, Schreier
 generators and the backtrack searches of :mod:`usets.invariants`.
 :func:`_join_orbits` is the one routine that labels the orbits of a
 subgroup, and :func:`_compose`, a C-level gather, the one composition
-kernel of the package.
+kernel of the package.  :func:`_sift` alone writes that gather out at
+each level it strips, which saves a call per level of a membership test.
+It needs no length guard: it strips a level only where the element
+moves the base point, so the element has two points at least.  A chain
+keeps the identity of its degree (:attr:`BSGS.identity`), and a
+membership test compares the residue with it.
 
 Schreier-Sims skips the work that cannot change the chain.  Sifting
 does nothing at a base point the element fixes, whose representative is
@@ -81,7 +86,9 @@ def _identity(degree: int) -> RawPerm:
 
 
 def _compose(a: RawPerm, b: RawPerm) -> RawPerm:
-    """a first, then b: the tuple (b[a[0]], b[a[1]], ...), gathered in C."""
+    """a first, then b: the tuple (b[a[0]], b[a[1]], ...), gathered in C.
+    :func:`_sift` writes the gather out without the guard for fewer than
+    two points, which its elements never have."""
     if len(a) > 1:
         return itemgetter(*a)(b)
     # itemgetter returns a bare item for one index and needs at least one
@@ -97,14 +104,18 @@ def _inverse(a: RawPerm) -> RawPerm:
 
 def _sift(g: RawPerm, base: Sequence[int], inverses: Sequence[dict]) -> RawPerm:
     """Strip one transversal factor per base point by its stored inverse;
-    the residue is the identity iff ``g`` lies in the group described."""
+    the residue is the identity iff ``g`` lies in the group described.
+
+    Each step is :func:`_compose`'s gather, g then u^-1, without the call:
+    a step runs only where g moves its base point, so g has two points at
+    least and ``itemgetter`` gives a tuple, with no guard needed."""
     for pt, inverse in zip(base, inverses):
         gamma = g[pt]
         if gamma != pt:  # a fixed base point's representative is the identity
             uinv = inverse.get(gamma)
             if uinv is None:
                 break
-            g = _compose(g, uinv)
+            g = itemgetter(*g)(uinv)
     return g
 
 
@@ -232,16 +243,21 @@ class BSGS:
     * ``inverses[i]``: gamma -> u^-1, in the same order, so sifting and
       Schreier generators never invert;
     * ``orbit_labels[i]`` (i = 0..k, on first use): each point's smallest
-      G^(i)-orbit point.
+      G^(i)-orbit point;
+    * ``identity``: the identity of the degree, built once, which a
+      membership test's residue and the sampler's draws start from or
+      compare with.
     """
 
-    __slots__ = ("degree", "base", "_level_gens", "transversals", "inverses", "_labels")
+    __slots__ = ("degree", "identity", "base", "_level_gens", "transversals", "inverses",
+                 "_labels")
 
     def __init__(self, degree: int, base: list[int],
                  level_gens: list[list[RawPerm]],
                  transversals: list[tuple[RawPerm, ...]],
                  inverses: list[dict[int, RawPerm]]):
         self.degree = degree
+        self.identity = _identity(degree)
         self.base = tuple(base)
         self._level_gens = level_gens
         self.transversals = transversals
@@ -487,9 +503,12 @@ class PermGroup:
         return self.bsgs.order()
 
     def contains(self, p: Permutation) -> bool:
+        """Whether ``p`` lies in the group: one sift, whose residue is the
+        chain's identity exactly for a member."""
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
-        return self.bsgs.sift(p.images) == _identity(self.degree)
+        bsgs = self.bsgs
+        return bsgs.sift(p.images) == bsgs.identity
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"

@@ -274,14 +274,22 @@ def test_schreier_sims_skips_trivial_compositions(monkeypatch):
     # inversions while each changed representative was inverted afresh;
     # inverting every given generator for the class walk as well took 46
     # and 24 inversions.  The sifts count the certificates tried as well as
-    # the Schreier generators sifted, so more of either shows here
-    groups = ((psl_group(4, 4), 5_053, 22, 954), (alternating_group(24), 10_318, 22, 2_609))
-    calls = {"compose": 0, "inverse": 0, "sift": 0}
-    compose, inverse, sift = perm._compose, perm._inverse, perm._sift
+    # the Schreier generators sifted, so more of either shows here.  A sift
+    # gathers each level it strips without calling _compose, so the C-level
+    # gathers, 5 053 and 10 318, are the compositions: _compose's 3 684 and
+    # 5 808 and the sifts' levels
+    groups = ((psl_group(4, 4), 3_684, 5_053, 22, 954),
+              (alternating_group(24), 5_808, 10_318, 22, 2_609))
+    calls = {"compose": 0, "gather": 0, "inverse": 0, "sift": 0}
+    compose, gather, inverse, sift = perm._compose, perm.itemgetter, perm._inverse, perm._sift
 
     def counting_compose(a, b):
         calls["compose"] += 1
         return compose(a, b)
+
+    def counting_gather(*items):
+        calls["gather"] += 1
+        return gather(*items)
 
     def counting_inverse(a):
         calls["inverse"] += 1
@@ -291,12 +299,14 @@ def test_schreier_sims_skips_trivial_compositions(monkeypatch):
         calls["sift"] += 1
         return sift(*args)
     monkeypatch.setattr(perm, "_compose", counting_compose)
+    monkeypatch.setattr(perm, "itemgetter", counting_gather)
     monkeypatch.setattr(perm, "_inverse", counting_inverse)
     monkeypatch.setattr(perm, "_sift", counting_sift)
-    for group, compositions, inversions, sifts in groups:
-        calls.update(compose=0, inverse=0, sift=0)
+    for group, compositions, gathers, inversions, sifts in groups:
+        calls.update(compose=0, gather=0, inverse=0, sift=0)
         group.order()
-        assert calls == {"compose": compositions, "inverse": inversions, "sift": sifts}
+        assert calls == {"compose": compositions, "gather": gathers,
+                         "inverse": inversions, "sift": sifts}
 
 
 def test_schreier_sims_refuses_a_false_order_bound():
@@ -337,6 +347,7 @@ def test_sift_residue_matches_composing_at_every_level(name):
         return g
 
     ident = tuple(range(n))
+    assert bsgs.identity == ident
     for _ in range(40):
         word = ident
         for gen in rng.choices(gens, k=rng.randrange(1, 30)):
@@ -345,7 +356,36 @@ def test_sift_residue_matches_composing_at_every_level(name):
         swapped = tuple(b if x == a else a if x == b else x for x in word)
         assert bsgs.sift(word) == reference(word) == ident
         assert bsgs.sift(swapped) == reference(swapped) != ident
+        assert group.contains(Permutation(word))
+        assert not group.contains(Permutation(swapped))
     assert fixed > 0
+
+
+@pytest.mark.parametrize("build", [lambda: alternating_group(6), lambda: psl_group(2, 11)],
+                         ids=["A6", "PSL(2,11)"])
+def test_membership_sifts_without_compose(build, monkeypatch):
+    # a sift gathers each level itself: with the chain built, membership
+    # answers with _compose gone, on words in the generators and on those
+    # words times a transposition, which neither group holds
+    group = build()
+    bsgs, n = group.bsgs, group.degree
+    gens = [g.images for g in group.generators]
+    rng = random.Random(36)
+    cases = []
+    for _ in range(24):
+        word = tuple(range(n))
+        for gen in rng.choices(gens, k=rng.randrange(1, 20)):
+            word = tuple(gen[x] for x in word)
+        a, b = rng.sample(range(n), 2)
+        cases.append((word, True))
+        cases.append((tuple(b if x == a else a if x == b else x for x in word), False))
+
+    def refuse(a, b):
+        raise AssertionError("a sift called _compose")
+    monkeypatch.setattr(perm, "_compose", refuse)
+    for images, member in cases:
+        assert group.contains(Permutation(images)) is member
+        assert (bsgs.sift(images) == tuple(range(n))) is member
 
 
 class TestContains:

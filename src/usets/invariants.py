@@ -591,8 +591,10 @@ def _centralizer_terms(bsgs: BSGS, table: dict) -> list[tuple[int, int]]:
     Any other record lists C(x) from its generators, taken from
     :func:`_centralizer` for a walk's record, which has none, and B(x) is
     the members that commute with each generator and have |C(z)| = |C(x)|,
-    found once per z: read from the table unless z's cycle type has
-    classes of more than one centraliser order, else searched.  A listing
+    found once per z: the record's own for the identity and a walk's
+    representative, which is exact (a sampled one, understated, could join
+    a neighbour's B(y)), else read from the table unless z's cycle type
+    has classes of more than one centraliser order, else searched.  A listing
     short of |C(x)|, or a record whose |C(x)| is not that of the B(y) it
     lies in, raises RuntimeError.  Every step ends, so no budget is kept.
     """
@@ -601,7 +603,7 @@ def _centralizer_terms(bsgs: BSGS, table: dict) -> list[tuple[int, int]]:
     records = [record for same in table.values() for record in same]
     central = sum(count == order for _, count, _ in records)
     shared: dict[RawPerm, tuple[int, int]] = {}  # z in a B(y) found -> (|C(y)|, |B(y)|)
-    z_counts: dict[RawPerm, int] = {}  # |C(z)| by z
+    z_counts = {x: count for x, count, cent in records if cent is None}  # |C(z)| by z
     terms = []
     for x, count, cent in records:
         if count == order:

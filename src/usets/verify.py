@@ -20,8 +20,8 @@ at the configured cap, runs it and compares the two values;
 The cap is the package's one cap, :data:`usets.perm.DEFAULT_CAP` unless
 given.  Every row that profiles, enumerates or scans a group lists that
 group, so a group above the cap makes the row ``not_checked`` (never
-silently skipped, never a pass on an uncomputed group), as are the k4
-groups for which no construction is shipped.  Reports are deterministic:
+silently skipped, never a pass on an uncomputed group), as are the listed
+k4 groups the catalog does not hold.  Reports are deterministic:
 running twice gives byte-identical output apart from the timestamp.
 """
 
@@ -33,7 +33,7 @@ from datetime import datetime, timezone
 from typing import Any, Callable, Iterable, NamedTuple
 
 from . import __version__
-from .catalog import Catalog, CatalogError, _natural_key, default_catalog
+from .catalog import Catalog, CatalogError, _canonical, _natural_key, default_catalog
 from .invariants import InvariantProfile, centralizer_count
 from .patterns import (
     USetPattern,
@@ -79,16 +79,14 @@ PUBLISHED_USET_SHAPES: dict[str, tuple[str, dict[str, int]]] = {
 #: The eight simple groups whose order has exactly three prime divisors.
 K3_GROUPS = ("A5", "A6", "PSL(2,7)", "PSL(2,8)", "PSL(2,17)",
              "PSL(3,3)", "U3(3)", "U4(2)")
-#: Catalog members with |pi(G)| = 3 (the same groups, plus the PSL(2,q)
-#: copies of A5 and A6 given by the exceptional isomorphisms).
-K3_CATALOG_NAMES = ("A5", "A6", "PSL(2,4)", "PSL(2,5)", "PSL(2,7)",
-                    "PSL(2,8)", "PSL(2,9)", "PSL(2,17)", "PSL(3,3)",
-                    "U3(3)", "U4(2)")
-K4_CATALOG_NAMES = ("A9", "A10", "M11", "PSL(2,11)", "PSL(2,13)", "PSL(3,4)")
+#: Catalog copies of listed groups, by the exceptional isomorphisms.
+COPIES = {"PSL(2,4)": "A5", "PSL(2,5)": "A5", "PSL(2,9)": "A6"}
 
-#: Simple groups with four prime divisors for which no construction is
-#: shipped; their screenings are reported as not_checked.
-K4_UNAVAILABLE = (
+#: The simple groups with four prime divisors screened for |U(G)| = 5, in
+#: report order: the six the catalog builds, then those it does not, whose
+#: screenings are reported as not_checked.
+K4_GROUPS = (
+    "A9", "A10", "M11", "PSL(2,11)", "PSL(2,13)", "PSL(3,4)",
     "J2", "Sz(8)", "Sz(32)", "3D4(2)", "F4(2)'", "G2(3)",
     "O5(4)", "O5(5)", "O5(7)", "O5(9)", "O7(2)", "O8+(2)",
     "L3(5)", "L3(7)", "L3(8)", "L3(17)", "L4(3)",
@@ -126,7 +124,7 @@ PUBLISHED_COLLISION_CASE_COUNT = 31
 K3_ELIMINATION_PATTERN = "1,rq,4rq,8rq,8r^2"
 
 CHARACTERIZATION_PATTERN = "1,rq,8pq,4qr,8pr"
-CHARACTERIZATION_TARGET = frozenset({1, 55, 120, 220, 264})
+CHARACTERIZATION_TARGET = GOLDEN_USETS["PSL(2,11)"]
 CHARACTERIZATION_ASSIGNMENT = {"p": 3, "q": 5, "r": 11}
 
 #: PSL(2,p) members checked for the order formula plus a class of size
@@ -350,16 +348,17 @@ def _rows(catalog: Catalog, cap: int) -> list[CheckRow]:
             "derived", lambda p, r=rank: (p.rank, r), (name,)))
 
     # -- prime-divisor screenings ------------------------------------------
+    held = {_canonical(name) for name in K4_GROUPS} & set(catalog.names())
     rows.append(CheckRow(
         "k3-screen", "catalog members whose order has exactly three prime "
-        "divisors are the published eight (with PSL(2,4), PSL(2,5), "
-        "PSL(2,9) as isomorphic copies)", "published",
+        f"divisors are the published eight (with {', '.join(COPIES)} as "
+        "isomorphic copies)", "published",
         lambda: ([e.name for e in catalog.entries(k=3)],
-                 sorted(K3_CATALOG_NAMES, key=_natural_key))))
+                 sorted(K3_GROUPS + tuple(COPIES), key=_natural_key))))
     rows.append(CheckRow(
         "k4-screen", "catalog members whose order has exactly four prime divisors",
         "derived", lambda: ([e.name for e in catalog.entries(k=4)],
-                            sorted(K4_CATALOG_NAMES, key=_natural_key))))
+                            sorted(held, key=_natural_key))))
 
     # -- collision analysis of the five-value candidate set -----------------
     rows.append(CheckRow(
@@ -402,15 +401,13 @@ def _rows(catalog: Catalog, cap: int) -> list[CheckRow]:
         K3_GROUPS))
 
     # -- |U(G)| = 5 screening over four-prime groups ------------------------
-    for name in K4_CATALOG_NAMES:
+    for name in K4_GROUPS:
         five = name in ("PSL(2,11)", "PSL(2,13)")
         rows.append(CheckRow(
             f"size5:{name}", f"{name} has {'exactly' if five else 'not'} five "
             f"distinct same-size class counts", "published",
             lambda p, n=name, f=five: (len(p.U) == 5, f, f"|U({n})| = {len(p.U)}"),
-            (name,)))
-    for name in K4_UNAVAILABLE:
-        rows.append(CheckRow(
+            (name,)) if _canonical(name) in held else CheckRow(
             f"size5:{name}", f"published screening reports |U({name})| != 5",
             "published", None))
 
@@ -447,7 +444,7 @@ def _rows(catalog: Catalog, cap: int) -> list[CheckRow]:
                  [CHARACTERIZATION_ASSIGNMENT])))
 
     # -- cross-validation via exceptional isomorphisms ----------------------
-    for a, b in (("A5", "PSL(2,4)"), ("A5", "PSL(2,5)"), ("A6", "PSL(2,9)")):
+    for b, a in COPIES.items():
         rows.append(CheckRow(
             f"profile-match:{a}={b}", f"{a} and {b} are isomorphic, so their "
             f"independently computed invariant profiles coincide", "derived",

@@ -1,6 +1,7 @@
-"""Groups the tests use that the package does not build, named package
-groups that several tests share, an independent orbit walk, a Leibniz
-determinant and the group's elements read off the package's class walk."""
+"""Groups the tests use that the package does not build, direct products
+of groups, named package groups that several tests share, an independent
+orbit walk, a Leibniz determinant and the group's elements read off the
+package's class walk."""
 
 import itertools
 
@@ -25,6 +26,20 @@ def symmetric_group(n: int) -> PermGroup:
         return PermGroup([Permutation.identity(1)])
     return PermGroup([Permutation.from_cycles(n, (0, 1)),
                       Permutation.from_cycles(n, tuple(range(n)))])
+
+
+def direct_product(*factors: PermGroup) -> PermGroup:
+    """The direct product of the factors on disjoint points: each factor's
+    generators move its own block of points, after the blocks of the
+    factors before it, and fix every other point."""
+    degree, offset, gens = sum(f.degree for f in factors), 0, []
+    for f in factors:
+        for g in f.generators:
+            images = list(range(degree))
+            images[offset:offset + f.degree] = [offset + i for i in g.images]
+            gens.append(Permutation(images))
+        offset += f.degree
+    return PermGroup(gens)
 
 
 def orbit_labels(degree, gens):

@@ -20,7 +20,7 @@ from usets.invariants import (
 )
 from usets.perm import DEFAULT_CAP, GroupTooLargeError, PermGroup, Permutation
 
-from helpers import group_elements, orbit_labels, symmetric_group
+from helpers import direct_product, group_elements, orbit_labels, symmetric_group
 
 
 def brute_force_elements(group):
@@ -297,15 +297,15 @@ class TestCentralizerCount:
         assert len(class_walks) == 1
 
     @pytest.mark.parametrize("build, expected, searches",
-                             [(lambda: d100(), 52, 16), (lambda: c2_6_x_s3(), 5, 189)],
+                             [(lambda: d100(), 52, 14), (lambda: c2_6_x_s3(), 5, 63)],
                              ids=["D100", "C2^6xS3"])
     def test_counts_from_the_walks_class_table(self, monkeypatch, class_walks, build, expected,
                                                searches):
         # many classes of one cycle type trip the sampler's budget: one walk
         # gives the class table, and B(x) comes from searched centralisers:
         # the sampler's searches before its budget trips, then one per
-        # distinct B(x) and per |C(z)| the table leaves open (D100's 49
-        # rotation classes share one C(x))
+        # distinct B(x) and per |C(z)| that neither the table nor a walked
+        # representative gives (D100's 49 rotation classes share one C(x))
         group = build()
         centralizer, calls = invariants._centralizer, []
 
@@ -578,6 +578,24 @@ def test_nonabelian_groups_fall_back_to_enumeration(class_walks, build, sizes):
     assert len(class_walks) == 1
     assert prof.class_sizes == sizes
     assert sum(sizes) == group.order()
+
+
+@pytest.mark.parametrize("factors", [
+    (lambda: alternating_group(5), lambda: psl_group(2, 7)),
+    (lambda: psl_group(2, 11), lambda: alternating_group(6)),
+    (lambda: alternating_group(5), lambda: alternating_group(5)),
+], ids=["A5xPSL(2,7)", "PSL(2,11)xA6", "A5xA5"])
+def test_product_class_sizes_are_products_of_the_factors(monkeypatch, factors):
+    # G x H has one class per pair of classes, a^G x b^H, of size
+    # |a^G||b^H|: an exact oracle the sampler must meet without the walk
+    groups = [build() for build in factors]
+    oracle = sorted(a.size * b.size for a, b in
+                    itertools.product(*(conjugacy_classes(g) for g in groups)))
+
+    def unexpected(*_args):
+        raise AssertionError("listed the product")
+    monkeypatch.setattr(invariants, "_classes", unexpected)
+    assert list(profile(direct_product(*groups)).class_sizes) == oracle
 
 
 def test_a_walk_short_of_the_group_order_raises(monkeypatch):

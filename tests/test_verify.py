@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from usets import invariants, verify
-from usets.catalog import default_catalog
+from usets.catalog import Catalog, CatalogEntry, default_catalog
+from usets.construct import classical_order, psl_group
 from usets.invariants import centralizer_count
 from usets.perm import DEFAULT_CAP
 from usets.verify import (
@@ -110,6 +111,19 @@ def test_a_failed_profile_is_kept_and_raised_again(monkeypatch):
         assert len(failed) == 12
         assert {r.note for r in failed} == {note}
         assert runs == {"sampler": 1, "walk": walks}
+
+
+def test_one_catalog_entry_computes_a_listed_groups_screening(monkeypatch):
+    # L3(5), listed among the four-prime groups under its short name, is
+    # screened from its profile once the catalog holds PSL(3,5)
+    catalog = Catalog()
+    catalog._entries["PSL(3,5)"] = CatalogEntry(
+        "PSL(3,5)", classical_order("PSL", 3, 5), "a test entry", lambda: psl_group(3, 5))
+    monkeypatch.setattr(verify, "default_catalog", lambda: catalog)
+    report = run_verification(["size5:L3(5)", "k4-screen"], cap=10 ** 6)
+    size5, k4 = report.result("size5:L3(5)"), report.result("k4-screen")
+    assert (size5.status, size5.note) == ("pass", "|U(L3(5))| = 8")
+    assert k4.status == "pass" and "PSL(3,5)" in k4.computed
 
 
 def test_duplicate_check_ids_raise(monkeypatch):

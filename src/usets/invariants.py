@@ -31,13 +31,19 @@ nodes, refuted children included, and draws.
 The sampler keeps one table, by cycle type, of each class's
 representative x, |C_G(x)| and generators of C_G(x), and stops when the
 class equation sum |G|/|C_G(x_i)| = |G| closes, which certifies that
-every class was found.  Past :func:`_walk_budget` (groups with many
-classes of one cycle type, such as abelian ones), :func:`_class_table`
-falls back to the one walk that lists the group, :func:`_classes`, and
-raises RuntimeError if a size the sampler found has no class there, as
-an overstated |C_G(x)| would; else the table holds one record per class
-of the walk.  :func:`profile` and :func:`centralizer_count` read that
-one table.
+every class was found.  A chain of order n! or n!/2 on n points is S_n
+or A_n, and there an S_n-class is one G-class unless G = A_n and the
+parts of its cycle type are odd and distinct, the one case where
+C_{S_n}(x) lies in A_n (James and Kerber, *The Representation Theory of
+the Symmetric Group*, 1981); so a draw of any other type that already
+has a class is discarded with no search.  Past :func:`_walk_budget`
+(groups with many classes of one cycle type), or at once for an abelian
+group, whose classes all have size 1, :func:`_class_table` falls back to
+the one walk that lists the group, :func:`_classes`, and raises
+RuntimeError if a size the sampler found has no class there, as an
+overstated |C_G(x)| would; else the table holds one record per class of
+the walk.  :func:`profile` and :func:`centralizer_count` read that one
+table.
 
 That walk lists the group and partitions it into classes in one
 traversal: each member of a known class is multiplied by every
@@ -477,8 +483,19 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget, classes: dict) -> None:
     x^d for the proper divisors d > 1 of m are classified next: they
     reach classes of small size, which random elements rarely hit, and
     every other power of x is a coprime power of one of them.
+
+    In S_n or A_n on n points (the chain's order is n! or n!/2), a type
+    whose S_n-class is one G-class, any type in S_n and one with an even
+    or a repeated part in A_n, needs no test: a later draw of it is
+    discarded, and its representative's kernel is every unit.  Its size
+    still comes from :func:`_centralizer`, and only draws that lie in a
+    known class are discarded, so an understated |C_G(x)| still
+    overshoots |G| and raises.
     """
     order, degree, identity = bsgs.order(), bsgs.degree, bsgs.identity
+    # G is S_n or A_n, the only subgroups of S_n of these orders
+    symmetric = order == math.factorial(degree)
+    alternating = 2 * order == math.factorial(degree)
     classes[(1,) * degree] = [(identity, order, None)]
     total = 1
     pending: list[RawPerm] = []  # powers x^d of new representatives
@@ -489,15 +506,18 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget, classes: dict) -> None:
             continue
         lengths = _cycle_lengths(x)
         known = classes.setdefault(tuple(sorted(lengths)), [])
-        if any(_conjugator(bsgs, x, lengths, r, cent, budget) is not None
-               for r, _, cent in known):
+        # x's S_n-class is one G-class: no parts odd and distinct in A_n
+        one = symmetric or alternating and any(
+            c != n or n % 2 == 0 for n, c in Counter(lengths).items())
+        if known and (one or any(_conjugator(bsgs, x, lengths, r, cent, budget) is not None
+                                 for r, _, cent in known)):
             continue
         count, cent = _centralizer(bsgs, x, lengths, budget)
         m = math.lcm(*lengths)
         powers = [identity, x]  # powers[k] = x^k
         while len(powers) < m:
             powers.append(_compose(powers[-1], x))
-        kernel = _power_kernel(bsgs, powers, lengths, cent, budget)
+        kernel = range(m) if one else _power_kernel(bsgs, powers, lengths, cent, budget)
         covered: set[int] = set()
         for k in range(1, m):
             if math.gcd(k, m) == 1 and k not in covered:  # a new coset kK
@@ -513,16 +533,21 @@ def _class_table(group: PermGroup, cap: int) -> dict:
     """The class table, cycle type -> [(x, |C_G(x)|, the :class:`_Commuting`
     of C_G(x) or None)]: the sampler's, or past :func:`_walk_budget` one
     record per class of the walk, with none, once every size the sampler
-    found has a class there.  A group above ``cap`` is refused first.
+    found has a class there.  Generators that commute, point by point,
+    skip the sampler, which could only run to its budget.  A group above
+    ``cap`` is refused first.
     """
     order = group.order()
     check_cap(order, cap)
     table: dict = {}
-    try:
-        _sampled_class_sizes(group.bsgs, _walk_budget(group), table)
-        return table
-    except _WorkLimitExceeded:
-        found = Counter(order // count for same in table.values() for _, count, _ in same)
+    gens, found = _walk_generators(group), Counter()
+    if any(g[h[p]] != h[g[p]] for i, g in enumerate(gens) for h in gens[:i]
+           for p in range(group.degree)):
+        try:
+            _sampled_class_sizes(group.bsgs, _walk_budget(group), table)
+            return table
+        except _WorkLimitExceeded:
+            found = Counter(order // count for same in table.values() for _, count, _ in same)
     walked = _classes(group, cap)
     if unmatched := found - Counter(map(len, walked)):
         raise RuntimeError(f"no enumerated class has the sampled sizes {sorted(unmatched)}")

@@ -291,8 +291,10 @@ class TestCentralizerCount:
                     **{n: SHARED_CENTRALIZER_GROUPS[n][0] for n in ("S3xS3", "D12", "GL(2,3)")}}
         assert_routes_agree(relabelled(builders[name](), random.Random(seed)))
 
-    def test_abelian_group_falls_back_to_the_walk(self, class_walks):
-        # every class has size 1: the sampler's budget trips and the walk answers
+    def test_abelian_group_falls_back_to_the_walk(self, monkeypatch, class_walks):
+        # every class has size 1: the generators commute, so the walk answers
+        # without the sampler, which could only run to its budget
+        monkeypatch.setattr(invariants, "_sampled_class_sizes", unexpected_sampler)
         assert centralizer_count(c2_5()) == 1
         assert len(class_walks) == 1
 
@@ -413,11 +415,9 @@ def enumerated_profile(group):
     return invariants._profile_from_sizes(group.order(), sizes)
 
 
-def alternating_class_sizes(n):
-    """Class sizes of A_n from cycle types: n!/z for each even cycle type,
-    split into two halves when the parts are distinct and odd."""
-    sizes = []
-
+def cycle_types(n):
+    """Each cycle type of S_n as (parts, z), the parts descending and z =
+    prod length^mult mult! the order of its centraliser in S_n."""
     def partitions(rest, largest):
         if rest == 0:
             yield []
@@ -427,17 +427,30 @@ def alternating_class_sizes(n):
                 yield [part] + tail
 
     for parts in partitions(n, n):
-        if (n - len(parts)) % 2:
-            continue
         z = 1
         for length, mult in Counter(parts).items():
             z *= length ** mult * math.factorial(mult)
+        yield parts, z
+
+
+def alternating_class_sizes(n):
+    """Class sizes of A_n from cycle types: n!/z for each even cycle type,
+    split into two halves when the parts are distinct and odd."""
+    sizes = []
+    for parts, z in cycle_types(n):
+        if (n - len(parts)) % 2:
+            continue
         size = math.factorial(n) // z
         if len(set(parts)) == len(parts) and all(p % 2 for p in parts):
             sizes += [size // 2, size // 2]
         else:
             sizes.append(size)
     return sorted(sizes)
+
+
+def symmetric_class_sizes(n):
+    """Class sizes of S_n from cycle types: n!/z for each, none split."""
+    return sorted(math.factorial(n) // z for _, z in cycle_types(n))
 
 
 def relabelled(group, rng):
@@ -462,26 +475,69 @@ def test_sampled_profile_matches_enumeration_on_catalog(catalog):
         assert profile(group).as_dict() == enumerated_profile(group).as_dict(), entry.name
 
 
-def test_a10_matches_cycle_type_formula():
-    prof = profile(alternating_group(10), cap=2_000_000)
-    assert list(prof.class_sizes) == alternating_class_sizes(10)
-    assert prof.group_order == math.factorial(10) // 2
+@pytest.mark.parametrize("name", [*(f"A{n}" for n in range(5, 13)),
+                                  *(f"S{n}" for n in range(3, 9))])
+def test_cycle_type_formula(monkeypatch, name):
+    # A_n and S_n on n points, and a copy on shuffled points: every class
+    # size is the formula's, and a draw is tested for conjugacy only if its
+    # S_n-class can split, an A_n type whose parts are odd and distinct
+    n, alternating = int(name[1:]), name[0] == "A"
+    group = alternating_group(n) if alternating else symmetric_group(n)
+    expected = alternating_class_sizes(n) if alternating else symmetric_class_sizes(n)
+    conjugator, tested = invariants._conjugator, []
+
+    def recorded(bsgs, x, x_len, *args):
+        tested.append(Counter(x_len))  # cycle length -> points on such cycles
+        return conjugator(bsgs, x, x_len, *args)
+    monkeypatch.setattr(invariants, "_conjugator", recorded)
+    for copy in (group, relabelled(group, random.Random(name))):
+        prof = profile(copy, cap=10 ** 9)
+        assert list(prof.class_sizes) == expected
+        assert prof.group_order == math.factorial(n) // (2 if alternating else 1)
+    assert bool(tested) == alternating
+    assert all(points == length and length % 2
+               for lengths in tested for length, points in lengths.items())
 
 
-def test_a11_matches_cycle_type_formula():
-    prof = profile(alternating_group(11), cap=20_000_000)
-    assert list(prof.class_sizes) == alternating_class_sizes(11)
-    assert prof.group_order == math.factorial(11) // 2
+def test_one_class_rule_reads_the_degree(monkeypatch):
+    # PSL(2,5) is A5 on 6 points, where |G| = 60 is neither 6! nor 6!/2, so
+    # its draws are tested as in any group: x^2 ~ x for x of order 3 too,
+    # which A5 on 5 points settles by its type (3, 1, 1)
+    conjugator, tested = invariants._conjugator, []
+
+    def recorded(bsgs, x, x_len, *args):
+        tested.append(math.lcm(*x_len))
+        return conjugator(bsgs, x, x_len, *args)
+    monkeypatch.setattr(invariants, "_conjugator", recorded)
+    for group, orders in ((alternating_group(5), [5, 5, 5, 5]), (psl_group(2, 5), [5, 5, 5, 5, 3])):
+        tested.clear()
+        assert list(profile(group).class_sizes) == alternating_class_sizes(5)
+        assert tested == orders
 
 
-def test_a12_matches_cycle_type_formula():
-    prof = profile(alternating_group(12), cap=10 ** 9)
-    assert list(prof.class_sizes) == alternating_class_sizes(12)
-    assert prof.group_order == math.factorial(12) // 2
+@pytest.mark.parametrize("shape, total", [((1, 1, 1, 2, 2, 2, 2), 2625), ((7,) * 7, 2815)],
+                         ids=["involutions", "7-cycles"])
+def test_understated_centralizer_overshoots_on_a7(monkeypatch, shape, total):
+    # a halved |C(x)| on a type whose S_7-class is one A_7-class, whose
+    # other draws are never tested, or on the 7-cycles, whose class splits,
+    # still doubles a class size and overshoots the class equation
+    centralizer = invariants._centralizer
+
+    def halved(bsgs, x, x_len, budget):
+        count, cent = centralizer(bsgs, x, x_len, budget)
+        return (count // 2 if tuple(sorted(x_len)) == shape else count), cent
+    monkeypatch.setattr(invariants, "_centralizer", halved)
+    message = rf"^class sizes add up to {total}, group order is 2520$"
+    with pytest.raises(RuntimeError, match=message):
+        profile(alternating_group(7))
 
 
 def test_alternating_formula_oracle_on_a5():
     assert alternating_class_sizes(5) == [1, 12, 12, 15, 20]
+
+
+def test_symmetric_formula_oracle_on_s4():
+    assert symmetric_class_sizes(4) == [1, 3, 6, 6, 8]
 
 
 @pytest.mark.parametrize("name", ["M11", "PSL(3,4)", "U4(2)"])
@@ -525,6 +581,10 @@ def test_profile_cap_checked_before_any_work(monkeypatch):
         profile(alternating_group(10), cap=DEFAULT_CAP)
 
 
+def unexpected_sampler(*_args):
+    raise AssertionError("ran the sampler")
+
+
 @pytest.fixture
 def class_walks(monkeypatch):
     """The arguments of every call to ``invariants._classes`` in a test."""
@@ -538,9 +598,11 @@ def class_walks(monkeypatch):
     return calls
 
 
-def test_elementary_abelian_group_falls_back_to_enumeration(class_walks):
+def test_elementary_abelian_group_falls_back_to_enumeration(monkeypatch, class_walks):
     # 2^10: every element is its own class, so counting centralizers by
-    # backtrack would list the whole group once per class
+    # backtrack would list the whole group once per class; the generators
+    # commute, so the sampler is not run
+    monkeypatch.setattr(invariants, "_sampled_class_sizes", unexpected_sampler)
     group = PermGroup([Permutation.from_cycles(20, (2 * i, 2 * i + 1)) for i in range(10)])
     prof = profile(group)
     assert len(class_walks) == 1
@@ -823,7 +885,8 @@ def test_power_kernel_equals_exhaustive_tests(catalog, monkeypatch, name):
 
 def test_a10_power_kernel_tests(monkeypatch):
     # a kernel test conjugates a coprime power of a new representative to
-    # it; testing every coprime power took 60 of them
+    # it; testing every coprime power took 60 of them, and testing the
+    # types whose S_n-class cannot split in A_n as well took 32
     calls, inside = [], []
     conjugator, power_kernel = invariants._conjugator, invariants._power_kernel
 
@@ -841,12 +904,13 @@ def test_a10_power_kernel_tests(monkeypatch):
     monkeypatch.setattr(invariants, "_power_kernel", kernel)
     assert list(profile(alternating_group(10), cap=2_000_000).class_sizes) == \
         alternating_class_sizes(10)
-    assert sum(calls) == 32
+    assert sum(calls) == 7
 
 
 def test_a10_profile_work(monkeypatch):
-    # search nodes and draws of the sampled A10 profile: at most half of
-    # the 7 706 that leaf-counting searches and bounded orbit walks took
+    # search nodes and draws of the sampled A10 profile: 7 706 with
+    # leaf-counting searches and bounded orbit walks, 1 135 with a
+    # conjugacy search for every draw of a type whose class cannot split
     budgets = []
     budget_type = invariants._Budget
 
@@ -856,7 +920,7 @@ def test_a10_profile_work(monkeypatch):
     monkeypatch.setattr(invariants, "_Budget", recorded)
     assert list(profile(alternating_group(10), cap=2_000_000).class_sizes) == \
         alternating_class_sizes(10)
-    assert len(budgets) == 1 and budgets[0].work <= 7706 // 2
+    assert len(budgets) == 1 and budgets[0].work <= 674
 
 
 def test_psl_3_4_profile_compositions(monkeypatch):

@@ -73,8 +73,8 @@ from collections import Counter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .patterns import factorize
-from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose, _inverse,
-                   _join_orbits, check_cap)
+from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose,
+                   _cycle_labels, _cycle_lengths, _identity, _inverse, _join_orbits, check_cap)
 
 #: Seed of the element sampler; any fixed value gives the same profiles.
 _SAMPLER_SEED = 0
@@ -117,7 +117,7 @@ class InvariantProfile(NamedTuple):
 def _walk_generators(group: PermGroup) -> list[RawPerm]:
     """The group's generators, distinct, identity dropped and sorted: the
     class walk's, whatever order they were supplied in."""
-    return sorted({g.images for g in group.generators} - {tuple(range(group.degree))})
+    return sorted({g.images for g in group.generators} - {_identity(group.degree)})
 
 
 def _classes(group: PermGroup, cap: int) -> list[list[RawPerm]]:
@@ -132,7 +132,7 @@ def _classes(group: PermGroup, cap: int) -> list[list[RawPerm]]:
     order = group.order()
     check_cap(order, cap)
     pairs = [(g, _inverse(g)) for g in _walk_generators(group)]
-    identity = tuple(range(group.degree))
+    identity = _identity(group.degree)
     seen = {identity}
     classes = [[identity]]
     for members in classes:  # classes grows while it is read
@@ -193,28 +193,6 @@ def _random_element(bsgs: BSGS, rng: random.Random, budget: _Budget) -> RawPerm:
     for level in reversed(bsgs.transversals):
         g = _compose(g, rng.choice(level))
     return g
-
-
-def _cycle_labels(x: RawPerm) -> list[int]:
-    """For each point, the smallest point of its cycle under x: the orbit
-    labels of <x>, on the sampler's hot path, where one walk per cycle is
-    about 3 times as fast as :func:`usets.perm._join_orbits` (timeit, a
-    random permutation: 1.5 vs 4.8 us at degree 10, 50 vs 147 at 513)."""
-    label = list(range(len(x)))
-    for start in range(len(x)):  # the first point met on a cycle is its smallest
-        if label[start] == start:
-            p = x[start]
-            while p != start:
-                label[p] = start
-                p = x[p]
-    return label
-
-
-def _cycle_lengths(x: RawPerm) -> list[int]:
-    """For each point, the length of its cycle under x."""
-    cycle = _cycle_labels(x)
-    counts = Counter(cycle)
-    return [counts[c] for c in cycle]
 
 
 class _Commuting:

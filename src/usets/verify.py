@@ -501,11 +501,7 @@ def run_verification(selection: Iterable[str] | None = None, *,
         if unknown:
             raise ValueError(f"unknown check ids: {sorted(unknown)}")
         rows = [row for row in rows if row.check_id in wanted]
-    report = VerificationReport(
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"), results=[])
-    for row in rows:
-        # one CheckResult per check, created once the check's work is done
-        report.results.append(
-            CheckResult(row.check_id, row.claim, *_outcome(row, catalog, cap)))
-    return report
+    # the timestamp comes first; each CheckResult is created once its check's work is done
+    return VerificationReport(
+        __version__, datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        [CheckResult(row.check_id, row.claim, *_outcome(row, catalog, cap)) for row in rows])

@@ -1,9 +1,11 @@
-"""Groups the tests use that the package does not build, direct products
-of groups, named package groups that several tests share, an independent
-orbit walk, a Leibniz determinant and the group's elements read off the
-package's class walk."""
+"""Groups the tests use that the package does not build, direct and
+wreath products of groups, named package groups that several tests share,
+an independent orbit walk, a Leibniz determinant, the group's elements
+read off the package's class walk, and the test of a report revision
+against a pinned report."""
 
 import itertools
+import json
 
 from usets import invariants
 from usets.construct import alternating_group, m11_group, psl_group
@@ -40,6 +42,14 @@ def direct_product(*factors: PermGroup) -> PermGroup:
             gens.append(Permutation(images))
         offset += f.degree
     return PermGroup(gens)
+
+
+def wreath_c2(group: PermGroup) -> PermGroup:
+    """G wr C2 on two copies of G's n points: each generator of G moving
+    the first copy, and the swap of point i with point n + i."""
+    n = group.degree
+    gens = [Permutation(list(g.images) + list(range(n, 2 * n))) for g in group.generators]
+    return PermGroup(gens + [Permutation([*range(n, 2 * n), *range(n)])])
 
 
 def orbit_labels(degree, gens):
@@ -81,3 +91,27 @@ def group_elements(group, cap=DEFAULT_CAP):
     classes of ``invariants._classes``, the one walk that lists a group."""
     return {z for members in invariants._classes(group, cap) for z in members}
 
+
+def assert_revision(pin, revised, declared):
+    """Assert that the report ``revised`` differs from the pinned report
+    ``pin`` only in the rows whose check ids are ``declared``.  Both are
+    JSON text as ``VerificationReport.to_json`` writes it (a pin has no
+    timestamp line).  The version is the same; every pinned row whose id
+    is not declared is still there, byte for byte and in the same
+    relative order; every new id is declared; and the summary is the
+    tally of the revised rows."""
+    old, new = (dict(json.loads(text, object_pairs_hook=list)) for text in (pin, revised))
+    assert new["version"] == old["version"]
+    declared = set(declared)
+
+    def kept(report):  # each row as the JSON of its (key, value) pairs, in written order
+        return [json.dumps(row) for row in report["results"]
+                if dict(row)["check_id"] not in declared]
+    pinned_ids = {dict(row)["check_id"] for row in old["results"]}
+    new_ids = [dict(row)["check_id"] for row in new["results"]]
+    assert set(new_ids) - pinned_ids <= declared, "a new check id is not declared"
+    assert kept(new) == kept(old), "an undeclared row changed, moved or went"
+    tally = {"pass": 0, "fail": 0, "not_checked": 0}
+    for row in new["results"]:
+        tally[dict(row)["status"]] += 1
+    assert dict(new["summary"]) == tally

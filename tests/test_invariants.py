@@ -20,7 +20,7 @@ from usets.invariants import (
 )
 from usets.perm import DEFAULT_CAP, GroupTooLargeError, PermGroup, Permutation
 
-from helpers import direct_product, group_elements, orbit_labels, symmetric_group
+from helpers import direct_product, group_elements, orbit_labels, symmetric_group, wreath_c2
 
 
 def brute_force_elements(group):
@@ -658,6 +658,26 @@ def test_product_class_sizes_are_products_of_the_factors(monkeypatch, factors):
         raise AssertionError("listed the product")
     monkeypatch.setattr(invariants, "_classes", unexpected)
     assert list(profile(direct_product(*groups)).class_sizes) == oracle
+
+
+@pytest.mark.parametrize("build", [
+    lambda: alternating_group(5), lambda: psl_group(2, 7), lambda: alternating_group(6),
+    lambda: psl_group(2, 11),
+], ids=["A5", "PSL(2,7)", "A6", "PSL(2,11)"])
+def test_wreath_class_sizes_follow_the_factor(monkeypatch, build):
+    # G wr C2 has a base class per pair {a, b} of classes of G, of size
+    # 2|a||b| if a != b and |a|^2 if a = b, and an outer class per class c,
+    # of size |G||c|: an exact oracle the sampler must meet without the walk
+    group = build()
+    sizes = [c.size for c in conjugacy_classes(group)]
+    oracle = sorted([a * b * (1 if i == j else 2) for i, a in enumerate(sizes)
+                     for j, b in enumerate(sizes) if i <= j]
+                    + [group.order() * c for c in sizes])
+
+    def unexpected(*_args):
+        raise AssertionError("listed the wreath product")
+    monkeypatch.setattr(invariants, "_classes", unexpected)
+    assert list(profile(wreath_c2(group), cap=10 ** 6).class_sizes) == oracle
 
 
 def test_a_walk_short_of_the_group_order_raises(monkeypatch):

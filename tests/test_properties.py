@@ -4,6 +4,7 @@ fuzzed arguments built from the real subcommands."""
 
 import contextlib
 import io
+import math
 from functools import partial
 
 import pytest
@@ -21,19 +22,22 @@ from helpers import CHAIN_GROUPS
 
 @st.composite
 def permutations(draw):
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(0, 12))
     return n, Permutation(draw(st.permutations(range(n))))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(permutations())
 def test_cycle_notation_round_trips(case):
+    # the order is the lcm of the parsed cycle lengths: 1 for the identity
+    # and for degree 0
     n, p = case
     text = p.cycle_string()
     assert text.startswith("(") and text.endswith(")")
     cycles = [[int(pt) - 1 for pt in body.split(",")]
               for body in text[1:-1].split(")(") if body]
     assert Permutation.from_cycles(n, *cycles) == p
+    assert p.order() == math.lcm(*map(len, cycles))
 
 
 def full_closure_schreier_sims(raw_gens, degree):

@@ -15,7 +15,15 @@ from usets.verify import (
     run_verification,
 )
 
-from helpers import group_elements
+from helpers import assert_revision, group_elements
+
+#: ``usets --cap N --format json verify paper`` at CI's caps, each without
+#: its timestamp line; CI compares the command's output with these files.
+PINS = Path(__file__).resolve().parent / "data"
+
+
+def pinned(cap):
+    return (PINS / f"verify_paper_cap{cap}.json").read_text()
 
 
 def test_no_failures(report):
@@ -235,6 +243,38 @@ def test_report_keys_keep_the_seed_report_order(report):
         assert [key for key, _ in pairs] == top_keys
         rows = pairs[-1][1]
         assert rows and all([key for key, _ in row] == row_keys for row in rows)
+
+
+@pytest.mark.parametrize("cap", [0, 500, 250_000, 2_000_000])
+def test_report_matches_its_pin(cap):
+    # the command prints the JSON and a newline
+    lines = (run_verification(cap=cap).to_json() + "\n").splitlines(keepends=True)
+    got = "".join(line for line in lines if '"timestamp"' not in line)
+    assert got.encode() == (PINS / f"verify_paper_cap{cap}.json").read_bytes()
+
+
+def test_a_new_row_passes_the_revision_test_only_when_declared(monkeypatch):
+    rows = verify._rows
+    probe = verify.CheckRow("probe:planted", "a planted row", "internal", lambda: (1, 1))
+    monkeypatch.setattr(verify, "_rows", lambda catalog, cap: rows(catalog, cap) + [probe])
+    revised = run_verification().to_json()
+    assert_revision(pinned(DEFAULT_CAP), revised, ["probe:planted"])
+    with pytest.raises(AssertionError, match="not declared"):
+        assert_revision(pinned(DEFAULT_CAP), revised, [])
+    # a summary that is not the tally of the rows
+    with pytest.raises(AssertionError):
+        assert_revision(pinned(DEFAULT_CAP), revised.replace('"pass": 166', '"pass": 165', 1),
+                        ["probe:planted"])
+
+
+def test_a_reworded_note_passes_the_revision_test_only_when_its_rows_are_declared(monkeypatch):
+    monkeypatch.setattr(verify, "NO_DATA_NOTE", "no construction of this group is shipped")
+    report = run_verification()
+    reworded = [r.check_id for r in report.results if r.note == verify.NO_DATA_NOTE]
+    assert len(reworded) == 23 and all(i.startswith("size5:") for i in reworded)
+    assert_revision(pinned(DEFAULT_CAP), report.to_json(), reworded)
+    with pytest.raises(AssertionError, match="undeclared row"):
+        assert_revision(pinned(DEFAULT_CAP), report.to_json(), reworded[1:])
 
 
 def test_default_cap_includes_a9_excludes_a10():

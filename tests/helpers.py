@@ -1,11 +1,16 @@
 """Groups the tests use that the package does not build, direct and
 wreath products of groups, named package groups that several tests share,
-an independent orbit walk, a Leibniz determinant, the group's elements
-read off the package's class walk, and the test of a report revision
-against a pinned report."""
+the class sizes of A_n and S_n from cycle types, a digest of a group's
+chain, an independent orbit walk, a Leibniz determinant, the group's
+elements read off the package's class walk, and the test of a report
+revision against a pinned report.  CI's steps import them too, with
+``tests`` on ``sys.path``."""
 
+import hashlib
 import itertools
 import json
+import math
+from collections import Counter
 
 from usets import invariants
 from usets.construct import alternating_group, m11_group, psl_group
@@ -30,6 +35,23 @@ def symmetric_group(n: int) -> PermGroup:
                       Permutation.from_cycles(n, tuple(range(n)))])
 
 
+def generated(degree, *generators):
+    """The group generated by permutations given as lists of cycles."""
+    return PermGroup([Permutation.from_cycles(degree, *cycles) for cycles in generators])
+
+
+def c2_6_x_s3():
+    """C2^6 x S3: each S3 class times the 64 central elements of C2^6."""
+    return generated(15, *([(2 * i, 2 * i + 1)] for i in range(6)), [(12, 13)], [(12, 13, 14)])
+
+
+def d100():
+    """D100 of order 200: {1, r^50}, the pairs {r^k, r^-k}, two reflection
+    classes."""
+    return PermGroup([Permutation.from_cycles(100, tuple(range(100))),
+                      Permutation([-p % 100 for p in range(100)])])
+
+
 def direct_product(*factors: PermGroup) -> PermGroup:
     """The direct product of the factors on disjoint points: each factor's
     generators move its own block of points, after the blocks of the
@@ -50,6 +72,53 @@ def wreath_c2(group: PermGroup) -> PermGroup:
     n = group.degree
     gens = [Permutation(list(g.images) + list(range(n, 2 * n))) for g in group.generators]
     return PermGroup(gens + [Permutation([*range(n, 2 * n), *range(n)])])
+
+
+def cycle_types(n):
+    """Each cycle type of S_n as (parts, z), the parts descending and z =
+    prod length^mult mult! the order of its centraliser in S_n."""
+    def partitions(rest, largest):
+        if rest == 0:
+            yield []
+            return
+        for part in range(min(rest, largest), 0, -1):
+            for tail in partitions(rest - part, part):
+                yield [part] + tail
+
+    for parts in partitions(n, n):
+        z = 1
+        for length, mult in Counter(parts).items():
+            z *= length ** mult * math.factorial(mult)
+        yield parts, z
+
+
+def alternating_class_sizes(n):
+    """Class sizes of A_n from cycle types: n!/z for each even cycle type,
+    split into two halves when the parts are distinct and odd."""
+    sizes = []
+    for parts, z in cycle_types(n):
+        if (n - len(parts)) % 2:
+            continue
+        size = math.factorial(n) // z
+        if len(set(parts)) == len(parts) and all(p % 2 for p in parts):
+            sizes += [size // 2, size // 2]
+        else:
+            sizes.append(size)
+    return sorted(sizes)
+
+
+def symmetric_class_sizes(n):
+    """Class sizes of S_n from cycle types: n!/z for each, none split."""
+    return sorted(math.factorial(n) // z for _, z in cycle_types(n))
+
+
+def chain_digest(group):
+    """sha256 of the group's chain: its base, its strong generators in
+    order and every transversal element in order."""
+    bsgs = group.bsgs
+    chain = (bsgs.base, tuple(g.images for g in bsgs.strong_generators),
+             tuple(u for level in bsgs.transversals for u in level))
+    return hashlib.sha256(repr(chain).encode()).hexdigest()
 
 
 def orbit_labels(degree, gens):

@@ -1,13 +1,19 @@
 """What the report catches: each planted defect, monkeypatched where its
 caller reads it, must fail at least one row of ``run_verification`` at
 the default cap, on a fresh catalog, and exactly the rows recorded here.
-A change that weakens a row shows up as a diff of these lists."""
+A change that weakens a row shows up as a diff of these lists.  Defects
+planted in the sampler must be caught on a product of two groups, by the
+class equation or by the product's class sizes, as recorded here."""
 
+import itertools
 import math
 
 import pytest
 
-from usets import catalog, invariants, patterns, verify
+from usets import catalog, invariants, patterns, perm, verify
+from usets.construct import alternating_group, psl_group
+
+from helpers import direct_product
 
 #: The memoised functions of :mod:`usets.patterns`, cleared around each
 #: plant so that no result computed under a defect outlives it.
@@ -81,6 +87,31 @@ def overstated_centralizer(monkeypatch):
     monkeypatch.setattr(invariants, "_centralizer", wrong)
 
 
+def plant_chain(monkeypatch, change):
+    # only PSL(2,11)'s chain, the one catalog chain of order 660 on 12 points
+    build = perm._schreier_sims
+
+    def planted(gens, degree, bound=None):
+        chain = build(gens, degree, bound)
+        return change(chain) if degree == 12 and chain.order() == 660 else chain
+    monkeypatch.setattr(perm, "_schreier_sims", planted)
+
+
+def last_level_dropped(chain):
+    return perm.BSGS(chain.degree, list(chain.base[:-1]), chain._level_gens[:-1],
+                     chain.transversals[:-1], chain.inverses[:-1])
+
+
+def transversal_images_swapped(chain):
+    # the deepest level's last representative with its images of points 3
+    # and 4 swapped, its stored inverse left as it was
+    *levels, deepest = chain.transversals
+    u = list(deepest[-1])
+    u[3], u[4] = u[4], u[3]
+    return perm.BSGS(chain.degree, list(chain.base), chain._level_gens,
+                     [*levels, deepest[:-1] + (tuple(u),)], chain.inverses)
+
+
 DEFECTS = {
     "split-class": lambda mp: plant_sizes(mp, split_class),
     "merged-classes": lambda mp: plant_sizes(mp, merged_classes),
@@ -91,6 +122,8 @@ DEFECTS = {
     "solve-psl2-order-off-by-two": solve_off_by_two,
     "size-option-dropped": size_option_dropped,
     "overstated-centralizer": overstated_centralizer,
+    "last-chain-level-dropped": lambda mp: plant_chain(mp, last_level_dropped),
+    "transversal-images-swapped": lambda mp: plant_chain(mp, transversal_images_swapped),
 }
 
 #: defect -> the ids of the rows it fails, in report order
@@ -122,6 +155,18 @@ FAILED = {
         "burnside:PSL(2,11)", "prime-set:PSL(2,11)", "center:PSL(2,11)", "feasibility:PSL(2,11)",
         "rank:PSL(2,11)", "size5:PSL(2,11)", "order-and-class:PSL(2,11)", "uset-uniqueness",
         "centralizer-count:PSL(2,11)"],
+    # each row's note: PSL(2,11): built order 132, expected 660
+    "last-chain-level-dropped": [
+        "uset:PSL(2,11)", "order:PSL(2,11)", "order-identity:PSL(2,11)",
+        "divisibility:PSL(2,11)", "burnside:PSL(2,11)", "prime-set:PSL(2,11)",
+        "center:PSL(2,11)", "feasibility:PSL(2,11)", "rank:PSL(2,11)", "size5:PSL(2,11)",
+        "order-and-class:PSL(2,11)", "uset-uniqueness", "centralizer-count:PSL(2,11)"],
+    # each row's note: class sizes add up to 715, group order is 660
+    "transversal-images-swapped": [
+        "uset:PSL(2,11)", "order-identity:PSL(2,11)", "divisibility:PSL(2,11)",
+        "burnside:PSL(2,11)", "prime-set:PSL(2,11)", "center:PSL(2,11)", "feasibility:PSL(2,11)",
+        "rank:PSL(2,11)", "size5:PSL(2,11)", "order-and-class:PSL(2,11)", "uset-uniqueness",
+        "centralizer-count:PSL(2,11)"],
 }
 
 
@@ -143,3 +188,69 @@ def test_each_planted_defect_fails_its_recorded_rows(fresh, defect):
     failed = [r.check_id for r in verify.run_verification().results if r.status == "fail"]
     assert failed
     assert failed == FAILED[defect]
+
+
+def plant_once(monkeypatch, name, hit, change):
+    """``invariants.<name>`` with its first answer for which ``hit`` holds
+    replaced by ``change`` of it."""
+    real, done = getattr(invariants, name), []
+
+    def planted(*args):
+        got = real(*args)
+        if done or not hit(got):
+            return got
+        done.append(got)
+        return change(got)
+    monkeypatch.setattr(invariants, name, planted)
+
+
+def skipped_level(monkeypatch):
+    # the centraliser search finds nothing at level 1, so the C(x)-orbit of
+    # base[1] is only what the deeper levels' elements give; level 0, which
+    # the conjugacy tests share, is left alone
+    search = invariants._conjugacy_search
+
+    def planted(bsgs, x, x_len, y, cent, budget, level):
+        find = search(bsgs, x, x_len, y, cent, budget, level)
+        return (lambda image, fixing: None) if level == 1 else find
+    monkeypatch.setattr(invariants, "_conjugacy_search", planted)
+
+
+SAMPLER_DEFECTS = {
+    # the first conjugacy test that finds a conjugator answers None
+    "missed-conjugator": lambda mp: plant_once(mp, "_conjugator", lambda g: g is not None,
+                                               lambda g: None),
+    "skipped-centralizer-level": skipped_level,
+    # the first power kernel with an exponent besides 1 loses its largest
+    "dropped-exponent": lambda mp: plant_once(mp, "_power_kernel", lambda k: len(k) > 1,
+                                              lambda k: k - {max(k)}),
+}
+
+#: sampler defect -> what catches it on A5 x PSL(2,7): the class equation's
+#: RuntimeError, by its message, or "product oracle" for wrong class sizes
+#: that the class equation lets through
+CAUGHT = {
+    "missed-conjugator": "class sizes add up to 10605, group order is 10080",
+    "skipped-centralizer-level": "class sizes add up to 10896, group order is 10080",
+    "dropped-exponent": "class sizes add up to 10605, group order is 10080",
+}
+
+
+@pytest.mark.parametrize("defect", SAMPLER_DEFECTS)
+def test_each_sampler_defect_is_caught_on_a_product(monkeypatch, defect):
+    factors = alternating_group(5), psl_group(2, 7)
+    oracle = sorted(a.size * b.size for a, b in itertools.product(
+        *map(invariants.conjugacy_classes, factors)))
+
+    def unexpected(*_args):
+        raise AssertionError("listed the product")
+    monkeypatch.setattr(invariants, "_classes", unexpected)
+    SAMPLER_DEFECTS[defect](monkeypatch)
+    try:
+        sizes = list(invariants.profile(direct_product(*factors)).class_sizes)
+    except RuntimeError as error:
+        caught = str(error)
+    else:
+        assert sizes != oracle
+        caught = "product oracle"
+    assert caught == CAUGHT[defect]

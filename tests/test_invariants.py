@@ -18,9 +18,21 @@ from usets.invariants import (
     conjugacy_classes,
     profile,
 )
+from usets.patterns import factorize
 from usets.perm import DEFAULT_CAP, GroupTooLargeError, PermGroup, Permutation
 
-from helpers import direct_product, group_elements, orbit_labels, symmetric_group, wreath_c2
+from helpers import (
+    alternating_class_sizes,
+    c2_6_x_s3,
+    d100,
+    direct_product,
+    generated,
+    group_elements,
+    orbit_labels,
+    symmetric_class_sizes,
+    symmetric_group,
+    wreath_c2,
+)
 
 
 def brute_force_elements(group):
@@ -178,11 +190,6 @@ def test_u4_2_count_collapse(catalog):
     prof = catalog.entry("U4(2)").profile()
     assert sum(prof.u_multiset()) == 25920
     assert len([n for n in prof.V if prof.u_map[n] == 1440]) == 2
-
-
-def generated(degree, *generators):
-    """The group generated by permutations given as lists of cycles."""
-    return PermGroup([Permutation.from_cycles(degree, *cycles) for cycles in generators])
 
 
 def padded(group):
@@ -415,44 +422,6 @@ def enumerated_profile(group):
     return invariants._profile_from_sizes(group.order(), sizes)
 
 
-def cycle_types(n):
-    """Each cycle type of S_n as (parts, z), the parts descending and z =
-    prod length^mult mult! the order of its centraliser in S_n."""
-    def partitions(rest, largest):
-        if rest == 0:
-            yield []
-            return
-        for part in range(min(rest, largest), 0, -1):
-            for tail in partitions(rest - part, part):
-                yield [part] + tail
-
-    for parts in partitions(n, n):
-        z = 1
-        for length, mult in Counter(parts).items():
-            z *= length ** mult * math.factorial(mult)
-        yield parts, z
-
-
-def alternating_class_sizes(n):
-    """Class sizes of A_n from cycle types: n!/z for each even cycle type,
-    split into two halves when the parts are distinct and odd."""
-    sizes = []
-    for parts, z in cycle_types(n):
-        if (n - len(parts)) % 2:
-            continue
-        size = math.factorial(n) // z
-        if len(set(parts)) == len(parts) and all(p % 2 for p in parts):
-            sizes += [size // 2, size // 2]
-        else:
-            sizes.append(size)
-    return sorted(sizes)
-
-
-def symmetric_class_sizes(n):
-    """Class sizes of S_n from cycle types: n!/z for each, none split."""
-    return sorted(math.factorial(n) // z for _, z in cycle_types(n))
-
-
 def relabelled(group, rng):
     """The same group on shuffled point labels, generators in shuffled order."""
     labels = list(range(group.degree))
@@ -610,18 +579,6 @@ def test_elementary_abelian_group_falls_back_to_enumeration(monkeypatch, class_w
     assert prof.U == frozenset({1024})
 
 
-def c2_6_x_s3():
-    """C2^6 x S3: each S3 class times the 64 central elements of C2^6."""
-    return generated(15, *([(2 * i, 2 * i + 1)] for i in range(6)), [(12, 13)], [(12, 13, 14)])
-
-
-def d100():
-    """D100 of order 200: {1, r^50}, the pairs {r^k, r^-k}, two reflection
-    classes."""
-    return PermGroup([Permutation.from_cycles(100, tuple(range(100))),
-                      Permutation([-p % 100 for p in range(100)])])
-
-
 # The padded groups give each generator twice and the identity, and the
 # budget counts each distinct generator once, so the sampler gives way to
 # the walk as before.  D100's sampler needs 416 work units, past 200 x 2
@@ -649,7 +606,8 @@ def test_nonabelian_groups_fall_back_to_enumeration(class_walks, build, sizes):
 ], ids=["A5xPSL(2,7)", "PSL(2,11)xA6", "A5xA5"])
 def test_product_class_sizes_are_products_of_the_factors(monkeypatch, factors):
     # G x H has one class per pair of classes, a^G x b^H, of size
-    # |a^G||b^H|: an exact oracle the sampler must meet without the walk
+    # |a^G||b^H|: an exact oracle the sampler must meet without the walk,
+    # also on relabelled points, where the chain and the draws differ
     groups = [build() for build in factors]
     oracle = sorted(a.size * b.size for a, b in
                     itertools.product(*(conjugacy_classes(g) for g in groups)))
@@ -657,7 +615,9 @@ def test_product_class_sizes_are_products_of_the_factors(monkeypatch, factors):
     def unexpected(*_args):
         raise AssertionError("listed the product")
     monkeypatch.setattr(invariants, "_classes", unexpected)
-    assert list(profile(direct_product(*groups)).class_sizes) == oracle
+    product = direct_product(*groups)
+    for copy in (product, relabelled(product, random.Random(product.order()))):
+        assert list(profile(copy).class_sizes) == oracle
 
 
 @pytest.mark.parametrize("build", [
@@ -667,7 +627,8 @@ def test_product_class_sizes_are_products_of_the_factors(monkeypatch, factors):
 def test_wreath_class_sizes_follow_the_factor(monkeypatch, build):
     # G wr C2 has a base class per pair {a, b} of classes of G, of size
     # 2|a||b| if a != b and |a|^2 if a = b, and an outer class per class c,
-    # of size |G||c|: an exact oracle the sampler must meet without the walk
+    # of size |G||c|: an exact oracle the sampler must meet without the walk,
+    # also on relabelled points
     group = build()
     sizes = [c.size for c in conjugacy_classes(group)]
     oracle = sorted([a * b * (1 if i == j else 2) for i, a in enumerate(sizes)
@@ -677,7 +638,9 @@ def test_wreath_class_sizes_follow_the_factor(monkeypatch, build):
     def unexpected(*_args):
         raise AssertionError("listed the wreath product")
     monkeypatch.setattr(invariants, "_classes", unexpected)
-    assert list(profile(wreath_c2(group), cap=10 ** 6).class_sizes) == oracle
+    wreath = wreath_c2(group)
+    for copy in (wreath, relabelled(wreath, random.Random(wreath.order()))):
+        assert list(profile(copy, cap=10 ** 6).class_sizes) == oracle
 
 
 def test_a_walk_short_of_the_group_order_raises(monkeypatch):
@@ -816,6 +779,34 @@ def test_class_sizes_match_sympy(catalog):
             [sympy.Permutation(list(g.images)) for g in group.generators])
         sizes = sorted(len(c) for c in other.conjugacy_classes())
         assert list(profile(group).class_sizes) == sizes, name
+
+
+def frobenius_failures(order, classes):
+    """The divisors d of ``order`` for which the number of x with x^d = 1 is
+    not a multiple of d, the classes given as (element order, class size);
+    by Frobenius's theorem there is none."""
+    divisors = [math.prod(powers) for powers in itertools.product(
+        *([p ** i for i in range(e + 1)] for p, e in factorize(order).items()))]
+    return sorted(d for d in divisors if sum(n for m, n in classes if d % m == 0) % d)
+
+
+def test_frobenius_counts_of_solutions_of_x_to_the_d(catalog):
+    # a representative's order is the lcm of its cycle lengths, the type
+    # that keys its record, and its class has |G|/|C(x)| elements
+    for name in catalog.names():
+        group = catalog.get(name)
+        order = group.order()
+        classes = [(math.lcm(*cycle_type), order // count) for cycle_type, same in
+                   invariants._class_table(group, 2_000_000).items() for _, count, _ in same]
+        assert sum(n for _, n in classes) == order, name
+        assert frobenius_failures(order, classes) == [], name
+        if name == "PSL(2,11)":
+            psl_2_11 = classes
+    # swapping the sizes of the involution class (55) and one class of order
+    # 5 (132) keeps the sum |G|, but then 133 elements have x^2 = 1
+    involutions, fives = psl_2_11.index((2, 55)), psl_2_11.index((5, 132))
+    psl_2_11[involutions], psl_2_11[fives] = (2, 132), (5, 55)
+    assert frobenius_failures(660, psl_2_11) == [2, 4, 5, 6, 12, 15, 22, 44, 55, 66, 132, 165]
 
 
 # -- one centraliser search per rational class -----------------------------------

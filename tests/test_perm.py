@@ -1,4 +1,3 @@
-import hashlib
 import math
 import random
 
@@ -9,7 +8,7 @@ from usets.invariants import profile
 from usets.perm import GroupTooLargeError, PermGroup, Permutation
 from usets.construct import alternating_group, psl_group
 
-from helpers import CHAIN_GROUPS, group_elements, orbit_labels, symmetric_group
+from helpers import CHAIN_GROUPS, chain_digest, group_elements, orbit_labels, symmetric_group
 
 
 def cyc(degree, *cycles):
@@ -211,13 +210,6 @@ BUILT_CHAIN_DIGESTS = {
     ("Alt", 20): "dbee38c6c058c77968ed4904559493caee0186ac4ec7a7cfaf4e8724ef8fdf0b",
     ("Alt", 24): "57e19f58acfb169c2ab36bc50e47641a48941498feaef86a43f150c123453d39",
 }
-
-
-def chain_digest(group):
-    bsgs = group.bsgs
-    chain = (bsgs.base, tuple(g.images for g in bsgs.strong_generators),
-             tuple(u for level in bsgs.transversals for u in level))
-    return hashlib.sha256(repr(chain).encode()).hexdigest()
 
 
 def test_catalog_chains_are_pinned(catalog):

@@ -221,34 +221,13 @@ def test_low_cap_gates_the_k3_elimination():
     assert "cap" in r.note
 
 
-def test_report_matches_the_seed_report(report):
-    """The whole report, apart from the timestamp, equals the report the
-    seed commit produced at the default cap."""
-    seed = Path(__file__).resolve().parents[1] / "bench" / "data" / "verify_paper_seed.json"
-    got = json.loads(report.to_json())
-    got.pop("timestamp")
-    assert got == json.loads(seed.read_text())
-
-
-def test_report_keys_keep_the_seed_report_order(report):
-    """Parsed JSON compares equal in any key order; the report's bytes
-    depend on it, so the keys of the report and of each row are read in
-    the order they are written."""
-    seed = Path(__file__).resolve().parents[1] / "bench" / "data" / "verify_paper_seed.json"
-    row_keys = ["check_id", "claim", "status", "computed", "expected", "expected_source",
-                "note"]
-    for text, top_keys in ((report.to_json(), ["version", "timestamp", "summary", "results"]),
-                           (seed.read_text(), ["version", "summary", "results"])):
-        pairs = json.loads(text, object_pairs_hook=list)
-        assert [key for key, _ in pairs] == top_keys
-        rows = pairs[-1][1]
-        assert rows and all([key for key, _ in row] == row_keys for row in rows)
-
-
 @pytest.mark.parametrize("cap", [0, 500, 250_000, 2_000_000])
 def test_report_matches_its_pin(cap):
+    """The report, byte for byte, so also the key order of the report and of
+    each row, with its one timestamp line right after the version."""
     # the command prints the JSON and a newline
     lines = (run_verification(cap=cap).to_json() + "\n").splitlines(keepends=True)
+    assert [i for i, line in enumerate(lines) if '"timestamp"' in line] == [2]
     got = "".join(line for line in lines if '"timestamp"' not in line)
     assert got.encode() == (PINS / f"verify_paper_cap{cap}.json").read_bytes()
 

@@ -74,7 +74,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .patterns import factorize
 from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose,
-                   _cycle_labels, _cycle_lengths, _identity, _inverse, _join_orbits, check_cap)
+                   _cycle_labels, _cycle_lengths, _identity, _inverse, _join_orbits, _raw,
+                   check_cap)
 
 #: Seed of the element sampler; any fixed value gives the same profiles.
 _SAMPLER_SEED = 0
@@ -116,8 +117,9 @@ class InvariantProfile(NamedTuple):
 
 def _walk_generators(group: PermGroup) -> list[RawPerm]:
     """The group's generators, distinct, identity dropped and sorted: the
-    class walk's, whatever order they were supplied in."""
-    return sorted({g.images for g in group.generators} - {_identity(group.degree)})
+    class walk's, whatever order they were supplied in, in the internal
+    form (:func:`usets.perm._raw`), which sorts as the tuples do."""
+    return sorted({_raw(g.images) for g in group.generators} - {_identity(group.degree)})
 
 
 def _classes(group: PermGroup, cap: int) -> list[list[RawPerm]]:
@@ -157,7 +159,7 @@ def _classes(group: PermGroup, cap: int) -> list[list[RawPerm]]:
 def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_CAP) -> list[ConjClass]:
     """All conjugacy classes, sorted by (size, representative images)."""
     found = sorted((len(members), min(members)) for members in _classes(group, cap))
-    return [ConjClass(Permutation._wrap(rep), size, math.lcm(*_cycle_lengths(rep)))
+    return [ConjClass(Permutation._wrap(tuple(rep)), size, math.lcm(*_cycle_lengths(rep)))
             for size, rep in found]
 
 

@@ -114,10 +114,11 @@ def symmetric_class_sizes(n):
 
 def chain_digest(group):
     """sha256 of the group's chain: its base, its strong generators in
-    order and every transversal element in order."""
+    order and every transversal element in order, each as a tuple of
+    images whatever its internal form."""
     bsgs = group.bsgs
     chain = (bsgs.base, tuple(g.images for g in bsgs.strong_generators),
-             tuple(u for level in bsgs.transversals for u in level))
+             tuple(tuple(u) for level in bsgs.transversals for u in level))
     return hashlib.sha256(repr(chain).encode()).hexdigest()
 
 
@@ -158,7 +159,7 @@ def det(field, m):
 def group_elements(group, cap=DEFAULT_CAP):
     """The group's elements as a set of image tuples, flattened from the
     classes of ``invariants._classes``, the one walk that lists a group."""
-    return {z for members in invariants._classes(group, cap) for z in members}
+    return {tuple(z) for members in invariants._classes(group, cap) for z in members}
 
 
 def assert_revision(pin, revised, declared):

@@ -109,7 +109,7 @@ def transversal_images_swapped(chain):
     u = list(deepest[-1])
     u[3], u[4] = u[4], u[3]
     return perm.BSGS(chain.degree, list(chain.base), chain._level_gens,
-                     [*levels, deepest[:-1] + (tuple(u),)], chain.inverses)
+                     [*levels, deepest[:-1] + (perm._raw(u),)], chain.inverses)
 
 
 DEFECTS = {

@@ -665,7 +665,7 @@ def conjugate(x, g):
     y = [0] * len(x)
     for p in range(len(x)):
         y[g[p]] = g[x[p]]
-    return tuple(y)
+    return perm._raw(y)
 
 
 def from_cycles(degree, *perms):
@@ -694,7 +694,7 @@ def check_centralizer(group, x, order, cent):
     gens = cent.elements
     identity = tuple(range(group.degree))
     for g in gens:
-        assert group.bsgs.sift(g) == identity  # g lies in the group
+        assert tuple(group.bsgs.sift(g)) == identity  # g lies in the group
         assert perm._compose(g, x) == perm._compose(x, g)
     assert perm._schreier_sims(gens, group.degree).order() == order
     subsets = [*cent._labels, tuple(range(len(gens)))]
@@ -707,7 +707,7 @@ def check_centralizer(group, x, order, cent):
 @pytest.mark.parametrize("name", CENTRALIZER_GROUPS)
 def test_centralizer_matches_brute_force(name):
     group = CENTRALIZER_GROUPS[name]()
-    elems = [g.images for g in brute_force_elements(group)]
+    elems = [perm._raw(g.images) for g in brute_force_elements(group)]
     budget = invariants._Budget(10 ** 9)
     for x in elems:
         order, cent = invariants._centralizer(group.bsgs, x, invariants._cycle_lengths(x),
@@ -722,7 +722,7 @@ def test_conjugator_counts_match_brute_force(name):
     # coset of C(x): each level may try every point, or one point per
     # orbit of the elements of C(y) that fix the images chosen so far
     group = CENTRALIZER_GROUPS[name]()
-    elems = sorted(g.images for g in brute_force_elements(group))
+    elems = sorted(perm._raw(g.images) for g in brute_force_elements(group))
     bsgs = group.bsgs
     budget = invariants._Budget(10 ** 9)
     lengths = {x: invariants._cycle_lengths(x) for x in elems}
@@ -938,7 +938,7 @@ def test_psl_3_4_profile_compositions(monkeypatch):
     # a child refuted by its orbit labels is never composed: the search
     # composes only the children it enters, the forced levels and the leaf
     # tests (composing every child took 2 149); the 19 grown sets of orbit
-    # labels compose twice each in perm._join_orbits, which is not counted
+    # labels gather twice each in perm._join_orbits, which is not counted
     group = psl_group(3, 4)
     group.order()  # builds the chain
     calls = []

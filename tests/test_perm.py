@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from usets import perm
-from usets.invariants import profile
+from usets.invariants import conjugacy_classes, profile
 from usets.perm import GroupTooLargeError, PermGroup, Permutation
 from usets.construct import alternating_group, psl_group
 
@@ -35,9 +36,11 @@ class TestCompose:
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_degrees_below_two(self, degree):
-        # the C gather needs at least two indices; shorter tuples take the fallback
+        # the tuple gather needs at least two indices; these degrees are
+        # bytes inside, whose translate needs none
         ident = Permutation(range(degree))
-        assert perm._compose(ident.images, ident.images) == ident.images
+        raw = perm._raw(ident.images)
+        assert tuple(perm._compose(raw, raw)) == ident.images
         assert ident * ident == ident
         group = PermGroup([ident])
         assert group.order() == 1
@@ -145,7 +148,7 @@ class TestBSGS:
     def test_original_generators_sift_trivially(self):
         g = alternating_group(7)
         for gen in g.generators:
-            assert g.bsgs.sift(gen.images) == tuple(range(7))
+            assert tuple(g.bsgs.sift(gen.images)) == tuple(range(7))
 
     def test_basic_orbit_sizes_divide_order(self):
         g = PermGroup([cyc(6, (0, 1, 2, 3)), cyc(6, (3, 4, 5))])
@@ -267,21 +270,23 @@ def test_schreier_sims_skips_trivial_compositions(monkeypatch):
     # inverting every given generator for the class walk as well took 46
     # and 24 inversions.  The sifts count the certificates tried as well as
     # the Schreier generators sifted, so more of either shows here.  A sift
-    # gathers each level it strips without calling _compose, so the C-level
-    # gathers, 5 053 and 10 318, are the compositions: _compose's 3 684 and
-    # 5 808 and the sifts' levels
+    # translates each level it strips without calling _compose; each
+    # translate pads its table with one read of perm._TAIL, so those reads,
+    # 5 053 and 10 318, are the compositions: _compose's 3 684 and 5 808
+    # and the sifts' levels
     groups = ((psl_group(4, 4), 3_684, 5_053, 22, 954),
               (alternating_group(24), 5_808, 10_318, 22, 2_609))
-    calls = {"compose": 0, "gather": 0, "inverse": 0, "sift": 0}
-    compose, gather, inverse, sift = perm._compose, perm.itemgetter, perm._inverse, perm._sift
+    calls = {"compose": 0, "translate": 0, "inverse": 0, "sift": 0}
+    compose, inverse, sift = perm._compose, perm._inverse, perm._sift
+
+    class CountingTail(tuple):
+        def __getitem__(self, n):
+            calls["translate"] += 1
+            return tuple.__getitem__(self, n)
 
     def counting_compose(a, b):
         calls["compose"] += 1
         return compose(a, b)
-
-    def counting_gather(*items):
-        calls["gather"] += 1
-        return gather(*items)
 
     def counting_inverse(a):
         calls["inverse"] += 1
@@ -291,13 +296,13 @@ def test_schreier_sims_skips_trivial_compositions(monkeypatch):
         calls["sift"] += 1
         return sift(*args)
     monkeypatch.setattr(perm, "_compose", counting_compose)
-    monkeypatch.setattr(perm, "itemgetter", counting_gather)
+    monkeypatch.setattr(perm, "_TAIL", CountingTail(perm._TAIL))
     monkeypatch.setattr(perm, "_inverse", counting_inverse)
     monkeypatch.setattr(perm, "_sift", counting_sift)
-    for group, compositions, gathers, inversions, sifts in groups:
-        calls.update(compose=0, gather=0, inverse=0, sift=0)
+    for group, compositions, translates, inversions, sifts in groups:
+        calls.update(compose=0, translate=0, inverse=0, sift=0)
         group.order()
-        assert calls == {"compose": compositions, "gather": gathers,
+        assert calls == {"compose": compositions, "translate": translates,
                          "inverse": inversions, "sift": sifts}
 
 
@@ -339,15 +344,15 @@ def test_sift_residue_matches_composing_at_every_level(name):
         return g
 
     ident = tuple(range(n))
-    assert bsgs.identity == ident
+    assert tuple(bsgs.identity) == ident
     for _ in range(40):
         word = ident
         for gen in rng.choices(gens, k=rng.randrange(1, 30)):
             word = tuple(gen[x] for x in word)
         a, b = rng.sample(range(n), 2)
         swapped = tuple(b if x == a else a if x == b else x for x in word)
-        assert bsgs.sift(word) == reference(word) == ident
-        assert bsgs.sift(swapped) == reference(swapped) != ident
+        assert tuple(bsgs.sift(word)) == reference(word) == ident
+        assert tuple(bsgs.sift(swapped)) == reference(swapped) != ident
         assert group.contains(Permutation(word))
         assert not group.contains(Permutation(swapped))
     assert fixed > 0
@@ -377,7 +382,7 @@ def test_membership_sifts_without_compose(build, monkeypatch):
     monkeypatch.setattr(perm, "_compose", refuse)
     for images, member in cases:
         assert group.contains(Permutation(images)) is member
-        assert (bsgs.sift(images) == tuple(range(n))) is member
+        assert (tuple(bsgs.sift(images)) == tuple(range(n))) is member
 
 
 class TestContains:
@@ -419,7 +424,7 @@ class TestElements:
         elems = group_elements(g)
         for x in elems:
             for s in g.generators:
-                assert perm._compose(x, s.images) in elems
+                assert tuple(perm._compose(perm._raw(x), perm._raw(s.images))) in elems
 
     def test_deterministic_and_generator_order_independent(self):
         g1 = alternating_group(5)
@@ -438,3 +443,103 @@ class TestElements:
     def test_enumeration_count_matches_bsgs_order(self, group, order):
         assert group.order() == order
         assert len(group_elements(group)) == order
+
+
+# Inside the package a permutation of degree at most 256 is the bytes of
+# its images and one of higher degree their tuple; the kernels give the
+# same images in either form, on both sides of the switch.
+
+
+def reference_sift(g, base, inverses):
+    """The sift of an image tuple, composing at every level it reaches."""
+    for pt, inverse in zip(base, inverses):
+        uinv = inverse.get(g[pt])
+        if uinv is None:
+            break
+        g = tuple(uinv[x] for x in g)
+    return g
+
+
+@pytest.mark.parametrize("degree", [1, 2, 255, 256, 257, 300])
+def test_kernels_match_a_tuple_reference(degree):
+    rng = random.Random(degree)
+    form = bytes if degree <= 256 else tuple
+    ident = tuple(range(degree))
+    for _ in range(10):
+        a, b, c = (rng.sample(range(degree), degree) for _ in range(3))
+        ra, rb = perm._raw(a), perm._raw(b)
+        assert type(ra) is type(rb) is type(perm._identity(degree)) is form
+        composed = perm._compose(ra, rb)
+        assert type(composed) is form and tuple(composed) == tuple(b[x] for x in a)
+        inverse = perm._inverse(ra)
+        assert type(inverse) is form and tuple(inverse[x] for x in a) == ident
+        assert perm._cycle_labels(ra) == orbit_labels(degree, [a])
+        labels = perm._join_orbits(range(degree), ra)
+        assert labels == tuple(orbit_labels(degree, [a]))
+        assert perm._join_orbits(labels, rb) == tuple(orbit_labels(degree, [a, b]))
+        # a made-up chain: every point but the base point maps to one of
+        # a few stored permutations, the base point to the identity, except
+        # on the last level, where most points have no entry and the sift stops
+        pool = [tuple(rng.sample(range(degree), degree)) for _ in range(3)]
+        base = rng.sample(range(degree), min(degree, 4))
+        inverses = [{**{p: rng.choice(pool) for p in (range(degree) if i < 3 else pool[0][:3])},
+                     pt: ident} for i, pt in enumerate(base)]
+        raw_inverses = [{k: perm._raw(v) for k, v in level.items()} for level in inverses]
+        for g in (a, b, c):
+            residue = perm._sift(perm._raw(g), base, raw_inverses)
+            assert type(residue) is form
+            assert tuple(residue) == reference_sift(tuple(g), base, inverses)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 255, 256])
+def test_mixed_forms_raise(degree):
+    # each degree has one form: a tuple where bytes belong is refused
+    a = perm._raw(random.Random(degree).sample(range(degree), degree))
+    for x, y in ((a, tuple(a)), (tuple(a), a)):
+        with pytest.raises((TypeError, AttributeError)):
+            perm._compose(x, y)
+    with pytest.raises(TypeError):
+        perm._inverse(tuple(a))
+
+
+def padded_a5(degree):
+    """A5 on the points 0-4, fixing every other point below ``degree``."""
+    return PermGroup([Permutation(list(g.images) + list(range(5, degree)))
+                      for g in alternating_group(5).generators])
+
+
+@pytest.mark.parametrize("degree, form", [(256, bytes), (300, tuple)])
+def test_a5_padded_across_the_switch_keeps_its_chain(degree, form):
+    # the chain, profile, classes and memberships of A5 on 5 points, with
+    # every element fixing the points the padding adds
+    small, group = alternating_group(5), padded_a5(degree)
+    bsgs, fixed = group.bsgs, tuple(range(5, degree))
+    assert bsgs.base == small.bsgs.base
+    levels = [*bsgs.transversals, *bsgs._level_gens, *(d.values() for d in bsgs.inverses)]
+    assert all(type(u) is form and tuple(u[5:]) == fixed for level in levels for u in level)
+    assert [[tuple(u[:5]) for u in level] for level in bsgs.transversals] == [
+        [tuple(u) for u in level] for level in small.bsgs.transversals]
+    assert [g.images[:5] for g in bsgs.strong_generators] == [
+        g.images for g in small.bsgs.strong_generators]
+    assert profile(group) == profile(small)
+    classes = conjugacy_classes(group)
+    assert [(c.size, c.representative.images[:5], c.element_order) for c in classes] == [
+        (c.size, c.representative.images, c.element_order) for c in conjugacy_classes(small)]
+    members = 0
+    for images in itertools.permutations(range(5)):
+        member = small.contains(Permutation(images))
+        assert group.contains(Permutation(images + fixed)) is member
+        members += member
+    assert members == 60
+
+
+def test_catalog_chains_are_bytes_and_hand_out_tuples(catalog):
+    for name in catalog.names():
+        bsgs = catalog.get(name).bsgs
+        assert bsgs.degree <= 256, name
+        levels = [*bsgs.transversals, *bsgs._level_gens, *(d.values() for d in bsgs.inverses)]
+        assert all(type(u) is bytes for level in levels for u in level), name
+        assert type(bsgs.identity) is bytes, name
+        assert all(type(g.images) is tuple for g in bsgs.strong_generators), name
+    classes = conjugacy_classes(catalog.get("PSL(2,11)"))
+    assert all(type(c.representative.images) is tuple for c in classes)

@@ -132,10 +132,12 @@ def raw_generating_sets(draw):
 
 def assert_chain_equals_full_closure(bsgs, gens, degree):
     base, level_gens, transversals, inverses = full_closure_schreier_sims(gens, degree)
+    # the chain's elements compared as tuples, whatever their internal form
     assert bsgs.base == tuple(base)
-    assert bsgs._level_gens == level_gens
-    assert bsgs.transversals == transversals
-    assert [list(d.items()) for d in bsgs.inverses] == [list(d.items()) for d in inverses]
+    assert [list(map(tuple, lvl)) for lvl in bsgs._level_gens] == level_gens
+    assert [tuple(map(tuple, lvl)) for lvl in bsgs.transversals] == transversals
+    assert [[(k, tuple(v)) for k, v in d.items()] for d in bsgs.inverses] == [
+        list(d.items()) for d in inverses]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

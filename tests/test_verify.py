@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -230,6 +233,21 @@ def test_report_matches_its_pin(cap):
     assert [i for i, line in enumerate(lines) if '"timestamp"' in line] == [2]
     got = "".join(line for line in lines if '"timestamp"' not in line)
     assert got.encode() == (PINS / f"verify_paper_cap{cap}.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_report_is_independent_of_the_hash_seed(seed):
+    # the hash of bytes, the internal form of a permutation of degree 256 or
+    # less, follows PYTHONHASHSEED: a report that read the order of a set or
+    # dict of permutations would change with it
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(verify.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "usets", "--cap", "500", "--format", "json",
+                           "verify", "paper"], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    got = "".join(line for line in done.stdout.splitlines(keepends=True)
+                  if '"timestamp"' not in line)
+    assert got == pinned(500)
 
 
 def test_a_new_row_passes_the_revision_test_only_when_declared(monkeypatch):

@@ -59,8 +59,8 @@ product equals the bound, every Schreier generator and raw generator
 still to come sifts to the identity, and the chain is again, byte for
 byte, the one the full closure builds.
 
-The groups handled here are small (the largest the tests profile, A12,
-has order 239 500 800), so Schreier-Sims favours clarity and
+The groups handled here are small (the largest the tests profile,
+PSL(6,2), has order 20 158 709 760), so Schreier-Sims favours clarity and
 reproducibility over asymptotics: no randomized sifting, no Monte Carlo
 variants.
 

@@ -1,16 +1,16 @@
 """Groups the tests use that the package does not build, direct and
 wreath products of groups, named package groups that several tests share,
-the class sizes of A_n and S_n from cycle types, a digest of a group's
-chain, an independent orbit walk, a Leibniz determinant, the group's
-elements read off the package's class walk, and the test of a report
-revision against a pinned report.  CI's steps import them too, with
-``tests`` on ``sys.path``."""
+the class sizes of A_n, S_n and PSL(2,q) in closed form, a digest of a
+group's chain, an independent orbit walk, a Leibniz determinant, the
+group's elements read off the package's class walk, the README's command
+lines and the test of a report revision against a pinned report."""
 
 import hashlib
 import itertools
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 from usets import invariants
 from usets.construct import alternating_group, m11_group, psl_group
@@ -112,6 +112,22 @@ def symmetric_class_sizes(n):
     return sorted(math.factorial(n) // z for _, z in cycle_types(n))
 
 
+def psl2_class_sizes(q):
+    """Class sizes of PSL(2,q), q a prime power, in closed form (Dornhoff,
+    *Group Representation Theory* A, 1971, the chapter on SL(2,q)).  For q
+    even: 1, q^2 - 1, then (q-2)/2 classes of size q(q+1) and q/2 of size
+    q(q-1).  For q odd and q = e (mod 4), e = +-1: 1, two classes of size
+    (q^2-1)/2 and one of size q(q+e)/2, then (q-4-e)/4 classes of size
+    q(q+1) and (q-2+e)/4 of size q(q-1)."""
+    if q % 2 == 0:
+        sizes = [1, q * q - 1] + [q * (q + 1)] * ((q - 2) // 2) + [q * (q - 1)] * (q // 2)
+    else:
+        e = 1 if q % 4 == 1 else -1
+        sizes = [1, (q * q - 1) // 2, (q * q - 1) // 2, q * (q + e) // 2]
+        sizes += [q * (q + 1)] * ((q - 4 - e) // 4) + [q * (q - 1)] * ((q - 2 + e) // 4)
+    return sorted(sizes)
+
+
 def chain_digest(group):
     """sha256 of the group's chain: its base, its strong generators in
     order and every transversal element in order, each as a tuple of
@@ -160,6 +176,13 @@ def group_elements(group, cap=DEFAULT_CAP):
     """The group's elements as a set of image tuples, flattened from the
     classes of ``invariants._classes``, the one walk that lists a group."""
     return {tuple(z) for members in invariants._classes(group, cap) for z in members}
+
+
+def readme_command_lines():
+    """The ``usets ...`` lines of the README's "Command line" block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("usets ")]
 
 
 def assert_revision(pin, revised, declared):

@@ -14,6 +14,8 @@ from usets import cli, invariants
 from usets.catalog import default_catalog
 from usets.verify import CheckResult, VerificationReport, _uset_uniqueness
 
+from helpers import readme_command_lines
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -494,13 +496,6 @@ def test_every_subcommand_emits_valid_json(capsys, argv):
     code, out, _ = run(capsys, "--format", "json", *argv)
     assert code == 0
     assert isinstance(json.loads(out), dict)
-
-
-def readme_command_lines():
-    """The ``usets ...`` lines of the README's "Command line" block."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line for line in block.splitlines() if line.startswith("usets ")]
 
 
 def test_readme_command_examples_run(capsys, tmp_path, monkeypatch):

@@ -3,7 +3,8 @@ caller reads it, must fail at least one row of ``run_verification`` at
 the default cap, on a fresh catalog, and exactly the rows recorded here.
 A change that weakens a row shows up as a diff of these lists.  Defects
 planted in the sampler must be caught on a product of two groups, by the
-class equation or by the product's class sizes, as recorded here."""
+class equation or by the product's class sizes, as recorded here, and one
+that keeps the class equation by PSL(2,q)'s class sizes in closed form."""
 
 import itertools
 import math
@@ -13,7 +14,7 @@ import pytest
 from usets import catalog, invariants, patterns, perm, verify
 from usets.construct import alternating_group, psl_group
 
-from helpers import direct_product
+from helpers import direct_product, psl2_class_sizes
 
 #: The memoised functions of :mod:`usets.patterns`, cleared around each
 #: plant so that no result computed under a defect outlives it.
@@ -254,3 +255,24 @@ def test_each_sampler_defect_is_caught_on_a_product(monkeypatch, defect):
         assert sizes != oracle
         caught = "product oracle"
     assert caught == CAUGHT[defect]
+
+
+def test_a_merged_class_pair_is_caught_by_the_closed_form(monkeypatch):
+    # the sampler's table for PSL(2,19), outside the catalog, with two
+    # classes of one size, the first pair of records in a cycle type with
+    # one even |C(x)|, reported as one class of twice that size: the class
+    # equation still closes, and only the closed form tells
+    sample = invariants._sampled_class_sizes
+
+    def merged(bsgs, budget, classes):
+        sample(bsgs, budget, classes)
+        same = next(same for same in classes.values()
+                    if len(same) > 1 and same[0][1] == same[1][1] and same[0][1] % 2 == 0)
+        x, count, cent = same.pop(0)
+        same[0] = (x, count // 2, cent)
+    monkeypatch.setattr(invariants, "_sampled_class_sizes", merged)
+    group = psl_group(2, 19)
+    sizes = list(invariants.profile(group).class_sizes)  # the class equation does not raise
+    assert sum(sizes) == group.order()
+    assert sizes != psl2_class_sizes(19)
+    assert len(sizes) == len(psl2_class_sizes(19)) - 1

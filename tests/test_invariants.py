@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -29,6 +30,7 @@ from helpers import (
     generated,
     group_elements,
     orbit_labels,
+    psl2_class_sizes,
     symmetric_class_sizes,
     symmetric_group,
     wreath_c2,
@@ -328,16 +330,26 @@ class TestCentralizerCount:
         elems = brute_force_elements(group)
         assert len({frozenset(g for g in elems if g * x == x * g) for x in elems}) == expected
 
-    @pytest.mark.parametrize("group_builder, cap, expected", [
-        (lambda: psl_group(2, 11), DEFAULT_CAP, 189),
-        (lambda: alternating_group(9), DEFAULT_CAP, 51_914),  # the walk's value
-        (lambda: alternating_group(10), 2_000_000, 373_754),  # checked once against the walk
+    @pytest.mark.parametrize("group_builder, cap, expected, searches", [
+        (lambda: psl_group(2, 11), DEFAULT_CAP, 189, 5),
+        (lambda: alternating_group(9), DEFAULT_CAP, 51_914, 16),  # the walk's value
+        (lambda: alternating_group(10), 2_000_000, 373_754, 22),  # checked once against the walk
     ])
-    def test_counts_without_listing_the_group(self, monkeypatch, group_builder, cap, expected):
+    def test_counts_without_listing_the_group(self, monkeypatch, group_builder, cap, expected,
+                                              searches):
+        # the count from the sampler's records, one _centralizer search per
+        # class or rational class found, and the B(x) searches
         def unexpected(*_args, **_kwargs):
             raise AssertionError("listed the group")
+        centralizer, calls = invariants._centralizer, []
+
+        def counted(*args):
+            calls.append(args)
+            return centralizer(*args)
         monkeypatch.setattr(invariants, "_classes", unexpected)
+        monkeypatch.setattr(invariants, "_centralizer", counted)
         assert centralizer_count(group_builder(), cap) == expected
+        assert len(calls) == searches
 
     def test_a_centraliser_listed_short_of_its_order_raises(self, monkeypatch):
         # C(x) listed from too few generators disagrees with its search's |C(x)|
@@ -445,8 +457,10 @@ def test_sampled_profile_matches_enumeration_on_catalog(catalog):
 
 
 @pytest.mark.parametrize("name", [*(f"A{n}" for n in range(5, 13)),
-                                  *(f"S{n}" for n in range(3, 9))])
-def test_cycle_type_formula(monkeypatch, name):
+                                  *(f"S{n}" for n in range(3, 9)),
+                                  *(pytest.param(name, marks=pytest.mark.slow)
+                                    for name in ("A13", "S9", "S10"))])
+def test_cycle_type_formula(monkeypatch, step_summary, name):
     # A_n and S_n on n points, and a copy on shuffled points: every class
     # size is the formula's, and a draw is tested for conjugacy only if its
     # S_n-class can split, an A_n type whose parts are odd and distinct
@@ -459,10 +473,13 @@ def test_cycle_type_formula(monkeypatch, name):
         tested.append(Counter(x_len))  # cycle length -> points on such cycles
         return conjugator(bsgs, x, x_len, *args)
     monkeypatch.setattr(invariants, "_conjugator", recorded)
+    start = time.perf_counter()
     for copy in (group, relabelled(group, random.Random(name))):
-        prof = profile(copy, cap=10 ** 9)
+        prof = profile(copy, cap=10 ** 10)
         assert list(prof.class_sizes) == expected
         assert prof.group_order == math.factorial(n) // (2 if alternating else 1)
+    step_summary(f"{name}: {prof.class_count} classes, two labellings profiled in"
+                 f" {(time.perf_counter() - start) * 1e3:.1f} ms, {len(tested)} conjugacy tests")
     assert bool(tested) == alternating
     assert all(points == length and length % 2
                for lengths in tested for length, points in lengths.items())
@@ -507,6 +524,44 @@ def test_alternating_formula_oracle_on_a5():
 
 def test_symmetric_formula_oracle_on_s4():
     assert symmetric_class_sizes(4) == [1, 3, 6, 6, 8]
+
+
+def test_psl2_formula_oracle_on_small_fields():
+    # PSL(2,4) = PSL(2,5) = A5 and PSL(2,9) = A6; PSL(2,7) by hand: the
+    # involutions, two classes of order 7, then the elements of order 4
+    # and of order 3
+    assert psl2_class_sizes(4) == psl2_class_sizes(5) == alternating_class_sizes(5)
+    assert psl2_class_sizes(9) == alternating_class_sizes(6)
+    assert psl2_class_sizes(7) == [1, 21, 24, 24, 42, 56]
+
+
+#: The prime powers 4 <= q <= 128; PSL(2,q) for q > 64 is in the slow tier.
+PSL2_FIELDS = [q for q in range(4, 129) if len(factorize(q)) == 1]
+
+
+@pytest.mark.parametrize("q", [q if q <= 64 else pytest.param(q, marks=pytest.mark.slow)
+                               for q in PSL2_FIELDS])
+def test_psl2_class_sizes_are_the_closed_forms(q):
+    # PSL(2,q) and a copy on shuffled points, most of them outside the catalog
+    group = psl_group(2, q)
+    expected = psl2_class_sizes(q)
+    assert sum(expected) == group.order()
+    for copy in (group, relabelled(group, random.Random(q))):
+        assert list(profile(copy, cap=10 ** 7).class_sizes) == expected
+
+
+@pytest.mark.parametrize("n, q, classes", [
+    (3, 2, 6), (3, 3, 12), (4, 2, 14),
+    *(pytest.param(*case, marks=pytest.mark.slow) for case in ((3, 8, 72), (4, 4, 84), (6, 2, 60))),
+])
+def test_psl_class_counts(n, q, classes):
+    # gcd(n, q - 1) = 1, so SL(n,q) = PSL(n,q) and GL(n,q) = SL(n,q) x Z,
+    # whose k(GL(n,q)) / (q - 1) classes are q^2 + q for n = 3, q(q^2 + q + 1)
+    # for n = 4 and 60 for GL(6,2)
+    group = psl_group(n, q)
+    prof = profile(group, cap=10 ** 11)
+    assert prof.class_count == classes
+    assert sum(prof.class_sizes) == group.order()
 
 
 @pytest.mark.parametrize("name", ["M11", "PSL(3,4)", "U4(2)"])

@@ -1,13 +1,15 @@
 import itertools
 import math
 import random
+import statistics
+import time
 
 import pytest
 
 from usets import perm
 from usets.invariants import conjugacy_classes, profile
 from usets.perm import GroupTooLargeError, PermGroup, Permutation
-from usets.construct import alternating_group, psl_group
+from usets.construct import alternating_group, classical_order, psl_group
 
 from helpers import CHAIN_GROUPS, chain_digest, group_elements, orbit_labels, symmetric_group
 
@@ -221,10 +223,64 @@ def test_catalog_chains_are_pinned(catalog):
         assert chain_digest(catalog.get(name)) == digest, name
 
 
-def test_built_chains_are_pinned():
-    for spec, digest in BUILT_CHAIN_DIGESTS.items():
-        group = psl_group(*spec[1:]) if spec[0] == "PSL" else alternating_group(spec[1])
-        assert chain_digest(group) == digest, spec
+#: Degrees 40-307, in the slow tier; the three above degree 256 keep
+#: their chain elements as tuples.
+LARGE_CHAIN_DIGESTS = {
+    ("PSL", 3, 17): "1d699940f73cb23390d0239c9c0fa800067609e9b4325aad8be7e5b3876fa03d",
+    ("PSL", 3, 16): "c308aa80cf67bef7bec27351903725c8ba625d151d68eabdf20ed47c3af89203",
+    ("PSL", 5, 3): "a3f0a8e864821e56b679e9816a79178e8701676adedbfe3ff06a17f2a285847a",
+    ("PSL", 2, 256): "df2638bc8926eb1ac08ff440fe4128a792ddee41ae6ef266d35b533d2e0b9f2d",
+    ("Alt", 40): "ac61da2bcf53594eeb7bdec93e22297f6e015b047e9d46d7b06fa4d7811cb15c",
+}
+
+
+def spec_name(spec):
+    """("PSL", 2, 19) as PSL(2,19)."""
+    return f"{spec[0]}({','.join(map(str, spec[1:]))})"
+
+
+@pytest.mark.parametrize("spec, digest", [
+    pytest.param(spec, digest, marks=[pytest.mark.slow] if spec in LARGE_CHAIN_DIGESTS else [],
+                 id=spec_name(spec))
+    for spec, digest in {**BUILT_CHAIN_DIGESTS, **LARGE_CHAIN_DIGESTS}.items()])
+def test_built_chains_are_pinned(monkeypatch, step_summary, spec, digest):
+    # the chain stopped at |PSL(n,q)| or |A_n|, in its degree's form, and
+    # sifts of words in the generators, members, and of the same words
+    # times a transposition, which none of these groups holds
+    group = psl_group(*spec[1:]) if spec[0] == "PSL" else alternating_group(spec[1])
+    calls = dict.fromkeys(["_compose", "_sift"], 0)
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+    for name in calls:
+        monkeypatch.setattr(perm, name, counted(name, getattr(perm, name)))
+    start = time.perf_counter()
+    assert group.order() == classical_order(*spec)
+    build_ms = (time.perf_counter() - start) * 1e3
+    monkeypatch.undo()
+    assert chain_digest(group) == digest
+    assert all(calls.values())  # the build calls both through the module
+    bsgs, n = group.bsgs, group.degree
+    form = bytes if n <= 256 else tuple
+    assert all(type(u) is form for level in bsgs.transversals for u in level)
+    gens, rng, latencies = [g.images for g in group.generators], random.Random(36), []
+    for _ in range(24):
+        word = tuple(range(n))
+        for gen in rng.choices(gens, k=rng.randrange(1, 30)):
+            word = tuple(gen[x] for x in word)
+        a, b = rng.sample(range(n), 2)
+        swapped = tuple(b if x == a else a if x == b else x for x in word)
+        for images, member in ((word, True), (swapped, False)):
+            p = Permutation(images)
+            start = time.perf_counter()
+            assert group.contains(p) is member
+            latencies.append(time.perf_counter() - start)
+    step_summary(f"{spec_name(spec)}: {form.__name__} chain in {build_ms:.0f} ms,"
+                 f" {calls['_compose']} _compose and {calls['_sift']} _sift calls; contains"
+                 f" median {statistics.median(latencies) * 1e6:.1f} us over {len(latencies)} calls")
 
 
 def test_sifting_and_sampling_never_invert(monkeypatch):

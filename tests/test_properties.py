@@ -154,12 +154,17 @@ NAMED_CHAINS = {**CHAIN_GROUPS, **{f"PSL({n},{q})": partial(psl_group, n, q) for
     (2, 19), (3, 4), (2, 25), (3, 5), (5, 2), (4, 3), (2, 47), (3, 7), (6, 2),
     (3, 8), (2, 81), (4, 4), (3, 9), (2, 113))}}
 NAMED_CHAINS.update((f"Alt({n})", partial(alternating_group, n)) for n in (12, 16, 20, 24))
+#: Degrees 40-307, in the slow tier.
+LARGE_CHAINS = {**{f"PSL({n},{q})": partial(psl_group, n, q) for n, q in (
+    (3, 17), (3, 16), (5, 3), (2, 256))}, "Alt(40)": partial(alternating_group, 40)}
 
 
-@pytest.mark.parametrize("name", sorted(NAMED_CHAINS))
+@pytest.mark.parametrize("name", [*sorted(NAMED_CHAINS),
+                                  *(pytest.param(name, marks=pytest.mark.slow)
+                                    for name in LARGE_CHAINS)])
 def test_named_chains_equal_full_closure_schreier_sims(name):
     # the stop is exact: the chain is the one that closing every level builds
-    group = NAMED_CHAINS[name]()
+    group = {**NAMED_CHAINS, **LARGE_CHAINS}[name]()
     assert_chain_equals_full_closure(group.bsgs, [g.images for g in group.generators],
                                      group.degree)
 

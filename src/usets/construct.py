@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 
 from .gf import Field, field_create
 from .patterns import factorize
-from .perm import PermGroup, Permutation
+from .perm import PermGroup, Permutation, _raw
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]  # the rows
@@ -123,7 +123,7 @@ def projectivize(field: Field, mats: Sequence[Matrix],
             perm.append(index.get(v))
         if None in perm or len(set(perm)) != len(perm):
             raise ValueError("matrix does not preserve the point set")
-        perms.append(Permutation._wrap(tuple(perm)))
+        perms.append(Permutation._wrap(_raw(perm)))
     return PermGroup(perms)
 
 

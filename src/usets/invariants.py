@@ -74,8 +74,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .patterns import factorize
 from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose,
-                   _cycle_labels, _cycle_lengths, _identity, _inverse, _join_orbits, _raw,
-                   check_cap)
+                   _cycle_labels, _cycle_lengths, _inverse, _join_orbits, check_cap)
 
 #: Seed of the element sampler; any fixed value gives the same profiles.
 _SAMPLER_SEED = 0
@@ -119,7 +118,7 @@ def _walk_generators(group: PermGroup) -> list[RawPerm]:
     """The group's generators, distinct, identity dropped and sorted: the
     class walk's, whatever order they were supplied in, in the internal
     form (:func:`usets.perm._raw`), which sorts as the tuples do."""
-    return sorted({_raw(g.images) for g in group.generators} - {_identity(group.degree)})
+    return sorted({g.raw for g in group.generators} - {group.bsgs.identity})
 
 
 def _classes(group: PermGroup, cap: int) -> list[list[RawPerm]]:
@@ -134,7 +133,7 @@ def _classes(group: PermGroup, cap: int) -> list[list[RawPerm]]:
     order = group.order()
     check_cap(order, cap)
     pairs = [(g, _inverse(g)) for g in _walk_generators(group)]
-    identity = _identity(group.degree)
+    identity = group.bsgs.identity
     seen = {identity}
     classes = [[identity]]
     for members in classes:  # classes grows while it is read
@@ -159,7 +158,7 @@ def _classes(group: PermGroup, cap: int) -> list[list[RawPerm]]:
 def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_CAP) -> list[ConjClass]:
     """All conjugacy classes, sorted by (size, representative images)."""
     found = sorted((len(members), min(members)) for members in _classes(group, cap))
-    return [ConjClass(Permutation._wrap(tuple(rep)), size, math.lcm(*_cycle_lengths(rep)))
+    return [ConjClass(Permutation._wrap(rep), size, math.lcm(*_cycle_lengths(rep)))
             for size, rep in found]
 
 

@@ -30,13 +30,10 @@ the two raises.  :func:`_sift` strips each level the same way without
 calling :func:`_compose`, which saves a call per level of a membership
 test.  A chain keeps the identity of its degree
 (:attr:`BSGS.identity`), and a membership test compares the residue
-with it.  :class:`Permutation` keeps a tuple: the forms meet where the
-package takes permutations in (:class:`PermGroup`'s chain,
-:meth:`BSGS.sift`) and hands them out (:attr:`BSGS.strong_generators`,
-class representatives).  The hash of ``bytes`` follows
-``PYTHONHASHSEED``, that of an int tuple does not, so no output may
-depend on the iteration order of a set or dict of permutations; sorting
-orders the two forms alike.
+with it.  :class:`Permutation` wraps the internal form.  The hash of
+``bytes`` follows ``PYTHONHASHSEED``, that of an int tuple does not, so
+no output may depend on the iteration order of a set or dict of
+permutations; sorting orders the two forms alike.
 
 Schreier-Sims skips the work that cannot change the chain.  Sifting
 does nothing at a base point the element fixes, whose representative is
@@ -198,9 +195,10 @@ def _cycle_lengths(x: RawPerm) -> list[int]:
 
 
 class Permutation:
-    """An element of a finite symmetric group, stored as its image tuple."""
+    """An element of a finite symmetric group, stored in the internal form
+    of its degree (:data:`RawPerm`) as ``raw``."""
 
-    __slots__ = ("images",)
+    __slots__ = ("raw",)
 
     def __init__(self, images: Iterable[int]):
         imgs = tuple(images)
@@ -210,18 +208,18 @@ class Permutation:
             if not (isinstance(x, int) and 0 <= x < n) or seen[x]:
                 raise ValueError(f"images {imgs!r} are not a bijection on 0..{n - 1}")
             seen[x] = 1
-        self.images = imgs
+        self.raw = _raw(imgs)
 
     @classmethod
-    def _wrap(cls, images: tuple[int, ...]) -> "Permutation":
-        """Wrap an already-validated image tuple (internal fast path)."""
+    def _wrap(cls, raw: RawPerm) -> "Permutation":
+        """Wrap a valid permutation already in its internal form."""
         p = object.__new__(cls)
-        p.images = images
+        p.raw = raw
         return p
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls._wrap(tuple(range(degree)))
+        return cls._wrap(_identity(degree))
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> "Permutation":
@@ -237,25 +235,30 @@ class Permutation:
                 seen.add(pt)
             for i, pt in enumerate(cycle):
                 images[pt] = cycle[(i + 1) % len(cycle)]
-        return cls._wrap(tuple(images))
+        return cls._wrap(_raw(images))
+
+    @property
+    def images(self) -> tuple[int, ...]:
+        """The images of 0, 1, ..., as a tuple in either internal form."""
+        return tuple(self.raw)
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self.raw)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):
             return NotImplemented
-        if len(self.images) != len(other.images):
+        if len(self.raw) != len(other.raw):
             raise ValueError("cannot compose permutations of different degree")
-        return Permutation._wrap(tuple(_compose(_raw(self.images), _raw(other.images))))
+        return Permutation._wrap(_compose(self.raw, other.raw))
 
     def inverse(self) -> "Permutation":
-        return Permutation._wrap(tuple(_inverse(_raw(self.images))))
+        return Permutation._wrap(_inverse(self.raw))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, 0-based, each starting at its smallest point."""
-        images, out = self.images, []
+        images, out = self.raw, []
         for start, label in enumerate(_cycle_labels(images)):
             if label == start and images[start] != start:  # the cycle's smallest point
                 cycle = [start]
@@ -272,18 +275,18 @@ class Permutation:
         return "".join("(" + ",".join(str(pt + 1) for pt in c) + ")" for c in cycles)
 
     def order(self) -> int:
-        return math.lcm(*_cycle_lengths(self.images))
+        return math.lcm(*_cycle_lengths(self.raw))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self.images == other.images
+        return self.raw == other.raw
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        return hash(self.raw)
 
     def __repr__(self) -> str:
-        return f"Permutation({list(self.images)!r})"
+        return f"Permutation({list(self.raw)!r})"
 
 
 class BSGS:
@@ -329,7 +332,7 @@ class BSGS:
             for g in gens:
                 if g not in seen:
                     seen.add(g)
-                    out.append(Permutation._wrap(tuple(g)))
+                    out.append(Permutation._wrap(g))
         return out
 
     @property
@@ -342,14 +345,13 @@ class BSGS:
             self._labels = labels[::-1]
         return self._labels
 
-    def sift(self, images: Sequence[int]) -> RawPerm:
-        """Strip transversal factors from images in either form; the
-        residue, in the internal form, is the identity iff the permutation
-        belongs to the group."""
-        return _sift(_raw(images), self.base, self.inverses)
+    def sift(self, g: RawPerm) -> RawPerm:
+        """Strip transversal factors from ``g``, in the internal form; the
+        residue is the identity iff ``g`` belongs to the group."""
+        return _sift(g, self.base, self.inverses)
 
 
-def _schreier_sims(raw_gens: Sequence[Sequence[int]], degree: int,
+def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
                    bound: int | None = None) -> BSGS:
     """Deterministic Schreier-Sims with full Schreier-generator closure,
     stopped once the chain's order reaches ``bound``.
@@ -368,8 +370,8 @@ def _schreier_sims(raw_gens: Sequence[Sequence[int]], degree: int,
     pass an element down is rebuilt on the way back all the same, so the
     chain is the one the unstopped closure builds.
 
-    The generators may come in either form; the chain holds the internal
-    one (:func:`_raw`).
+    The generators, and so the chain, are in the internal form
+    (:func:`_raw`).
 
     The generating set of the stabilizer subgroup at level i is the union
     of the generators stored at level i and all deeper levels.  Inserting
@@ -405,7 +407,6 @@ def _schreier_sims(raw_gens: Sequence[Sequence[int]], degree: int,
     a parent kept from it, keeps its old representative, u_parent s all
     the same; any other point counts as changed.
     """
-    raw_gens = [_raw(g) for g in raw_gens]
     if bound is None:  # a permutation with c cycles is a product of n - c transpositions
         odd = any((degree - len(set(_cycle_labels(g)))) % 2 for g in raw_gens)
         bound = math.factorial(degree) // (2 if degree > 1 and not odd else 1)
@@ -554,7 +555,7 @@ class PermGroup:
     @property
     def bsgs(self) -> BSGS:
         if self._bsgs is None:
-            self._bsgs = _schreier_sims([g.images for g in self.generators], self.degree,
+            self._bsgs = _schreier_sims([g.raw for g in self.generators], self.degree,
                                         self._order_bound)
         return self._bsgs
 
@@ -567,7 +568,7 @@ class PermGroup:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
         bsgs = self.bsgs
-        return bsgs.sift(p.images) == bsgs.identity
+        return bsgs.sift(p.raw) == bsgs.identity
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"

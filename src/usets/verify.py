@@ -308,8 +308,7 @@ def _centralizer_counts(group: PermGroup, cap: int) -> tuple:
     # the same group on the points relabelled i -> n-1-i: other element
     # tuples, so another chain, other draws and other C(x) generators
     n = group.degree
-    mirrored = PermGroup([[n - 1 - g.images[n - 1 - i] for i in range(n)]
-                          for g in group.generators])
+    mirrored = PermGroup([[n - 1 - x for x in reversed(g.images)] for g in group.generators])
     second = centralizer_count(mirrored, cap)
     return first, second, f"|Cent(PSL(2,11))| = {first}"
 

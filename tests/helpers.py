@@ -1,5 +1,6 @@
 """Groups the tests use that the package does not build, direct and
-wreath products of groups, named package groups that several tests share,
+wreath products of groups, random elements of S_k wr S_m and S_a x S_b,
+named package groups that several tests share,
 the class sizes of A_n, S_n and PSL(2,q) in closed form, a digest of a
 group's chain, an independent orbit walk, a Leibniz determinant, the
 group's elements read off the package's class walk, the README's command
@@ -11,6 +12,8 @@ import json
 import math
 from collections import Counter
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from usets import invariants
 from usets.construct import alternating_group, m11_group, psl_group
@@ -72,6 +75,36 @@ def wreath_c2(group: PermGroup) -> PermGroup:
     n = group.degree
     gens = [Permutation(list(g.images) + list(range(n, 2 * n))) for g in group.generators]
     return PermGroup(gens + [Permutation([*range(n, 2 * n), *range(n)])])
+
+
+#: (k, m) with km <= 12 and |S_k wr S_m| = k!^m m! <= 5*10^4, and (a, b)
+#: with a + b <= 10 and |S_a x S_b| = a! b! <= 5*10^4.
+WREATH_SHAPES = [(k, m) for k in range(2, 7) for m in range(2, 7)
+                 if k * m <= 12 and math.factorial(k) ** m * math.factorial(m) <= 50_000]
+PRODUCT_SHAPES = [(a, b) for a in range(1, 10) for b in range(1, 11 - a)
+                  if math.factorial(a) * math.factorial(b) <= 50_000]
+
+
+@st.composite
+def wreath_or_product_elements(draw):
+    """2-3 random elements of S_k wr S_m, which maps point ik + j to
+    s(i)k + t_i(j), or of S_a x S_b, which permutes the first a points and
+    the last b among themselves; they generate a group of order at most
+    5*10^4, often with a centre, many classes per cycle type and an
+    imprimitive or intransitive action."""
+    wreath = draw(st.booleans())
+    x, y = draw(st.sampled_from(WREATH_SHAPES if wreath else PRODUCT_SHAPES))
+    elements = []
+    for _ in range(draw(st.integers(2, 3))):
+        if wreath:
+            images = []
+            for block in draw(st.permutations(range(y))):
+                images += [block * x + j for j in draw(st.permutations(range(x)))]
+        else:
+            images = draw(st.permutations(range(x)))
+            images += [x + j for j in draw(st.permutations(range(y)))]
+        elements.append(Permutation(images))
+    return elements
 
 
 def cycle_types(n):

@@ -62,7 +62,8 @@ def test_a10_class_table_is_pinned(step_summary):
     assert hashlib.md5(out).hexdigest() == "fb63439fd1683a1a019b9547ece972f0"
 
 
-@pytest.mark.parametrize("workload, seconds", [("profile-a10", 5), ("pattern-match", 2)])
+@pytest.mark.parametrize("workload, seconds", [("profile-a10", 5), ("pattern-match", 2),
+                                               ("construct-bsgs", 2)])
 def test_workload_runs(step_summary, workload, seconds):
     metrics = bench_run(workload, seconds)
     step_summary(f"{workload} (seed 1, {seconds} s): wall_s {metrics['wall_s']:.4f} s,"

@@ -34,6 +34,7 @@ from helpers import (
     symmetric_class_sizes,
     symmetric_group,
     wreath_c2,
+    wreath_or_product_elements,
 )
 
 
@@ -454,6 +455,19 @@ def test_sampled_profile_matches_enumeration_on_catalog(catalog):
     for entry in entries:
         group = entry.group()
         assert profile(group).as_dict() == enumerated_profile(group).as_dict(), entry.name
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(wreath_or_product_elements())
+def test_sampled_class_sizes_equal_the_walk_on_random_groups(elements):
+    # subgroups of S_k wr S_m and S_a x S_b, with the centres, many classes
+    # per cycle type and intransitive or imprimitive actions the catalog
+    # has few of; the sampler's budget never trips
+    group = PermGroup(elements)
+    table = {}
+    invariants._sampled_class_sizes(group.bsgs, invariants._Budget(10 ** 9), table)
+    sampled = [group.order() // c for same in table.values() for _, c, _ in same]
+    assert sorted(sampled) == sorted(map(len, invariants._classes(group, DEFAULT_CAP)))
 
 
 @pytest.mark.parametrize("name", [*(f"A{n}" for n in range(5, 13)),

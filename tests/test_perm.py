@@ -150,7 +150,7 @@ class TestBSGS:
     def test_original_generators_sift_trivially(self):
         g = alternating_group(7)
         for gen in g.generators:
-            assert tuple(g.bsgs.sift(gen.images)) == tuple(range(7))
+            assert tuple(g.bsgs.sift(gen.raw)) == tuple(range(7))
 
     def test_basic_orbit_sizes_divide_order(self):
         g = PermGroup([cyc(6, (0, 1, 2, 3)), cyc(6, (3, 4, 5))])
@@ -364,7 +364,7 @@ def test_schreier_sims_skips_trivial_compositions(monkeypatch):
 
 def test_schreier_sims_refuses_a_false_order_bound():
     with pytest.raises(ValueError, match=r"order 3 exceeds the bound 1$"):
-        perm._schreier_sims([(1, 2, 0)], 3, 1)
+        perm._schreier_sims([perm._raw((1, 2, 0))], 3, 1)
     with pytest.raises(ValueError, match=r"order 4 exceeds the bound 2$"):
         PermGroup([cyc(4, (0, 1, 2, 3))], order_bound=2).order()
 
@@ -407,8 +407,8 @@ def test_sift_residue_matches_composing_at_every_level(name):
             word = tuple(gen[x] for x in word)
         a, b = rng.sample(range(n), 2)
         swapped = tuple(b if x == a else a if x == b else x for x in word)
-        assert tuple(bsgs.sift(word)) == reference(word) == ident
-        assert tuple(bsgs.sift(swapped)) == reference(swapped) != ident
+        assert tuple(bsgs.sift(perm._raw(word))) == reference(word) == ident
+        assert tuple(bsgs.sift(perm._raw(swapped))) == reference(swapped) != ident
         assert group.contains(Permutation(word))
         assert not group.contains(Permutation(swapped))
     assert fixed > 0
@@ -438,7 +438,7 @@ def test_membership_sifts_without_compose(build, monkeypatch):
     monkeypatch.setattr(perm, "_compose", refuse)
     for images, member in cases:
         assert group.contains(Permutation(images)) is member
-        assert (tuple(bsgs.sift(images)) == tuple(range(n))) is member
+        assert (tuple(bsgs.sift(perm._raw(images))) == tuple(range(n))) is member
 
 
 class TestContains:
@@ -516,6 +516,19 @@ def reference_sift(g, base, inverses):
     return g
 
 
+def reference_cycles(images):
+    """The nontrivial cycles of an image tuple, each from its smallest point."""
+    seen, out = set(), []
+    for start, image in enumerate(images):
+        if start not in seen and image != start:
+            cycle = [start]
+            while images[cycle[-1]] != start:
+                cycle.append(images[cycle[-1]])
+            seen.update(cycle)
+            out.append(tuple(cycle))
+    return tuple(out)
+
+
 @pytest.mark.parametrize("degree", [1, 2, 255, 256, 257, 300])
 def test_kernels_match_a_tuple_reference(degree):
     rng = random.Random(degree)
@@ -545,6 +558,16 @@ def test_kernels_match_a_tuple_reference(degree):
             residue = perm._sift(perm._raw(g), base, raw_inverses)
             assert type(residue) is form
             assert tuple(residue) == reference_sift(tuple(g), base, inverses)
+        # Permutation wraps the internal form and reads out image tuples
+        pa, pb = Permutation(a), Permutation(b)
+        assert type(pa.raw) is form and type(pa.images) is tuple and pa.images == tuple(a)
+        assert (pa * pb).images == tuple(b[x] for x in a)
+        assert tuple(pa.inverse().images[x] for x in a) == ident
+        cycles = reference_cycles(a)
+        assert pa.cycles() == cycles
+        assert pa.order() == math.lcm(*map(len, cycles))
+        copy = Permutation(list(a))
+        assert copy == pa and hash(copy) == hash(pa) and (copy == pb) is (a == b)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 255, 256])
@@ -587,6 +610,32 @@ def test_a5_padded_across_the_switch_keeps_its_chain(degree, form):
         assert group.contains(Permutation(images + fixed)) is member
         members += member
     assert members == 60
+
+
+@pytest.mark.parametrize("degree", [256, 300])
+def test_nothing_converts_after_construction(degree, monkeypatch):
+    # with every input built, in either form, no operation converts a
+    # permutation to the internal form again
+    small, group = alternating_group(5), padded_a5(degree)
+    group.order()  # builds the chain
+    a, b = group.generators  # (0 1 2) and (0 1 2 3 4)
+    copy, outside = Permutation(b.images), Permutation([1, 0, *range(2, degree)])
+    generators = [g.images + tuple(range(5, degree)) for g in small.bsgs.strong_generators]
+    classes = [(c.size, c.representative.images + tuple(range(5, degree)), c.element_order)
+               for c in conjugacy_classes(small)]
+
+    def refuse(_images):
+        raise AssertionError("a permutation was converted after construction")
+    monkeypatch.setattr(perm, "_raw", refuse)
+    assert group.contains(a * b) and not group.contains(outside)
+    assert (a * b).inverse() == b.inverse() * a.inverse() != a * b
+    assert (a.order(), b.order(), (a * b).order()) == (3, 5, 5)
+    assert (a.cycles(), b.cycles()) == (((0, 1, 2),), ((0, 1, 2, 3, 4),))
+    assert copy == b and hash(copy) == hash(b) and len({a, b, copy}) == 2
+    assert [g.images for g in group.bsgs.strong_generators] == generators
+    assert [(c.size, c.representative.images, c.element_order)
+            for c in conjugacy_classes(group)] == classes
+    assert profile(group).U == {1, 15, 20, 24}
 
 
 def test_catalog_chains_are_bytes_and_hand_out_tuples(catalog):

@@ -15,7 +15,7 @@ from usets import cli
 from usets.catalog import default_catalog
 from usets.construct import alternating_group, psl_group
 from usets.patterns import MAX_EXPONENT, SYMBOLS, Term, USetPattern
-from usets.perm import PermGroup, Permutation, _schreier_sims
+from usets.perm import PermGroup, Permutation, _raw, _schreier_sims
 
 from helpers import CHAIN_GROUPS
 
@@ -145,7 +145,7 @@ def assert_chain_equals_full_closure(bsgs, gens, degree):
 def test_chain_equals_full_closure_schreier_sims(case):
     # the build stops at |A_n| or |S_n|, by the generators' parity
     n, gens = case
-    assert_chain_equals_full_closure(_schreier_sims(gens, n), gens, n)
+    assert_chain_equals_full_closure(_schreier_sims([_raw(g) for g in gens], n), gens, n)
 
 
 #: CHAIN_GROUPS and the construct-bsgs benchmark's groups, whose builds

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from usets import invariants, verify
+from usets import cli, invariants, verify
 from usets.catalog import Catalog, CatalogEntry, default_catalog
 from usets.construct import classical_order, psl_group
 from usets.invariants import centralizer_count
@@ -236,18 +236,24 @@ def test_report_matches_its_pin(cap):
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])
-def test_report_is_independent_of_the_hash_seed(seed):
+def test_report_is_independent_of_the_hash_seed(seed, capsys):
     # the hash of bytes, the internal form of a permutation of degree 256 or
-    # less, follows PYTHONHASHSEED: a report that read the order of a set or
-    # dict of permutations would change with it
+    # less and so the hash of a Permutation, follows PYTHONHASHSEED: a report
+    # or class table that read the order of a set or dict of permutations
+    # would change with it
     env = dict(os.environ, PYTHONHASHSEED=seed,
                PYTHONPATH=str(Path(verify.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-m", "usets", "--cap", "500", "--format", "json",
-                           "verify", "paper"], capture_output=True, text=True, env=env, timeout=60)
-    assert (done.returncode, done.stderr) == (0, "")
-    got = "".join(line for line in done.stdout.splitlines(keepends=True)
-                  if '"timestamp"' not in line)
-    assert got == pinned(500)
+
+    def usets(*argv):
+        done = subprocess.run([sys.executable, "-m", "usets", "--format", "json", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        return done.stdout
+    report = usets("--cap", "500", "verify", "paper")
+    assert "".join(line for line in report.splitlines(keepends=True)
+                   if '"timestamp"' not in line) == pinned(500)
+    assert cli.main(["--format", "json", "group", "classes", "PSL(2,11)"]) == 0
+    assert usets("group", "classes", "PSL(2,11)") == capsys.readouterr().out
 
 
 def test_a_new_row_passes_the_revision_test_only_when_declared(monkeypatch):

@@ -1,11 +1,19 @@
 """Groups the tests use that the package does not build, direct and
-wreath products of groups, random elements of S_k wr S_m and S_a x S_b,
-named package groups that several tests share,
-the class sizes of A_n, S_n and PSL(2,q) in closed form, a digest of a
-group's chain, an independent orbit walk, a Leibniz determinant, the
-group's elements read off the package's class walk, the README's command
-lines and the test of a report revision against a pinned report."""
+wreath products of groups, random elements of S_k wr S_m and S_a x S_b
+and of products of catalog groups, named package groups that several
+tests share, the class sizes of A_n, S_n and PSL(2,q) in closed form, a
+digest of a group's chain, an independent orbit walk, a Leibniz
+determinant, the group's elements and class sizes read off the
+package's class walk, the sampler's class sizes, the README's command
+lines and the test of a report revision against a pinned report.
 
+``wrap`` replaces a package function for one test with one that is
+handed the original, and the tests plant and watch package calls
+through it: ``spy`` records each call's arguments, ``forbid`` makes a
+call fail the test, and ``plant_centralizer`` changes the |C(x)| that
+``invariants._centralizer`` finds."""
+
+import functools
 import hashlib
 import itertools
 import json
@@ -105,6 +113,51 @@ def wreath_or_product_elements(draw):
             images += [x + j for j in draw(st.permutations(range(y)))]
         elements.append(Permutation(images))
     return elements
+
+
+#: Products of catalog groups, of orders 3 600 to 28 224.
+CATALOG_PRODUCTS = {
+    "A5xA5": lambda: direct_product(alternating_group(5), alternating_group(5)),
+    "A5wrC2": lambda: wreath_c2(alternating_group(5)),
+    "A5xPSL(2,7)": lambda: direct_product(alternating_group(5), psl_group(2, 7)),
+    "A6xA5": lambda: direct_product(alternating_group(6), alternating_group(5)),
+    "PSL(2,7)xPSL(2,7)": lambda: direct_product(psl_group(2, 7), psl_group(2, 7)),
+}
+
+
+@functools.cache
+def catalog_product(name):
+    """The group ``CATALOG_PRODUCTS[name]``, built once per run."""
+    return CATALOG_PRODUCTS[name]()
+
+
+@st.composite
+def catalog_product_elements(draw):
+    """2-3 uniform elements of one of ``CATALOG_PRODUCTS``, each composed
+    of one transversal element per level of its chain, deepest level
+    first, as the sampler draws; they generate a subgroup of it, often
+    the whole product, with many classes per cycle type."""
+    bsgs = catalog_product(draw(st.sampled_from(sorted(CATALOG_PRODUCTS)))).bsgs
+    elements = []
+    for _ in range(draw(st.integers(2, 3))):
+        g = Permutation.identity(bsgs.degree)
+        for level in reversed(bsgs.transversals):
+            g = g * Permutation(draw(st.sampled_from(level)))
+        elements.append(g)
+    return elements
+
+
+def sampled_class_sizes(group):
+    """The sorted class sizes of the sampler's class table, with a budget
+    that never trips."""
+    table = {}
+    invariants._sampled_class_sizes(group.bsgs, invariants._Budget(10 ** 9), table)
+    return sorted(group.order() // count for same in table.values() for _, count, _ in same)
+
+
+def walked_class_sizes(group):
+    """The sorted class sizes of the class walk."""
+    return sorted(map(len, invariants._classes(group, DEFAULT_CAP)))
 
 
 def cycle_types(n):
@@ -241,3 +294,41 @@ def assert_revision(pin, revised, declared):
     for row in new["results"]:
         tally[dict(row)["status"]] += 1
     assert dict(new["summary"]) == tally
+
+
+def wrap(monkeypatch, owner, name, around):
+    """Replace ``owner.<name>``, until ``monkeypatch`` undoes it, with a
+    function whose call ``f(*args)`` returns ``around(real, *args)``,
+    ``real`` the function it replaces."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: around(real, *args))
+
+
+def spy(monkeypatch, owner, name):
+    """The list of the argument tuples of every call to ``owner.<name>``
+    until ``monkeypatch`` undoes it, each call passed through."""
+    calls = []
+
+    def record(real, *args):
+        calls.append(args)
+        return real(*args)
+    wrap(monkeypatch, owner, name, record)
+    return calls
+
+
+def forbid(monkeypatch, owner, name, reason):
+    """Make every call to ``owner.<name>``, until ``monkeypatch`` undoes
+    it, raise ``AssertionError(reason)``."""
+    def refuse(_real, *_args):
+        raise AssertionError(reason)
+    wrap(monkeypatch, owner, name, refuse)
+
+
+def plant_centralizer(monkeypatch, change, hit):
+    """``invariants._centralizer`` with each |C(x)| it finds replaced by
+    ``change(|C(x)|)`` where ``hit(bsgs, x, x_len)`` holds, its C(x)
+    generators kept."""
+    def planted(real, bsgs, x, x_len, budget):
+        order, cent = real(bsgs, x, x_len, budget)
+        return (change(order) if hit(bsgs, x, x_len) else order), cent
+    wrap(monkeypatch, invariants, "_centralizer", planted)

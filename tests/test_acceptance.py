@@ -10,7 +10,6 @@ import itertools
 
 import pytest
 
-from usets.invariants import profile as compute_profile
 from usets.patterns import (
     USetPattern,
     enumerate_collision_assignments,
@@ -20,7 +19,7 @@ from usets.patterns import (
     primes_up_to,
     solve_psl2_order,
 )
-from usets.perm import DEFAULT_CAP, GroupTooLargeError, PermGroup
+from usets.perm import DEFAULT_CAP
 from usets.verify import GOLDEN_USETS
 
 ODD_PRIMES_50 = [p for p in primes_up_to(50) if p > 2]

@@ -6,7 +6,7 @@ from usets.catalog import CatalogEntry, OrderMismatchError, UnknownGroupError
 from usets.construct import alternating_group
 from usets.perm import GroupTooLargeError
 
-from helpers import group_elements
+from helpers import group_elements, spy
 
 
 class TestRegistry:
@@ -50,14 +50,10 @@ class TestRegistry:
         with pytest.raises(OrderMismatchError, match=r"60.*59"):
             entry.group()
 
-    def test_a_wrong_order_is_built_once_and_raised_again(self):
-        builds = []
-
-        def build():
-            builds.append(1)
-            return alternating_group(5)
+    def test_a_wrong_order_is_built_once_and_raised_again(self, monkeypatch):
         entry = CatalogEntry(name="A5", expected_order=59, provenance="deliberately wrong",
-                             builder=build)
+                             builder=lambda: alternating_group(5))
+        builds = spy(monkeypatch, entry, "builder")
         for call in (entry.group, entry.group, entry.profile):
             with pytest.raises(OrderMismatchError, match=r"^A5: built order 60, expected 59$"):
                 call()

@@ -146,22 +146,24 @@ def test_statement_trace(monkeypatch, tmp_path, step_summary):
 
 
 def test_source_line_counts(step_summary):
-    # ROADMAP aim 2's measure: the lines of each module, and its lines of
-    # code without docstrings, comments and blank lines
+    # ROADMAP aim 2's measure: the lines of each module of the package and
+    # of the tests, and its lines of code without docstrings, comments and
+    # blank lines
     layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
               tokenize.DEDENT, tokenize.ENDMARKER}
-    rows = []
-    for path in MODULES:
-        source = path.read_text(encoding="utf-8")
-        prose = {n for node in docstrings(ast.parse(source))
-                 for n in range(node.lineno, node.end_lineno + 1)}
-        code = {n for token in tokenize.generate_tokens(io.StringIO(source).readline)
-                if token.type not in layout for n in range(token.start[0], token.end[0] + 1)}
-        rows.append((len(source.splitlines()), len(code - prose), path.relative_to(ROOT)))
-    step_summary(f"Lines in src/usets/*.py: {sum(r[0] for r in rows)}; without docstrings,"
-                 f" comments and blank lines: {sum(r[1] for r in rows)}")
-    step_summary("```\n" + "\n".join(f"{lines:6d} {code:6d} {path}" for lines, code, path in rows)
-                 + "\n```")
+    for modules in (MODULES, sorted((ROOT / "tests").glob("*.py"))):
+        rows = []
+        for path in modules:
+            source = path.read_text(encoding="utf-8")
+            prose = {n for node in docstrings(ast.parse(source))
+                     for n in range(node.lineno, node.end_lineno + 1)}
+            code = {n for token in tokenize.generate_tokens(io.StringIO(source).readline)
+                    if token.type not in layout for n in range(token.start[0], token.end[0] + 1)}
+            rows.append((len(source.splitlines()), len(code - prose), path.relative_to(ROOT)))
+        step_summary(f"Lines in {rows[0][2].parent}/*.py: {sum(r[0] for r in rows)}; without"
+                     f" docstrings, comments and blank lines: {sum(r[1] for r in rows)}")
+        step_summary("```\n" + "\n".join(f"{lines:6d} {code:6d} {path}"
+                                          for lines, code, path in rows) + "\n```")
 
 
 def test_import_time(tmp_path, step_summary):

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from usets import cli, invariants
+from usets import cli
 from usets.catalog import default_catalog
 from usets.verify import CheckResult, VerificationReport, _uset_uniqueness
 
-from helpers import readme_command_lines
+from helpers import forbid, plant_centralizer, readme_command_lines, spy
 
 
 def run(capsys, *argv):
@@ -55,10 +55,7 @@ def test_group_classes(capsys):
 def test_group_above_the_cap_is_refused_by_name_before_it_is_built(capsys, monkeypatch,
                                                                     command):
     entry = default_catalog().entry("A10")
-
-    def must_not_build():
-        raise AssertionError("A10 built although it is above the cap")
-    monkeypatch.setattr(entry, "builder", must_not_build)
+    forbid(monkeypatch, entry, "builder", "A10 built although it is above the cap")
     monkeypatch.setattr(entry, "_group", None)
     code, out, err = run(capsys, "group", command, "A10")
     assert (code, out) == (2, "")
@@ -225,13 +222,7 @@ def test_verify_selected_checks(capsys, tmp_path):
 
 
 def test_verify_json_and_report_serialize_once(capsys, tmp_path, monkeypatch):
-    calls = []
-    to_json = VerificationReport.to_json
-
-    def counted(report):
-        calls.append(report)
-        return to_json(report)
-    monkeypatch.setattr(VerificationReport, "to_json", counted)
+    calls = spy(monkeypatch, VerificationReport, "to_json")
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "--format", "json", "verify", "paper",
                        "--only", "psl2-order-solve", "--report", str(path))
@@ -281,14 +272,9 @@ def test_an_inconsistent_profile_fails_its_rows_and_the_report_is_written(capsys
     # equation and its fallback raises RuntimeError
     entry = default_catalog().entry("PSL(2,11)")
     monkeypatch.setattr(entry, "_profile", None)
-    bsgs, centralizer, first = entry.group().bsgs, invariants._centralizer, {}
-
-    def overstated(b, x, *args):
-        order, cent = centralizer(b, x, *args)
-        if b is bsgs and first.setdefault("x", x) == x:
-            order *= 2
-        return order, cent
-    monkeypatch.setattr(invariants, "_centralizer", overstated)
+    bsgs, first = entry.group().bsgs, {}
+    plant_centralizer(monkeypatch, lambda order: 2 * order,
+                      lambda b, x, _: b is bsgs and first.setdefault("x", x) == x)
     report = tmp_path / "report.json"
     code, out, err = run(capsys, "verify", "paper", "--report", str(report), "--only",
                          "uset:PSL(2,11)", "centralizer-count:PSL(2,11)", "uset:A6")
@@ -473,9 +459,7 @@ def test_bad_target_is_a_usage_error(capsys):
 ])
 def test_an_empty_integer_list_is_a_usage_error(capsys, monkeypatch, argv):
     # refused before any group is built or profiled
-    def no_group_work():
-        raise AssertionError("the catalog was opened")
-    monkeypatch.setattr(cli, "default_catalog", no_group_work)
+    forbid(monkeypatch, cli, "default_catalog", "the catalog was opened")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: expected at least one integer, got {argv[-1]!r}"

@@ -9,7 +9,6 @@ from usets import construct
 from usets.catalog import default_catalog
 from usets.construct import (
     alternating_group,
-    classical_group,
     classical_order,
     form_transvections,
     hermitian_form,

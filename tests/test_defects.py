@@ -3,8 +3,10 @@ caller reads it, must fail at least one row of ``run_verification`` at
 the default cap, on a fresh catalog, and exactly the rows recorded here.
 A change that weakens a row shows up as a diff of these lists.  Defects
 planted in the sampler must be caught on a product of two groups, by the
-class equation or by the product's class sizes, as recorded here, and one
-that keeps the class equation by PSL(2,q)'s class sizes in closed form."""
+class equation or by the product's class sizes, as recorded here, and on
+some example of each fuzz test of test_invariants.py, by the class
+equation or by the walk's class sizes; and one that keeps the class
+equation by PSL(2,q)'s class sizes in closed form."""
 
 import itertools
 import math
@@ -14,7 +16,16 @@ import pytest
 from usets import catalog, invariants, patterns, perm, verify
 from usets.construct import alternating_group, psl_group
 
-from helpers import direct_product, psl2_class_sizes
+import test_invariants
+from helpers import (
+    direct_product,
+    forbid,
+    plant_centralizer,
+    psl2_class_sizes,
+    sampled_class_sizes,
+    walked_class_sizes,
+    wrap,
+)
 
 #: The memoised functions of :mod:`usets.patterns`, cleared around each
 #: plant so that no result computed under a defect outlives it.
@@ -35,67 +46,23 @@ def merged_classes(sizes):
     return [1, a + b, *rest]
 
 
-def plant_sizes(monkeypatch, change):
-    from_sizes = invariants._profile_from_sizes
-    monkeypatch.setattr(invariants, "_profile_from_sizes",
-                        lambda order, sizes: from_sizes(order, change(sizes)))
+def plant(owner, name, around):
+    """The defect that wraps ``owner.<name>`` in ``around`` for a test."""
+    return lambda monkeypatch: wrap(monkeypatch, owner, name, around)
 
 
-def lost_u_value(monkeypatch):
-    profile = catalog.profile
-
-    def lost(group, cap):
-        prof = profile(group, cap)
-        return prof._replace(U=prof.U - {min(prof.U - {1})})
-    monkeypatch.setattr(catalog, "profile", lost)
+def lost_u_value(prof):
+    """The profile without its smallest value of U above 1."""
+    return prof._replace(U=prof.U - {min(prof.U - {1})})
 
 
-def no_symmetry_filter(monkeypatch):
-    plan = patterns._match_plan
-    monkeypatch.setattr(patterns, "_match_plan", lambda pat: plan(pat)[:2] + ((),))
-
-
-def feasibility_always_ok(monkeypatch):
-    monkeypatch.setattr(verify, "feasibility_check",
-                        lambda values: patterns.FeasibilityVerdict(True, ()))
-
-
-def collision_equations_open(monkeypatch):
-    resolve = patterns.resolve_equation
-    monkeypatch.setattr(patterns, "resolve_equation", lambda a, b: (resolve(a, b)[0], None))
-
-
-def solve_off_by_two(monkeypatch):
-    solve = patterns.solve_psl2_order
-    monkeypatch.setattr(verify, "solve_psl2_order", lambda order: solve(order) + 2)
-
-
-def size_option_dropped(monkeypatch):
-    # the count 4qr loses its last size option, 4r
-    options = patterns._size_options
-    monkeypatch.setattr(patterns, "_size_options",
-                        lambda term: options(term)[:-1] if str(term) == "4qr" else options(term))
-
-
-def overstated_centralizer(monkeypatch):
-    # |C(x)| doubled for the elements of order 5 in PSL(2,11), the one
-    # catalog group of order 660, as test_verify.py plants it
-    centralizer = invariants._centralizer
-
-    def wrong(bsgs, x, x_len, budget):
-        order, cent = centralizer(bsgs, x, x_len, budget)
-        return (2 * order if bsgs.order() == 660 and math.lcm(*x_len) == 5 else order), cent
-    monkeypatch.setattr(invariants, "_centralizer", wrong)
-
-
-def plant_chain(monkeypatch, change):
-    # only PSL(2,11)'s chain, the one catalog chain of order 660 on 12 points
-    build = perm._schreier_sims
-
-    def planted(gens, degree, bound=None):
-        chain = build(gens, degree, bound)
+def plant_chain(change):
+    """``change`` planted in ``perm._schreier_sims``'s chain of PSL(2,11),
+    the one catalog chain of order 660 on 12 points."""
+    def planted(real, gens, degree, *bound):
+        chain = real(gens, degree, *bound)
         return change(chain) if degree == 12 and chain.order() == 660 else chain
-    monkeypatch.setattr(perm, "_schreier_sims", planted)
+    return plant(perm, "_schreier_sims", planted)
 
 
 def last_level_dropped(chain):
@@ -114,17 +81,29 @@ def transversal_images_swapped(chain):
 
 
 DEFECTS = {
-    "split-class": lambda mp: plant_sizes(mp, split_class),
-    "merged-classes": lambda mp: plant_sizes(mp, merged_classes),
-    "lost-u-value": lost_u_value,
-    "no-symmetry-filter": no_symmetry_filter,
-    "feasibility-always-ok": feasibility_always_ok,
-    "collision-equations-open": collision_equations_open,
-    "solve-psl2-order-off-by-two": solve_off_by_two,
-    "size-option-dropped": size_option_dropped,
-    "overstated-centralizer": overstated_centralizer,
-    "last-chain-level-dropped": lambda mp: plant_chain(mp, last_level_dropped),
-    "transversal-images-swapped": lambda mp: plant_chain(mp, transversal_images_swapped),
+    "split-class": plant(invariants, "_profile_from_sizes",
+                         lambda real, order, sizes: real(order, split_class(sizes))),
+    "merged-classes": plant(invariants, "_profile_from_sizes",
+                            lambda real, order, sizes: real(order, merged_classes(sizes))),
+    "lost-u-value": plant(catalog, "profile", lambda real, *args: lost_u_value(real(*args))),
+    "no-symmetry-filter": plant(patterns, "_match_plan", lambda real, pat: real(pat)[:2] + ((),)),
+    "feasibility-always-ok": plant(verify, "feasibility_check",
+                                   lambda real, values: patterns.FeasibilityVerdict(True, ())),
+    "collision-equations-open": plant(patterns, "resolve_equation",
+                                      lambda real, a, b: (real(a, b)[0], None)),
+    "solve-psl2-order-off-by-two": plant(verify, "solve_psl2_order",
+                                         lambda real, order: real(order) + 2),
+    # the count 4qr loses its last size option, 4r
+    "size-option-dropped": plant(
+        patterns, "_size_options",
+        lambda real, term: real(term)[:-1] if str(term) == "4qr" else real(term)),
+    # |C(x)| doubled for the elements of order 5 in PSL(2,11), the one
+    # catalog group of order 660, as test_verify.py plants it
+    "overstated-centralizer": lambda monkeypatch: plant_centralizer(
+        monkeypatch, lambda order: 2 * order,
+        lambda bsgs, x, x_len: bsgs.order() == 660 and math.lcm(*x_len) == 5),
+    "last-chain-level-dropped": plant_chain(last_level_dropped),
+    "transversal-images-swapped": plant_chain(transversal_images_swapped),
 }
 
 #: defect -> the ids of the rows it fails, in report order
@@ -194,34 +173,30 @@ def test_each_planted_defect_fails_its_recorded_rows(fresh, defect):
 def plant_once(monkeypatch, name, hit, change):
     """``invariants.<name>`` with its first answer for which ``hit`` holds
     replaced by ``change`` of it."""
-    real, done = getattr(invariants, name), []
+    done = []
 
-    def planted(*args):
+    def planted(real, *args):
         got = real(*args)
         if done or not hit(got):
             return got
         done.append(got)
         return change(got)
-    monkeypatch.setattr(invariants, name, planted)
+    wrap(monkeypatch, invariants, name, planted)
 
 
-def skipped_level(monkeypatch):
+def skipped_level(real, *args):
     # the centraliser search finds nothing at level 1, so the C(x)-orbit of
     # base[1] is only what the deeper levels' elements give; level 0, which
     # the conjugacy tests share, is left alone
-    search = invariants._conjugacy_search
-
-    def planted(bsgs, x, x_len, y, cent, budget, level):
-        find = search(bsgs, x, x_len, y, cent, budget, level)
-        return (lambda image, fixing: None) if level == 1 else find
-    monkeypatch.setattr(invariants, "_conjugacy_search", planted)
+    find = real(*args)
+    return (lambda image, fixing: None) if args[-1] == 1 else find
 
 
 SAMPLER_DEFECTS = {
     # the first conjugacy test that finds a conjugator answers None
     "missed-conjugator": lambda mp: plant_once(mp, "_conjugator", lambda g: g is not None,
                                                lambda g: None),
-    "skipped-centralizer-level": skipped_level,
+    "skipped-centralizer-level": plant(invariants, "_conjugacy_search", skipped_level),
     # the first power kernel with an exponent besides 1 loses its largest
     "dropped-exponent": lambda mp: plant_once(mp, "_power_kernel", lambda k: len(k) > 1,
                                               lambda k: k - {max(k)}),
@@ -236,16 +211,30 @@ CAUGHT = {
     "dropped-exponent": "class sizes add up to 10605, group order is 10080",
 }
 
+#: The tier-1 fuzz tests of test_invariants.py, by the groups they draw.
+FUZZ_TESTS = {
+    "random groups": test_invariants.test_sampled_class_sizes_equal_the_walk_on_random_groups,
+    "catalog products": test_invariants.test_sampled_class_sizes_equal_the_walk_on_catalog_products,
+}
+
+# What catches each sampler defect first on the fuzz tests' examples,
+# with Hypothesis 6.155.2 (its derandomized examples change with its
+# version and with the tests' source, so the test asserts only that some
+# example catches each defect, and reports the first):
+# - random groups: the class equation, all three on the 5th example
+#   (order 720); the walk alone, the missed conjugator on the 22nd (order
+#   80) and the dropped exponent on the 27th (order 3 840), and the
+#   skipped centraliser level on none;
+# - catalog products: the class equation, all three on the 3rd example
+#   (order 21 600); the walk alone, none.
+
 
 @pytest.mark.parametrize("defect", SAMPLER_DEFECTS)
 def test_each_sampler_defect_is_caught_on_a_product(monkeypatch, defect):
     factors = alternating_group(5), psl_group(2, 7)
     oracle = sorted(a.size * b.size for a, b in itertools.product(
         *map(invariants.conjugacy_classes, factors)))
-
-    def unexpected(*_args):
-        raise AssertionError("listed the product")
-    monkeypatch.setattr(invariants, "_classes", unexpected)
+    forbid(monkeypatch, invariants, "_classes", "listed the product")
     SAMPLER_DEFECTS[defect](monkeypatch)
     try:
         sizes = list(invariants.profile(direct_product(*factors)).class_sizes)
@@ -257,20 +246,56 @@ def test_each_sampler_defect_is_caught_on_a_product(monkeypatch, defect):
     assert caught == CAUGHT[defect]
 
 
+def fuzz_outcomes(group):
+    """Sampler defect -> what catches it, planted afresh, on ``group``: the
+    class equation's message, "walk" for class sizes the walk does not
+    give, or None."""
+    caught, walked = {}, None
+    for defect, plant_defect in SAMPLER_DEFECTS.items():
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            plant_defect(monkeypatch)
+            try:
+                sizes = sampled_class_sizes(group)
+            except RuntimeError as error:
+                caught[defect] = str(error)
+                continue
+        walked = walked or walked_class_sizes(group)
+        caught[defect] = "walk" if sizes != walked else None
+    return caught
+
+
+def test_each_sampler_defect_is_caught_by_the_fuzz(monkeypatch, step_summary):
+    # each fuzz test runs its examples with the sampler under each defect,
+    # against the walk, in place of its check
+    outcomes = []
+    wrap(monkeypatch, test_invariants, "sampler_meets_the_walk",
+         lambda _real, group, _routes: outcomes.append((group.order(), fuzz_outcomes(group))))
+    for name, run in FUZZ_TESTS.items():
+        outcomes.clear()
+        run()
+        for defect in SAMPLER_DEFECTS:
+            caught = [(i, order, how[defect]) for i, (order, how) in enumerate(outcomes, 1)
+                      if how[defect]]
+            assert caught, (defect, name)
+            walk_only = [f"first on example {i} (order {order})"
+                         for i, order, how in caught if how == "walk"]
+            i, order, how = caught[0]
+            step_summary(f"{defect} on the {name}: first caught on example {i} (order {order}),"
+                         f" {how!r}; by the walk alone {(walk_only or ['on none'])[0]}")
+
+
 def test_a_merged_class_pair_is_caught_by_the_closed_form(monkeypatch):
     # the sampler's table for PSL(2,19), outside the catalog, with two
     # classes of one size, the first pair of records in a cycle type with
     # one even |C(x)|, reported as one class of twice that size: the class
     # equation still closes, and only the closed form tells
-    sample = invariants._sampled_class_sizes
-
-    def merged(bsgs, budget, classes):
-        sample(bsgs, budget, classes)
+    def merged(real, bsgs, budget, classes):
+        real(bsgs, budget, classes)
         same = next(same for same in classes.values()
                     if len(same) > 1 and same[0][1] == same[1][1] and same[0][1] % 2 == 0)
         x, count, cent = same.pop(0)
         same[0] = (x, count // 2, cent)
-    monkeypatch.setattr(invariants, "_sampled_class_sizes", merged)
+    wrap(monkeypatch, invariants, "_sampled_class_sizes", merged)
     group = psl_group(2, 19)
     sizes = list(invariants.profile(group).class_sizes)  # the class equation does not raise
     assert sum(sizes) == group.order()

@@ -25,14 +25,21 @@ from usets.perm import DEFAULT_CAP, GroupTooLargeError, PermGroup, Permutation
 from helpers import (
     alternating_class_sizes,
     c2_6_x_s3,
+    catalog_product_elements,
     d100,
     direct_product,
+    forbid,
     generated,
     group_elements,
     orbit_labels,
+    plant_centralizer,
     psl2_class_sizes,
+    sampled_class_sizes,
+    spy,
     symmetric_class_sizes,
     symmetric_group,
+    walked_class_sizes,
+    wrap,
     wreath_c2,
     wreath_or_product_elements,
 )
@@ -304,7 +311,7 @@ class TestCentralizerCount:
     def test_abelian_group_falls_back_to_the_walk(self, monkeypatch, class_walks):
         # every class has size 1: the generators commute, so the walk answers
         # without the sampler, which could only run to its budget
-        monkeypatch.setattr(invariants, "_sampled_class_sizes", unexpected_sampler)
+        forbid(monkeypatch, invariants, "_sampled_class_sizes", "ran the sampler")
         assert centralizer_count(c2_5()) == 1
         assert len(class_walks) == 1
 
@@ -319,12 +326,7 @@ class TestCentralizerCount:
         # distinct B(x) and per |C(z)| that neither the table nor a walked
         # representative gives (D100's 49 rotation classes share one C(x))
         group = build()
-        centralizer, calls = invariants._centralizer, []
-
-        def counted(*args):
-            calls.append(args)
-            return centralizer(*args)
-        monkeypatch.setattr(invariants, "_centralizer", counted)
+        calls = spy(monkeypatch, invariants, "_centralizer")
         assert centralizer_count(group) == expected
         assert len(class_walks) == 1
         assert len(calls) == searches
@@ -340,27 +342,18 @@ class TestCentralizerCount:
                                               searches):
         # the count from the sampler's records, one _centralizer search per
         # class or rational class found, and the B(x) searches
-        def unexpected(*_args, **_kwargs):
-            raise AssertionError("listed the group")
-        centralizer, calls = invariants._centralizer, []
-
-        def counted(*args):
-            calls.append(args)
-            return centralizer(*args)
-        monkeypatch.setattr(invariants, "_classes", unexpected)
-        monkeypatch.setattr(invariants, "_centralizer", counted)
+        forbid(monkeypatch, invariants, "_classes", "listed the group")
+        calls = spy(monkeypatch, invariants, "_centralizer")
         assert centralizer_count(group_builder(), cap) == expected
         assert len(calls) == searches
 
     def test_a_centraliser_listed_short_of_its_order_raises(self, monkeypatch):
         # C(x) listed from too few generators disagrees with its search's |C(x)|
-        centralizer = invariants._centralizer
-
-        def generators_dropped(bsgs, x, x_len, budget):
-            order, cent = centralizer(bsgs, x, x_len, budget)
+        def generators_dropped(real, *args):
+            order, cent = real(*args)
             del cent.elements[1:]
             return order, cent
-        monkeypatch.setattr(invariants, "_centralizer", generators_dropped)
+        wrap(monkeypatch, invariants, "_centralizer", generators_dropped)
         with pytest.raises(RuntimeError, match=r"^C\(x\) lists \d+ elements, its search gave \d+$"):
             centralizer_count(psl_group(2, 11))
 
@@ -380,9 +373,8 @@ class TestCentralizerCount:
     def test_a_count_that_is_not_a_whole_number_raises(self, monkeypatch):
         # an impossible term, one class whose element shares C(x) with one
         # other, adds half a centraliser
-        terms = invariants._centralizer_terms
-        monkeypatch.setattr(invariants, "_centralizer_terms",
-                            lambda bsgs, table: terms(bsgs, table) + [(1, 2)])
+        wrap(monkeypatch, invariants, "_centralizer_terms",
+             lambda real, bsgs, table: real(bsgs, table) + [(1, 2)])
         with pytest.raises(RuntimeError,
                            match=r"^centralizers counted \d+/\d+ times, not a whole number$"):
             centralizer_count(psl_group(2, 11))
@@ -457,17 +449,40 @@ def test_sampled_profile_matches_enumeration_on_catalog(catalog):
         assert profile(group).as_dict() == enumerated_profile(group).as_dict(), entry.name
 
 
+def sampler_meets_the_walk(group, routes):
+    """The check of each fuzz example: the sampler's class sizes, its
+    budget never tripping, are the walk's, and if ``routes`` its terms
+    (|x^G|, |B(x)|) are the reference's.  test_defects.py replaces it to
+    run the sampler under planted defects on the same examples."""
+    assert sampled_class_sizes(group) == walked_class_sizes(group)
+    if routes:
+        assert_routes_agree(group)
+
+
+# Subgroups of S_k wr S_m and S_a x S_b, with the centres, many classes
+# per cycle type and intransitive or imprimitive actions the catalog has
+# few of.
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(wreath_or_product_elements())
 def test_sampled_class_sizes_equal_the_walk_on_random_groups(elements):
-    # subgroups of S_k wr S_m and S_a x S_b, with the centres, many classes
-    # per cycle type and intransitive or imprimitive actions the catalog
-    # has few of; the sampler's budget never trips
+    sampler_meets_the_walk(PermGroup(elements), False)
+
+
+@pytest.mark.slow
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(wreath_or_product_elements())
+def test_sampled_class_sizes_equal_the_walk_on_1000_random_groups(elements):
+    sampler_meets_the_walk(PermGroup(elements), False)
+
+
+# Subgroups of products of catalog groups, of order up to 28 224; the
+# terms only up to order 10 080, as the reference's take time quadratic
+# in |G|.
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(catalog_product_elements())
+def test_sampled_class_sizes_equal_the_walk_on_catalog_products(elements):
     group = PermGroup(elements)
-    table = {}
-    invariants._sampled_class_sizes(group.bsgs, invariants._Budget(10 ** 9), table)
-    sampled = [group.order() // c for same in table.values() for _, c, _ in same]
-    assert sorted(sampled) == sorted(map(len, invariants._classes(group, DEFAULT_CAP)))
+    sampler_meets_the_walk(group, group.order() <= 10_080)
 
 
 @pytest.mark.parametrize("name", [*(f"A{n}" for n in range(5, 13)),
@@ -481,12 +496,7 @@ def test_cycle_type_formula(monkeypatch, step_summary, name):
     n, alternating = int(name[1:]), name[0] == "A"
     group = alternating_group(n) if alternating else symmetric_group(n)
     expected = alternating_class_sizes(n) if alternating else symmetric_class_sizes(n)
-    conjugator, tested = invariants._conjugator, []
-
-    def recorded(bsgs, x, x_len, *args):
-        tested.append(Counter(x_len))  # cycle length -> points on such cycles
-        return conjugator(bsgs, x, x_len, *args)
-    monkeypatch.setattr(invariants, "_conjugator", recorded)
+    tested = spy(monkeypatch, invariants, "_conjugator")
     start = time.perf_counter()
     for copy in (group, relabelled(group, random.Random(name))):
         prof = profile(copy, cap=10 ** 10)
@@ -495,24 +505,20 @@ def test_cycle_type_formula(monkeypatch, step_summary, name):
     step_summary(f"{name}: {prof.class_count} classes, two labellings profiled in"
                  f" {(time.perf_counter() - start) * 1e3:.1f} ms, {len(tested)} conjugacy tests")
     assert bool(tested) == alternating
+    # each x_len as cycle length -> points on such cycles
     assert all(points == length and length % 2
-               for lengths in tested for length, points in lengths.items())
+               for _, _, x_len, *_ in tested for length, points in Counter(x_len).items())
 
 
 def test_one_class_rule_reads_the_degree(monkeypatch):
     # PSL(2,5) is A5 on 6 points, where |G| = 60 is neither 6! nor 6!/2, so
     # its draws are tested as in any group: x^2 ~ x for x of order 3 too,
     # which A5 on 5 points settles by its type (3, 1, 1)
-    conjugator, tested = invariants._conjugator, []
-
-    def recorded(bsgs, x, x_len, *args):
-        tested.append(math.lcm(*x_len))
-        return conjugator(bsgs, x, x_len, *args)
-    monkeypatch.setattr(invariants, "_conjugator", recorded)
+    tested = spy(monkeypatch, invariants, "_conjugator")
     for group, orders in ((alternating_group(5), [5, 5, 5, 5]), (psl_group(2, 5), [5, 5, 5, 5, 3])):
         tested.clear()
         assert list(profile(group).class_sizes) == alternating_class_sizes(5)
-        assert tested == orders
+        assert [math.lcm(*x_len) for _, _, x_len, *_ in tested] == orders
 
 
 @pytest.mark.parametrize("shape, total", [((1, 1, 1, 2, 2, 2, 2), 2625), ((7,) * 7, 2815)],
@@ -521,12 +527,8 @@ def test_understated_centralizer_overshoots_on_a7(monkeypatch, shape, total):
     # a halved |C(x)| on a type whose S_7-class is one A_7-class, whose
     # other draws are never tested, or on the 7-cycles, whose class splits,
     # still doubles a class size and overshoots the class equation
-    centralizer = invariants._centralizer
-
-    def halved(bsgs, x, x_len, budget):
-        count, cent = centralizer(bsgs, x, x_len, budget)
-        return (count // 2 if tuple(sorted(x_len)) == shape else count), cent
-    monkeypatch.setattr(invariants, "_centralizer", halved)
+    plant_centralizer(monkeypatch, lambda count: count // 2,
+                      lambda bsgs, x, x_len: tuple(sorted(x_len)) == shape)
     message = rf"^class sizes add up to {total}, group order is 2520$"
     with pytest.raises(RuntimeError, match=message):
         profile(alternating_group(7))
@@ -611,36 +613,23 @@ def test_one_refusal_above_the_cap(compute):
 
 
 def test_profile_cap_checked_before_any_work(monkeypatch):
-    def unexpected(*_args, **_kwargs):
-        raise AssertionError("no class work above the cap")
-    monkeypatch.setattr(invariants, "_sampled_class_sizes", unexpected)
-    monkeypatch.setattr(invariants, "_classes", unexpected)
+    for name in ("_sampled_class_sizes", "_classes"):
+        forbid(monkeypatch, invariants, name, "no class work above the cap")
     with pytest.raises(GroupTooLargeError):
         profile(alternating_group(10), cap=DEFAULT_CAP)
-
-
-def unexpected_sampler(*_args):
-    raise AssertionError("ran the sampler")
 
 
 @pytest.fixture
 def class_walks(monkeypatch):
     """The arguments of every call to ``invariants._classes`` in a test."""
-    calls = []
-    walk = invariants._classes
-
-    def counted(*args):
-        calls.append(args)
-        return walk(*args)
-    monkeypatch.setattr(invariants, "_classes", counted)
-    return calls
+    return spy(monkeypatch, invariants, "_classes")
 
 
 def test_elementary_abelian_group_falls_back_to_enumeration(monkeypatch, class_walks):
     # 2^10: every element is its own class, so counting centralizers by
     # backtrack would list the whole group once per class; the generators
     # commute, so the sampler is not run
-    monkeypatch.setattr(invariants, "_sampled_class_sizes", unexpected_sampler)
+    forbid(monkeypatch, invariants, "_sampled_class_sizes", "ran the sampler")
     group = PermGroup([Permutation.from_cycles(20, (2 * i, 2 * i + 1)) for i in range(10)])
     prof = profile(group)
     assert len(class_walks) == 1
@@ -680,10 +669,7 @@ def test_product_class_sizes_are_products_of_the_factors(monkeypatch, factors):
     groups = [build() for build in factors]
     oracle = sorted(a.size * b.size for a, b in
                     itertools.product(*(conjugacy_classes(g) for g in groups)))
-
-    def unexpected(*_args):
-        raise AssertionError("listed the product")
-    monkeypatch.setattr(invariants, "_classes", unexpected)
+    forbid(monkeypatch, invariants, "_classes", "listed the product")
     product = direct_product(*groups)
     for copy in (product, relabelled(product, random.Random(product.order()))):
         assert list(profile(copy).class_sizes) == oracle
@@ -703,10 +689,7 @@ def test_wreath_class_sizes_follow_the_factor(monkeypatch, build):
     oracle = sorted([a * b * (1 if i == j else 2) for i, a in enumerate(sizes)
                      for j, b in enumerate(sizes) if i <= j]
                     + [group.order() * c for c in sizes])
-
-    def unexpected(*_args):
-        raise AssertionError("listed the wreath product")
-    monkeypatch.setattr(invariants, "_classes", unexpected)
+    forbid(monkeypatch, invariants, "_classes", "listed the wreath product")
     wreath = wreath_c2(group)
     for copy in (wreath, relabelled(wreath, random.Random(wreath.order()))):
         assert list(profile(copy, cap=10 ** 6).class_sizes) == oracle
@@ -714,16 +697,13 @@ def test_wreath_class_sizes_follow_the_factor(monkeypatch, build):
 
 def test_a_walk_short_of_the_group_order_raises(monkeypatch):
     # a walk by too few generators lists a proper subgroup
-    walk_generators = invariants._walk_generators
-    monkeypatch.setattr(invariants, "_walk_generators", lambda group: walk_generators(group)[1:])
+    wrap(monkeypatch, invariants, "_walk_generators", lambda real, group: real(group)[1:])
     with pytest.raises(RuntimeError, match=r"^enumeration produced \d+ elements, BSGS order is 60$"):
         conjugacy_classes(alternating_group(5))
 
 
 def test_catalog_groups_need_no_fallback(catalog, monkeypatch):
-    def unexpected(*_args, **_kwargs):
-        raise AssertionError("fell back to enumeration")
-    monkeypatch.setattr(invariants, "_classes", unexpected)
+    forbid(monkeypatch, invariants, "_classes", "fell back to enumeration")
     for name in ("A5", "PSL(2,11)", "U3(3)", "A9"):
         group = catalog.entry(name).group()
         assert sum(profile(group).class_sizes) == group.order()
@@ -737,21 +717,16 @@ def conjugate(x, g):
     return perm._raw(y)
 
 
-def from_cycles(degree, *perms):
-    """A group from generators each given as a list of 0-based cycles."""
-    return PermGroup([Permutation.from_cycles(degree, *cycles) for cycles in perms])
-
-
 # the two simple groups, and non-simple or intransitive groups where the
 # centraliser search meets several orbits and blocks
 CENTRALIZER_GROUPS = {
     "PSL(2,7)": lambda: psl_group(2, 7),
     "A5": lambda: alternating_group(5),
-    "A5xA4": lambda: from_cycles(9, [(0, 1, 2)], [(2, 3, 4)], [(5, 6, 7)], [(6, 7, 8)]),
-    "S4xC3": lambda: from_cycles(7, [(0, 1)], [(0, 1, 2, 3)], [(4, 5, 6)]),
-    "D10": lambda: from_cycles(5, [(0, 1, 2, 3, 4)], [(1, 4), (2, 3)]),
-    "diagonal A5": lambda: from_cycles(10, [(0, 1, 2), (5, 6, 7)], [(2, 3, 4), (7, 8, 9)]),
-    "C2 wr S3": lambda: from_cycles(6, [(0, 1)], [(0, 2), (1, 3)], [(0, 2, 4), (1, 3, 5)]),
+    "A5xA4": lambda: generated(9, [(0, 1, 2)], [(2, 3, 4)], [(5, 6, 7)], [(6, 7, 8)]),
+    "S4xC3": lambda: generated(7, [(0, 1)], [(0, 1, 2, 3)], [(4, 5, 6)]),
+    "D10": lambda: generated(5, [(0, 1, 2, 3, 4)], [(1, 4), (2, 3)]),
+    "diagonal A5": lambda: generated(10, [(0, 1, 2), (5, 6, 7)], [(2, 3, 4), (7, 8, 9)]),
+    "C2 wr S3": lambda: generated(6, [(0, 1)], [(0, 2), (1, 3)], [(0, 2, 4), (1, 3, 5)]),
 }
 
 
@@ -819,11 +794,8 @@ def test_conjugator_counts_match_brute_force(name):
 def test_profile_never_inverts(monkeypatch):
     group = psl_group(2, 11)
     group.order()  # builds the chain
-
-    def refuse(_images):
-        raise AssertionError("a permutation was inverted")
-    monkeypatch.setattr(perm, "_inverse", refuse)  # the one definition
-    monkeypatch.setattr(invariants, "_inverse", refuse)  # the class walk's import of it
+    for owner in (perm, invariants):  # the one definition, and the class walk's import of it
+        forbid(monkeypatch, owner, "_inverse", "a permutation was inverted")
     assert profile(group).U == {1, 55, 120, 220, 264}
 
 
@@ -914,22 +886,17 @@ def test_one_class_size_per_rational_class(catalog, monkeypatch, name, expected)
     # conjugacy tests against it, with no centraliser of their own
     group = catalog.entry(name).group()
     assert rational_class_count(group) == expected
-    searched, pruning = [], []
-    centralizer, search = invariants._centralizer, invariants._conjugacy_search
-
-    def counted(bsgs, x, *args):
-        searched.append(x)
-        return centralizer(bsgs, x, *args)
+    searches, pruning = spy(monkeypatch, invariants, "_centralizer"), []
 
     # every backtrack search, the conjugacy tests' and the centraliser
-    # levels', is set up here
-    def recorded(bsgs, x, x_len, y, cent, *args):
+    # levels', is set up here; the target's record as the search starts
+    def pruned(real, bsgs, x, x_len, y, cent, *args):
         pruning.append(len(cent.elements))
-        return search(bsgs, x, x_len, y, cent, *args)
-    monkeypatch.setattr(invariants, "_centralizer", counted)
-    monkeypatch.setattr(invariants, "_conjugacy_search", recorded)
+        return real(bsgs, x, x_len, y, cent, *args)
+    wrap(monkeypatch, invariants, "_conjugacy_search", pruned)
     assert sum(profile(group).class_sizes) == group.order()
     # the identity needs none
+    searched = [x for _, x, *_ in searches]
     assert len(searched) == len(set(searched)) == expected - 1
     # every conjugacy test is pruned by elements of the target's centraliser
     assert pruning and min(pruning) >= 1
@@ -941,13 +908,11 @@ def test_power_kernel_equals_exhaustive_tests(catalog, monkeypatch, name):
     # every coprime k whose conjugacy test succeeds
     group = alternating_group(10) if name == "A10" else catalog.entry(name).group()
     kernels = []
-    power_kernel = invariants._power_kernel
 
-    def recorded(bsgs, powers, lengths, cent, budget):
-        kernels.append((bsgs, powers, lengths, cent, power_kernel(bsgs, powers, lengths, cent,
-                                                                  budget)))
+    def recorded(real, bsgs, powers, lengths, cent, budget):
+        kernels.append((bsgs, powers, lengths, cent, real(bsgs, powers, lengths, cent, budget)))
         return kernels[-1][-1]
-    monkeypatch.setattr(invariants, "_power_kernel", recorded)
+    wrap(monkeypatch, invariants, "_power_kernel", recorded)
     profile(group, cap=2_000_000)
     assert kernels
     budget = invariants._Budget(10 ** 9)
@@ -967,24 +932,17 @@ def test_a10_power_kernel_tests(monkeypatch):
     # a kernel test conjugates a coprime power of a new representative to
     # it; testing every coprime power took 60 of them, and testing the
     # types whose S_n-class cannot split in A_n as well took 32
-    calls, inside = [], []
-    conjugator, power_kernel = invariants._conjugator, invariants._power_kernel
+    conjugacy_tests, kernel_tests = spy(monkeypatch, invariants, "_conjugator"), []
 
-    def recorded(*args):
-        calls.append(bool(inside))
-        return conjugator(*args)
-
-    def kernel(*args):
-        inside.append(1)
-        try:
-            return power_kernel(*args)
-        finally:
-            inside.pop()
-    monkeypatch.setattr(invariants, "_conjugator", recorded)
-    monkeypatch.setattr(invariants, "_power_kernel", kernel)
+    def kernel(real, *args):  # the conjugacy tests made inside each kernel
+        before = len(conjugacy_tests)
+        found = real(*args)
+        kernel_tests.append(len(conjugacy_tests) - before)
+        return found
+    wrap(monkeypatch, invariants, "_power_kernel", kernel)
     assert list(profile(alternating_group(10), cap=2_000_000).class_sizes) == \
         alternating_class_sizes(10)
-    assert sum(calls) == 7
+    assert sum(kernel_tests) == 7
 
 
 def test_a10_profile_work(monkeypatch):
@@ -992,12 +950,11 @@ def test_a10_profile_work(monkeypatch):
     # leaf-counting searches and bounded orbit walks, 1 135 with a
     # conjugacy search for every draw of a type whose class cannot split
     budgets = []
-    budget_type = invariants._Budget
 
-    def recorded(limit):
-        budgets.append(budget_type(limit))
+    def recorded(real, limit):
+        budgets.append(real(limit))
         return budgets[-1]
-    monkeypatch.setattr(invariants, "_Budget", recorded)
+    wrap(monkeypatch, invariants, "_Budget", recorded)
     assert list(profile(alternating_group(10), cap=2_000_000).class_sizes) == \
         alternating_class_sizes(10)
     assert len(budgets) == 1 and budgets[0].work <= 674
@@ -1010,13 +967,7 @@ def test_psl_3_4_profile_compositions(monkeypatch):
     # labels gather twice each in perm._join_orbits, which is not counted
     group = psl_group(3, 4)
     group.order()  # builds the chain
-    calls = []
-    compose = invariants._compose
-
-    def counted(a, b):
-        calls.append(1)
-        return compose(a, b)
-    monkeypatch.setattr(invariants, "_compose", counted)
+    calls = spy(monkeypatch, invariants, "_compose")
     assert profile(group).class_count == 10
     assert len(calls) == 597
 
@@ -1040,12 +991,8 @@ def test_overstated_centralizer_raises(catalog, monkeypatch, name):
     # until the budget trips; the enumeration then has no class of the
     # sampled size |G|/(2 |C(x)|), so the profile and the centraliser count
     # raise instead of answering
-    centralizer = invariants._centralizer
-
-    def doubled(bsgs, x, x_len, budget):
-        order, cent = centralizer(bsgs, x, x_len, budget)
-        return (2 * order if math.lcm(*x_len) == 5 else order), cent
-    monkeypatch.setattr(invariants, "_centralizer", doubled)
+    plant_centralizer(monkeypatch, lambda order: 2 * order,
+                      lambda bsgs, x, x_len: math.lcm(*x_len) == 5)
     group = catalog.entry(name).group()
     for compute in (profile, centralizer_count):
         with pytest.raises(RuntimeError, match="no enumerated class has the sampled sizes"):
@@ -1057,12 +1004,8 @@ def test_understated_centralizer_overshoots_the_class_equation(catalog, monkeypa
                                                                total, order):
     # |C(x)| halved for the involutions doubles their class size, so the
     # sampled sizes add up to more than |G| and both routes raise
-    centralizer = invariants._centralizer
-
-    def halved(bsgs, x, x_len, budget):
-        count, cent = centralizer(bsgs, x, x_len, budget)
-        return (count // 2 if math.lcm(*x_len) == 2 else count), cent
-    monkeypatch.setattr(invariants, "_centralizer", halved)
+    plant_centralizer(monkeypatch, lambda count: count // 2,
+                      lambda bsgs, x, x_len: math.lcm(*x_len) == 2)
     group = catalog.entry(name).group()
     message = rf"^class sizes add up to {total}, group order is {order}$"
     with pytest.raises(RuntimeError, match=message):
@@ -1075,13 +1018,12 @@ def test_understated_centralizer_overshoots_the_class_equation(catalog, monkeypa
 def test_every_sampled_centralizer_is_checked(catalog, monkeypatch, name):
     # every C(x) the sampler finds passes check_centralizer
     group = alternating_group(10) if name == "A10" else catalog.entry(name).group()
-    centralizer = invariants._centralizer
     found = []
 
-    def recorded(bsgs, x, *args):
-        found.append((x, *centralizer(bsgs, x, *args)))
+    def recorded(real, bsgs, x, *args):
+        found.append((x, *real(bsgs, x, *args)))
         return found[-1][1:]
-    monkeypatch.setattr(invariants, "_centralizer", recorded)
+    wrap(monkeypatch, invariants, "_centralizer", recorded)
     profile(group, cap=2_000_000)
     assert found
     # some labels joined the orbits of more than one element

@@ -37,6 +37,8 @@ from usets.verify import (
     PUBLISHED_USET_SHAPES,
 )
 
+from helpers import forbid, spy
+
 
 class TestParsing:
     def test_terms_normalize(self):
@@ -132,34 +134,28 @@ class TestMatch:
         assert match_pattern("1,p", {1, -5}, 100) == []
 
     def test_target_size_differs_from_term_count(self, monkeypatch):
-        def refuse(*_args):
-            raise AssertionError("factored a target that cannot match")
-        monkeypatch.setattr(patterns, "factorize", refuse)
+        forbid(monkeypatch, patterns, "factorize", "factored a target that cannot match")
         assert match_pattern("1,rq,8pq,4qr,8pr", {1, 55, 120, 220, 264, 100000000000031}, 10 ** 7) == []
         assert match_pattern("1,rq,8pq,4qr,8pr", {1, 55, 120, 220}, 100) == []
 
     def test_only_a_symbol_that_closes_no_term_factors(self, monkeypatch):
-        calls = []
+        calls = spy(monkeypatch, patterns, "factorize")
 
-        def recorded(n, bound=None):
-            calls.append((n, bound))
-            return factorize(n, bound)
-        monkeypatch.setattr(patterns, "factorize", recorded)
+        def asked():  # each call as (n, bound), bound None where not passed
+            return [(*args, None)[:2] for args in calls]
         # every symbol closes a term: p closes 16p, q closes 2q, 8pq and 8q
         target = {1, 10, 40, 48, 120}
         assert match_pattern("1,2q,8pq,8q,16p", target, 100) == [{"p": 3, "q": 5}]
-        assert calls and all(bound is None and n not in target for n, bound in calls)
+        assert calls and all(bound is None and n not in target for n, bound in asked())
         # p closes no term, so its fallback term 8pq factors 120 / 8 and 264 / 8
         calls.clear()
         assert match_pattern("1,rq,8pq,4qr,8pr", {1, 55, 120, 220, 264}, 100) == [
             {"p": 3, "q": 5, "r": 11}]
-        assert [c for c in calls if c[1] is not None] == [(15, 100), (33, 100)]
-        assert all(n <= 100 for n, bound in calls if bound is None)  # primality tests of roots
+        assert [c for c in asked() if c[1] is not None] == [(15, 100), (33, 100)]
+        assert all(n <= 100 for n, bound in asked() if bound is None)  # primality tests of roots
 
     def test_a_target_value_above_the_bound_asks_no_primality_question(self, monkeypatch):
-        def refuse(*_args):
-            raise AssertionError("tested a root above the bound")
-        monkeypatch.setattr(patterns, "factorize", refuse)
+        forbid(monkeypatch, patterns, "factorize", "tested a root above the bound")
         assert match_pattern("1,p", {1, 4000000000000000000000027}, 2 ** 20) == []
 
     def test_round_trip_on_matches(self):
@@ -177,12 +173,7 @@ class TestMatch:
         assert got == [{"p": 3, "q": 5, "r": 5}, {"p": 5, "q": 3, "r": 3}]
 
     def test_large_bound_evaluates_few_assignments(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return instantiate_pattern(*args)
-        monkeypatch.setattr(patterns, "instantiate_pattern", counted)
+        calls = spy(monkeypatch, patterns, "instantiate_pattern")
         got = match_pattern(CHARACTERIZATION_PATTERN, {1, 55, 120, 220, 264}, 100_000)
         assert got == [{"p": 3, "q": 5, "r": 11}]
         assert len(calls) <= 10
@@ -480,21 +471,16 @@ def test_size_options_agree_with_the_reference_routine():
 
 
 def test_size_options_factor_the_coefficient_once(monkeypatch):
-    calls = []
-
-    def counted(n, bound=None):
-        calls.append(n)
-        return factorize(n, bound)
-    monkeypatch.setattr(patterns, "factorize", counted)
+    calls = spy(monkeypatch, patterns, "factorize")
     patterns._size_options.cache_clear()
     for text in ("4rq", "16q", "360p^2qr", "rq"):
         term = parse_term(text)
         expected = reference_admissible_size_options(term)
         calls.clear()
         assert admissible_size_options(term) == expected
-        assert calls == [term.coeff]
+        assert [n for n, *_ in calls] == [term.coeff]
         assert admissible_size_options(parse_term(text)) == expected
-        assert calls == [term.coeff]  # the second call reads the cache
+        assert [n for n, *_ in calls] == [term.coeff]  # the second call reads the cache
 
 
 def test_burnside_screen_agrees_with_the_divisor_scan():
@@ -505,27 +491,17 @@ def test_burnside_screen_agrees_with_the_divisor_scan():
 def test_feasibility_factors_each_distinct_count_once(monkeypatch):
     values = [1, 55, 120, 220, 264, 55, 9, 9, 36, 72, 0, -4]
     expected = reference_feasibility_check(values)
-    calls = []
-
-    def counted(n, bound=None):
-        calls.append(n)
-        return factorize(n, bound)
-    monkeypatch.setattr(patterns, "factorize", counted)
+    calls = spy(monkeypatch, patterns, "factorize")
     patterns.is_prime_power.cache_clear()
     assert feasibility_check(values) == expected
-    assert sorted(calls) == sorted({v for v in values if v > 1})
+    assert sorted(n for n, *_ in calls) == sorted({v for v in values if v > 1})
     calls.clear()
     assert feasibility_check(values) == expected
     assert calls == []  # every count is in the cache
 
 
 def test_collisions_resolve_each_colliding_pair_once(monkeypatch):
-    calls = []
-
-    def counted(a, b):
-        calls.append((a, b))
-        return resolve_equation(a, b)
-    monkeypatch.setattr(patterns, "resolve_equation", counted)
+    calls = spy(monkeypatch, patterns, "resolve_equation")
     cases = enumerate_collision_assignments(COLLISION_PATTERN)
     assert len(cases) == 32
     assert len(calls) == len(set(calls)) == len({c.pair for c in cases}) <= 10

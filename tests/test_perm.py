@@ -11,30 +11,36 @@ from usets.invariants import conjugacy_classes, profile
 from usets.perm import GroupTooLargeError, PermGroup, Permutation
 from usets.construct import alternating_group, classical_order, psl_group
 
-from helpers import CHAIN_GROUPS, chain_digest, group_elements, orbit_labels, symmetric_group
-
-
-def cyc(degree, *cycles):
-    return Permutation.from_cycles(degree, *cycles)
+from helpers import (
+    CHAIN_GROUPS,
+    chain_digest,
+    forbid,
+    generated,
+    group_elements,
+    orbit_labels,
+    spy,
+    symmetric_group,
+)
 
 
 class TestCompose:
     def test_identity_first(self):
-        assert (Permutation.identity(5) * cyc(5, (0, 1, 2))) == cyc(5, (0, 1, 2))
+        a = Permutation.from_cycles(5, (0, 1, 2))
+        assert Permutation.identity(5) * a == a
 
     def test_involution_squares_to_identity(self):
-        a = cyc(3, (0, 1))
+        a = Permutation.from_cycles(3, (0, 1))
         assert a * a == Permutation.identity(3)
 
     def test_convention_left_factor_first(self):
         # hand evaluation: result[i] = b[a[i]] gives 0->2, 1->0, 2->1;
         # the opposite convention would give 0->1, 1->2, 2->0
-        a, b = cyc(3, (0, 1)), cyc(3, (1, 2))
+        a, b = Permutation.from_cycles(3, (0, 1)), Permutation.from_cycles(3, (1, 2))
         assert (a * b).images == (2, 0, 1)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            cyc(3, (0, 1)) * cyc(4, (0, 1))
+            Permutation.from_cycles(3, (0, 1)) * Permutation.from_cycles(4, (0, 1))
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_degrees_below_two(self, degree):
@@ -54,12 +60,12 @@ class TestInverse:
         assert Permutation.identity(4).inverse() == Permutation.identity(4)
 
     def test_involution(self):
-        a = cyc(3, (0, 1))
+        a = Permutation.from_cycles(3, (0, 1))
         assert a.inverse() == a
 
     def test_three_cycle(self):
-        a = cyc(3, (0, 1, 2))
-        assert a.inverse() == cyc(3, (0, 2, 1))
+        a = Permutation.from_cycles(3, (0, 1, 2))
+        assert a.inverse() == Permutation.from_cycles(3, (0, 2, 1))
         assert a * a.inverse() == Permutation.identity(3)
 
 
@@ -72,9 +78,9 @@ def test_validation_rejects_non_bijections():
 
 def test_from_cycles_rejects_bad_points():
     with pytest.raises(ValueError):
-        cyc(3, (0, 3))
+        Permutation.from_cycles(3, (0, 3))
     with pytest.raises(ValueError):
-        cyc(4, (0, 1), (1, 2))
+        Permutation.from_cycles(4, (0, 1), (1, 2))
 
 
 def test_group_rejects_bad_generator_lists():
@@ -85,7 +91,7 @@ def test_group_rejects_bad_generator_lists():
 
 
 def test_cycle_string_and_order():
-    p = cyc(5, (0, 1), (2, 3, 4))
+    p = Permutation.from_cycles(5, (0, 1), (2, 3, 4))
     assert p.cycle_string() == "(1,2)(3,4,5)"
     assert p.order() == 6
     assert Permutation.identity(3).cycle_string() == "()"
@@ -107,21 +113,25 @@ def test_group_algebra_randomized():
 class TestOrbit:
     # perm._join_orbits: each point's smallest orbit point once h joins
     def test_full_cycle(self):
-        assert perm._join_orbits(range(3), cyc(3, (0, 1, 2)).images) == (0, 0, 0)
+        h = Permutation.from_cycles(3, (0, 1, 2)).images
+        assert perm._join_orbits(range(3), h) == (0, 0, 0)
 
     def test_fixed_point(self):
-        assert perm._join_orbits(range(4), cyc(4, (0, 1)).images) == (0, 0, 2, 3)
+        h = Permutation.from_cycles(4, (0, 1)).images
+        assert perm._join_orbits(range(4), h) == (0, 0, 2, 3)
 
     def test_s5_transitive(self):
-        labels = perm._join_orbits(range(5), cyc(5, (0, 1)).images)
-        assert perm._join_orbits(labels, cyc(5, (0, 1, 2, 3, 4)).images) == (0,) * 5
+        labels = perm._join_orbits(range(5), Permutation.from_cycles(5, (0, 1)).images)
+        h = Permutation.from_cycles(5, (0, 1, 2, 3, 4)).images
+        assert perm._join_orbits(labels, h) == (0,) * 5
 
     def test_joined_orbit_takes_its_smallest_point(self):
         # (3 4) then (1 4) and (0 5)(2 3): orbits {0,5} and {1,2,3,4}
-        labels = perm._join_orbits(range(6), cyc(6, (3, 4)).images)
-        labels = perm._join_orbits(labels, cyc(6, (1, 4)).images)
+        labels = perm._join_orbits(range(6), Permutation.from_cycles(6, (3, 4)).images)
+        labels = perm._join_orbits(labels, Permutation.from_cycles(6, (1, 4)).images)
         assert labels == (0, 1, 2, 1, 1, 5)
-        assert perm._join_orbits(labels, cyc(6, (0, 5), (2, 3)).images) == (0, 1, 1, 1, 1, 0)
+        h = Permutation.from_cycles(6, (0, 5), (2, 3)).images
+        assert perm._join_orbits(labels, h) == (0, 1, 1, 1, 1, 0)
 
     @pytest.mark.parametrize("group", [lambda: psl_group(3, 4), lambda: alternating_group(9)],
                              ids=["PSL(3,4)", "A9"])
@@ -135,7 +145,7 @@ class TestOrbit:
 
 class TestBSGS:
     def test_s3_order(self):
-        g = PermGroup([cyc(3, (0, 1)), cyc(3, (0, 1, 2))])
+        g = generated(3, [(0, 1)], [(0, 1, 2)])
         assert g.order() == 6
 
     def test_a5_order_matches_factorial_formula(self):
@@ -153,7 +163,7 @@ class TestBSGS:
             assert tuple(g.bsgs.sift(gen.raw)) == tuple(range(7))
 
     def test_basic_orbit_sizes_divide_order(self):
-        g = PermGroup([cyc(6, (0, 1, 2, 3)), cyc(6, (3, 4, 5))])
+        g = generated(6, [(0, 1, 2, 3)], [(3, 4, 5)])
         order = g.order()
         for orbit in g.bsgs.inverses:
             assert order % len(orbit) == 0
@@ -248,21 +258,13 @@ def test_built_chains_are_pinned(monkeypatch, step_summary, spec, digest):
     # sifts of words in the generators, members, and of the same words
     # times a transposition, which none of these groups holds
     group = psl_group(*spec[1:]) if spec[0] == "PSL" else alternating_group(spec[1])
-    calls = dict.fromkeys(["_compose", "_sift"], 0)
-
-    def counted(name, function):
-        def call(*args):
-            calls[name] += 1
-            return function(*args)
-        return call
-    for name in calls:
-        monkeypatch.setattr(perm, name, counted(name, getattr(perm, name)))
+    compositions, sifts = (spy(monkeypatch, perm, name) for name in ("_compose", "_sift"))
     start = time.perf_counter()
     assert group.order() == classical_order(*spec)
     build_ms = (time.perf_counter() - start) * 1e3
     monkeypatch.undo()
     assert chain_digest(group) == digest
-    assert all(calls.values())  # the build calls both through the module
+    assert compositions and sifts  # the build calls both through the module
     bsgs, n = group.bsgs, group.degree
     form = bytes if n <= 256 else tuple
     assert all(type(u) is form for level in bsgs.transversals for u in level)
@@ -279,19 +281,16 @@ def test_built_chains_are_pinned(monkeypatch, step_summary, spec, digest):
             assert group.contains(p) is member
             latencies.append(time.perf_counter() - start)
     step_summary(f"{spec_name(spec)}: {form.__name__} chain in {build_ms:.0f} ms,"
-                 f" {calls['_compose']} _compose and {calls['_sift']} _sift calls; contains"
+                 f" {len(compositions)} _compose and {len(sifts)} _sift calls; contains"
                  f" median {statistics.median(latencies) * 1e6:.1f} us over {len(latencies)} calls")
 
 
 def test_sifting_and_sampling_never_invert(monkeypatch):
     group = psl_group(2, 11)
     group.order()  # builds the chain
-
-    def refuse(_images):
-        raise AssertionError("a permutation was inverted")
-    monkeypatch.setattr(perm, "_inverse", refuse)
+    forbid(monkeypatch, perm, "_inverse", "a permutation was inverted")
     assert group.contains(group.generators[0] * group.generators[1])
-    assert not group.contains(cyc(12, (0, 1)))  # PSL(2,11) has no transposition
+    assert not group.contains(Permutation.from_cycles(12, (0, 1)))  # PSL(2,11) has no transposition
     assert profile(group).U == {1, 55, 120, 220, 264}
 
 
@@ -301,13 +300,7 @@ def test_schreier_sims_sifts_only_changed_schreier_generators(monkeypatch):
     # PSL(4,3), skipping only the pairs whose representatives did not
     # change takes 190 and 826, and closing levels after the chain reaches
     # |A_12| or |PSL(4,3)| takes 190 and 701
-    calls = []
-    sift = perm._sift
-
-    def counting(*args):
-        calls.append(1)
-        return sift(*args)
-    monkeypatch.setattr(perm, "_sift", counting)
+    calls = spy(monkeypatch, perm, "_sift")
     for group, sifts in ((alternating_group(12), 153), (psl_group(4, 3), 291)):
         calls.clear()
         group.order()
@@ -332,41 +325,28 @@ def test_schreier_sims_skips_trivial_compositions(monkeypatch):
     # and the sifts' levels
     groups = ((psl_group(4, 4), 3_684, 5_053, 22, 954),
               (alternating_group(24), 5_808, 10_318, 22, 2_609))
-    calls = {"compose": 0, "translate": 0, "inverse": 0, "sift": 0}
-    compose, inverse, sift = perm._compose, perm._inverse, perm._sift
+    calls = {name: spy(monkeypatch, perm, "_" + name) for name in ("compose", "inverse", "sift")}
+    calls["translate"] = []
 
     class CountingTail(tuple):
         def __getitem__(self, n):
-            calls["translate"] += 1
+            calls["translate"].append(n)
             return tuple.__getitem__(self, n)
-
-    def counting_compose(a, b):
-        calls["compose"] += 1
-        return compose(a, b)
-
-    def counting_inverse(a):
-        calls["inverse"] += 1
-        return inverse(a)
-
-    def counting_sift(*args):
-        calls["sift"] += 1
-        return sift(*args)
-    monkeypatch.setattr(perm, "_compose", counting_compose)
     monkeypatch.setattr(perm, "_TAIL", CountingTail(perm._TAIL))
-    monkeypatch.setattr(perm, "_inverse", counting_inverse)
-    monkeypatch.setattr(perm, "_sift", counting_sift)
     for group, compositions, translates, inversions, sifts in groups:
-        calls.update(compose=0, translate=0, inverse=0, sift=0)
+        for made in calls.values():
+            made.clear()
         group.order()
-        assert calls == {"compose": compositions, "translate": translates,
-                         "inverse": inversions, "sift": sifts}
+        assert {name: len(made) for name, made in calls.items()} == {
+            "compose": compositions, "translate": translates, "inverse": inversions,
+            "sift": sifts}
 
 
 def test_schreier_sims_refuses_a_false_order_bound():
     with pytest.raises(ValueError, match=r"order 3 exceeds the bound 1$"):
         perm._schreier_sims([perm._raw((1, 2, 0))], 3, 1)
     with pytest.raises(ValueError, match=r"order 4 exceeds the bound 2$"):
-        PermGroup([cyc(4, (0, 1, 2, 3))], order_bound=2).order()
+        PermGroup([Permutation.from_cycles(4, (0, 1, 2, 3))], order_bound=2).order()
 
 
 @pytest.mark.parametrize("gens, order", [
@@ -432,10 +412,7 @@ def test_membership_sifts_without_compose(build, monkeypatch):
         a, b = rng.sample(range(n), 2)
         cases.append((word, True))
         cases.append((tuple(b if x == a else a if x == b else x for x in word), False))
-
-    def refuse(a, b):
-        raise AssertionError("a sift called _compose")
-    monkeypatch.setattr(perm, "_compose", refuse)
+    forbid(monkeypatch, perm, "_compose", "a sift called _compose")
     for images, member in cases:
         assert group.contains(Permutation(images)) is member
         assert (tuple(bsgs.sift(perm._raw(images))) == tuple(range(n))) is member
@@ -448,8 +425,8 @@ class TestContains:
             assert g.contains(gen)
 
     def test_transposition_not_in_cyclic_group(self):
-        g = PermGroup([cyc(3, (0, 1, 2))])
-        assert not g.contains(cyc(3, (0, 1)))
+        g = generated(3, [(0, 1, 2)])
+        assert not g.contains(Permutation.from_cycles(3, (0, 1)))
 
     def test_random_product_stays_inside(self):
         g = alternating_group(6)
@@ -461,13 +438,13 @@ class TestContains:
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            alternating_group(5).contains(cyc(4, (0, 1)))
+            alternating_group(5).contains(Permutation.from_cycles(4, (0, 1)))
 
 
 class TestElements:
     # the group as a set of image tuples, read off the class walk
     def test_cyclic(self):
-        g = PermGroup([cyc(3, (0, 1, 2))])
+        g = generated(3, [(0, 1, 2)])
         assert group_elements(g) == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
 
     def test_a5_complete_and_distinct(self):
@@ -623,10 +600,7 @@ def test_nothing_converts_after_construction(degree, monkeypatch):
     generators = [g.images + tuple(range(5, degree)) for g in small.bsgs.strong_generators]
     classes = [(c.size, c.representative.images + tuple(range(5, degree)), c.element_order)
                for c in conjugacy_classes(small)]
-
-    def refuse(_images):
-        raise AssertionError("a permutation was converted after construction")
-    monkeypatch.setattr(perm, "_raw", refuse)
+    forbid(monkeypatch, perm, "_raw", "a permutation was converted after construction")
     assert group.contains(a * b) and not group.contains(outside)
     assert (a * b).inverse() == b.inverse() * a.inverse() != a * b
     assert (a.order(), b.order(), (a * b).order()) == (3, 5, 5)

@@ -15,7 +15,7 @@ from usets import cli
 from usets.catalog import default_catalog
 from usets.construct import alternating_group, psl_group
 from usets.patterns import MAX_EXPONENT, SYMBOLS, Term, USetPattern
-from usets.perm import PermGroup, Permutation, _raw, _schreier_sims
+from usets.perm import Permutation, _raw, _schreier_sims
 
 from helpers import CHAIN_GROUPS
 

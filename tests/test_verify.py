@@ -10,7 +10,6 @@ import pytest
 from usets import cli, invariants, verify
 from usets.catalog import Catalog, CatalogEntry, default_catalog
 from usets.construct import classical_order, psl_group
-from usets.invariants import centralizer_count
 from usets.perm import DEFAULT_CAP
 from usets.verify import (
     GOLDEN_USETS,
@@ -18,7 +17,7 @@ from usets.verify import (
     run_verification,
 )
 
-from helpers import assert_revision, group_elements
+from helpers import assert_revision, group_elements, plant_centralizer, spy, wrap
 
 #: ``usets --cap N --format json verify paper`` at CI's caps, each without
 #: its timestamp line; CI compares the command's output with these files.
@@ -74,14 +73,10 @@ def test_centralizer_count_recorded(report):
 
 def test_centralizer_count_has_a_second_labelling(monkeypatch):
     # the row's two counts run on different element tuples of PSL(2,11)
-    element_sets = []
-
-    def recording(group, cap):
-        element_sets.append(group_elements(group, cap))
-        return centralizer_count(group, cap)
-    monkeypatch.setattr(verify, "centralizer_count", recording)
+    calls = spy(monkeypatch, verify, "centralizer_count")
     r = run_verification(["centralizer-count:PSL(2,11)"]).results[0]
     assert (r.status, r.computed, r.expected) == ("pass", 189, 189)
+    element_sets = [group_elements(group, cap) for group, cap in calls]
     assert len(element_sets) == 2 and element_sets[0] != element_sets[1]
 
 
@@ -96,32 +91,20 @@ def test_a_failed_profile_is_kept_and_raised_again(monkeypatch):
               (2, lambda order: order // 2, "class sizes add up to 715, group order is 660", 0))
     entry = default_catalog().entry("PSL(2,11)")
     bsgs = entry.group().bsgs
-    centralizer, sampler, walk = (invariants._centralizer, invariants._sampled_class_sizes,
-                                  invariants._classes)
-    runs = {"sampler": 0, "walk": 0}
-
-    def sampled(b, *args):
-        runs["sampler"] += b is bsgs
-        return sampler(b, *args)
-
-    def walked(*args):
-        runs["walk"] += 1
-        return walk(*args)
-    monkeypatch.setattr(invariants, "_sampled_class_sizes", sampled)
-    monkeypatch.setattr(invariants, "_classes", walked)
+    sampled = spy(monkeypatch, invariants, "_sampled_class_sizes")
+    walked = spy(monkeypatch, invariants, "_classes")
     for element_order, planted, note, walks in plants:
-        def wrong(b, x, x_len, budget):
-            order, cent = centralizer(b, x, x_len, budget)
-            return (planted(order) if b is bsgs and math.lcm(*x_len) == element_order
-                    else order), cent
-        monkeypatch.setattr(invariants, "_centralizer", wrong)
-        monkeypatch.setattr(entry, "_profile", None)
-        runs.update(sampler=0, walk=0)
-        report = run_verification()
+        with monkeypatch.context() as plant:
+            plant_centralizer(plant, planted, lambda b, x, x_len: b is bsgs
+                              and math.lcm(*x_len) == element_order)
+            plant.setattr(entry, "_profile", None)
+            sampled.clear()
+            walked.clear()
+            report = run_verification()
         failed = [r for r in report.results if r.status == "fail"]
         assert len(failed) == 12
         assert {r.note for r in failed} == {note}
-        assert runs == {"sampler": 1, "walk": walks}
+        assert (sum(b is bsgs for b, *_ in sampled), len(walked)) == (1, walks)
 
 
 def test_one_catalog_entry_computes_a_listed_groups_screening(monkeypatch):
@@ -138,8 +121,7 @@ def test_one_catalog_entry_computes_a_listed_groups_screening(monkeypatch):
 
 
 def test_duplicate_check_ids_raise(monkeypatch):
-    rows = verify._rows
-    monkeypatch.setattr(verify, "_rows", lambda catalog, cap: [*rows(catalog, cap)] * 2)
+    wrap(monkeypatch, verify, "_rows", lambda real, catalog, cap: [*real(catalog, cap)] * 2)
     with pytest.raises(RuntimeError, match=r"^duplicate check ids in the check table$"):
         run_verification()
 
@@ -257,9 +239,8 @@ def test_report_is_independent_of_the_hash_seed(seed, capsys):
 
 
 def test_a_new_row_passes_the_revision_test_only_when_declared(monkeypatch):
-    rows = verify._rows
     probe = verify.CheckRow("probe:planted", "a planted row", "internal", lambda: (1, 1))
-    monkeypatch.setattr(verify, "_rows", lambda catalog, cap: rows(catalog, cap) + [probe])
+    wrap(monkeypatch, verify, "_rows", lambda real, catalog, cap: real(catalog, cap) + [probe])
     revised = run_verification().to_json()
     assert_revision(pinned(DEFAULT_CAP), revised, ["probe:planted"])
     with pytest.raises(AssertionError, match="not declared"):

@@ -26,11 +26,18 @@ identity on the bytes b does not reach (:data:`_TAIL`): 120-170 ns at
 degree 10-91, against 210-1 140 ns for the C-level gather
 ``itemgetter(*a)(b)`` of tuples, which degrees above 256 keep (timeit,
 2 vCPU, Python 3.11.7).  Each degree has one form, so a call that mixes
-the two raises.  :func:`_sift` strips each level the same way without
-calling :func:`_compose`, which saves a call per level of a membership
-test.  A chain keeps the identity of its degree
-(:attr:`BSGS.identity`), and a membership test compares the residue
-with it.  :class:`Permutation` wraps the internal form.  The hash of
+the two raises.  The one padded form is held only as a chain's
+inverses (:attr:`BSGS.inverses`): each u^-1 is stored as its
+translation table, the 256 bytes that invert u on 0..n-1 and fix
+n..255, so :func:`_sift` strips each level with one ``g.translate``
+by the table as it is, with no padding and no :func:`_compose` call:
+63-128 ns at degree 12-114, against 122-180 ns for padding and
+translating (timeit, as above).  Composing a table with a table gives
+a table, and a permutation with a table a permutation of its own
+degree.  Above degree 256 an inverse is the tuple of u^-1.  A chain
+keeps the identity of its degree (:attr:`BSGS.identity`), and a
+membership test compares the residue with it.  :class:`Permutation`
+wraps the internal form.  The hash of
 ``bytes`` follows ``PYTHONHASHSEED``, that of an int tuple does not, so
 no output may depend on the iteration order of a set or dict of
 permutations; sorting orders the two forms alike.
@@ -115,21 +122,31 @@ def _compose(a: RawPerm, b: RawPerm) -> RawPerm:
     """a first, then b: (b[a[0]], b[a[1]], ...) in the form of both, one
     ``bytes.translate`` up to degree 256 and a C-level gather above it
     (a tuple there has more than one point, so ``itemgetter`` gives a
-    tuple).  A call that mixes the forms raises: ``translate`` needs a
-    bytes ``a``, and a tuple ``b`` cannot be padded."""
+    tuple).  ``b`` may be a chain's stored table (:func:`_inverse_table`),
+    which the empty ``_TAIL[256]`` leaves as it is.  A call that mixes
+    the forms raises: ``translate`` needs a bytes ``a``, and a tuple
+    ``b`` cannot be padded."""
     if len(b) <= 256:
         return a.translate(b + _TAIL[len(b)])
     return itemgetter(*a)(b)
 
 
-def _inverse(a: RawPerm) -> RawPerm:
+def _inverse_table(a: RawPerm) -> RawPerm:
+    """a^-1 as a chain stores it (:attr:`BSGS.inverses`): up to degree 256
+    the translation table that inverts a on 0..n-1 and fixes n..255, above
+    it the tuple of a^-1."""
     n = len(a)
     if n <= 256:  # the table that maps each a[i] to i
-        return bytes.maketrans(a, _FULL[:n])[:n]
+        return bytes.maketrans(a, _FULL[:n])
     inv = [0] * n
     for i, j in enumerate(a):
         inv[j] = i
     return tuple(inv)
+
+
+def _inverse(a: RawPerm) -> RawPerm:
+    """a^-1 in the internal form: its table cut to the degree."""
+    return _inverse_table(a)[:len(a)]
 
 
 def _sift(g: RawPerm, base: Sequence[int], inverses: Sequence[dict]) -> RawPerm:
@@ -137,7 +154,8 @@ def _sift(g: RawPerm, base: Sequence[int], inverses: Sequence[dict]) -> RawPerm:
     the residue is the identity iff ``g`` lies in the group described.
 
     Each step is :func:`_compose`, g then u^-1, written out: one
-    ``translate``, or above degree 256 one gather."""
+    ``translate`` by the stored table as it is, or above degree 256 one
+    gather."""
     bytewise = len(g) <= 256
     for pt, inverse in zip(base, inverses):
         gamma = g[pt]
@@ -145,7 +163,7 @@ def _sift(g: RawPerm, base: Sequence[int], inverses: Sequence[dict]) -> RawPerm:
             uinv = inverse.get(gamma)
             if uinv is None:
                 break
-            g = g.translate(uinv + _TAIL[len(uinv)]) if bytewise else itemgetter(*g)(uinv)
+            g = g.translate(uinv) if bytewise else itemgetter(*g)(uinv)
     return g
 
 
@@ -296,14 +314,17 @@ class BSGS:
     * ``transversals[i]``: the coset representatives u of G^(i+1) in
       G^(i), in ascending order of gamma = u(base[i]);
     * ``inverses[i]``: gamma -> u^-1, in the same order, so sifting and
-      Schreier generators never invert;
+      Schreier generators never invert; up to degree 256 each u^-1 is
+      its translation table, 256 bytes that invert u on 0..n-1 and fix
+      n..255 (:func:`_inverse_table`), which a sift translates by as it
+      is, and above it the tuple of u^-1;
     * ``orbit_labels[i]`` (i = 0..k, on first use): each point's smallest
       G^(i)-orbit point;
     * ``identity``: the identity of the degree, built once, which a
       membership test's residue and the sampler's draws start from or
       compare with.
 
-    Every element is in the degree's internal form (:func:`_raw`).
+    Every other element is in the degree's internal form (:func:`_raw`).
     """
 
     __slots__ = ("degree", "identity", "base", "_level_gens", "transversals", "inverses",
@@ -371,7 +392,8 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
     chain is the one the unstopped closure builds.
 
     The generators, and so the chain, are in the internal form
-    (:func:`_raw`).
+    (:func:`_raw`), apart from the inverses, which are tables
+    (:func:`_inverse_table`).
 
     The generating set of the stabilizer subgroup at level i is the union
     of the generators stored at level i and all deeper levels.  Inserting
@@ -411,12 +433,13 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
         odd = any((degree - len(set(_cycle_labels(g)))) % 2 for g in raw_gens)
         bound = math.factorial(degree) // (2 if degree > 1 and not odd else 1)
     ident = _identity(degree)
+    ident_table = _FULL if degree <= 256 else ident  # the base point's inverse
     base: list[int] = []
     level_gens: list[list[RawPerm]] = []
     transversals: list[tuple[RawPerm, ...]] = []
     inverses: list[dict[int, RawPerm]] = []
     closed_gens: list[set[RawPerm]] = []  # the generators at each level's last closure
-    gen_inverse: dict[RawPerm, RawPerm] = {}  # each level generator's inverse, formed once
+    gen_inverse: dict[RawPerm, RawPerm] = {}  # each level generator's inverse table, formed once
     trees: list[tuple] = []  # each level's last tree by point: reps, parents, generators
 
     def gens_at(i: int) -> list[RawPerm]:
@@ -426,7 +449,7 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
         base.append(pt)
         level_gens.append([])
         transversals.append((ident,))
-        inverses.append({pt: ident})
+        inverses.append({pt: ident_table})
         closed_gens.append(set())
         trees.append(((None,) * degree,) * 3)  # no tree yet
 
@@ -435,11 +458,11 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
         parents, generators) and the old inverse of every changed point,
         one not kept from the last tree (None if new).  A changed point's
         representative u s is composed and inverted as s^-1 u^-1, from its
-        parent's inverse."""
+        parent's inverse: a table composed with a table, so a table."""
         old_trans, old_parent, old_via = trees[i]
         old_inverse = inverses[i]
         trans, parent, via, inv = ([None] * degree for _ in range(4))
-        trans[base[i]] = inv[base[i]] = ident
+        trans[base[i]], inv[base[i]] = ident, ident_table
         changed: dict[int, RawPerm | None] = {}
         frontier = [base[i]]
         gens = gens_at(i)
@@ -475,7 +498,7 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
             add_nonmember(i + 1, g)  # complete or not, level i is rebuilt
         else:
             level_gens[i].append(g)
-            gen_inverse[g] = _inverse(g)
+            gen_inverse[g] = _inverse_table(g)
         trans, parent, via, changed = rebuild_transversal(i)
         order = math.prod(map(len, transversals))
         if order > bound:

@@ -67,7 +67,9 @@ def test_a10_class_table_is_pinned(step_summary):
 def test_workload_runs(step_summary, workload, seconds):
     metrics = bench_run(workload, seconds)
     step_summary(f"{workload} (seed 1, {seconds} s): wall_s {metrics['wall_s']:.4f} s,"
-                 f" op_p50_ms {metrics['op_p50_ms']:.4f} ms")
+                 f" op_p50_ms {metrics['op_p50_ms']:.4f} ms,"
+                 f" op_tail_ms {metrics['op_tail_ms']:.4f} ms,"
+                 f" peak_rss_mb {metrics['peak_rss_mb']:.2f} MB")
 
 
 @pytest.mark.parametrize("workload, counts", [

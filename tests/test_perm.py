@@ -20,6 +20,7 @@ from helpers import (
     orbit_labels,
     spy,
     symmetric_group,
+    wrap,
 )
 
 
@@ -319,27 +320,62 @@ def test_schreier_sims_skips_trivial_compositions(monkeypatch):
     # inverting every given generator for the class walk as well took 46
     # and 24 inversions.  The sifts count the certificates tried as well as
     # the Schreier generators sifted, so more of either shows here.  A sift
-    # translates each level it strips without calling _compose; each
-    # translate pads its table with one read of perm._TAIL, so those reads,
-    # 5 053 and 10 318, are the compositions: _compose's 3 684 and 5 808
-    # and the sifts' levels
-    groups = ((psl_group(4, 4), 3_684, 5_053, 22, 954),
-              (alternating_group(24), 5_808, 10_318, 22, 2_609))
-    calls = {name: spy(monkeypatch, perm, "_" + name) for name in ("compose", "inverse", "sift")}
-    calls["translate"] = []
+    # translates each level it strips by the stored table, without calling
+    # _compose; those strips, 1 369 and 4 510, and _compose's 3 684 and
+    # 5 808 make the build's 5 053 and 10 318 translates
+    groups = ((psl_group(4, 4), 3_684, 22, 954, 1_369),
+              (alternating_group(24), 5_808, 22, 2_609, 4_510))
+    calls = {name: spy(monkeypatch, perm, "_" + name) for name in ("compose", "inverse_table")}
+    calls["sift"], calls["strip"] = [], []
 
-    class CountingTail(tuple):
-        def __getitem__(self, n):
-            calls["translate"].append(n)
-            return tuple.__getitem__(self, n)
-    monkeypatch.setattr(perm, "_TAIL", CountingTail(perm._TAIL))
-    for group, compositions, translates, inversions, sifts in groups:
+    def sift(real, g, base, inverses):
+        calls["sift"].append(g)
+        residue = g
+        for pt, inverse in zip(base, inverses):  # the levels the sift strips
+            uinv = inverse.get(residue[pt])
+            if uinv is None:
+                break
+            if residue[pt] != pt:
+                calls["strip"].append(pt)
+                residue = residue.translate(uinv)
+        assert real(g, base, inverses) == residue
+        return residue
+    wrap(monkeypatch, perm, "_sift", sift)
+    for group, compositions, inversions, sifts, strips in groups:
         for made in calls.values():
             made.clear()
         group.order()
         assert {name: len(made) for name, made in calls.items()} == {
-            "compose": compositions, "translate": translates, "inverse": inversions,
-            "sift": sifts}
+            "compose": compositions, "inverse_table": inversions, "sift": sifts,
+            "strip": strips}
+
+
+def test_sifts_translate_by_the_stored_tables_unpadded(monkeypatch):
+    # with a _TAIL that raises on every read planted around each sift of a
+    # chain build, and then for good, the build, membership tests and
+    # BSGS.sift all run: no sift pads a table, and the sifts strip levels
+    class NoTail:
+        def __getitem__(self, n):
+            raise AssertionError("a sift padded a table")
+    tail, stripped = perm._TAIL, []
+
+    def sift(real, g, *chain):
+        perm._TAIL = NoTail()
+        try:
+            residue = real(g, *chain)
+        finally:
+            perm._TAIL = tail
+        stripped.append(residue != g)
+        return residue
+    wrap(monkeypatch, perm, "_sift", sift)
+    group = alternating_group(12)
+    assert group.order() == math.factorial(12) // 2
+    assert sum(stripped) > 0
+    a, b = group.generators
+    word, outside = a * b * a, Permutation.from_cycles(12, (0, 1))  # A_12 has no transposition
+    monkeypatch.setattr(perm, "_TAIL", NoTail())
+    assert group.contains(word) and not group.contains(outside)
+    assert group.bsgs.sift(word.raw) == group.bsgs.identity != group.bsgs.sift(outside.raw)
 
 
 def test_schreier_sims_refuses_a_false_order_bound():
@@ -483,6 +519,13 @@ class TestElements:
 # same images in either form, on both sides of the switch.
 
 
+def stored_table(images):
+    """The form a chain stores an inverse in (:attr:`usets.perm.BSGS.inverses`):
+    the images padded with the identity to point 255, as bytes up to degree
+    256, so 256 of them; above it the tuple of the images."""
+    return perm._raw(tuple(images) + tuple(range(len(images), 256)))
+
+
 def reference_sift(g, base, inverses):
     """The sift of an image tuple, composing at every level it reaches."""
     for pt, inverse in zip(base, inverses):
@@ -519,18 +562,20 @@ def test_kernels_match_a_tuple_reference(degree):
         assert type(composed) is form and tuple(composed) == tuple(b[x] for x in a)
         inverse = perm._inverse(ra)
         assert type(inverse) is form and tuple(inverse[x] for x in a) == ident
+        assert perm._inverse_table(ra) == stored_table(inverse)
         assert perm._cycle_labels(ra) == orbit_labels(degree, [a])
         labels = perm._join_orbits(range(degree), ra)
         assert labels == tuple(orbit_labels(degree, [a]))
         assert perm._join_orbits(labels, rb) == tuple(orbit_labels(degree, [a, b]))
         # a made-up chain: every point but the base point maps to one of
         # a few stored permutations, the base point to the identity, except
-        # on the last level, where most points have no entry and the sift stops
+        # on the last level, where most points have no entry and the sift
+        # stops; it stores them as a chain does, as tables
         pool = [tuple(rng.sample(range(degree), degree)) for _ in range(3)]
         base = rng.sample(range(degree), min(degree, 4))
         inverses = [{**{p: rng.choice(pool) for p in (range(degree) if i < 3 else pool[0][:3])},
                      pt: ident} for i, pt in enumerate(base)]
-        raw_inverses = [{k: perm._raw(v) for k, v in level.items()} for level in inverses]
+        raw_inverses = [{k: stored_table(v) for k, v in level.items()} for level in inverses]
         for g in (a, b, c):
             residue = perm._sift(perm._raw(g), base, raw_inverses)
             assert type(residue) is form
@@ -612,13 +657,40 @@ def test_nothing_converts_after_construction(degree, monkeypatch):
     assert profile(group).U == {1, 15, 20, 24}
 
 
+def assert_inverses_are_stored_tables(bsgs):
+    """Each level's inverses are, in the order of its transversal, gamma ->
+    the table of u^-1 for the u with u(base point) = gamma."""
+    n = bsgs.degree
+    for pt, inverse, transversal in zip(bsgs.base, bsgs.inverses, bsgs.transversals):
+        tables = []
+        for u in transversal:
+            uinv = [0] * n
+            for x, image in enumerate(u):
+                uinv[image] = x
+            tables.append((u[pt], stored_table(uinv)))
+        assert list(inverse.items()) == tables
+
+
 def test_catalog_chains_are_bytes_and_hand_out_tuples(catalog):
     for name in catalog.names():
         bsgs = catalog.get(name).bsgs
         assert bsgs.degree <= 256, name
         levels = [*bsgs.transversals, *bsgs._level_gens, *(d.values() for d in bsgs.inverses)]
         assert all(type(u) is bytes for level in levels for u in level), name
+        # each inverse 256 bytes: u^-1 on the degree's points, the identity above
+        assert {len(uinv) for d in bsgs.inverses for uinv in d.values()} == {256}, name
+        assert_inverses_are_stored_tables(bsgs)
         assert type(bsgs.identity) is bytes, name
         assert all(type(g.images) is tuple for g in bsgs.strong_generators), name
     classes = conjugacy_classes(catalog.get("PSL(2,11)"))
     assert all(type(c.representative.images) is tuple for c in classes)
+
+
+@pytest.mark.parametrize("degree, form, length", [
+    (255, bytes, 256), (256, bytes, 256), (257, tuple, 257), (300, tuple, 300)])
+def test_padded_a5_stores_inverses_as_tables_up_to_degree_256(degree, form, length):
+    # tables on the bytes side of the switch, the n-tuples of u^-1 above it
+    bsgs = padded_a5(degree).bsgs
+    assert {(type(uinv), len(uinv)) for d in bsgs.inverses for uinv in d.values()} == {
+        (form, length)}
+    assert_inverses_are_stored_tables(bsgs)

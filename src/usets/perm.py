@@ -37,10 +37,10 @@ a table, and a permutation with a table a permutation of its own
 degree.  Above degree 256 an inverse is the tuple of u^-1.  A chain
 keeps the identity of its degree (:attr:`BSGS.identity`), and a
 membership test compares the residue with it.  :class:`Permutation`
-wraps the internal form.  The hash of
-``bytes`` follows ``PYTHONHASHSEED``, that of an int tuple does not, so
-no output may depend on the iteration order of a set or dict of
-permutations; sorting orders the two forms alike.
+wraps the internal form.  The hash of ``bytes`` follows
+``PYTHONHASHSEED``, that of an int tuple does not, so no output may
+depend on the iteration order of a set or dict of permutations; sorting
+orders the two forms alike.
 
 Schreier-Sims skips the work that cannot change the chain.  Sifting
 does nothing at a base point the element fixes, whose representative is

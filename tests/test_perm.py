@@ -677,9 +677,7 @@ def test_catalog_chains_are_bytes_and_hand_out_tuples(catalog):
         assert bsgs.degree <= 256, name
         levels = [*bsgs.transversals, *bsgs._level_gens, *(d.values() for d in bsgs.inverses)]
         assert all(type(u) is bytes for level in levels for u in level), name
-        # each inverse 256 bytes: u^-1 on the degree's points, the identity above
-        assert {len(uinv) for d in bsgs.inverses for uinv in d.values()} == {256}, name
-        assert_inverses_are_stored_tables(bsgs)
+        assert_inverses_are_stored_tables(bsgs)  # 256 bytes each
         assert type(bsgs.identity) is bytes, name
         assert all(type(g.images) is tuple for g in bsgs.strong_generators), name
     classes = conjugacy_classes(catalog.get("PSL(2,11)"))

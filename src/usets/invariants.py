@@ -70,6 +70,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .patterns import factorize
@@ -168,7 +169,8 @@ class _WorkLimitExceeded(Exception):
 
 class _Budget:
     """Counts search nodes and sampled elements; past ``limit`` the next
-    one raises :class:`_WorkLimitExceeded`."""
+    one raises :class:`_WorkLimitExceeded`.  A draw ticks it;
+    :func:`_conjugacy_search` counts its nodes itself, into ``work``."""
 
     def __init__(self, limit: int):
         self.work = 0
@@ -280,11 +282,19 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm,
     If g conjugates x to y, so does h g for every h in C_G(y), in the same
     subtree if h fixes the images chosen so far; so a level tries one
     image per orbit of the elements of ``cent`` that fix them.
+
+    The search strips t^-1 by the chain's stored tables, read by point,
+    as :func:`usets.perm._sift` does: one ``translate`` up to degree 256,
+    one gather above.  It counts its nodes, each ``find`` call, forced
+    level and child that reaches the orbit tests, in a local count that
+    each ``find`` takes from ``budget`` and hands back when it returns or
+    raises, with no call per node; past the budget's limit the node raises
+    :class:`_WorkLimitExceeded`, as :meth:`_Budget.tick` would.
     """
     degree, base, labels, inverses = bsgs.degree, bsgs.base, bsgs.orbit_labels, bsgs.inverses
-    depth = len(base)
+    depth, bytewise, limit = len(base), degree <= 256, budget.limit
     elements, by_len = cent.elements, cent.by_len
-    tick = budget.tick
+    work = 0  # the budget's count, held here while a find runs
     phi = [-1] * degree
     taken = bytearray(degree)  # points already in the image of phi
     assigned: list[int] = []   # the points phi is defined on
@@ -301,12 +311,15 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm,
         of ``cent`` that fix every image chosen so far, and ``image``, given
         only at the first level, is the one image to try there.  ``again`` is
         this function, passed so no cycle keeps the search alive after it."""
+        nonlocal work
         while j < depth and phi[base[j]] >= 0:  # a forced level
-            tick()
-            uinv = inverses[j].get(hinv[phi[base[j]]])
+            work += 1
+            if work > limit:
+                raise _WorkLimitExceeded
+            uinv = inverses[j][hinv[phi[base[j]]]]
             if uinv is None:
                 return None
-            hinv = _compose(hinv, uinv)
+            hinv = hinv.translate(uinv) if bytewise else itemgetter(*hinv)(uinv)
             j += 1
         if j == depth:
             return hinv if _compose(hinv, x) == _compose(y, hinv) else None
@@ -324,7 +337,9 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm,
         for c in choices:
             if taken[c] or label[hinv[c]] != target:
                 continue
-            tick()
+            work += 1
+            if work > limit:
+                raise _WorkLimitExceeded
             uinv = inverse[hinv[c]]
             # the level-(j+1) labels under t_{j+1}^-1 = t_j^-1 u_j^-1, on the
             # new cycle, then on the points assigned before: a child that
@@ -346,7 +361,8 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm,
                         assigned.append(p)
                         p, q = x[p], y[q]
                     kept = tuple(i for i in fixing if elements[i][c] == c) if fixing else ()
-                    found = again(again, j + 1, _compose(hinv, uinv), kept)
+                    found = again(again, j + 1, hinv.translate(uinv) if bytewise
+                                  else itemgetter(*hinv)(uinv), kept)
                     for _ in range(length):
                         p = assigned.pop()
                         taken[phi[p]] = 0
@@ -358,8 +374,14 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm,
     identity = bsgs.identity
 
     def find(image: int | None, fixing: tuple[int, ...]) -> RawPerm | None:
-        tick()
-        return search(search, level, identity, fixing, image)
+        nonlocal work
+        work = budget.work + 1
+        try:
+            if work > limit:
+                raise _WorkLimitExceeded
+            return search(search, level, identity, fixing, image)
+        finally:
+            budget.work = work
     return find
 
 

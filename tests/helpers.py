@@ -2,10 +2,11 @@
 wreath products of groups, random elements of S_k wr S_m and S_a x S_b
 and of products of catalog groups, named package groups that several
 tests share, the class sizes of A_n, S_n and PSL(2,q) in closed form, a
-digest of a group's chain, an independent orbit walk, a Leibniz
-determinant, the group's elements and class sizes read off the
-package's class walk, the sampler's class sizes, the README's command
-lines and the test of a report revision against a pinned report.
+digest of a group's chain and its stored inverses by orbit point, an
+independent orbit walk, a Leibniz determinant, the group's elements and
+class sizes read off the package's class walk, the sampler's class
+sizes, the README's command lines and the test of a report revision
+against a pinned report.
 
 ``wrap`` replaces a package function for one test with one that is
 handed the original, and the tests plant and watch package calls
@@ -222,6 +223,13 @@ def chain_digest(group):
     chain = (bsgs.base, tuple(g.images for g in bsgs.strong_generators),
              tuple(tuple(u) for level in bsgs.transversals for u in level))
     return hashlib.sha256(repr(chain).encode()).hexdigest()
+
+
+def stored_inverses(level):
+    """The (gamma, u^-1) pairs of a chain level's point-indexed inverses
+    (:attr:`usets.perm.BSGS.inverses`), the points of the level's orbit
+    ascending, as its transversal is ordered."""
+    return [(gamma, uinv) for gamma, uinv in enumerate(level) if uinv is not None]
 
 
 def orbit_labels(degree, gens):

@@ -62,8 +62,8 @@ def test_a10_class_table_is_pinned(step_summary):
     assert hashlib.md5(out).hexdigest() == "fb63439fd1683a1a019b9547ece972f0"
 
 
-@pytest.mark.parametrize("workload, seconds", [("profile-a10", 5), ("pattern-match", 2),
-                                               ("construct-bsgs", 2)])
+@pytest.mark.parametrize("workload, seconds", [("verify-paper", 3), ("profile-a10", 5),
+                                               ("pattern-match", 2), ("construct-bsgs", 2)])
 def test_workload_runs(step_summary, workload, seconds):
     metrics = bench_run(workload, seconds)
     step_summary(f"{workload} (seed 1, {seconds} s): wall_s {metrics['wall_s']:.4f} s,"
@@ -77,6 +77,10 @@ def test_workload_runs(step_summary, workload, seconds):
     ("verify-paper", {"verify.checks": 195}),
     # the search reaches the same leaves, each one a match
     ("pattern-match", {"patterns.match.assignments": 103, "patterns.match.hit_ratio": 1.0}),
+    # the 18 chains, and the membership tests through BSGS.sift, the
+    # tracer's hook, that PermGroup.contains makes
+    ("construct-bsgs", {"perm.sift.calls": 432, "perm.bsgs.base_len": 127,
+                        "perm.bsgs.strong_gens": 215}),
 ])
 def test_traced_workload_counts(workload, counts):
     metrics = bench_run(workload, 2, trace=1)

@@ -221,10 +221,11 @@ FUZZ_TESTS = {
 # with Hypothesis 6.155.2 (its derandomized examples change with its
 # version and with the tests' source, so the test asserts only that some
 # example catches each defect, and reports the first):
-# - random groups: the class equation, all three on the 5th example
-#   (order 720); the walk alone, the missed conjugator on the 22nd (order
-#   80) and the dropped exponent on the 27th (order 3 840), and the
-#   skipped centraliser level on none;
+# - random groups: the class equation, the skipped centraliser level on
+#   the 3rd example (order 192), the missed conjugator on the 7th (order
+#   36) and the dropped exponent on the 8th (order 7 200); the walk alone,
+#   the missed conjugator and the dropped exponent on the 21st (order
+#   14 400), and the skipped centraliser level on none;
 # - catalog products: the class equation, all three on the 3rd example
 #   (order 21 600); the walk alone, none.
 

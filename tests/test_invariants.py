@@ -461,11 +461,12 @@ def sampler_meets_the_walk(group, routes):
 
 # Subgroups of S_k wr S_m and S_a x S_b, with the centres, many classes
 # per cycle type and intransitive or imprimitive actions the catalog has
-# few of.
+# few of; the terms only up to order 10 080, as for the products below.
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(wreath_or_product_elements())
 def test_sampled_class_sizes_equal_the_walk_on_random_groups(elements):
-    sampler_meets_the_walk(PermGroup(elements), False)
+    group = PermGroup(elements)
+    sampler_meets_the_walk(group, group.order() <= 10_080)
 
 
 @pytest.mark.slow
@@ -957,19 +958,53 @@ def test_a10_profile_work(monkeypatch):
     wrap(monkeypatch, invariants, "_Budget", recorded)
     assert list(profile(alternating_group(10), cap=2_000_000).class_sizes) == \
         alternating_class_sizes(10)
-    assert len(budgets) == 1 and budgets[0].work <= 674
+    assert len(budgets) == 1 and budgets[0].work == 674
+
+
+@pytest.mark.parametrize("name, work", [("PSL(2,11)", 285), ("U4(2)", 1_275),
+                                        ("PSL(3,4)", 2_339)])
+def test_sampler_work_is_pinned(catalog, name, work):
+    # the search nodes and draws of the sampler under the profile's budget;
+    # that many complete it, and one fewer trips it at the last of them
+    group = catalog.get(name)
+    bsgs, budget = group.bsgs, invariants._walk_budget(group)
+    invariants._sampled_class_sizes(bsgs, budget, {})
+    assert budget.work == work
+    invariants._sampled_class_sizes(bsgs, invariants._Budget(work), {})
+    short = invariants._Budget(work - 1)
+    with pytest.raises(invariants._WorkLimitExceeded):
+        invariants._sampled_class_sizes(bsgs, short, {})
+    assert short.work == work
 
 
 def test_psl_3_4_profile_compositions(monkeypatch):
-    # a child refuted by its orbit labels is never composed: the search
-    # composes only the children it enters, the forced levels and the leaf
-    # tests (composing every child took 2 149); the 19 grown sets of orbit
-    # labels gather twice each in perm._join_orbits, which is not counted
+    # a child refuted by its orbit labels is never composed: each search
+    # translates t^-1 by a stored table only at the forced levels and the
+    # children it enters, and once more at each leaf test (translating
+    # every child took 2 152); the draws, powers and the leaf tests' other
+    # side call _compose, and the 19 grown sets of orbit labels gather
+    # twice each in perm._join_orbits, which is not counted
     group = psl_group(3, 4)
-    group.order()  # builds the chain
+    bsgs = group.bsgs
+    tables = {id(uinv) for level in bsgs.inverses for uinv in level if uinv is not None}
+    strips, leaves = [], []
+
+    class Counted(bytes):
+        """t^-1 in a search, whose translates are counted."""
+        def translate(self, table):
+            (strips if id(table) in tables else leaves).append(table)
+            return Counted(bytes.translate(self, table))
+
+    def counted(real, chain, *args):  # each search set up starts from a counted identity
+        identity, chain.identity = chain.identity, Counted(chain.identity)
+        try:
+            return real(chain, *args)
+        finally:
+            chain.identity = identity
+    wrap(monkeypatch, invariants, "_conjugacy_search", counted)
     calls = spy(monkeypatch, invariants, "_compose")
     assert profile(group).class_count == 10
-    assert len(calls) == 597
+    assert (len(strips), len(leaves), len(calls)) == (362, 54, 235)
 
 
 def test_profile_leaves_no_cyclic_garbage():

@@ -19,6 +19,7 @@ from helpers import (
     group_elements,
     orbit_labels,
     spy,
+    stored_inverses,
     symmetric_group,
     wrap,
 )
@@ -155,7 +156,7 @@ class TestBSGS:
     def test_orbit_product_is_order(self):
         g = alternating_group(6)
         bsgs = g.bsgs
-        prod = math.prod(len(orbit) for orbit in bsgs.inverses)
+        prod = math.prod(len(stored_inverses(level)) for level in bsgs.inverses)
         assert prod == len(group_elements(g)) == 360
 
     def test_original_generators_sift_trivially(self):
@@ -166,15 +167,15 @@ class TestBSGS:
     def test_basic_orbit_sizes_divide_order(self):
         g = generated(6, [(0, 1, 2, 3)], [(3, 4, 5)])
         order = g.order()
-        for orbit in g.bsgs.inverses:
-            assert order % len(orbit) == 0
+        for level in g.bsgs.inverses:
+            assert order % len(stored_inverses(level)) == 0
 
     def test_transversal_representatives(self):
         g = alternating_group(5)
         bsgs = g.bsgs
         for level, pt in enumerate(bsgs.base):
-            for gamma, u, uinv in zip(bsgs.inverses[level], bsgs.transversals[level],
-                                      bsgs.inverses[level].values()):
+            for (gamma, uinv), u in zip(stored_inverses(bsgs.inverses[level]),
+                                        bsgs.transversals[level]):
                 assert u[pt] == gamma and uinv[gamma] == pt
 
     def test_trivial_group(self):
@@ -332,7 +333,7 @@ def test_schreier_sims_skips_trivial_compositions(monkeypatch):
         calls["sift"].append(g)
         residue = g
         for pt, inverse in zip(base, inverses):  # the levels the sift strips
-            uinv = inverse.get(residue[pt])
+            uinv = inverse[residue[pt]]
             if uinv is None:
                 break
             if residue[pt] != pt:
@@ -408,7 +409,7 @@ def test_sift_residue_matches_composing_at_every_level(name):
     def reference(g):
         nonlocal fixed
         for pt, inverse in zip(bsgs.base, bsgs.inverses):
-            uinv = inverse.get(g[pt])
+            uinv = inverse[g[pt]]
             if uinv is None:
                 break
             fixed += g[pt] == pt
@@ -570,12 +571,13 @@ def test_kernels_match_a_tuple_reference(degree):
         # a made-up chain: every point but the base point maps to one of
         # a few stored permutations, the base point to the identity, except
         # on the last level, where most points have no entry and the sift
-        # stops; it stores them as a chain does, as tables
+        # stops; it stores them as a chain does, as tables by point
         pool = [tuple(rng.sample(range(degree), degree)) for _ in range(3)]
         base = rng.sample(range(degree), min(degree, 4))
         inverses = [{**{p: rng.choice(pool) for p in (range(degree) if i < 3 else pool[0][:3])},
                      pt: ident} for i, pt in enumerate(base)]
-        raw_inverses = [{k: stored_table(v) for k, v in level.items()} for level in inverses]
+        raw_inverses = [[stored_table(level[p]) if p in level else None for p in range(degree)]
+                        for level in inverses]
         for g in (a, b, c):
             residue = perm._sift(perm._raw(g), base, raw_inverses)
             assert type(residue) is form
@@ -586,6 +588,11 @@ def test_kernels_match_a_tuple_reference(degree):
         assert (pa * pb).images == tuple(b[x] for x in a)
         assert tuple(pa.inverse().images[x] for x in a) == ident
         cycles = reference_cycles(a)
+        lengths = [1] * degree
+        for cycle in cycles:
+            for p in cycle:
+                lengths[p] = len(cycle)
+        assert perm._cycle_lengths(ra) == lengths
         assert pa.cycles() == cycles
         assert pa.order() == math.lcm(*map(len, cycles))
         copy = Permutation(list(a))
@@ -616,7 +623,8 @@ def test_a5_padded_across_the_switch_keeps_its_chain(degree, form):
     small, group = alternating_group(5), padded_a5(degree)
     bsgs, fixed = group.bsgs, tuple(range(5, degree))
     assert bsgs.base == small.bsgs.base
-    levels = [*bsgs.transversals, *bsgs._level_gens, *(d.values() for d in bsgs.inverses)]
+    levels = [*bsgs.transversals, *bsgs._level_gens,
+              *([uinv for _, uinv in stored_inverses(d)] for d in bsgs.inverses)]
     assert all(type(u) is form and tuple(u[5:]) == fixed for level in levels for u in level)
     assert [[tuple(u[:5]) for u in level] for level in bsgs.transversals] == [
         [tuple(u) for u in level] for level in small.bsgs.transversals]
@@ -658,24 +666,38 @@ def test_nothing_converts_after_construction(degree, monkeypatch):
 
 
 def assert_inverses_are_stored_tables(bsgs):
-    """Each level's inverses are, in the order of its transversal, gamma ->
-    the table of u^-1 for the u with u(base point) = gamma."""
+    """Each level's inverses are a list by point, None exactly off the
+    level's orbit (found by an orbit walk over the level's generators), and
+    on it, in the order of its transversal, gamma -> the table of u^-1 for
+    the u with u(base point) = gamma."""
     n = bsgs.degree
-    for pt, inverse, transversal in zip(bsgs.base, bsgs.inverses, bsgs.transversals):
+    for i, (pt, inverse, transversal) in enumerate(zip(bsgs.base, bsgs.inverses,
+                                                       bsgs.transversals)):
+        labels = orbit_labels(n, [g for level in bsgs._level_gens[i:] for g in level])
+        assert type(inverse) is list and len(inverse) == n
+        assert [p for p in range(n) if inverse[p] is None] == [
+            p for p in range(n) if labels[p] != labels[pt]]
         tables = []
         for u in transversal:
             uinv = [0] * n
             for x, image in enumerate(u):
                 uinv[image] = x
             tables.append((u[pt], stored_table(uinv)))
-        assert list(inverse.items()) == tables
+        assert stored_inverses(inverse) == tables
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_GROUPS))
+def test_inverses_are_indexed_by_point(name):
+    # chains whose levels were closed again with changed representatives
+    assert_inverses_are_stored_tables(CHAIN_GROUPS[name]().bsgs)
 
 
 def test_catalog_chains_are_bytes_and_hand_out_tuples(catalog):
     for name in catalog.names():
         bsgs = catalog.get(name).bsgs
         assert bsgs.degree <= 256, name
-        levels = [*bsgs.transversals, *bsgs._level_gens, *(d.values() for d in bsgs.inverses)]
+        levels = [*bsgs.transversals, *bsgs._level_gens,
+                  *([uinv for _, uinv in stored_inverses(d)] for d in bsgs.inverses)]
         assert all(type(u) is bytes for level in levels for u in level), name
         assert_inverses_are_stored_tables(bsgs)  # 256 bytes each
         assert type(bsgs.identity) is bytes, name
@@ -689,6 +711,6 @@ def test_catalog_chains_are_bytes_and_hand_out_tuples(catalog):
 def test_padded_a5_stores_inverses_as_tables_up_to_degree_256(degree, form, length):
     # tables on the bytes side of the switch, the n-tuples of u^-1 above it
     bsgs = padded_a5(degree).bsgs
-    assert {(type(uinv), len(uinv)) for d in bsgs.inverses for uinv in d.values()} == {
+    assert {(type(uinv), len(uinv)) for d in bsgs.inverses for _, uinv in stored_inverses(d)} == {
         (form, length)}
     assert_inverses_are_stored_tables(bsgs)

@@ -17,7 +17,7 @@ from usets.construct import alternating_group, psl_group
 from usets.patterns import MAX_EXPONENT, SYMBOLS, Term, USetPattern
 from usets.perm import Permutation, _raw, _schreier_sims
 
-from helpers import CHAIN_GROUPS
+from helpers import CHAIN_GROUPS, stored_inverses
 
 
 @st.composite
@@ -133,11 +133,13 @@ def raw_generating_sets(draw):
 def assert_chain_equals_full_closure(bsgs, gens, degree):
     base, level_gens, transversals, inverses = full_closure_schreier_sims(gens, degree)
     # the chain's elements compared as tuples, whatever their internal form;
-    # an inverse on the degree's points, as a bytes one is a 256-byte table
+    # an inverse on the degree's points, as a bytes one is a 256-byte table,
+    # and each level's inverses a list by point, None off the orbit
     assert bsgs.base == tuple(base)
     assert [list(map(tuple, lvl)) for lvl in bsgs._level_gens] == level_gens
     assert [tuple(map(tuple, lvl)) for lvl in bsgs.transversals] == transversals
-    assert [[(k, tuple(v[:degree])) for k, v in d.items()] for d in bsgs.inverses] == [
+    assert [len(d) for d in bsgs.inverses] == [degree] * len(inverses)
+    assert [[(k, tuple(v[:degree])) for k, v in stored_inverses(d)] for d in bsgs.inverses] == [
         list(d.items()) for d in inverses]
 
 

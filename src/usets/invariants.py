@@ -18,7 +18,8 @@ transversal element per level, from a fixed-seed generator, so runs
 repeat exactly) and takes each draw's powers too.  One backtrack
 search over the chain, :func:`_conjugacy_search`, which reads its stored
 inverses and orbit labels as they are (:func:`usets.perm._join_orbits`
-labels those and the orbits of the subgroups it grows), does the rest:
+labels those and the orbits of the subgroups it grows) and strips by
+:mod:`usets.perm`'s kernel, does the rest:
 :func:`_conjugator` sets it up once per conjugacy test, pruned by the
 known centraliser of the representative, and :func:`_centralizer` once
 per level of its subgroup search for C_G(x) that needs a search.  The
@@ -70,12 +71,11 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .patterns import factorize
-from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose,
-                   _cycle_labels, _cycle_lengths, _inverse, _join_orbits, check_cap)
+from .perm import (BSGS, DEFAULT_CAP, PermGroup, Permutation, RawPerm, _compose, _cycles,
+                   _inverse, _join_orbits, _strip_kernel, check_cap)
 
 #: Seed of the element sampler; any fixed value gives the same profiles.
 _SAMPLER_SEED = 0
@@ -159,7 +159,7 @@ def _classes(group: PermGroup, cap: int) -> list[list[RawPerm]]:
 def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_CAP) -> list[ConjClass]:
     """All conjugacy classes, sorted by (size, representative images)."""
     found = sorted((len(members), min(members)) for members in _classes(group, cap))
-    return [ConjClass(Permutation._wrap(rep), size, math.lcm(*_cycle_lengths(rep)))
+    return [ConjClass(Permutation._wrap(rep), size, math.lcm(*map(len, _cycles(rep)[0])))
             for size, rep in found]
 
 
@@ -283,16 +283,17 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm,
     subtree if h fixes the images chosen so far; so a level tries one
     image per orbit of the elements of ``cent`` that fix them.
 
-    The search strips t^-1 by the chain's stored tables, read by point,
-    as :func:`usets.perm._sift` does: one ``translate`` up to degree 256,
-    one gather above.  It counts its nodes, each ``find`` call, forced
-    level and child that reaches the orbit tests, in a local count that
-    each ``find`` takes from ``budget`` and hands back when it returns or
-    raises, with no call per node; past the budget's limit the node raises
+    The search strips t^-1 by the chain's stored inverses, read by point,
+    with the kernel :func:`usets.perm._sift` calls
+    (:func:`usets.perm._strip_kernel`), so it names no internal form.  It
+    counts its nodes, each ``find`` call, forced level and child that
+    reaches the orbit tests, in a local count that each ``find`` takes
+    from ``budget`` and hands back when it returns or raises, with no
+    call per node; past the budget's limit the node raises
     :class:`_WorkLimitExceeded`, as :meth:`_Budget.tick` would.
     """
     degree, base, labels, inverses = bsgs.degree, bsgs.base, bsgs.orbit_labels, bsgs.inverses
-    depth, bytewise, limit = len(base), degree <= 256, budget.limit
+    depth, strip, limit = len(base), _strip_kernel(degree), budget.limit
     elements, by_len = cent.elements, cent.by_len
     work = 0  # the budget's count, held here while a find runs
     phi = [-1] * degree
@@ -319,7 +320,7 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm,
             uinv = inverses[j][hinv[phi[base[j]]]]
             if uinv is None:
                 return None
-            hinv = hinv.translate(uinv) if bytewise else itemgetter(*hinv)(uinv)
+            hinv = strip(hinv, uinv)
             j += 1
         if j == depth:
             return hinv if _compose(hinv, x) == _compose(y, hinv) else None
@@ -361,8 +362,7 @@ def _conjugacy_search(bsgs: BSGS, x: RawPerm, x_len: list[int], y: RawPerm,
                         assigned.append(p)
                         p, q = x[p], y[q]
                     kept = tuple(i for i in fixing if elements[i][c] == c) if fixing else ()
-                    found = again(again, j + 1, hinv.translate(uinv) if bytewise
-                                  else itemgetter(*hinv)(uinv), kept)
+                    found = again(again, j + 1, strip(hinv, uinv), kept)
                     for _ in range(length):
                         p = assigned.pop()
                         taken[phi[p]] = 0
@@ -403,14 +403,17 @@ def _centralizer(bsgs: BSGS, x: RawPerm, x_len: list[int],
     end b's H-orbit is its C^(j)-orbit and H = C^(j); so |C_G(x)| is the
     product of the final orbit lengths.
     """
-    base = bsgs.base
-    cycle = _cycle_labels(x)  # each point's smallest x-cycle point
+    base, depth = bsgs.base, len(bsgs.base)
+    first = [depth] * bsgs.degree  # the first base point on each point's x-cycle, by index
+    for i, b in enumerate(base):
+        while first[b] == depth:  # around the x-cycle of b, unless one before was on it
+            first[b] = i
+            b = x[b]
     found = _Commuting(bsgs.degree, x, x_len)
     order = 1
-    for j in reversed(range(len(base))):
+    for j in reversed(range(depth)):
         b, label = base[j], bsgs.orbit_labels[j]
-        fixed = {cycle[p] for p in base[:j]}  # the x-cycles C^(j) fixes pointwise
-        if cycle[b] in fixed:
+        if first[b] < j:  # C^(j) fixes the x-cycles of base[:j] pointwise
             continue
         find = None
         fixing = found.fixing(base[:j])
@@ -418,7 +421,7 @@ def _centralizer(bsgs: BSGS, x: RawPerm, x_len: list[int],
         failed: set[int] = set()  # labels of H-orbits no element of C^(j) maps b into
         for c in found.by_len[x_len[b]]:
             if (orbit[c] == orbit[b] or orbit[c] in failed or label[c] != label[b]
-                    or cycle[c] in fixed):
+                    or first[c] < j):
                 continue
             if find is None:
                 find = _conjugacy_search(bsgs, x, x_len, x, found, budget, j)
@@ -505,7 +508,7 @@ def _sampled_class_sizes(bsgs: BSGS, budget: _Budget, classes: dict) -> None:
         x = pending.pop() if pending else _random_element(bsgs, rng, budget)
         if x == identity:
             continue
-        lengths = _cycle_lengths(x)
+        lengths = _cycles(x)[1]
         known = classes.setdefault(tuple(sorted(lengths)), [])
         # x's S_n-class is one G-class: no parts odd and distinct in A_n
         one = symmetric or alternating and any(
@@ -555,7 +558,7 @@ def _class_table(group: PermGroup, cap: int) -> dict:
     table = {}
     for members in walked:
         record = (members[0], order // len(members), None)
-        table.setdefault(tuple(sorted(_cycle_lengths(members[0]))), []).append(record)
+        table.setdefault(tuple(sorted(_cycles(members[0])[1])), []).append(record)
     return table
 
 
@@ -637,7 +640,7 @@ def _centralizer_terms(bsgs: BSGS, table: dict) -> list[tuple[int, int]]:
             continue
         if x not in shared:
             if cent is None:
-                cent = _centralizer(bsgs, x, _cycle_lengths(x), unbounded)[1]
+                cent = _centralizer(bsgs, x, _cycles(x)[1], unbounded)[1]
             gens = cent.elements
             members, seen = [identity], {identity}
             for z in members:  # members grows while it is read
@@ -652,7 +655,7 @@ def _centralizer_terms(bsgs: BSGS, table: dict) -> list[tuple[int, int]]:
             for z in members:
                 if all(_compose(z, g) == _compose(g, z) for g in gens):
                     if z not in z_counts:
-                        lengths = _cycle_lengths(z)
+                        lengths = _cycles(z)[1]
                         same = table[tuple(sorted(lengths))]  # the classes of z's cycle type
                         z_counts[z] = same[0][1]
                         if any(c != z_counts[z] for _, c, _ in same):

@@ -15,10 +15,11 @@ The stabilizer chain has one layout (see :class:`BSGS`), built once per
 level by :func:`_schreier_sims` and read as it is by sifting, Schreier
 generators and the backtrack searches of :mod:`usets.invariants`.
 :func:`_join_orbits` is the one routine that labels the orbits of a
-subgroup, :func:`_cycle_labels` the one that finds a permutation's
-cycles, and :func:`_compose` the one composition kernel of the package;
-only a strip by a chain's stored inverse is written out where the chain
-is read, in :func:`_sift` and the searches.
+subgroup, :func:`_cycles` the one that walks a permutation's cycles,
+:func:`_compose` the one composition kernel of the package and
+:func:`_strip_kernel` the one strip by a chain's stored inverse, which
+:func:`_sift` and the searches call: every kernel that depends on the
+internal form is here.
 
 Inside the package a permutation of degree at most 256 is the ``bytes``
 string of its images, and one of higher degree the tuple of them
@@ -34,18 +35,19 @@ at gamma = u(base point) the u^-1 of gamma's representative u, stored
 as its translation table, the 256 bytes that invert u on 0..n-1 and fix
 n..255, and None at every point off the level's orbit.  So
 :func:`_sift` reads each level's inverse by index, with no dict lookup,
-and strips it with one ``g.translate`` by the table as it is, with no
-padding and no :func:`_compose` call: 63-128 ns at degree 12-114,
-against 122-180 ns for padding and translating (timeit, as above).
-Composing a table with a table gives a table, and a permutation with a
-table a permutation of its own degree.  Above degree 256 an inverse is
-the tuple of u^-1, and a strip one gather.  A chain
-keeps the identity of its degree (:attr:`BSGS.identity`), and a
-membership test compares the residue with it.  :class:`Permutation`
-wraps the internal form.  The hash of ``bytes`` follows
-``PYTHONHASHSEED``, that of an int tuple does not, so no output may
-depend on the iteration order of a set or dict of permutations; sorting
-orders the two forms alike.
+and strips it with one unbound ``bytes.translate`` by the table as it
+is, with no padding and no :func:`_compose` call: 41-44, 63-65 and
+119-120 ns at degree 12, 40 and 114, as fast as a branch on the form
+and ``g.translate`` (43-46, 63-64, 123-124), against 122-180 ns for
+padding and translating (timeit, as above).  Composing a table with a
+table gives a table, and a permutation with a table a permutation of
+its own degree.  Above degree 256 an inverse is the tuple of u^-1, and
+a strip one gather (:func:`_gather`).  A chain keeps the identity of
+its degree (:attr:`BSGS.identity`), and a membership test compares the
+residue with it.  :class:`Permutation` wraps the internal form.  The
+hash of ``bytes`` follows ``PYTHONHASHSEED``, that of an int tuple does
+not, so no output may depend on the iteration order of a set or dict of
+permutations; sorting orders the two forms alike.
 
 Schreier-Sims skips the work that cannot change the chain.  Sifting
 does nothing at a base point the element fixes, whose representative is
@@ -83,7 +85,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 #: Default largest group order to enumerate or profile.  Sized to include
 #: A9 (order 181 440) while leaving A10 (order 1 814 400) out; a cap of
@@ -122,17 +124,30 @@ def _identity(degree: int) -> RawPerm:
     return _raw(range(degree))
 
 
+def _gather(a: RawPerm, b: RawPerm) -> RawPerm:
+    """b[a[0]], b[a[1]], ...: a then b as one C-level gather, the kernel of
+    the tuple form (a tuple there has more than one point, so
+    ``itemgetter`` gives a tuple)."""
+    return itemgetter(*a)(b)
+
+
+def _strip_kernel(degree: int) -> Callable[[RawPerm, RawPerm], RawPerm]:
+    """The strip of the degree's form, g then u^-1 for u^-1 as a chain
+    stores it (:attr:`BSGS.inverses`): the unbound ``bytes.translate`` by
+    the table as it is up to degree 256, :func:`_gather` above it."""
+    return bytes.translate if degree <= 256 else _gather
+
+
 def _compose(a: RawPerm, b: RawPerm) -> RawPerm:
     """a first, then b: (b[a[0]], b[a[1]], ...) in the form of both, one
-    ``bytes.translate`` up to degree 256 and a C-level gather above it
-    (a tuple there has more than one point, so ``itemgetter`` gives a
-    tuple).  ``b`` may be a chain's stored table (:func:`_inverse_table`),
-    which the empty ``_TAIL[256]`` leaves as it is.  A call that mixes
-    the forms raises: ``translate`` needs a bytes ``a``, and a tuple
-    ``b`` cannot be padded."""
+    ``bytes.translate`` up to degree 256 and :func:`_gather` above it.
+    ``b`` may be a chain's stored table (:func:`_inverse_table`), which
+    the empty ``_TAIL[256]`` leaves as it is.  A call that mixes the
+    forms raises: ``translate`` needs a bytes ``a``, and a tuple ``b``
+    cannot be padded."""
     if len(b) <= 256:
         return a.translate(b + _TAIL[len(b)])
-    return itemgetter(*a)(b)
+    return _gather(a, b)
 
 
 def _inverse_table(a: RawPerm) -> RawPerm:
@@ -158,19 +173,16 @@ def _sift(g: RawPerm, base: Sequence[int],
     """Strip one transversal factor per base point by its stored inverse,
     read at the point g(base point) of the level's point-indexed list
     (:attr:`BSGS.inverses`), None off the orbit; the residue is the
-    identity iff ``g`` lies in the group described.
-
-    Each step is :func:`_compose`, g then u^-1, written out: one
-    ``translate`` by the stored table as it is, or above degree 256 one
-    gather."""
-    bytewise = len(g) <= 256
+    identity iff ``g`` lies in the group described.  Each step is one
+    call of the form's :func:`_strip_kernel`, with no padding."""
+    strip = _strip_kernel(len(g))
     for pt, inverse in zip(base, inverses):
         gamma = g[pt]
         if gamma != pt:  # a fixed base point's representative is the identity
             uinv = inverse[gamma]
             if uinv is None:
                 break
-            g = g.translate(uinv) if bytewise else itemgetter(*g)(uinv)
+            g = strip(g, uinv)
     return g
 
 
@@ -197,30 +209,19 @@ def _join_orbits(labels: Sequence[int], h: RawPerm) -> tuple[int, ...]:
     return itemgetter(*labels)(root)
 
 
-def _cycle_labels(x: RawPerm) -> list[int]:
-    """For each point, the smallest point of its cycle under x: the orbit
-    labels of <x>, on the sampler's hot path, where one walk per cycle is
-    about 3 times as fast as :func:`_join_orbits` (timeit, a random
-    permutation: 1.5 vs 4.8 us at degree 10, 50 vs 147 at 513)."""
-    label = list(range(len(x)))
-    for start in range(len(x)):  # the first point met on a cycle is its smallest
-        if label[start] == start:
-            p = x[start]
-            while p != start:
-                label[p] = start
-                p = x[p]
-    return label
-
-
-def _cycle_lengths(x: RawPerm) -> list[int]:
-    """For each point, the length of its cycle under x: one walk per cycle,
-    whose length is then written to each of its points (timeit, random
-    permutations: 1.3-1.4 us at degree 10, 9.0-9.7 at 114 and 19-21 at
-    300, against 3.4-3.6, 18-19 and 42-44 for counting the labels of
-    :func:`_cycle_labels`; 2 vCPU, Python 3.11.7)."""
-    lengths = [0] * len(x)
+def _cycles(x: RawPerm) -> tuple[list[list[int]], list[int]]:
+    """The cycles of x, fixed points included, each from its smallest point
+    and in ascending order of it, and each point's cycle length: one walk
+    per cycle, whose length is then written to each of its points.  The
+    one cycle walk of the package, for :class:`Permutation`, the parity
+    bound of :func:`_schreier_sims` and the class sampler of
+    :mod:`usets.invariants`, which reads the lengths on every draw
+    (timeit, random permutations: 1.7, 10.5-11.2 and 23-25 us at degree
+    10, 114 and 300, as fast as a walk that writes the lengths alone;
+    2 vCPU, Python 3.11.7)."""
+    cycles, lengths = [], [0] * len(x)
     for start, p in enumerate(x):
-        if not lengths[start]:
+        if not lengths[start]:  # the first point met on a cycle is its smallest
             cycle = [start]
             while p != start:
                 cycle.append(p)
@@ -228,7 +229,8 @@ def _cycle_lengths(x: RawPerm) -> list[int]:
             n = len(cycle)
             for q in cycle:
                 lengths[q] = n
-    return lengths
+            cycles.append(cycle)
+    return cycles, lengths
 
 
 class Permutation:
@@ -294,15 +296,9 @@ class Permutation:
         return Permutation._wrap(_inverse(self.raw))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Nontrivial cycles, 0-based, each starting at its smallest point."""
-        images, out = self.raw, []
-        for start, label in enumerate(_cycle_labels(images)):
-            if label == start and images[start] != start:  # the cycle's smallest point
-                cycle = [start]
-                while images[cycle[-1]] != start:
-                    cycle.append(images[cycle[-1]])
-                out.append(tuple(cycle))
-        return tuple(out)
+        """Nontrivial cycles, 0-based, each starting at its smallest point,
+        in ascending order of it (:func:`_cycles`)."""
+        return tuple(tuple(c) for c in _cycles(self.raw)[0] if len(c) > 1)
 
     def cycle_string(self) -> str:
         """Disjoint cycle notation with 1-based points, e.g. ``(1,2)(3,4,5)``."""
@@ -312,7 +308,7 @@ class Permutation:
         return "".join("(" + ",".join(str(pt + 1) for pt in c) + ")" for c in cycles)
 
     def order(self) -> int:
-        return math.lcm(*_cycle_lengths(self.raw))
+        return math.lcm(*map(len, _cycles(self.raw)[0]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
@@ -336,8 +332,9 @@ class BSGS:
       at every point off the level's orbit, so sifting, Schreier
       generators and the searches read it by index and never invert;
       up to degree 256 each u^-1 is its translation table, 256 bytes that
-      invert u on 0..n-1 and fix n..255 (:func:`_inverse_table`), which a
-      sift translates by as it is, and above it the tuple of u^-1;
+      invert u on 0..n-1 and fix n..255 (:func:`_inverse_table`), and
+      above it the tuple of u^-1, either stripped by as it is
+      (:func:`_strip_kernel`);
     * ``orbit_labels[i]`` (i = 0..k, on first use): each point's smallest
       G^(i)-orbit point;
     * ``identity``: the identity of the degree, built once, which a
@@ -367,14 +364,12 @@ class BSGS:
 
     @property
     def strong_generators(self) -> list[Permutation]:
-        seen: set[RawPerm] = set()
-        out = []
-        for gens in self._level_gens:
-            for g in gens:
-                if g not in seen:
-                    seen.add(g)
-                    out.append(Permutation._wrap(g))
-        return out
+        """Every level's generators, shallowest level first.  No element is
+        stored twice: :func:`_schreier_sims` adds one only when it lies
+        outside the group of its level, which holds every earlier generator
+        of that level and of the deeper ones, and a generator of a
+        shallower level moves a base point this one fixes."""
+        return [Permutation._wrap(g) for gens in self._level_gens for g in gens]
 
     @property
     def orbit_labels(self) -> list[list[int]]:
@@ -451,7 +446,7 @@ def _schreier_sims(raw_gens: Sequence[RawPerm], degree: int,
     the same; any other point counts as changed.
     """
     if bound is None:  # a permutation with c cycles is a product of n - c transpositions
-        odd = any((degree - len(set(_cycle_labels(g)))) % 2 for g in raw_gens)
+        odd = any((degree - len(_cycles(g)[0])) % 2 for g in raw_gens)
         bound = math.factorial(degree) // (2 if degree > 1 and not odd else 1)
     ident = _identity(degree)
     ident_table = _FULL if degree <= 256 else ident  # the base point's inverse

@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -213,6 +214,22 @@ def psl2_class_sizes(q):
         sizes = [1, (q * q - 1) // 2, (q * q - 1) // 2, q * (q + e) // 2]
         sizes += [q * (q + 1)] * ((q - 4 - e) // 4) + [q * (q - 1)] * ((q - 2 + e) // 4)
     return sorted(sizes)
+
+
+def words_and_swaps(group, seed, count, longest):
+    """``count`` pairs of image tuples from ``random.Random(seed)``: a word
+    of 1 to ``longest - 1`` of the group's generators, so a member, and
+    that word followed by the transposition of two random points, which
+    the group does not hold unless it has that transposition."""
+    gens, n = [g.images for g in group.generators], group.degree
+    rng, pairs = random.Random(seed), []
+    for _ in range(count):
+        word = tuple(range(n))
+        for gen in rng.choices(gens, k=rng.randrange(1, longest)):
+            word = tuple(gen[x] for x in word)
+        a, b = rng.sample(range(n), 2)
+        pairs.append((word, tuple(b if x == a else a if x == b else x for x in word)))
+    return pairs
 
 
 def chain_digest(group):

@@ -200,10 +200,23 @@ def test_solve_psl2(capsys):
 
 
 def test_python_m_usets_runs_the_cli():
+    # the module entry point, without the console script: a plain command,
+    # a JSON report and a verbose one, each exiting 0 with nothing on stderr
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-m", "usets", "solve-psl2", "660"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "11", "")
+
+    def python_m(*argv):
+        done = subprocess.run([sys.executable, "-m", "usets", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        return done.stdout.strip()
+    assert python_m("solve-psl2", "660") == "11"
+    report = json.loads(python_m("--format", "json", "verify", "paper", "--only", "uset:PSL(2,11)"))
+    assert report["summary"] == {"pass": 1, "fail": 0, "not_checked": 0}
+    lines = python_m("verify", "paper", "-v", "--only", "uset:PSL(2,11)",
+                     "eliminate:1,r^2,4r^2,16r").splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        ["PASS", "uset:PSL(2,11)"], ["PASS", "eliminate:1,r^2,4r^2,16r"]]
+    assert lines[-1].startswith("2 passed, 0 failed, 0 not checked")
 
 
 def test_solve_psl2_huge_order(capsys):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from usets import invariants, perm
 from usets.catalog import default_catalog
-from usets.construct import alternating_group, m11_group, psl_group
+from usets.construct import (alternating_group, classical_group, hermitian_form, m11_group,
+                            psl_group)
 from usets.invariants import (
     centralizer_count,
     conjugacy_classes,
@@ -181,11 +182,6 @@ def test_profile_serialization_field_names():
     assert d["u_map"]["12"] == 24
 
 
-def test_cap_enforced():
-    with pytest.raises(GroupTooLargeError):
-        profile(alternating_group(6), cap=100)
-
-
 def test_u3_3_count_collapse(catalog):
     # two distinct class sizes contribute 1512 elements each, so U is
     # strictly smaller than the size vector and sums below the order
@@ -253,10 +249,6 @@ class TestCentralizerCount:
         other = relabelled(g, random.Random(7))
         assert group_elements(other) != group_elements(g)
         assert centralizer_count(other) == centralizer_count(g) == 79
-
-    def test_cap(self):
-        with pytest.raises(GroupTooLargeError, match="exceeds cap 10"):
-            centralizer_count(alternating_group(5), cap=10)
 
     @pytest.mark.parametrize("group_builder, expected", [
         (lambda: alternating_group(5), 22),
@@ -581,6 +573,25 @@ def test_psl_class_counts(n, q, classes):
     assert sum(prof.class_sizes) == group.order()
 
 
+@pytest.mark.slow
+def test_u3_7_profile_in_the_tuple_form(step_summary):
+    # U3(7) on its 344 isotropic points, above degree 256, so every kernel
+    # runs on tuples: |U3(q)| = q^3 (q^2 - 1)(q^3 + 1) / gcd(3, q + 1) at
+    # q = 7, 58 classes, and |U| = 8, not 5; the class sizes are pinned by
+    # the md5 of their sorted, comma-joined list
+    start = time.perf_counter()
+    group = classical_group(hermitian_form, 3, 49, (32, 68, 130, 291), twist=7)
+    assert group.degree == 344 and type(group.bsgs.identity) is tuple
+    q = 7
+    assert group.order() == q ** 3 * (q * q - 1) * (q ** 3 + 1) // math.gcd(3, q + 1) == 5_663_616
+    prof = profile(group, cap=group.order())
+    step_summary(f"U3(7), degree 344: built and profiled in {time.perf_counter() - start:.2f} s")
+    assert prof.class_count == 58
+    assert prof.U == {1, 2064, 14749, 115584, 619458, 707952, 1843968, 2359840}
+    assert hashlib.md5(",".join(map(str, prof.class_sizes)).encode()).hexdigest() == \
+        "06003e8d113e31d4a0a79eb3250cf9ea"
+
+
 @pytest.mark.parametrize("name", ["M11", "PSL(3,4)", "U4(2)"])
 def test_profile_independent_of_labels_and_generator_order(catalog, name):
     group = catalog.entry(name).group()
@@ -755,8 +766,7 @@ def test_centralizer_matches_brute_force(name):
     elems = [perm._raw(g.images) for g in brute_force_elements(group)]
     budget = invariants._Budget(10 ** 9)
     for x in elems:
-        order, cent = invariants._centralizer(group.bsgs, x, invariants._cycle_lengths(x),
-                                              budget)
+        order, cent = invariants._centralizer(group.bsgs, x, perm._cycles(x)[1], budget)
         assert order == sum(perm._compose(g, x) == perm._compose(x, g) for g in elems)
         check_centralizer(group, x, order, cent)
 
@@ -770,7 +780,7 @@ def test_conjugator_counts_match_brute_force(name):
     elems = sorted(perm._raw(g.images) for g in brute_force_elements(group))
     bsgs = group.bsgs
     budget = invariants._Budget(10 ** 9)
-    lengths = {x: invariants._cycle_lengths(x) for x in elems}
+    lengths = {x: perm._cycles(x)[1] for x in elems}
     cents = {y: invariants._centralizer(bsgs, y, lengths[y], budget)[1] for y in elems}
     none_known = {y: invariants._Commuting(group.degree, y, lengths[y]) for y in elems}
     for record in none_known.values():
@@ -979,30 +989,36 @@ def test_sampler_work_is_pinned(catalog, name, work):
 
 def test_psl_3_4_profile_compositions(monkeypatch):
     # a child refuted by its orbit labels is never composed: each search
-    # translates t^-1 by a stored table only at the forced levels and the
-    # children it enters, and once more at each leaf test (translating
-    # every child took 2 152); the draws, powers and the leaf tests' other
-    # side call _compose, and the 19 grown sets of orbit labels gather
-    # twice each in perm._join_orbits, which is not counted
+    # strips t^-1 by a stored inverse, through perm's strip kernel, only at
+    # the forced levels and the children it enters, and composes it once
+    # more at each leaf test (stripping every child took 2 152); the draws,
+    # powers and the leaf tests' other side call _compose, and the 19 grown
+    # sets of orbit labels gather twice each in perm._join_orbits, which is
+    # not counted
     group = psl_group(3, 4)
     bsgs = group.bsgs
     tables = {id(uinv) for level in bsgs.inverses for uinv in level if uinv is not None}
-    strips, leaves = [], []
+    strips, leaves, calls = [], [], []
+    made = [None]  # the t^-1 the last strip made, until a leaf test composes it
 
-    class Counted(bytes):
-        """t^-1 in a search, whose translates are counted."""
-        def translate(self, table):
-            (strips if id(table) in tables else leaves).append(table)
-            return Counted(bytes.translate(self, table))
+    def kernel(real, degree):
+        strip = real(degree)
 
-    def counted(real, chain, *args):  # each search set up starts from a counted identity
-        identity, chain.identity = chain.identity, Counted(chain.identity)
-        try:
-            return real(chain, *args)
-        finally:
-            chain.identity = identity
-    wrap(monkeypatch, invariants, "_conjugacy_search", counted)
-    calls = spy(monkeypatch, invariants, "_compose")
+        def counted(hinv, uinv):
+            assert id(uinv) in tables  # a stored inverse, as it is
+            strips.append(uinv)
+            made[0] = strip(hinv, uinv)
+            return made[0]
+        return counted
+
+    def compose(real, a, b):
+        calls.append((a, b))
+        if a is made[0]:
+            leaves.append(a)
+            made[0] = None
+        return real(a, b)
+    wrap(monkeypatch, invariants, "_strip_kernel", kernel)
+    wrap(monkeypatch, invariants, "_compose", compose)
     assert profile(group).class_count == 10
     assert (len(strips), len(leaves), len(calls)) == (362, 54, 235)
 

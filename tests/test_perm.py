@@ -21,6 +21,7 @@ from helpers import (
     spy,
     stored_inverses,
     symmetric_group,
+    words_and_swaps,
     wrap,
 )
 
@@ -235,6 +236,15 @@ def test_catalog_chains_are_pinned(catalog):
         assert chain_digest(catalog.get(name)) == digest, name
 
 
+def test_strong_generators_are_distinct(catalog):
+    # a level generator is added only outside the group the chain already
+    # holds, so no element is stored twice
+    groups = [build() for build in CHAIN_GROUPS.values()]
+    for group in groups + [catalog.get(name) for name in catalog.names()]:
+        raws = [g.raw for g in group.bsgs.strong_generators]
+        assert len(set(raws)) == len(raws)
+
+
 #: Degrees 40-307, in the slow tier; the three above degree 256 keep
 #: their chain elements as tuples.
 LARGE_CHAIN_DIGESTS = {
@@ -270,13 +280,8 @@ def test_built_chains_are_pinned(monkeypatch, step_summary, spec, digest):
     bsgs, n = group.bsgs, group.degree
     form = bytes if n <= 256 else tuple
     assert all(type(u) is form for level in bsgs.transversals for u in level)
-    gens, rng, latencies = [g.images for g in group.generators], random.Random(36), []
-    for _ in range(24):
-        word = tuple(range(n))
-        for gen in rng.choices(gens, k=rng.randrange(1, 30)):
-            word = tuple(gen[x] for x in word)
-        a, b = rng.sample(range(n), 2)
-        swapped = tuple(b if x == a else a if x == b else x for x in word)
+    latencies = []
+    for word, swapped in words_and_swaps(group, 36, 24, 30):
         for images, member in ((word, True), (swapped, False)):
             p = Permutation(images)
             start = time.perf_counter()
@@ -402,8 +407,6 @@ def test_sift_residue_matches_composing_at_every_level(name):
     # is not, since none of these primitive groups is a full symmetric group
     group = CHAIN_GROUPS[name]()
     bsgs, n = group.bsgs, group.degree
-    gens = [g.images for g in group.generators]
-    rng = random.Random(16)
     fixed = 0  # sift steps at a base point the element fixes
 
     def reference(g):
@@ -418,12 +421,7 @@ def test_sift_residue_matches_composing_at_every_level(name):
 
     ident = tuple(range(n))
     assert tuple(bsgs.identity) == ident
-    for _ in range(40):
-        word = ident
-        for gen in rng.choices(gens, k=rng.randrange(1, 30)):
-            word = tuple(gen[x] for x in word)
-        a, b = rng.sample(range(n), 2)
-        swapped = tuple(b if x == a else a if x == b else x for x in word)
+    for word, swapped in words_and_swaps(group, 16, 40, 30):
         assert tuple(bsgs.sift(perm._raw(word))) == reference(word) == ident
         assert tuple(bsgs.sift(perm._raw(swapped))) == reference(swapped) != ident
         assert group.contains(Permutation(word))
@@ -439,16 +437,8 @@ def test_membership_sifts_without_compose(build, monkeypatch):
     # words times a transposition, which neither group holds
     group = build()
     bsgs, n = group.bsgs, group.degree
-    gens = [g.images for g in group.generators]
-    rng = random.Random(36)
-    cases = []
-    for _ in range(24):
-        word = tuple(range(n))
-        for gen in rng.choices(gens, k=rng.randrange(1, 20)):
-            word = tuple(gen[x] for x in word)
-        a, b = rng.sample(range(n), 2)
-        cases.append((word, True))
-        cases.append((tuple(b if x == a else a if x == b else x for x in word), False))
+    cases = [case for word, swapped in words_and_swaps(group, 36, 24, 20)
+             for case in ((word, True), (swapped, False))]
     forbid(monkeypatch, perm, "_compose", "a sift called _compose")
     for images, member in cases:
         assert group.contains(Permutation(images)) is member
@@ -564,7 +554,16 @@ def test_kernels_match_a_tuple_reference(degree):
         inverse = perm._inverse(ra)
         assert type(inverse) is form and tuple(inverse[x] for x in a) == ident
         assert perm._inverse_table(ra) == stored_table(inverse)
-        assert perm._cycle_labels(ra) == orbit_labels(degree, [a])
+        # the one cycle walk: every cycle of a, fixed points too, from its
+        # smallest point, the orbit label of <a>, in ascending order of it
+        walked, walked_lengths = perm._cycles(ra)
+        label = [None] * degree
+        for cycle in walked:
+            assert all(a[p] == q for p, q in zip(cycle, cycle[1:] + cycle[:1]))
+            for p in cycle:
+                label[p] = cycle[0]
+        assert label == orbit_labels(degree, [a])
+        assert [cycle[0] for cycle in walked] == sorted(set(label))
         labels = perm._join_orbits(range(degree), ra)
         assert labels == tuple(orbit_labels(degree, [a]))
         assert perm._join_orbits(labels, rb) == tuple(orbit_labels(degree, [a, b]))
@@ -592,7 +591,8 @@ def test_kernels_match_a_tuple_reference(degree):
         for cycle in cycles:
             for p in cycle:
                 lengths[p] = len(cycle)
-        assert perm._cycle_lengths(ra) == lengths
+        assert walked_lengths == lengths
+        assert tuple(tuple(c) for c in walked if len(c) > 1) == cycles
         assert pa.cycles() == cycles
         assert pa.order() == math.lcm(*map(len, cycles))
         copy = Permutation(list(a))
@@ -616,7 +616,7 @@ def padded_a5(degree):
                       for g in alternating_group(5).generators])
 
 
-@pytest.mark.parametrize("degree, form", [(256, bytes), (300, tuple)])
+@pytest.mark.parametrize("degree, form", [(256, bytes), (257, tuple), (300, tuple)])
 def test_a5_padded_across_the_switch_keeps_its_chain(degree, form):
     # the chain, profile, classes and memberships of A5 on 5 points, with
     # every element fixing the points the padding adds
